@@ -20,10 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-import numpy as np
-
 from . import __version__
-from .cyclotomic import Cyc, cyclotomic_poly, multvec_to_cyc
+from .cyclotomic import Cyc, multvec_to_cyc, reduce_folded
 from .errors import (
     ConsistencyError,
     DecompositionError,
@@ -33,6 +31,7 @@ from .errors import (
 from .groups import (
     GroupTable,
     _generating_sequence,
+    _word_tree,
     class_index,
     conjugacy_classes,
     subgroup_table,
@@ -66,6 +65,9 @@ class CharacterTable:
             raise ConsistencyError(
                 f"{len(self.characters)} characters for {len(self.classes)} classes"
             )
+        # checked before the lookups below, which assume a valid table
+        if check:
+            self.check()
         self.trivial_index = next(
             i
             for i, c in enumerate(self.characters)
@@ -75,8 +77,6 @@ class CharacterTable:
             self._index[_conj_values(c.values, self.exponent)]
             for c in self.characters
         )
-        if check:
-            self.check()
 
     # -- lookups -------------------------------------------------------
 
@@ -131,35 +131,32 @@ class CharacterTable:
         return (acc / n).as_fraction()
 
     def check(self):
+        """Burnside's identity and both orthogonality relations, exactly:
+        each inner product is summed as integers over exponents mod e and
+        reduced once modulo the e-th cyclotomic polynomial."""
         n = self.group.order
         if sum(c.degree * c.degree for c in self.characters) != n:
             raise ConsistencyError("Burnside identity sum chi(1)^2 = |G| fails")
         e = self.exponent
-        sizes = np.array([len(c.members) for c in self.classes], dtype=np.int64)
-        vals = np.array([c.values for c in self.characters], dtype=np.int64)
-        conj_vals = np.array(
-            [[_conj_vec(v, e) for v in c.values] for c in self.characters],
-            dtype=np.int64,
-        )
-        for i, ci in enumerate(self.characters):
-            for j in range(i, len(self.characters)):
-                s = np.zeros(2 * e - 1 if e > 1 else 1, dtype=np.int64)
-                for r in range(len(self.classes)):
-                    s += sizes[r] * np.convolve(vals[i][r], conj_vals[j][r])
-                want = n if i == j else 0
-                if not _int_poly_is_constant(s.tolist(), e, want):
+        sizes = [len(c.members) for c in self.classes]
+        # nonzero (exponent, multiplicity) entries per character and class
+        sparse = [
+            [tuple((k, m) for k, m in enumerate(v) if m) for v in c.values]
+            for c in self.characters
+        ]
+        for i, rows_i in enumerate(sparse):
+            for j in range(i, len(sparse)):
+                terms = zip(sizes, rows_i, sparse[j])
+                if not _sum_is(e, terms, n if i == j else 0):
                     raise ConsistencyError(
                         f"row orthogonality fails for characters {i}, {j}"
                     )
-        for r in range(len(self.classes)):
-            for s_ in range(r, len(self.classes)):
-                acc = np.zeros(2 * e - 1 if e > 1 else 1, dtype=np.int64)
-                for i in range(len(self.characters)):
-                    acc += np.convolve(vals[i][r], conj_vals[i][s_])
-                want = n // int(sizes[r]) if r == s_ else 0
-                if not _int_poly_is_constant(acc.tolist(), e, want):
+        for r in range(len(sizes)):
+            for s in range(r, len(sizes)):
+                terms = ((1, rows[r], rows[s]) for rows in sparse)
+                if not _sum_is(e, terms, n // sizes[r] if r == s else 0):
                     raise ConsistencyError(
-                        f"column orthogonality fails for classes {r}, {s_}"
+                        f"column orthogonality fails for classes {r}, {s}"
                     )
 
     # -- serialization -------------------------------------------------
@@ -176,7 +173,7 @@ class CharacterTable:
         }
 
     @classmethod
-    def from_json(cls, group: GroupTable, data, check=False):
+    def from_json(cls, group: GroupTable, data, check=True):
         classes = conjugacy_classes(group)
         if data["exponent"] != group.exponent or data["classes"] != [
             len(c.members) for c in classes
@@ -197,20 +194,16 @@ def _conj_values(values, e):
     return tuple(_conj_vec(v, e) for v in values)
 
 
-def _int_poly_is_constant(coeffs, e, want):
-    """True iff Sum_k coeffs[k] zeta_e^k equals the integer ``want``."""
+def _sum_is(e, terms, want):
+    """True iff Sum w * x * conj(y) over (w, x, y) in ``terms`` equals the
+    integer ``want``; x and y are sparse multiplicity vectors over zeta_e."""
     folded = [0] * e
-    for k, c in enumerate(coeffs):
-        folded[k % e] += int(c)
+    for w, xs, ys in terms:
+        for k, a in xs:
+            for l, b in ys:
+                folded[(k - l) % e] += w * a * b
     folded[0] -= want
-    phi = cyclotomic_poly(e)
-    deg = len(phi) - 1
-    for i in range(e - 1 - deg, -1, -1):
-        c = folded[i + deg]
-        if c:
-            for j, d in enumerate(phi):
-                folded[i + j] -= c * d
-    return all(c == 0 for c in folded[:deg])
+    return not any(reduce_folded(folded, e))
 
 
 # -- abelian fast path -------------------------------------------------
@@ -222,21 +215,8 @@ def _abelian_characters(G: GroupTable):
     classes = conjugacy_classes(G)
     gens = _generating_sequence(G)
     mult = G.mult
-    # BFS tree for evaluating a homomorphism from generator images
-    parent = [None] * n
-    parent[0] = (0, None)
-    frontier = [0]
-    bfs = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, g in enumerate(gens):
-                y = mult[x][g]
-                if parent[y] is None:
-                    parent[y] = (x, gi)
-                    nxt.append(y)
-                    bfs.append(y)
-        frontier = nxt
+    # word tree for evaluating a homomorphism from generator images
+    parent, bfs = _word_tree(G, gens)
 
     import itertools
 
@@ -520,7 +500,7 @@ def character_table(
         return cached
     if path and os.path.exists(path):
         with open(path) as fh:
-            table = CharacterTable.from_json(G, json.load(fh), check=False)
+            table = CharacterTable.from_json(G, json.load(fh))
         _TABLE_CACHE[key] = table
         return table
     if method == "abelian" or (method == "auto" and G.is_abelian()):

@@ -53,16 +53,6 @@ class SearchBounds:
                 raise DomainError(f"unsupported base genus pair {pair}")
         return self
 
-    def to_json(self):
-        return {
-            "max_group_order": self.max_group_order,
-            "max_branch_points_r": self.max_branch_points_r,
-            "max_branch_points_s": self.max_branch_points_s,
-            "genus_cap": self.genus_cap,
-            "base_genera": [list(p) for p in self.base_genera],
-            "branch_order_cap": self.branch_order_cap,
-        }
-
 
 @dataclass
 class ClassificationRecord:
@@ -152,7 +142,7 @@ def compute_aut0(S: UnmixedSurface) -> frozenset:
 # -- conformance with the classification shape ------------------------
 
 
-def _uniform_gamma(G, gammas):
+def _uniform_gamma(gammas):
     if gammas and all(g == gammas[0] for g in gammas):
         return gammas[0]
     return None
@@ -185,8 +175,8 @@ def check_conformance(rec: ClassificationRecord):
     vC, vD = S.cover_C.vector, S.cover_D.vector
     if vC.base_genus != 1 or vD.base_genus != 1:
         return False, "base genera are not both 1"
-    s1 = _uniform_gamma(G, vC.gammas)
-    t1 = _uniform_gamma(G, vD.gammas)
+    s1 = _uniform_gamma(vC.gammas)
+    t1 = _uniform_gamma(vD.gammas)
     if s1 is None or t1 is None:
         return False, "branch elements are not all equal on each factor"
     if G.element_order[s1] != 2 or G.element_order[t1] != 2:
@@ -215,7 +205,7 @@ def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
     trivial = table.trivial_index
     degrees = [c.degree for c in table.characters]
     # l[class][char]
-    class_reps = [c.representative for c in conjugacy_from(table)]
+    class_reps = [c.representative for c in table.classes]
     ltab = [
         [table.trivial_multiplicity(i, rep) for i in range(nchars)]
         for rep in class_reps
@@ -283,18 +273,14 @@ def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
                 continue
             if status != "ok":
                 continue
-            u = gammas[0] if gammas and all(g == gammas[0] for g in gammas) else -1
-            key = (r, genus, maskpos, maskconj, sig, u)
+            u = _uniform_gamma(gammas)
+            key = (r, genus, maskpos, maskconj, sig, -1 if u is None else u)
             slot = buckets.get(key)
             if slot is None:
                 buckets[key] = [1, (ab, gammas)]
             else:
                 slot[0] += 1
     return buckets, truncated
-
-
-def conjugacy_from(table):
-    return table.classes
 
 
 def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivial"):
@@ -434,15 +420,7 @@ def _record_sort_key(r):
 
 
 def _worker(args):
-    spec, bounds_json, cache_dir, detail = args
-    bounds = SearchBounds(
-        max_group_order=bounds_json["max_group_order"],
-        max_branch_points_r=bounds_json["max_branch_points_r"],
-        max_branch_points_s=bounds_json["max_branch_points_s"],
-        genus_cap=bounds_json["genus_cap"],
-        base_genera=tuple(tuple(p) for p in bounds_json["base_genera"]),
-        branch_order_cap=bounds_json["branch_order_cap"],
-    )
+    spec, bounds, cache_dir, detail = args
     return spec, _classify_group(spec, bounds, cache_dir, detail)
 
 
@@ -468,7 +446,7 @@ def classify_all(
         "errors": 0,
     }
     all_records = []
-    jobs = [(spec, bounds.to_json(), cache_dir, detail) for spec in groups]
+    jobs = [(spec, bounds, cache_dir, detail) for spec in groups]
     if workers > 1 and len(jobs) > 1:
         import multiprocessing as mp
 

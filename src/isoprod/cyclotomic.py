@@ -43,12 +43,10 @@ def cyclotomic_poly(e: int):
     return tuple(num)
 
 
-def _reduce(coeffs, e):
-    """Reduce an (arbitrary-length) coefficient list mod x^e-1, then mod
-    the e-th cyclotomic polynomial; returns a tuple of length phi(e)."""
-    folded = [Fraction(0)] * e
-    for k, c in enumerate(coeffs):
-        folded[k % e] += c
+def reduce_folded(folded, e):
+    """Reduce Sum_k folded[k] zeta_e^k (k = 0..e-1) modulo the e-th
+    cyclotomic polynomial, in place; returns the phi(e) coefficients of
+    the power basis.  Works for int and Fraction coefficients alike."""
     phi = cyclotomic_poly(e)
     deg = len(phi) - 1
     for i in range(e - 1 - deg, -1, -1):
@@ -56,8 +54,16 @@ def _reduce(coeffs, e):
         if c:
             for j, d in enumerate(phi):
                 folded[i + j] -= c * d
-    out = folded[:deg]
-    return tuple(out)
+    return folded[:deg]
+
+
+def _reduce(coeffs, e):
+    """Reduce an (arbitrary-length) coefficient list mod x^e-1, then mod
+    the e-th cyclotomic polynomial; returns a tuple of length phi(e)."""
+    folded = [Fraction(0)] * e
+    for k, c in enumerate(coeffs):
+        folded[k % e] += c
+    return tuple(reduce_folded(folded, e))
 
 
 class Cyc:

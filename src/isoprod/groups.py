@@ -11,12 +11,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import random
 import re
 from dataclasses import dataclass
 from math import gcd
-
-import numpy as np
+from operator import itemgetter
 
 from .errors import (
     DomainError,
@@ -26,8 +24,6 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 128
-FULL_ASSOC_LIMIT = 256
-_ASSOC_SAMPLES = 4096
 
 
 def _lcm(a, b):
@@ -171,23 +167,35 @@ def _find_identity(mult):
 
 
 def _check_associative(mult):
+    """Light's associativity test, exact at every order.
+
+    The elements s with (x*s)*y == x*(s*y) for all x, y are closed under
+    products, so it suffices to test a set of s whose right products
+    from the identity reach every element: O(n^2) per generator.
+    """
     n = len(mult)
-    m = np.array(mult, dtype=np.int64)
-    if n <= FULL_ASSOC_LIMIT:
-        # (a*b)*c vs a*(b*c), chunked over a to bound memory
-        step = max(1, (1 << 22) // (n * n))
-        for a0 in range(0, n, step):
-            left = m[m[a0 : a0 + step, :], :]  # left[a,b,c] = m[m[a,b],c]
-            right = m[a0 : a0 + step, :][:, m]  # right[a,b,c] = m[a, m[b,c]]
-            if not np.array_equal(left, right):
-                raise TableError("multiplication table is not associative")
-    else:
-        rng = random.Random(n)
-        for _ in range(_ASSOC_SAMPLES):
-            a = rng.randrange(n)
-            b = rng.randrange(n)
-            c = rng.randrange(n)
-            if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
+    if n == 1:
+        return
+    gens = []
+    reached = {0}
+    for g in range(1, n):
+        if g in reached:
+            continue
+        gens.append(g)
+        frontier = list(reached)
+        while frontier:
+            x = frontier.pop()
+            for s in gens:
+                y = mult[x][s]
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+        if len(reached) == n:
+            break
+    for s in gens:
+        times_s_row = itemgetter(*mult[s])  # row x -> (x*(s*y))_y
+        for x in range(n):
+            if times_s_row(mult[x]) != mult[mult[x][s]]:
                 raise TableError("multiplication table is not associative")
 
 
@@ -244,15 +252,16 @@ def center(G: GroupTable):
 
 
 def closure(G: GroupTable, elements):
-    """Subgroup generated by ``elements`` (saturation by products)."""
+    """Subgroup generated by ``elements``.
+
+    In a finite group the products of generators already form a
+    subgroup, so a search over right products by the generators is the
+    whole closure.
+    """
     m = G.mult
     sub = {0}
     frontier = [0]
-    gens = [g for g in set(elements)]
-    for g in gens:
-        if g not in sub:
-            sub.add(g)
-            frontier.append(g)
+    gens = list(set(elements))
     while frontier:
         x = frontier.pop()
         for g in gens:
@@ -260,20 +269,6 @@ def closure(G: GroupTable, elements):
             if y not in sub:
                 sub.add(y)
                 frontier.append(y)
-            y = m[g][x]
-            if y not in sub:
-                sub.add(y)
-                frontier.append(y)
-    # products of arbitrary members (needed when gens alone do not close)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(sub):
-            for b in list(sub):
-                y = m[a][b]
-                if y not in sub:
-                    sub.add(y)
-                    changed = True
     return frozenset(sub)
 
 
@@ -461,21 +456,8 @@ def automorphisms(G: GroupTable):
         return auts
     gens = _generating_sequence(G)
     reg = subgroup_registry(G)
-    # BFS word decomposition: every x != 0 as parent * gens[gi]
-    parent = [None] * n
-    parent[0] = (0, None)
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, g in enumerate(gens):
-                y = G.mult[x][g]
-                if parent[y] is None:
-                    parent[y] = (x, gi)
-                    nxt.append(y)
-        frontier = nxt
-    assert all(p is not None for p in parent)
-    bfs_order = sorted(range(n), key=lambda x: 0 if x == 0 else 1)
+    parent, bfs_order = _word_tree(G, gens)
+    assert len(bfs_order) == n
 
     gen_sids = []
     sid = 0
@@ -491,7 +473,7 @@ def automorphisms(G: GroupTable):
 
     def assign(k, images, sid):
         if k == len(gens):
-            phi = _build_map(G, gens, images, parent)
+            phi = _build_map(G, gens, images, parent, bfs_order)
             if phi is not None:
                 auts.append(phi)
             return
@@ -507,13 +489,26 @@ def automorphisms(G: GroupTable):
     return auts
 
 
-def _build_map(G, gens, images, parent):
+def _word_tree(G: GroupTable, gens):
+    """Breadth-first word tree of G over ``gens``: returns (parent,
+    bfs_order) with x = parent[x][0] * gens[parent[x][1]] for x != 0 and
+    every parent listed before its children in bfs_order."""
+    parent = [None] * G.order
+    parent[0] = (0, None)
+    bfs_order = [0]
+    for x in bfs_order:
+        for gi, g in enumerate(gens):
+            y = G.mult[x][g]
+            if parent[y] is None:
+                parent[y] = (x, gi)
+                bfs_order.append(y)
+    return parent, bfs_order
+
+
+def _build_map(G, gens, images, parent, bfs_order):
     n = G.order
-    phi = [None] * n
-    phi[0] = 0
-    # fill along the BFS tree
-    pending = sorted(range(1, n), key=lambda x: _depth(parent, x))
-    for x in pending:
+    phi = [0] * n
+    for x in bfs_order[1:]:
         px, gi = parent[x]
         phi[x] = G.mult[phi[px]][images[gi]]
     # multiplicative on (x, gen) pairs => homomorphism everywhere
@@ -524,14 +519,6 @@ def _build_map(G, gens, images, parent):
     if len(set(phi)) != n:
         return None
     return tuple(phi)
-
-
-def _depth(parent, x):
-    d = 0
-    while x != 0:
-        x = parent[x][0]
-        d += 1
-    return d
 
 
 # -- built-in families and the spec mini-language ----------------------

@@ -46,6 +46,21 @@ def inner_complex(table, row_i, row_j):
     return acc / n
 
 
+def saturate_closure(G, elements):
+    """Subgroup generated by ``elements``: add every product of two
+    members until nothing new appears."""
+    sub = {0} | set(elements)
+    changed = True
+    while changed:
+        changed = False
+        for a in list(sub):
+            for b in list(sub):
+                if G.mult[a][b] not in sub:
+                    sub.add(G.mult[a][b])
+                    changed = True
+    return frozenset(sub)
+
+
 def brute_vectors(G, b, r):
     """All generating vectors over G for base genus b with r branch
     points, by plain nested loops.  Only usable for tiny G."""

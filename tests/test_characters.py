@@ -10,8 +10,13 @@ from isoprod.characters import (
     induced_character,
     restriction_multiplicity,
 )
-from isoprod.errors import DomainError
-from isoprod.groups import all_subgroups, build_group, builtin_groups_upto
+from isoprod.errors import ConsistencyError, DomainError
+from isoprod.groups import (
+    all_subgroups,
+    build_group,
+    builtin_groups_upto,
+    conjugacy_classes,
+)
 
 from oracles import complex_table, inner_complex
 
@@ -112,6 +117,33 @@ def test_disk_cache(tmp_path):
     character_table.__globals__["_TABLE_CACHE"].clear()
     t2 = character_table(build_group("sym:3"), cache_dir=str(tmp_path))
     assert [c.values for c in t1.characters] == [c.values for c in t2.characters]
+
+
+@pytest.mark.parametrize("altered", [(2, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 0)])
+def test_corrupted_disk_cache_rejected(tmp_path, altered):
+    """A cached table with one value changed at a non-identity class (the
+    degree-2 character of S3 at the 3-cycles, still summing to the degree)
+    is rejected on load, whether or not the altered row stays closed under
+    complex conjugation."""
+    G = build_group("sym:3")
+    cache = character_table.__globals__["_TABLE_CACHE"]
+    cache.clear()
+    character_table(G, cache_dir=str(tmp_path))
+    cache.clear()
+    (path,) = tmp_path.iterdir()
+    data = json.loads(path.read_text())
+    three_cycles = next(
+        i
+        for i, c in enumerate(conjugacy_classes(G))
+        if G.element_order[c.representative] == 3
+    )
+    deg2 = next(c for c in data["characters"] if c["degree"] == 2)
+    assert deg2["values"][three_cycles] == [0, 0, 1, 0, 1, 0]
+    deg2["values"][three_cycles] = list(altered)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConsistencyError):
+        character_table(build_group("sym:3"), cache_dir=str(tmp_path))
+    assert not cache
 
 
 def test_induced_from_a3():

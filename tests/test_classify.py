@@ -113,8 +113,9 @@ def test_classify_small_sweep():
 
 
 def test_classify_weights_against_bruteforce():
-    """The bucketed sweep's surface count matches a direct pairing of
-    individually enumerated vectors for one small group."""
+    """The bucketed sweep's surface and nontrivial-Aut_0 counts match a
+    direct pairing of individually enumerated vectors for one small
+    group."""
     from isoprod.covers import enumerate_vectors, stabilizer_union
 
     G = build_group("ab:2,2")
@@ -130,17 +131,13 @@ def test_classify_weights_against_bruteforce():
     from isoprod.classify import compute_aut0 as aut0_of
     from isoprod.surfaces import build_surface as build
 
-    pairs = 0
     for i, cC in enumerate(covers):
         for j, cD in enumerate(covers):
             if sigma[i] & sigma[j] != frozenset([0]):
                 continue
             total += 1
-            pairs += 1
-            if pairs <= 200:  # spot-check aut0 on a prefix
-                S = build(cC, cD)
-                if len(aut0_of(S)) > 1:
-                    nontrivial += 1
+            if len(aut0_of(build(cC, cD))) > 1:
+                nontrivial += 1
     bounds = SearchBounds(
         max_group_order=4,
         max_branch_points_r=4,
@@ -148,7 +145,8 @@ def test_classify_weights_against_bruteforce():
         genus_cap=33,
     )
     _, summary = classify_all(bounds, ["ab:2,2"])
-    assert summary["surfaces"] == total
+    assert summary["surfaces"] == total == 17280
+    assert summary["nontrivial_aut0"] == nontrivial == 3456
 
 
 def test_classify_deterministic_and_parallel():

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import isoprod
 from isoprod.cli import main
 
 
@@ -178,3 +182,27 @@ def test_bad_subcommand(capsys):
 
 def test_version(capsys):
     assert main(["--version"]) == 0
+
+
+STDLIB_ONLY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from isoprod.cli import main
+sys.exit(
+    main(["chartab", "sym:5"])
+    or main(["classify", "--groups", "ab:2,2", "--max-r", "2", "--max-s", "2"])
+)
+"""
+
+
+def test_runs_without_numpy():
+    src = os.path.dirname(os.path.dirname(isoprod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", STDLIB_ONLY],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert len(json.loads(lines[0])["characters"]) == 7
+    assert json.loads(lines[-1])["nontrivial_aut0"] > 0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from isoprod.errors import GroupSpecError, SizeError, TableError
 from isoprod.groups import (
+    GroupTable,
     abelian_element,
     abelian_invariants,
     all_subgroups,
@@ -13,11 +14,14 @@ from isoprod.groups import (
     build_group,
     builtin_groups_upto,
     center,
+    closure,
     commutator_subgroup,
     conjugacy_classes,
     cyclic_subgroup,
     subgroup_table,
 )
+
+from oracles import saturate_closure
 
 
 def test_cyclic_group_basics():
@@ -91,6 +95,27 @@ def test_non_associative_rejected():
     ]
     with pytest.raises(TableError):
         GroupTable(t)
+
+
+def test_non_associative_loop_above_256_rejected():
+    """Z_258 with one intercalate swapped is still a Latin square with
+    identity 0, but (1*1)*2 = 133 while 1*(1*2) = 4."""
+    n = 258
+    t = [[(a + b) % n for b in range(n)] for a in range(n)]
+    for a, b in [(1, 1), (1, 130), (130, 1), (130, 130)]:
+        t[a][b] = (t[a][b] + n // 2) % n
+    with pytest.raises(TableError):
+        GroupTable(t)
+
+
+def test_closure_matches_saturation_oracle():
+    for spec in ["sym:4", "dih:8", "quat:8", "ab:2,4"]:
+        G = build_group(spec)
+        for a in range(G.order):
+            for b in range(a, G.order):
+                assert closure(G, {a, b}) == saturate_closure(G, {a, b}), (
+                    spec, a, b,
+                )
 
 
 def test_order_cap():
