@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import __version__
-from .cyclotomic import Cyc, multvec_to_cyc, reduce_folded
+from .cyclotomic import Cyc, reduce_folded
 from .errors import (
     ConsistencyError,
     DecompositionError,
@@ -91,14 +91,14 @@ class CharacterTable:
     def value(self, chi, g) -> Cyc:
         """Exact value chi(g) for a group element g."""
         chi = self.characters[self.index_of(chi)]
-        return multvec_to_cyc(self.exponent, chi.values[self.class_of[g]])
+        return Cyc(self.exponent, chi.values[self.class_of[g]])
 
     def class_values(self, chi):
         i = self.index_of(chi)
         if i not in self._cyc_cache:
             chi = self.characters[i]
             self._cyc_cache[i] = tuple(
-                multvec_to_cyc(self.exponent, v) for v in chi.values
+                Cyc(self.exponent, v) for v in chi.values
             )
         return self._cyc_cache[i]
 
@@ -139,11 +139,7 @@ class CharacterTable:
             raise ConsistencyError("Burnside identity sum chi(1)^2 = |G| fails")
         e = self.exponent
         sizes = [len(c.members) for c in self.classes]
-        # nonzero (exponent, multiplicity) entries per character and class
-        sparse = [
-            [tuple((k, m) for k, m in enumerate(v) if m) for v in c.values]
-            for c in self.characters
-        ]
+        sparse = [[_sparse(v) for v in c.values] for c in self.characters]
         for i, rows_i in enumerate(sparse):
             for j in range(i, len(sparse)):
                 terms = zip(sizes, rows_i, sparse[j])
@@ -194,16 +190,28 @@ def _conj_values(values, e):
     return tuple(_conj_vec(v, e) for v in values)
 
 
-def _sum_is(e, terms, want):
-    """True iff Sum w * x * conj(y) over (w, x, y) in ``terms`` equals the
-    integer ``want``; x and y are sparse multiplicity vectors over zeta_e."""
+def _sparse(v, scale=1):
+    """Nonzero (exponent, multiplicity) entries of a multiplicity vector;
+    ``scale`` lifts exponents over zeta_e to zeta_(scale*e)."""
+    return tuple((k * scale, m) for k, m in enumerate(v) if m)
+
+
+def _fold(e, terms):
+    """Sum w * x * conj(y) over (w, x, y) in ``terms`` as its phi(e)
+    integer power-basis coefficients; x and y are sparse multiplicity
+    vectors over zeta_e, summed into e buckets and reduced once."""
     folded = [0] * e
     for w, xs, ys in terms:
         for k, a in xs:
             for l, b in ys:
                 folded[(k - l) % e] += w * a * b
-    folded[0] -= want
-    return not any(reduce_folded(folded, e))
+    return reduce_folded(folded, e)
+
+
+def _sum_is(e, terms, want):
+    """True iff the sum folded by ``_fold`` equals the integer ``want``."""
+    coeffs = _fold(e, terms)
+    return coeffs[0] == want and not any(coeffs[1:])
 
 
 # -- abelian fast path -------------------------------------------------
@@ -545,29 +553,23 @@ def induced_character(
     tableG: CharacterTable, sub: SubgroupChars, chi
 ) -> tuple:
     """chi^G as exact per-class Cyc values:
-    chi^G(g) = (1/|H|) sum_{t in G} chi°(t g t^-1)."""
+    chi^G(g) = |C_G(g)|/|H| sum_{h in H meeting g^G} chi(h), summed per
+    H-class as integer multiplicity vectors over zeta_(e_G)."""
     G = tableG.group
     eG = tableG.exponent
     eH = sub.table.exponent
     assert eG % eH == 0
     scale = eG // eH
     chi = sub.table.characters[sub.table.index_of(chi)]
-    hsize = sub.H.order
-    pos = {g: i for i, g in enumerate(sub.embed)}
+    acc = [[0] * eG for _ in tableG.classes]
+    for cl, v in zip(sub.table.classes, chi.values):
+        row = acc[tableG.class_of[sub.embed[cl.representative]]]
+        for k, m in _sparse(v, scale):
+            row[k] += len(cl.members) * m
     out = []
-    for cl in tableG.classes:
-        acc = Cyc.zero(eG)
-        for x in cl.members:
-            hi = pos.get(x)
-            if hi is None:
-                continue
-            mvec = chi.values[sub.table.class_of[hi]]
-            lifted = [0] * eG
-            for kk, m in enumerate(mvec):
-                lifted[kk * scale] += m
-            acc = acc + Cyc.from_exponent_vector(eG, lifted)
-        centralizer = Fraction(G.order, len(cl.members))
-        out.append(acc * centralizer / hsize)
+    for cl, row in zip(tableG.classes, acc):
+        centralizer_over_h = Fraction(G.order, len(cl.members) * sub.H.order)
+        out.append(Cyc(eG, [m * centralizer_over_h for m in row]))
     return tuple(out)
 
 
@@ -595,25 +597,32 @@ def decompose(tableG: CharacterTable, values) -> tuple:
 def restriction_multiplicity(
     tableG: CharacterTable, sub: SubgroupChars, phi, chi
 ) -> int:
-    """<phi|_H, chi>_H via exact cyclotomic arithmetic (equals
-    <phi, chi^G>_G by Frobenius reciprocity)."""
-    eG = tableG.exponent
-    eH = sub.table.exponent
-    scale = eG // eH
-    phi = tableG.characters[tableG.index_of(phi)]
-    chi = sub.table.characters[sub.table.index_of(chi)]
-    acc = Cyc.zero(eG)
-    for hi, g in enumerate(sub.embed):
-        pv = multvec_to_cyc(eG, phi.values[tableG.class_of[g]])
-        cvec = chi.values[sub.table.class_of[hi]]
-        lifted = [0] * eG
-        for kk, m in enumerate(cvec):
-            lifted[kk * scale] += m
-        acc = acc + pv * Cyc.from_exponent_vector(eG, lifted).conj()
-    m = (acc / sub.H.order).as_fraction()
-    if m.denominator != 1 or m < 0:
-        raise ConsistencyError("restriction multiplicity not a non-negative integer")
-    return int(m)
+    """<phi|_H, chi>_H, summed over the classes of H as integers over
+    zeta_(e_G) (equals <phi, chi^G>_G by Frobenius reciprocity)."""
+    scale = tableG.exponent // sub.table.exponent
+    i, j = tableG.index_of(phi), sub.table.index_of(chi)
+    phi_values = tableG.characters[i].values
+    terms = (
+        (
+            len(cl.members),
+            _sparse(phi_values[tableG.class_of[sub.embed[cl.representative]]]),
+            _sparse(v, scale),
+        )
+        for cl, v in zip(sub.table.classes, sub.table.characters[j].values)
+    )
+    coeffs = _fold(tableG.exponent, terms)
+    m, rem = divmod(coeffs[0], sub.H.order)
+    if any(coeffs[1:]) or rem or m < 0:
+        raise ConsistencyError(
+            f"<phi_{i}|_H, chi_{j}> is not a non-negative integer "
+            f"(|H| * value has coefficients {list(coeffs)}): "
+            f"{_where(sub)}"
+        )
+    return m
+
+
+def _where(sub: SubgroupChars) -> str:
+    return f"G = {sub.parent.spec}, H = {sorted(sub.elements)}"
 
 
 def find_constituent_avoiding(
@@ -646,5 +655,6 @@ def find_constituent_avoiding(
         return phi
     raise ConsistencyError(
         "no constituent avoiding the kernel condition exists; this "
-        "contradicts the induced-character lemma"
+        f"contradicts the induced-character lemma: {_where(sub)}, "
+        f"chi_{sub.table.index_of(chi)}, avoid {sorted(avoid)}, extra {extra}"
     )

@@ -21,8 +21,8 @@ from .covers import (
     GeneratingVector,
     _conj_cyclic,
     _raw_tuples,
-    hurwitz_genus,
     isotypic_dimensions,
+    memo_genus,
 )
 from .errors import DomainError, IsoprodError
 from .groups import GroupTable, abelian_invariants, build_group, center, class_index
@@ -111,17 +111,9 @@ def _mask_to_set(mask):
 def acts_trivially(S: UnmixedSurface, sigma: int) -> bool:
     """True iff the central element sigma acts trivially on H^2(S, QQ)
     (and then on all of H^*), by the kernel criterion."""
-    G = S.group
-    if sigma not in center(G):
+    if sigma not in center(S.group):
         raise DomainError(f"element {sigma} is not central")
-    table = character_table(G)
-    dimsC = isotypic_dimensions(S.cover_C, table)
-    dimsD = isotypic_dimensions(S.cover_D, table)
-    for i in range(len(table.characters)):
-        if dimsC[i] > 0 and dimsD[table.conj_index[i]] > 0:
-            if sigma not in table.kernel(i):
-                return False
-    return True
+    return sigma in compute_aut0(S)
 
 
 def compute_aut0(S: UnmixedSurface) -> frozenset:
@@ -219,12 +211,9 @@ def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
         out = sig_of_class.get(key)
         if out is not None:
             return out
-        try:
-            genus = hurwitz_genus(
-                n, b, tuple(orders[class_reps[c]] for c in cls_key)
-            )
-        except IsoprodError:
-            genus = None
+        genus = memo_genus(
+            G, b, tuple(sorted(orders[class_reps[c]] for c in cls_key))
+        )
         if genus is None:
             out = ("bad", None, 0, 0, 0)
         elif genus < 2:

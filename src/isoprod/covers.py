@@ -200,8 +200,17 @@ class CoverStream:
             yield item
 
 
-def _genus_memo(G):
-    return G._cache.setdefault("genus_memo", {})
+def memo_genus(G: GroupTable, b: int, branch_orders: tuple):
+    """hurwitz_genus(|G|, b, branch_orders) memoised per group, keyed by
+    (b, sorted branch orders); None where it raises GenusError."""
+    memo = G._cache.setdefault("genus_memo", {})
+    key = (b, branch_orders)
+    if key not in memo:
+        try:
+            memo[key] = hurwitz_genus(G.order, b, branch_orders)
+        except GenusError:
+            memo[key] = None
+    return memo[key]
 
 
 def _raw_tuples(G, b, r, allowed_gamma):
@@ -282,7 +291,6 @@ def enumerate_vectors(
         raise DomainError("caps must be positive")
     n = G.order
     orders = G.element_order
-    gmemo = _genus_memo(G)
     exact = tuple(sorted(exact_branch_orders)) if exact_branch_orders else None
 
     allowed = [
@@ -299,23 +307,15 @@ def enumerate_vectors(
     use_auts = dedup and n <= AUTOMORPHISM_DEDUP_LIMIT
     auts = automorphisms(G) if use_auts else None
 
-    def genus_of(gammas):
-        key = (b, tuple(sorted(orders[g] for g in gammas)))
-        if key not in gmemo:
-            try:
-                gmemo[key] = hurwitz_genus(n, b, key[1])
-            except GenusError:
-                gmemo[key] = None
-        return gmemo[key]
-
     def gen(stream):
         fingerprints = set()
         for r in r_values:
             seen = set()
             for ab, gammas, _sid in _raw_tuples(G, b, r, allowed):
-                if exact is not None and tuple(sorted(orders[g] for g in gammas)) != exact:
+                branch = tuple(sorted(orders[g] for g in gammas))
+                if exact is not None and branch != exact:
                     continue
-                g = genus_of(gammas)
+                g = memo_genus(G, b, branch)
                 if g is None:
                     continue
                 if g > genus_cap:

@@ -212,8 +212,3 @@ class Cyc:
         for p in parts[1:]:
             out += p if p.startswith("-") else "+" + p
         return out
-
-
-def multvec_to_cyc(e, mvec):
-    """Character value Sum_k m_k zeta_e^k from a multiplicity vector."""
-    return Cyc.from_exponent_vector(e, mvec)

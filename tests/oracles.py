@@ -132,3 +132,39 @@ def chi_top_euler(gC, gD, order):
     f = Fraction(num, order)
     assert f.denominator == 1
     return int(f)
+
+
+def cyc_complex(c):
+    """A Cyc (power-basis coefficients over zeta_e) as a complex number."""
+    return sum(
+        float(q) * cmath.exp(2j * cmath.pi * k / c.e)
+        for k, q in enumerate(c.coeffs)
+    )
+
+
+def restriction_complex(tableG, sub, phi_index, chi_index):
+    """<phi|_H, chi>_H = (1/|H|) sum_{h in H} phi(h) conj(chi(h)), one
+    element of H at a time, in complex arithmetic."""
+    phi = complex_table(tableG)[phi_index]
+    chi = complex_table(sub.table)[chi_index]
+    acc = 0j
+    for h, g in enumerate(sub.embed):
+        acc += phi[tableG.class_of[g]] * chi[sub.table.class_of[h]].conjugate()
+    return acc / sub.H.order
+
+
+def induced_complex(tableG, sub, chi_index):
+    """chi^G(g) = (1/|H|) sum_{t in G} chi°(t g t^-1) per class of G,
+    with chi° zero off H, in complex arithmetic."""
+    G = tableG.group
+    chi = complex_table(sub.table)[chi_index]
+    in_h = {g: h for h, g in enumerate(sub.embed)}
+    out = []
+    for cl in tableG.classes:
+        acc = 0j
+        for t in range(G.order):
+            x = G.mult[G.mult[t][cl.representative]][G.inverse[t]]
+            if x in in_h:
+                acc += chi[sub.table.class_of[in_h[x]]]
+        out.append(acc / sub.H.order)
+    return out

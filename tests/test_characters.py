@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from isoprod import characters
 from isoprod.characters import (
+    Character,
+    CharacterTable,
     SubgroupChars,
     character_table,
     decompose,
@@ -18,7 +21,13 @@ from isoprod.groups import (
     conjugacy_classes,
 )
 
-from oracles import complex_table, inner_complex
+from oracles import (
+    complex_table,
+    cyc_complex,
+    induced_complex,
+    inner_complex,
+    restriction_complex,
+)
 
 
 def test_degrees_of_known_groups():
@@ -178,6 +187,65 @@ def test_frobenius_reciprocity():
             mults = decompose(t, vals)
             for j in range(len(t.characters)):
                 assert mults[j] == restriction_multiplicity(t, sc, j, i)
+
+
+def test_restriction_and_induction_match_complex_oracle():
+    """The integer class-sum kernel against element-wise complex sums, on
+    every proper nontrivial subgroup, including ones with e_H < e_G."""
+    smaller_exponent = 0
+    for spec in ["sym:4", "dih:6", "quat:8", "ab:2,6"]:
+        G = build_group(spec)
+        t = character_table(G)
+        for elems in all_subgroups(G):
+            if len(elems) in (1, G.order):
+                continue
+            sc = SubgroupChars(G, elems, parent_table=t)
+            smaller_exponent += sc.table.exponent < t.exponent
+            for i in range(len(sc.table.characters)):
+                for j in range(len(t.characters)):
+                    want = restriction_complex(t, sc, j, i)
+                    got = restriction_multiplicity(t, sc, j, i)
+                    assert abs(want - got) < 1e-9, (spec, sorted(elems), j, i)
+                vals = induced_character(t, sc, i)
+                for got, want in zip(vals, induced_complex(t, sc, i)):
+                    assert abs(cyc_complex(got) - want) < 1e-9, (spec, i)
+    assert smaller_exponent > 0
+
+
+def _a3_in_s3():
+    G = build_group("sym:3")
+    A3 = next(s for s in all_subgroups(G) if len(s) == 3)
+    return character_table(G), SubgroupChars(G, A3)
+
+
+def test_restriction_error_names_group_subgroup_and_characters():
+    t, sc = _a3_in_s3()
+    nontriv = next(i for i in range(3) if i != sc.table.trivial_index)
+    # a private copy of the subgroup table with one character replaced by
+    # zeta_3 everywhere: restricting the trivial character gives 3/zeta_3
+    sc.table = CharacterTable(sc.H, sc.table.characters, check=False)
+    broken = Character(1, ((0, 1, 0),) * len(sc.table.classes))
+    sc.table.characters = tuple(
+        broken if k == nontriv else c for k, c in enumerate(sc.table.characters)
+    )
+    with pytest.raises(ConsistencyError) as err:
+        restriction_multiplicity(t, sc, t.trivial_index, nontriv)
+    msg = str(err.value)
+    assert "sym:3" in msg and str(sorted(sc.elements)) in msg
+    assert f"phi_{t.trivial_index}" in msg and f"chi_{nontriv}" in msg
+
+
+def test_lemma_error_names_group_subgroup_and_character(monkeypatch):
+    t, sc = _a3_in_s3()
+    nontriv = next(i for i in range(3) if i != sc.table.trivial_index)
+    threecycle = next(g for g in sc.elements if g != 0)
+    monkeypatch.setattr(characters, "restriction_multiplicity", lambda *a: 0)
+    with pytest.raises(ConsistencyError) as err:
+        find_constituent_avoiding(t, sc, nontriv, [threecycle])
+    msg = str(err.value)
+    assert "induced-character lemma" in msg and "sym:3" in msg
+    assert str(sorted(sc.elements)) in msg and f"chi_{nontriv}" in msg
+    assert f"avoid [{threecycle}]" in msg
 
 
 def test_find_constituent_preconditions():
