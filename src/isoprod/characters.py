@@ -380,6 +380,7 @@ def _dixon_characters(G: GroupTable):
     g0 = _primitive_root(p)
     z = pow(g0, (p - 1) // e, p)
     zinv = pow(z, p - 2, p)
+    zinv_pow = [pow(zinv, t, p) for t in range(e)]  # zinv has order e
     e_inv = pow(e, p - 2, p)
 
     # power-map classes: pw[r][j] = class of reps[r]^j, j = 0..|reps[r]|-1
@@ -413,7 +414,7 @@ def _dixon_characters(G: GroupTable):
             for kk in range(e):
                 acc = 0
                 for j in range(e):
-                    acc += chi_p[pw[r][j % d]] * pow(zinv, (j * kk) % (p - 1), p)
+                    acc += chi_p[pw[r][j % d]] * zinv_pow[(j * kk) % e]
                 m = (acc * e_inv) % p
                 if m > degree:
                     raise ConsistencyError(

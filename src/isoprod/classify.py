@@ -186,10 +186,14 @@ def check_conformance(rec: ClassificationRecord):
 # -- sweep driver ------------------------------------------------------
 
 
+_OVER_CAP = "genus over the cap"
+
+
 def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
     """Bucket every valid generating vector by the classification
-    signature.  Key: (b, r, genus, dims-positivity mask, conj-dims mask,
-    stabilizer-union mask, uniform gamma or -1)."""
+    signature.  Key: (r, genus, dims-positivity mask, conj-dims mask,
+    stabilizer-union mask, uniform gamma or -1).  Returns (buckets,
+    number of vectors dropped because their genus exceeds genus_cap)."""
     n = G.order
     orders = G.element_order
     cls_of = class_index(G)
@@ -202,31 +206,28 @@ def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
         [table.trivial_multiplicity(i, rep) for i in range(nchars)]
         for rep in class_reps
     ]
-    sig_of_class = {}
+    memo = {}
 
-    def class_data(cls_key, r, genus_cap):
-        """(status, genus, maskpos, maskconj, sig); status is "ok",
-        "small", "big" (genus over the cap) or "bad"."""
-        key = (cls_key, r)
-        out = sig_of_class.get(key)
-        if out is not None:
-            return out
+    def class_data(cls_key):
+        """(genus, maskpos, maskconj, sig) of a branch-class multiset;
+        None when it has no valid genus >= 2, _OVER_CAP when its genus
+        exceeds genus_cap."""
+        if cls_key in memo:
+            return memo[cls_key]
         genus = memo_genus(
             G, b, tuple(sorted(orders[class_reps[c]] for c in cls_key))
         )
-        if genus is None:
-            out = ("bad", None, 0, 0, 0)
-        elif genus < 2:
-            out = ("small", genus, 0, 0, 0)
+        if genus is None or genus < 2:
+            out = None
         elif genus > genus_cap:
-            out = ("big", genus, 0, 0, 0)
+            out = _OVER_CAP
         else:
             dims = []
             for i in range(nchars):
                 if i == trivial:
                     dims.append(2 * b)
                 else:
-                    d = degrees[i] * (2 * b - 2 + r) - sum(
+                    d = degrees[i] * (2 * b - 2 + len(cls_key)) - sum(
                         ltab[c][i] for c in cls_key
                     )
                     dims.append(d)
@@ -240,8 +241,8 @@ def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
             for c in cls_key:
                 for x in _conj_cyclic(G, class_reps[c]):
                     sig |= 1 << x
-            out = ("ok", genus, maskpos, maskconj, sig)
-        sig_of_class[key] = out
+            out = (genus, maskpos, maskconj, sig)
+        memo[cls_key] = out
         return out
 
     allowed = [
@@ -252,18 +253,15 @@ def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
     buckets = {}
     truncated = 0
     for r in range(max_r + 1):
-        for ab, gammas, _sid in _raw_tuples(G, b, r, allowed):
-            cls_key = tuple(sorted(cls_of[g] for g in gammas))
-            status, genus, maskpos, maskconj, sig = class_data(
-                cls_key, r, genus_cap
-            )
-            if status == "big":
+        for ab, gammas in _raw_tuples(G, b, r, allowed):
+            data = class_data(tuple(sorted(cls_of[g] for g in gammas)))
+            if data is None:
+                continue
+            if data is _OVER_CAP:
                 truncated += 1
                 continue
-            if status != "ok":
-                continue
             u = _uniform_gamma(gammas)
-            key = (r, genus, maskpos, maskconj, sig, -1 if u is None else u)
+            key = (r, *data, -1 if u is None else u)
             slot = buckets.get(key)
             if slot is None:
                 buckets[key] = [1, (ab, gammas)]

@@ -192,12 +192,9 @@ class CoverStream:
     def __init__(self, gen):
         self._gen = gen
         self.truncated = False
-        self.count = 0
 
     def __iter__(self):
-        for item in self._gen(self):
-            self.count += 1
-            yield item
+        return self._gen(self)
 
 
 def memo_genus(G: GroupTable, b: int, branch_orders: tuple):
@@ -215,14 +212,16 @@ def memo_genus(G: GroupTable, b: int, branch_orders: tuple):
 
 def _raw_tuples(G, b, r, allowed_gamma):
     """All (alphas+betas, gammas) with the long relation satisfied and
-    the generated subgroup full.  gamma tuples are lexicographic; the
-    alpha/beta loops are outermost.  Yields (ab, gammas, sid)."""
+    the generated subgroup full.  The alpha/beta loop is outermost, then
+    the gamma tuples in lexicographic order over ``allowed_gamma``; the
+    last gamma is forced by the relation.  Yields (ab, gammas)."""
     n = G.order
     mult = G.mult
     inv = G.inverse
     reg = subgroup_registry(G)
     extend = reg.extend
     sets = reg.sets
+    allowed = frozenset(allowed_gamma)
 
     for ab in itertools.product(range(n), repeat=2 * b):
         c = 0
@@ -231,34 +230,21 @@ def _raw_tuples(G, b, r, allowed_gamma):
         sid0 = 0
         for g in ab:
             sid0 = extend(sid0, g)
-        if r == 0:
-            if c == 0 and len(sets[sid0]) == n:
-                yield ab, (), sid0
-            continue
-        if r == 1:
-            last = inv[c]
-            if last in allowed_gamma:
-                sid = extend(sid0, last)
-                if len(sets[sid]) == n:
-                    yield ab, (last,), sid
-            continue
-
-        # depth-first over gamma_1..gamma_{r-1}; the last one is forced
-        stack_g = [None] * (r - 1)
-
-        def rec(depth, prod, sid):
-            if depth == r - 1:
+        for gammas in itertools.product(allowed_gamma, repeat=max(r - 1, 0)):
+            prod, sid = c, sid0
+            for g in gammas:
+                prod = mult[prod][g]
+                sid = extend(sid, g)
+            if r:
                 last = inv[prod]
-                if last in allowed_gamma:
-                    fsid = extend(sid, last)
-                    if len(sets[fsid]) == n:
-                        yield ab, tuple(stack_g) + (last,), fsid
-                return
-            for g in allowed_gamma:
-                stack_g[depth] = g
-                yield from rec(depth + 1, mult[prod][g], extend(sid, g))
-
-        yield from rec(0, c, sid0)
+                if last not in allowed:
+                    continue
+                gammas += (last,)
+                sid = extend(sid, last)
+            elif prod:
+                continue
+            if len(sets[sid]) == n:
+                yield ab, gammas
 
 
 def _vector_code(G, ab, gammas):
@@ -282,14 +268,21 @@ def enumerate_vectors(
     min_genus <= g <= genus_cap.
 
     With ``dedup`` one representative per orbit of simultaneous
-    relabeling by group automorphisms is emitted (|G| <= 32; above that
-    dedup degrades to a fingerprint on (branch-order multiset, genus)).
+    relabeling by group automorphisms is emitted.  Dedup builds Aut(G)
+    and is supported for |G| <= AUTOMORPHISM_DEDUP_LIMIT only; above it
+    DomainError is raised at once, and ``dedup=False`` lists every
+    vector.
     """
     if b not in (0, 1, 2):
         raise DomainError("base genus must be 0, 1 or 2")
     if max_r < 0 or genus_cap <= 0:
         raise DomainError("caps must be positive")
     n = G.order
+    if dedup and n > AUTOMORPHISM_DEDUP_LIMIT:
+        raise DomainError(
+            f"orbit dedup supports |G| <= {AUTOMORPHISM_DEDUP_LIMIT}, not "
+            f"|G| = {n}; pass dedup=False (--no-dedup) to list every vector"
+        )
     orders = G.element_order
     exact = tuple(sorted(exact_branch_orders)) if exact_branch_orders else None
 
@@ -304,14 +297,12 @@ def enumerate_vectors(
     if exact is not None:
         r_values = [len(exact)] if len(exact) <= max_r else []
 
-    use_auts = dedup and n <= AUTOMORPHISM_DEDUP_LIMIT
-    auts = automorphisms(G) if use_auts else None
+    auts = automorphisms(G) if dedup else None
 
     def gen(stream):
-        fingerprints = set()
         for r in r_values:
             seen = set()
-            for ab, gammas, _sid in _raw_tuples(G, b, r, allowed):
+            for ab, gammas in _raw_tuples(G, b, r, allowed):
                 branch = tuple(sorted(orders[g] for g in gammas))
                 if exact is not None and branch != exact:
                     continue
@@ -323,7 +314,7 @@ def enumerate_vectors(
                     continue
                 if g < min_genus:
                     continue
-                if use_auts:
+                if dedup:
                     code = _vector_code(G, ab, gammas)
                     if code in seen:
                         continue
@@ -335,11 +326,6 @@ def enumerate_vectors(
                                 tuple(phi[x] for x in gammas),
                             )
                         )
-                elif dedup:
-                    fp = (tuple(sorted(orders[x] for x in gammas)), g)
-                    if fp in fingerprints:
-                        continue
-                    fingerprints.add(fp)
                 v = GeneratingVector(G, b, ab[:b], ab[b:], gammas)
                 yield BranchedCover(v, g)
 

@@ -93,11 +93,6 @@ class Cyc:
         v[k % e] = 1
         return cls(e, v)
 
-    @classmethod
-    def from_exponent_vector(cls, e, vec):
-        """Sum_k vec[k] * zeta_e^k from a length-e coefficient vector."""
-        return cls(e, vec)
-
     def _unreduced(self):
         # embed the power basis back into exponents 0..e-1
         v = [Fraction(0)] * self.e

@@ -13,7 +13,8 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from math import gcd
+from functools import partial
+from math import factorial, gcd, prod
 from operator import itemgetter
 
 from .errors import (
@@ -87,9 +88,6 @@ class GroupTable:
         self.labels = tuple(labels)
 
     # -- basic helpers -------------------------------------------------
-
-    def mul(self, g, h):
-        return self.mult[g][h]
 
     def conj(self, g, x):
         """g x g^-1."""
@@ -343,9 +341,6 @@ class SubgroupRegistry:
         self.sets = [frozenset([0])]
         self.ids = {self.sets[0]: 0}
         self.ext = {}
-        self.full_id = None
-        if G.order == 1:
-            self.full_id = 0
 
     def intern(self, s: frozenset):
         i = self.ids.get(s)
@@ -353,8 +348,6 @@ class SubgroupRegistry:
             i = len(self.sets)
             self.sets.append(s)
             self.ids[s] = i
-            if len(s) == self.G.order:
-                self.full_id = i
         return i
 
     def extend(self, sid, g):
@@ -526,9 +519,6 @@ def _build_map(G, gens, images, parent, bfs_order):
 
 def _abelian_table(factors):
     factors = tuple(int(d) for d in factors if int(d) > 1)
-    n = 1
-    for d in factors:
-        n *= d
     if not factors:
         return GroupTable([[0]], labels=("1",), spec="ab:1", aux={"factors": ()})
     coords = list(itertools.product(*[range(d) for d in factors]))
@@ -644,33 +634,12 @@ def _cycle_label(p):
     return "".join(parts) if parts else "()"
 
 
-def _symmetric_table(n, even_only=False):
-    perms = sorted(itertools.permutations(range(n)))
-    if even_only:
-        perms = [p for p in perms if _perm_sign(p) == 1]
-    pos = {p: i for i, p in enumerate(perms)}
-    mult = [
-        [pos[tuple(x[y[i]] for i in range(n))] for y in perms] for x in perms
-    ]
-    labels = tuple(_cycle_label(p) for p in perms)
-    spec = f"{'alt' if even_only else 'sym'}:{n}"
-    return GroupTable(mult, labels=labels, spec=spec)
-
-
-def _perm_sign(p):
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _cycle_perm(npoints, cycle):
+    """The permutation of 0..npoints-1 sending cycle[i] to cycle[i+1]."""
+    p = list(range(npoints))
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        p[a] = b
+    return tuple(p)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -742,6 +711,10 @@ def build_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         raise GroupSpecError(f"malformed group spec {spec!r}")
     kind, _, body = spec.partition(":")
     kind = kind.strip().lower()
+    if kind == "perm":
+        # the order is known only once the closure is built
+        perms, npoints = _parse_perm_gens(body)
+        return _perm_group_table(perms, npoints, spec, order_cap)
     if kind == "ab":
         try:
             factors = [int(t) for t in body.split(",") if t.strip()]
@@ -749,49 +722,39 @@ def build_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
             raise GroupSpecError(f"bad abelian factors in {spec!r}") from exc
         if not factors or any(d < 1 for d in factors):
             raise GroupSpecError(f"bad abelian factors in {spec!r}")
-        order = 1
-        for d in factors:
-            order *= d
-        if order > order_cap:
-            raise SizeError(f"group order {order} exceeds cap {order_cap}")
-        return _abelian_table(factors)
-    if kind in ("dih", "quat", "sym", "alt"):
+        order = prod(factors)
+        make = partial(_abelian_table, factors)
+    elif kind == "cayley":
+        table = _load_cayley(body.strip())
+        order = len(table)
+        make = partial(GroupTable, table, spec=spec)
+    elif kind in ("dih", "quat", "sym", "alt"):
         try:
             n = int(body)
         except ValueError as exc:
             raise GroupSpecError(f"bad parameter in {spec!r}") from exc
         if kind == "dih":
-            if 2 * n > order_cap:
-                raise SizeError(f"group order {2 * n} exceeds cap {order_cap}")
-            return _dihedral_table(n)
-        if kind == "quat":
-            if n > order_cap:
-                raise SizeError(f"group order {n} exceeds cap {order_cap}")
-            return _quaternion_table(n)
-        if kind == "sym":
-            if not 1 <= n <= 5:
+            order = 2 * n
+            make = partial(_dihedral_table, n)
+        elif kind == "quat":
+            order = n
+            make = partial(_quaternion_table, n)
+        else:
+            # sym:n from the transpositions (1 k), alt:n from the
+            # 3-cycles (1 2 k)
+            if kind == "sym" and not 1 <= n <= 5:
                 raise GroupSpecError("sym:n supports 1 <= n <= 5")
-            import math
-
-            if math.factorial(n) > order_cap:
-                raise SizeError(f"group order {math.factorial(n)} exceeds cap")
-            return _symmetric_table(n)
-        if not 3 <= n <= 5:
-            raise GroupSpecError("alt:n supports 3 <= n <= 5")
-        import math
-
-        if math.factorial(n) // 2 > order_cap:
-            raise SizeError(f"group order {math.factorial(n) // 2} exceeds cap")
-        return _symmetric_table(n, even_only=True)
-    if kind == "perm":
-        perms, npoints = _parse_perm_gens(body)
-        return _perm_group_table(perms, npoints, spec, order_cap)
-    if kind == "cayley":
-        table = _load_cayley(body.strip())
-        if len(table) > order_cap:
-            raise SizeError(f"group order {len(table)} exceeds cap {order_cap}")
-        return GroupTable(table, spec=spec)
-    raise GroupSpecError(f"unknown group family {kind!r} in {spec!r}")
+            if kind == "alt" and not 3 <= n <= 5:
+                raise GroupSpecError("alt:n supports 3 <= n <= 5")
+            order = factorial(n) // (2 if kind == "alt" else 1)
+            moved = (0,) if kind == "sym" else (0, 1)
+            gens = [_cycle_perm(n, moved + (k,)) for k in range(len(moved), n)]
+            make = partial(_perm_group_table, gens, n, f"{kind}:{n}", order_cap)
+    else:
+        raise GroupSpecError(f"unknown group family {kind!r} in {spec!r}")
+    if order > order_cap:
+        raise SizeError(f"group order {order} exceeds cap {order_cap}")
+    return make()
 
 
 def _invariant_chains(order):
@@ -823,12 +786,10 @@ def builtin_groups_upto(max_order):
         specs.append(f"dih:{n}")
     if max_order >= 8:
         specs.append("quat:8")
-    import math
-
     for n in range(3, 6):
-        if math.factorial(n) <= max_order:
+        if factorial(n) <= max_order:
             specs.append(f"sym:{n}")
     for n in range(4, 6):
-        if math.factorial(n) // 2 <= max_order:
+        if factorial(n) // 2 <= max_order:
             specs.append(f"alt:{n}")
     return specs

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -70,6 +71,39 @@ def test_covers_trivial_group(capsys):
     assert code == 0
     summary = json.loads(out.strip().splitlines()[-1])
     assert summary["count"] == 0
+
+
+def test_covers_dedup_above_limit(capsys):
+    argv = ["covers", "dih:17", "--b", "1", "--max-r", "2"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--no-dedup" in err
+    code, out, _ = run(capsys, *argv, "--no-dedup")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["count"] == 33456
+
+
+# sha256 of stdout; a change to any of these bytes must be deliberate
+GOLDEN_STDOUT = {
+    ("covers", "dih:4", "--b", "1", "--max-r", "3"):
+        "7254e21b1c7cf252ecff8421c2754c08e6e8b202bddcbbdf893fcb8fb2b7fa56",
+    ("covers", "quat:8", "--max-r", "3", "--format", "table"):
+        "4fe1b8e6cfb8cb781ed9290123186aa7af8282b79eb7b66329f34d235957d43e",
+    ("classify", "--groups", "ab:2,2,dih:4", "--max-r", "3", "--max-s", "3"):
+        "5868f973117604769e5c3694eb0d4b0bf95d31e8a2b8add144679c48559a89e3",
+    ("chartab", "sym:4", "--format", "table"):
+        "3e22abdbeea9e730816c4e15f5c87b96d6a2db87153da577fd65c51ac9705a4e",
+}
+
+
+def test_golden_stdout(capsys):
+    """Byte-identical stdout for fixed commands: pins the emission order
+    of generating vectors, the bucket representatives and the table
+    layout."""
+    for argv, digest in GOLDEN_STDOUT.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_covers_sym3_genus4(capsys):

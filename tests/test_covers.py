@@ -3,6 +3,7 @@ import pytest
 from isoprod.characters import character_table
 from isoprod.covers import (
     GeneratingVector,
+    _raw_tuples,
     broughton_dimension,
     broughton_multiplicity,
     enumerate_vectors,
@@ -13,6 +14,7 @@ from isoprod.covers import (
 )
 from isoprod.errors import (
     BranchOrderError,
+    DomainError,
     GenerationError,
     GenusError,
     RelationError,
@@ -121,6 +123,20 @@ def test_raw_count_z2():
     assert sum(1 for c in stream if c.vector.gammas) == 4
 
 
+@pytest.mark.parametrize(
+    "spec,b,r",
+    [(s, b, r) for s in ("ab:2,2", "sym:3") for b in (0, 1, 2) for r in (0, 1, 2)]
+    + [("dih:4", 1, 3), ("quat:8", 1, 3)],
+)
+def test_raw_tuples_match_bruteforce(spec, b, r):
+    """With every non-identity element allowed, _raw_tuples lists exactly
+    the oracle's vectors, in sorted order: alphas and betas outermost,
+    then the gamma tuples lexicographically."""
+    G = build_group(spec)
+    got = list(_raw_tuples(G, b, r, list(range(1, G.order))))
+    assert got == sorted(brute_vectors(G, b, r))
+
+
 def test_genus_cap_sets_truncated():
     G = build_group("ab:2,2")
     stream = enumerate_vectors(G, 1, 4, genus_cap=3, dedup=False)
@@ -153,6 +169,13 @@ def test_dedup_orbits():
     assert covered == full
     # orbits are free, so the count divides evenly
     assert len(full) == len(reps) * len(auts) or len(full) < len(reps) * len(auts)
+
+
+def test_dedup_above_limit_raises():
+    """Above the automorphism limit dedup refuses when the stream is
+    created rather than keeping one vector per branch-order signature."""
+    with pytest.raises(DomainError, match="dedup=False"):
+        enumerate_vectors(build_group("dih:17"), 1, 2)
 
 
 def test_exact_branch_orders():

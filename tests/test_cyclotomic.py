@@ -79,8 +79,8 @@ def test_arithmetic_matches_complex(e, a, b):
             c * cmath.exp(2j * cmath.pi * k / e) for k, c in enumerate(coeffs)
         )
 
-    x = Cyc.from_exponent_vector(e, a + [0] * max(0, e - len(a)))
-    y = Cyc.from_exponent_vector(e, b + [0] * max(0, e - len(b)))
+    x = Cyc(e, a + [0] * max(0, e - len(a)))
+    y = Cyc(e, b + [0] * max(0, e - len(b)))
     xa = as_complex(a)
     ya = as_complex(b)
     for got, want in [
