@@ -30,7 +30,7 @@ from .errors import (
 )
 from .groups import (
     GroupTable,
-    _generating_sequence,
+    _greedy_generators,
     _word_tree,
     class_index,
     conjugacy_classes,
@@ -221,10 +221,10 @@ def _abelian_characters(G: GroupTable):
     n = G.order
     e = G.exponent
     classes = conjugacy_classes(G)
-    gens = _generating_sequence(G)
+    gens = _greedy_generators(G.mult)
     mult = G.mult
     # word tree for evaluating a homomorphism from generator images
-    parent, bfs = _word_tree(G, gens)
+    parent, bfs = _word_tree(G.mult, gens)
 
     import itertools
 

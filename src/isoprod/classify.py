@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 from .characters import character_table
 from .covers import (
+    CoverStream,
     GeneratingVector,
+    _branch_stream,
     _conj_cyclic,
-    _raw_tuples,
     isotypic_dimensions,
-    memo_genus,
 )
 from .errors import DomainError, IsoprodError
-from .groups import GroupTable, abelian_invariants, build_group, center, class_index
+from .groups import abelian_invariants, build_group, center
 from .surfaces import UnmixedSurface, build_surface
 
 DEFAULT_BASE_GENERA = ((1, 1),)
@@ -135,7 +135,7 @@ def compute_aut0(S: UnmixedSurface) -> frozenset:
 
 
 def _uniform_gamma(gammas):
-    if gammas and all(g == gammas[0] for g in gammas):
+    if gammas and gammas.count(gammas[0]) == len(gammas):
         return gammas[0]
     return None
 
@@ -186,17 +186,11 @@ def check_conformance(rec: ClassificationRecord):
 # -- sweep driver ------------------------------------------------------
 
 
-_OVER_CAP = "genus over the cap"
-
-
 def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
     """Bucket every valid generating vector by the classification
     signature.  Key: (r, genus, dims-positivity mask, conj-dims mask,
     stabilizer-union mask, uniform gamma or -1).  Returns (buckets,
     number of vectors dropped because their genus exceeds genus_cap)."""
-    n = G.order
-    orders = G.element_order
-    cls_of = class_index(G)
     nchars = len(table.characters)
     trivial = table.trivial_index
     degrees = [c.degree for c in table.characters]
@@ -206,68 +200,49 @@ def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
         [table.trivial_multiplicity(i, rep) for i in range(nchars)]
         for rep in class_reps
     ]
-    memo = {}
 
     def class_data(cls_key):
-        """(genus, maskpos, maskconj, sig) of a branch-class multiset;
-        None when it has no valid genus >= 2, _OVER_CAP when its genus
-        exceeds genus_cap."""
-        if cls_key in memo:
-            return memo[cls_key]
-        genus = memo_genus(
-            G, b, tuple(sorted(orders[class_reps[c]] for c in cls_key))
-        )
-        if genus is None or genus < 2:
-            out = None
-        elif genus > genus_cap:
-            out = _OVER_CAP
-        else:
-            dims = []
-            for i in range(nchars):
-                if i == trivial:
-                    dims.append(2 * b)
-                else:
-                    d = degrees[i] * (2 * b - 2 + len(cls_key)) - sum(
-                        ltab[c][i] for c in cls_key
-                    )
-                    dims.append(d)
-            maskpos = sum(1 << i for i, d in enumerate(dims) if d > 0)
-            maskconj = sum(
-                1 << i
-                for i in range(nchars)
-                if dims[table.conj_index[i]] > 0
-            )
-            sig = 1
-            for c in cls_key:
-                for x in _conj_cyclic(G, class_reps[c]):
-                    sig |= 1 << x
-            out = (genus, maskpos, maskconj, sig)
-        memo[cls_key] = out
-        return out
-
-    allowed = [
-        g
-        for g in range(1, n)
-        if branch_order_cap is None or orders[g] <= branch_order_cap
-    ]
-    buckets = {}
-    truncated = 0
-    for r in range(max_r + 1):
-        for ab, gammas in _raw_tuples(G, b, r, allowed):
-            data = class_data(tuple(sorted(cls_of[g] for g in gammas)))
-            if data is None:
-                continue
-            if data is _OVER_CAP:
-                truncated += 1
-                continue
-            u = _uniform_gamma(gammas)
-            key = (r, *data, -1 if u is None else u)
-            slot = buckets.get(key)
-            if slot is None:
-                buckets[key] = [1, (ab, gammas)]
+        """(maskpos, maskconj, sig) of a branch-class multiset."""
+        dims = []
+        for i in range(nchars):
+            if i == trivial:
+                dims.append(2 * b)
             else:
-                slot[0] += 1
-    return buckets, truncated
+                d = degrees[i] * (2 * b - 2 + len(cls_key)) - sum(
+                    ltab[c][i] for c in cls_key
+                )
+                dims.append(d)
+        maskpos = sum(1 << i for i, d in enumerate(dims) if d > 0)
+        maskconj = sum(
+            1 << i
+            for i in range(nchars)
+            if dims[table.conj_index[i]] > 0
+        )
+        sig = 1
+        for c in cls_key:
+            for x in _conj_cyclic(G, class_reps[c]):
+                sig |= 1 << x
+        return maskpos, maskconj, sig
+
+    buckets = {}
+    stream = CoverStream(
+        _branch_stream,
+        G,
+        b,
+        max_r,
+        genus_cap,
+        branch_order_cap=branch_order_cap,
+        payload=class_data,
+    )
+    for ab, gammas, genus, data in stream:
+        u = _uniform_gamma(gammas)
+        key = (len(gammas), genus, *data, -1 if u is None else u)
+        slot = buckets.get(key)
+        if slot is None:
+            buckets[key] = [1, (ab, gammas)]
+        else:
+            slot[0] += 1
+    return buckets, stream.truncated
 
 
 def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivial"):

@@ -117,21 +117,15 @@ def cmd_covers(args):
         branch_order_cap=args.branch_order_cap,
         exact_branch_orders=exact,
     )
-    rows = []
-    for cover in stream:
-        rows.append((cover.vector.to_json(), cover.genus))
-    if args.format == "json":
-        for vj, g in rows:
-            _out(json.dumps({"vector": vj, "genus": g}, sort_keys=True))
-        _out(
-            json.dumps(
-                {"count": len(rows), "truncated": stream.truncated},
-                sort_keys=True,
-            )
-        )
-    elif args.format == "csv":
+    if args.format == "csv":
         _out("b,alphas,betas,gammas,genus")
-        for vj, g in rows:
+    count = 0
+    for cover in stream:
+        vj, g = cover.vector.to_json(), cover.genus
+        count += 1
+        if args.format == "json":
+            _out(json.dumps({"vector": vj, "genus": g}, sort_keys=True))
+        elif args.format == "csv":
             _out(
                 "%d,%s,%s,%s,%d"
                 % (
@@ -142,13 +136,16 @@ def cmd_covers(args):
                     g,
                 )
             )
-    else:
-        for vj, g in rows:
+        else:
             _out(
                 f"b={vj['b']} alphas={vj['alphas']} betas={vj['betas']} "
                 f"gammas={vj['gammas']} genus={g}"
             )
-        _out(f"{len(rows)} covers (truncated={stream.truncated})")
+    truncated = stream.truncated > 0
+    if args.format == "json":
+        _out(json.dumps({"count": count, "truncated": truncated}, sort_keys=True))
+    elif args.format == "table":
+        _out(f"{count} covers (truncated={truncated})")
     return 0
 
 
@@ -270,9 +267,8 @@ def cmd_verify_example(args):
 # -- argument parsing --------------------------------------------------
 
 
-def _add_common(p):
+def _add_format(p):
     p.add_argument("--format", choices=FORMATS, default="json")
-    p.add_argument("--cache-dir", default=None)
 
 
 def make_parser():
@@ -287,7 +283,8 @@ def make_parser():
     q = sub.add_parser("chartab", help="exact character table of a group")
     q.add_argument("group")
     q.add_argument("--method", choices=("auto", "abelian", "dixon"), default="auto")
-    _add_common(q)
+    _add_format(q)
+    q.add_argument("--cache-dir", default=None)
     q.set_defaults(fn=cmd_chartab)
 
     q = sub.add_parser("covers", help="enumerate generating vectors / covers")
@@ -298,14 +295,14 @@ def make_parser():
     q.add_argument("--genus-cap", type=int, default=65)
     q.add_argument("--branch-order-cap", type=int, default=None)
     q.add_argument("--no-dedup", action="store_true")
-    _add_common(q)
+    _add_format(q)
     q.set_defaults(fn=cmd_covers)
 
     q = sub.add_parser("surfaces", help="build one surface from two vectors")
     q.add_argument("group")
     q.add_argument("--vc", required=True, help="vector as b|alphas|betas|gammas")
     q.add_argument("--vd", required=True)
-    _add_common(q)
+    _add_format(q)
     q.set_defaults(fn=cmd_surfaces)
 
     q = sub.add_parser("classify", help="exhaustive sweep for nontrivial Aut_0")
@@ -322,7 +319,7 @@ def make_parser():
         action="store_true",
         help="emit a record for every surface class, not only nontrivial Aut_0",
     )
-    _add_common(q)
+    q.add_argument("--cache-dir", default=None)
     q.set_defaults(fn=cmd_classify)
 
     q = sub.add_parser("verify-example", help="check the explicit family")
@@ -331,7 +328,7 @@ def make_parser():
     q.add_argument("n", type=int)
     q.add_argument("k", type=int)
     q.add_argument("l", type=int)
-    _add_common(q)
+    _add_format(q)
     q.set_defaults(fn=cmd_verify_example)
     return p
 

@@ -185,29 +185,18 @@ def isotypic_dimensions(cover: BranchedCover, table) -> tuple:
 
 
 class CoverStream:
-    """Iterator over BranchedCover with a truncation flag: ``truncated``
-    becomes True if any otherwise-valid vector was dropped because its
-    genus exceeded the cap."""
+    """Iterator over ``gen(stream, *args, **kwargs)``; ``truncated``
+    counts the otherwise valid vectors dropped because their genus
+    exceeded the cap."""
 
-    def __init__(self, gen):
+    def __init__(self, gen, *args, **kwargs):
         self._gen = gen
-        self.truncated = False
+        self._args = args
+        self._kwargs = kwargs
+        self.truncated = 0
 
     def __iter__(self):
-        return self._gen(self)
-
-
-def memo_genus(G: GroupTable, b: int, branch_orders: tuple):
-    """hurwitz_genus(|G|, b, branch_orders) memoised per group, keyed by
-    (b, sorted branch orders); None where it raises GenusError."""
-    memo = G._cache.setdefault("genus_memo", {})
-    key = (b, branch_orders)
-    if key not in memo:
-        try:
-            memo[key] = hurwitz_genus(G.order, b, branch_orders)
-        except GenusError:
-            memo[key] = None
-    return memo[key]
+        return self._gen(self, *self._args, **self._kwargs)
 
 
 def _raw_tuples(G, b, r, allowed_gamma):
@@ -254,6 +243,70 @@ def _vector_code(G, ab, gammas):
     return code
 
 
+def _branch_stream(
+    stream,
+    G: GroupTable,
+    b: int,
+    max_r: int,
+    genus_cap: int,
+    min_genus: int = 2,
+    branch_order_cap: int | None = None,
+    exact: tuple | None = None,
+    payload=None,
+):
+    """Every generating vector of G over a genus-b base with r <= max_r
+    branch points, as (ab, gammas, genus, data), r ascending.
+
+    All that depends only on the sorted branch-class multiset of gammas
+    is decided once per multiset: a valid Riemann-Hurwitz genus with
+    min_genus <= genus <= genus_cap (vectors over the cap are counted in
+    ``stream.truncated``), branch orders equal to the sorted ``exact``,
+    and ``data = payload(multiset)`` (None without a payload).
+    """
+    orders = G.element_order
+    cls_of = class_index(G)
+    reps = [c.representative for c in conjugacy_classes(G)]
+    allowed = [
+        g
+        for g in range(1, G.order)
+        if (branch_order_cap is None or orders[g] <= branch_order_cap)
+        and (exact is None or orders[g] in exact)
+    ]
+    r_values = range(max_r + 1)
+    if exact is not None:
+        r_values = [len(exact)] if len(exact) <= max_r else []
+
+    def decide(key):
+        branch = tuple(sorted(orders[reps[c]] for c in key))
+        if exact is not None and branch != exact:
+            return None
+        try:
+            genus = hurwitz_genus(G.order, b, branch)
+        except GenusError:
+            return None
+        if genus > genus_cap:
+            return genus, None
+        if genus < min_genus:
+            return None
+        return genus, payload(key) if payload else None
+
+    memo = {}
+    for r in r_values:
+        for ab, gammas in _raw_tuples(G, b, r, allowed):
+            key = tuple(sorted([cls_of[g] for g in gammas]))
+            try:
+                entry = memo[key]
+            except KeyError:
+                entry = memo[key] = decide(key)
+            if entry is None:
+                continue
+            genus, data = entry
+            if genus > genus_cap:
+                stream.truncated += 1
+                continue
+            yield ab, gammas, genus, data
+
+
 def enumerate_vectors(
     G: GroupTable,
     b: int,
@@ -283,50 +336,30 @@ def enumerate_vectors(
             f"orbit dedup supports |G| <= {AUTOMORPHISM_DEDUP_LIMIT}, not "
             f"|G| = {n}; pass dedup=False (--no-dedup) to list every vector"
         )
-    orders = G.element_order
     exact = tuple(sorted(exact_branch_orders)) if exact_branch_orders else None
-
-    allowed = [
-        g
-        for g in range(1, n)
-        if (branch_order_cap is None or orders[g] <= branch_order_cap)
-        and (exact is None or orders[g] in exact)
-    ]
-
-    r_values = range(max_r + 1)
-    if exact is not None:
-        r_values = [len(exact)] if len(exact) <= max_r else []
-
     auts = automorphisms(G) if dedup else None
 
     def gen(stream):
-        for r in r_values:
-            seen = set()
-            for ab, gammas in _raw_tuples(G, b, r, allowed):
-                branch = tuple(sorted(orders[g] for g in gammas))
-                if exact is not None and branch != exact:
+        # _vector_code is injective only for a fixed r: one set per r
+        seen, r = set(), 0
+        for ab, gammas, g, _ in _branch_stream(
+            stream, G, b, max_r, genus_cap, min_genus, branch_order_cap, exact
+        ):
+            if dedup:
+                if len(gammas) != r:
+                    seen, r = set(), len(gammas)
+                code = _vector_code(G, ab, gammas)
+                if code in seen:
                     continue
-                g = memo_genus(G, b, branch)
-                if g is None:
-                    continue
-                if g > genus_cap:
-                    stream.truncated = True
-                    continue
-                if g < min_genus:
-                    continue
-                if dedup:
-                    code = _vector_code(G, ab, gammas)
-                    if code in seen:
-                        continue
-                    for phi in auts:
-                        seen.add(
-                            _vector_code(
-                                G,
-                                tuple(phi[x] for x in ab),
-                                tuple(phi[x] for x in gammas),
-                            )
+                for phi in auts:
+                    seen.add(
+                        _vector_code(
+                            G,
+                            tuple(phi[x] for x in ab),
+                            tuple(phi[x] for x in gammas),
                         )
-                v = GeneratingVector(G, b, ab[:b], ab[b:], gammas)
-                yield BranchedCover(v, g)
+                    )
+            v = GeneratingVector(G, b, ab[:b], ab[b:], gammas)
+            yield BranchedCover(v, g)
 
     return CoverStream(gen)

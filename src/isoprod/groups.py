@@ -164,6 +164,37 @@ def _find_identity(mult):
     raise TableError("no identity element")
 
 
+def _word_tree(mult, gens):
+    """Breadth-first word tree over ``gens`` in the table ``mult``:
+    returns (parent, bfs_order), where bfs_order lists every element the
+    right products by ``gens`` reach from the identity, each parent
+    before its children, and x = parent[x][0] * gens[parent[x][1]] for
+    every reached x != 0 (parent[x] is None for the others)."""
+    parent = [None] * len(mult)
+    parent[0] = (0, None)
+    bfs_order = [0]
+    for x in bfs_order:
+        row = mult[x]
+        for gi, g in enumerate(gens):
+            y = row[g]
+            if parent[y] is None:
+                parent[y] = (x, gi)
+                bfs_order.append(y)
+    return parent, bfs_order
+
+
+def _greedy_generators(mult):
+    """Generators in index order, each the least element the ones before
+    it do not reach; together they reach every element."""
+    gens = []
+    reached = {0}
+    for g in range(1, len(mult)):
+        if g not in reached:
+            gens.append(g)
+            reached = set(_word_tree(mult, gens)[1])
+    return gens
+
+
 def _check_associative(mult):
     """Light's associativity test, exact at every order.
 
@@ -171,28 +202,9 @@ def _check_associative(mult):
     products, so it suffices to test a set of s whose right products
     from the identity reach every element: O(n^2) per generator.
     """
-    n = len(mult)
-    if n == 1:
-        return
-    gens = []
-    reached = {0}
-    for g in range(1, n):
-        if g in reached:
-            continue
-        gens.append(g)
-        frontier = list(reached)
-        while frontier:
-            x = frontier.pop()
-            for s in gens:
-                y = mult[x][s]
-                if y not in reached:
-                    reached.add(y)
-                    frontier.append(y)
-        if len(reached) == n:
-            break
-    for s in gens:
+    for s in _greedy_generators(mult):
         times_s_row = itemgetter(*mult[s])  # row x -> (x*(s*y))_y
-        for x in range(n):
+        for x in range(len(mult)):
             if times_s_row(mult[x]) != mult[mult[x][s]]:
                 raise TableError("multiplication table is not associative")
 
@@ -256,18 +268,7 @@ def closure(G: GroupTable, elements):
     subgroup, so a search over right products by the generators is the
     whole closure.
     """
-    m = G.mult
-    sub = {0}
-    frontier = [0]
-    gens = list(set(elements))
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = m[x][g]
-            if y not in sub:
-                sub.add(y)
-                frontier.append(y)
-    return frozenset(sub)
+    return frozenset(_word_tree(G.mult, list(set(elements)))[1])
 
 
 def commutator_subgroup(G: GroupTable):
@@ -421,19 +422,6 @@ def subgroup_table(G: GroupTable, elements):
 # -- automorphisms -----------------------------------------------------
 
 
-def _generating_sequence(G: GroupTable):
-    reg = subgroup_registry(G)
-    gens = []
-    sid = 0
-    for g in range(1, G.order):
-        if g not in reg.sets[sid]:
-            gens.append(g)
-            sid = reg.extend(sid, g)
-            if len(reg.sets[sid]) == G.order:
-                break
-    return gens
-
-
 def automorphisms(G: GroupTable):
     """All automorphisms of G as element-permutation tuples.
 
@@ -447,9 +435,9 @@ def automorphisms(G: GroupTable):
         auts = ((0,),)
         G._cache["automorphisms"] = auts
         return auts
-    gens = _generating_sequence(G)
+    gens = _greedy_generators(G.mult)
     reg = subgroup_registry(G)
-    parent, bfs_order = _word_tree(G, gens)
+    parent, bfs_order = _word_tree(G.mult, gens)
     assert len(bfs_order) == n
 
     gen_sids = []
@@ -480,22 +468,6 @@ def automorphisms(G: GroupTable):
     auts = tuple(auts)
     G._cache["automorphisms"] = auts
     return auts
-
-
-def _word_tree(G: GroupTable, gens):
-    """Breadth-first word tree of G over ``gens``: returns (parent,
-    bfs_order) with x = parent[x][0] * gens[parent[x][1]] for x != 0 and
-    every parent listed before its children in bfs_order."""
-    parent = [None] * G.order
-    parent[0] = (0, None)
-    bfs_order = [0]
-    for x in bfs_order:
-        for gi, g in enumerate(gens):
-            y = G.mult[x][g]
-            if parent[y] is None:
-                parent[y] = (x, gi)
-                bfs_order.append(y)
-    return parent, bfs_order
 
 
 def _build_map(G, gens, images, parent, bfs_order):

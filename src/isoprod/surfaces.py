@@ -58,7 +58,7 @@ class UnmixedSurface:
         }
 
 
-def build_surface(vC, vD, table=None) -> UnmixedSurface:
+def build_surface(vC, vD) -> UnmixedSurface:
     """Validate a pair of generating vectors, verify the diagonal action
     is free and both genera are >= 2, and compute all invariants."""
     cC = vC if isinstance(vC, BranchedCover) else validate_vector(vC)

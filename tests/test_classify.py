@@ -1,16 +1,18 @@
 import pytest
 
+from isoprod.characters import character_table
 from isoprod.classify import (
     ClassificationRecord,
     SearchBounds,
+    _cover_buckets,
     acts_trivially,
     check_conformance,
     classify_all,
     compute_aut0,
 )
-from isoprod.covers import GeneratingVector
+from isoprod.covers import GeneratingVector, enumerate_vectors
 from isoprod.errors import DomainError
-from isoprod.groups import abelian_element, build_group
+from isoprod.groups import abelian_element, build_group, builtin_groups_upto
 from isoprod.surfaces import build_surface, example46_construct
 
 
@@ -110,6 +112,29 @@ def test_classify_small_sweep():
     assert all(r["conforms"] for r in records)
     # weights add up to the summary count
     assert sum(r["weight"] for r in records) == summary["nontrivial_aut0"]
+
+
+def test_cover_buckets_and_covers_share_one_stream():
+    """The sweep's buckets and enumerate_vectors walk the same vectors:
+    at b = 1, r <= 3 and genus cap 9 the bucket counts add up to the
+    vectors listed without dedup, and both truncated counts equal the
+    number of vectors whose genus is over the cap."""
+    over_total = 0
+    for spec in builtin_groups_upto(8):
+        G = build_group(spec)
+        buckets, truncated = _cover_buckets(G, character_table(G), 1, 3, 9, 8)
+        stream = enumerate_vectors(
+            G, 1, 3, genus_cap=9, dedup=False, branch_order_cap=8
+        )
+        listed = sum(1 for _ in stream)
+        assert sum(count for count, _ in buckets.values()) == listed, spec
+        uncapped = enumerate_vectors(
+            G, 1, 3, genus_cap=10**6, dedup=False, branch_order_cap=8
+        )
+        over = sum(1 for c in uncapped if c.genus > 9)
+        assert truncated == stream.truncated == over, spec
+        over_total += over
+    assert over_total > 0
 
 
 def test_classify_weights_against_bruteforce():

@@ -93,6 +93,16 @@ GOLDEN_STDOUT = {
         "5868f973117604769e5c3694eb0d4b0bf95d31e8a2b8add144679c48559a89e3",
     ("chartab", "sym:4", "--format", "table"):
         "3e22abdbeea9e730816c4e15f5c87b96d6a2db87153da577fd65c51ac9705a4e",
+    ("covers", "ab:2,2", "--b", "1", "--max-r", "4", "--genus-cap", "3"):
+        "6d3b7848a0bc7202cf28f9a97aecb550be89a561dd0f4728ad72a22f7c2907a8",
+    ("covers", "sym:3", "--b", "1", "--branch", "2,2"):
+        "58b1da440e70e77b514cc159aa410f0e8390438fdfdb5262f19d7df762af01e2",
+    ("covers", "dih:4", "--b", "1", "--max-r", "4"):
+        "b0323992bc6aa51db1c2857f9e43de5a6a2f0ae5f958d1984c7e80b0606dc6d4",
+    (
+        "classify", "--groups", "ab:2,4,quat:8", "--max-r", "3", "--max-s", "3",
+        "--genus-cap", "9", "--full",
+    ): "cdee5aa494a3f8dccfd143b31f17a664ba023b20ad040b48202a0d6096da621c",
 }
 
 
@@ -104,6 +114,23 @@ def test_golden_stdout(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("covers", "ab:2", "--cache-dir", "x"),
+        ("surfaces", "ab:2,2", "--vc", "1|2|1|2,2", "--vd", "1|2|1|1,1",
+         "--cache-dir", "x"),
+        ("verify-example", "1", "1", "1", "1", "1", "--cache-dir", "x"),
+        ("classify", "--groups", "ab:2", "--format", "json"),
+    ],
+)
+def test_flags_without_effect_are_rejected(capsys, argv):
+    """--cache-dir exists only where a character table is cached
+    (chartab, classify) and classify has no --format."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and out == ""
 
 
 def test_covers_sym3_genus4(capsys):

@@ -145,14 +145,17 @@ def test_genus_cap_sets_truncated():
     assert all(c.genus <= 3 for c in covers)
 
 
-def test_dedup_orbits():
-    """Dedup emits exactly one representative per automorphism orbit."""
-    G = build_group("ab:2,2")
+@pytest.mark.parametrize("spec,max_r", [("ab:2,2", 2), ("dih:4", 4), ("quat:8", 4)])
+def test_dedup_orbits(spec, max_r):
+    """Dedup emits exactly one representative per automorphism orbit.
+    dih:4 at r <= 4 has vectors of different r with equal codes, so it
+    fails if the dedup set is shared across r."""
+    G = build_group(spec)
     full = {
         (c.vector.alphas + c.vector.betas, c.vector.gammas)
-        for c in enumerate_vectors(G, 1, 2, dedup=False)
+        for c in enumerate_vectors(G, 1, max_r, dedup=False)
     }
-    reps = list(enumerate_vectors(G, 1, 2, dedup=True))
+    reps = list(enumerate_vectors(G, 1, max_r, dedup=True))
     from isoprod.groups import automorphisms
 
     auts = automorphisms(G)
@@ -167,8 +170,9 @@ def test_dedup_orbits():
                 )
             )
     assert covered == full
-    # orbits are free, so the count divides evenly
-    assert len(full) == len(reps) * len(auts) or len(full) < len(reps) * len(auts)
+    # Aut(G) acts freely on generating vectors, so every orbit has
+    # |Aut(G)| members and no two representatives share one
+    assert len(full) == len(reps) * len(auts)
 
 
 def test_dedup_above_limit_raises():
