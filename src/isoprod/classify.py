@@ -15,17 +15,21 @@ vector pairs with identical Aut_0 and conformance outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .characters import character_table
 from .covers import (
     CoverStream,
     GeneratingVector,
+    _branch_plan,
     _branch_stream,
     _conj_cyclic,
+    _count_vectors,
+    _multiset_genus,
     isotypic_dimensions,
 )
-from .errors import DomainError, IsoprodError
-from .groups import abelian_invariants, build_group, center
+from .errors import ConsistencyError, DomainError, IsoprodError
+from .groups import abelian_invariants, build_group, center, class_index
 from .surfaces import UnmixedSurface, build_surface
 
 DEFAULT_BASE_GENERA = ((1, 1),)
@@ -186,11 +190,11 @@ def check_conformance(rec: ClassificationRecord):
 # -- sweep driver ------------------------------------------------------
 
 
-def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
-    """Bucket every valid generating vector by the classification
-    signature.  Key: (r, genus, dims-positivity mask, conj-dims mask,
-    stabilizer-union mask, uniform gamma or -1).  Returns (buckets,
-    number of vectors dropped because their genus exceeds genus_cap)."""
+def _class_data(G, table, b):
+    """The sweep's payload: (maskpos, maskconj, sig) of a branch-class
+    multiset, i.e. the H^1 positivity mask over the irreducibles, the
+    same mask at the conjugate characters, and the stabilizer-union
+    mask."""
     nchars = len(table.characters)
     trivial = table.trivial_index
     degrees = [c.degree for c in table.characters]
@@ -202,7 +206,6 @@ def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
     ]
 
     def class_data(cls_key):
-        """(maskpos, maskconj, sig) of a branch-class multiset."""
         dims = []
         for i in range(nchars):
             if i == trivial:
@@ -224,25 +227,100 @@ def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
                 sig |= 1 << x
         return maskpos, maskconj, sig
 
+    return class_data
+
+
+def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
+    """Count the valid generating vectors in each bucket of the
+    classification signature.  Key: (r, genus, dims-positivity mask,
+    conj-dims mask, stabilizer-union mask, uniform gamma or -1).
+    Returns (buckets, number of vectors dropped because their genus
+    exceeds genus_cap), with buckets[key] the number of vectors in it.
+
+    The counts come from ``_count_vectors``, once per branch-class
+    multiset M that ``_multiset_genus`` keeps; the vectors whose gammas
+    all equal one u are counted apart, and the rest of M's vectors go to
+    the u = -1 bucket.  Nothing is listed.
+    """
+    cls_of = class_index(G)
+    allowed, r_values = _branch_plan(G, max_r, branch_order_cap, None)
+    allowed_classes = sorted({cls_of[g] for g in allowed})
+    genus_of = {}
+    for r in r_values:
+        for M in combinations_with_replacement(allowed_classes, r):
+            genus = _multiset_genus(G, b, M, genus_cap, 2, None)
+            if genus is not None:
+                genus_of[M] = genus
+    members = [c.members for c in table.classes]
+    uniform = [
+        (u, len(M))
+        for M, genus in genus_of.items()
+        if M and genus <= genus_cap and M.count(M[0]) == len(M)
+        for u in members[M[0]]
+    ]
+    counts, ucounts = _count_vectors(G, b, genus_of, uniform)
+    class_data = _class_data(G, table, b)
     buckets = {}
-    stream = CoverStream(
-        _branch_stream,
-        G,
-        b,
-        max_r,
-        genus_cap,
-        branch_order_cap=branch_order_cap,
-        payload=class_data,
-    )
-    for ab, gammas, genus, data in stream:
-        u = _uniform_gamma(gammas)
-        key = (len(gammas), genus, *data, -1 if u is None else u)
-        slot = buckets.get(key)
-        if slot is None:
-            buckets[key] = [1, (ab, gammas)]
-        else:
-            slot[0] += 1
-    return buckets, stream.truncated
+    truncated = 0
+
+    def add(key, count):
+        if count:
+            buckets[key] = buckets.get(key, 0) + count
+
+    for M, genus in genus_of.items():
+        count = counts[M]
+        if genus > genus_cap:
+            truncated += count
+            continue
+        if not count:
+            continue
+        data = class_data(M)
+        if M and M.count(M[0]) == len(M):
+            for u in members[M[0]]:
+                add(_bucket_key(len(M), genus, data, u), ucounts[u, len(M)])
+                count -= ucounts[u, len(M)]
+        add(_bucket_key(len(M), genus, data, None), count)
+    return buckets, truncated
+
+
+def _bucket_key(r, genus, data, u):
+    return (r, genus, *data, -1 if u is None else u)
+
+
+class _Representatives:
+    """The first listed vector of each bucket of ``_cover_buckets`` with
+    the same arguments, as (ab, gammas).  One walk over ``_branch_stream``
+    serves every lookup: it stops as soon as the asked bucket has been
+    seen and resumes from there on the next miss."""
+
+    def __init__(self, G, table, b, max_r, genus_cap, branch_order_cap):
+        self._walk = iter(
+            CoverStream(
+                _branch_stream,
+                G,
+                b,
+                max_r,
+                genus_cap,
+                branch_order_cap=branch_order_cap,
+                payload=_class_data(G, table, b),
+            )
+        )
+        self._first = {}
+        self._where = f"{G.spec} at b = {b}, r <= {max_r}"
+
+    def __getitem__(self, key):
+        first = self._first
+        while key not in first:
+            try:
+                ab, gammas, genus, data = next(self._walk)
+            except StopIteration:
+                raise ConsistencyError(
+                    f"no listed vector of {self._where} lies in counted "
+                    f"bucket {key}"
+                ) from None
+            r, u = len(gammas), _uniform_gamma(gammas)
+            first.setdefault(_bucket_key(r, genus, data, u), (ab, gammas))
+        return first[key]
 
 
 def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivial"):
@@ -263,24 +341,26 @@ def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivi
     if G.order > bounds.max_group_order:
         return records, counts
     table = character_table(G, cache_dir=cache_dir)
-    bucket_cache = {}
+    sides = {}
 
-    def buckets_for(b, max_r):
+    def side(b, max_r):
+        """(bucket counts, representatives) of one factor's covers."""
         key = (b, max_r)
-        if key not in bucket_cache:
-            bucket_cache[key] = _cover_buckets(
+        if key not in sides:
+            args = (
                 G, table, b, max_r, bounds.genus_cap, bounds.branch_order_cap
-            )[0]
-        return bucket_cache[key]
+            )
+            sides[key] = _cover_buckets(*args)[0], _Representatives(*args)
+        return sides[key]
 
     for bC, bD in bounds.base_genera:
-        bks_C = buckets_for(bC, bounds.max_branch_points_r)
-        bks_D = buckets_for(bD, bounds.max_branch_points_s)
+        bks_C, reps_C = side(bC, bounds.max_branch_points_r)
+        bks_D, reps_D = side(bD, bounds.max_branch_points_s)
         for keyC in sorted(bks_C):
-            cntC, exC = bks_C[keyC]
+            cntC = bks_C[keyC]
             rC, gC, maskC, _mcC, sigC, uC = keyC
             for keyD in sorted(bks_D):
-                cntD, exD = bks_D[keyD]
+                cntD = bks_D[keyD]
                 rD, gD, _mD, maskDc, sigD, uD = keyD
                 if sigC & sigD != 1:
                     continue
@@ -289,6 +369,7 @@ def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivi
                 a_mask = _aut0_mask(table, maskC, maskDc)
                 if a_mask == 1 and detail != "full":
                     continue
+                exC, exD = reps_C[keyC], reps_D[keyD]
                 try:
                     rec = _build_record(
                         G, table, bC, bD, exC, exD, a_mask, weight

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .errors import (
     BranchOrderError,
@@ -26,6 +27,7 @@ from .groups import (
     conjugacy_classes,
     class_index,
     cyclic_subgroup,
+    mobius,
     subgroup_registry,
 )
 
@@ -76,12 +78,14 @@ class BranchedCover:
 def hurwitz_genus(order: int, b: int, branch_orders) -> int:
     """g from 2g-2 = |G|(2b-2 + sum(1 - 1/m_i)); raises if not an integer
     >= 0."""
-    rhs = Fraction(order * (2 * b - 2))
+    num, den = order * (2 * b - 2), 1
     for m in branch_orders:
-        rhs += Fraction(order * (m - 1), m)
-    if rhs.denominator != 1:
-        raise GenusError(f"Riemann-Hurwitz value {rhs} is not an integer")
-    rhs = int(rhs)
+        num, den = num * m + den * order * (m - 1), den * m
+    if num % den:
+        raise GenusError(
+            f"Riemann-Hurwitz value {Fraction(num, den)} is not an integer"
+        )
+    rhs = num // den
     if rhs % 2 != 0:
         raise GenusError(f"2g-2 = {rhs} is odd")
     g = (rhs + 2) // 2
@@ -243,6 +247,42 @@ def _vector_code(G, ab, gammas):
     return code
 
 
+def _branch_plan(G: GroupTable, max_r: int, branch_order_cap, exact):
+    """(allowed, r_values): the elements a gamma may be, in index order,
+    and the branch-point counts to walk, ascending."""
+    orders = G.element_order
+    allowed = [
+        g
+        for g in range(1, G.order)
+        if (branch_order_cap is None or orders[g] <= branch_order_cap)
+        and (exact is None or orders[g] in exact)
+    ]
+    r_values = range(max_r + 1)
+    if exact is not None:
+        r_values = [len(exact)] if len(exact) <= max_r else []
+    return allowed, r_values
+
+
+def _multiset_genus(G: GroupTable, b, key, genus_cap, min_genus, exact):
+    """The genus of the vectors whose sorted branch-class multiset is
+    ``key``, or None when they are skipped: branch orders other than the
+    sorted ``exact``, no valid Riemann-Hurwitz genus, or a genus below
+    min_genus.  A genus over genus_cap is returned; those vectors are
+    counted as truncated."""
+    orders = G.element_order
+    classes = conjugacy_classes(G)
+    branch = tuple(sorted(orders[classes[c].representative] for c in key))
+    if exact is not None and branch != exact:
+        return None
+    try:
+        genus = hurwitz_genus(G.order, b, branch)
+    except GenusError:
+        return None
+    if genus <= genus_cap and genus < min_genus:
+        return None
+    return genus
+
+
 def _branch_stream(
     stream,
     G: GroupTable,
@@ -258,53 +298,118 @@ def _branch_stream(
     branch points, as (ab, gammas, genus, data), r ascending.
 
     All that depends only on the sorted branch-class multiset of gammas
-    is decided once per multiset: a valid Riemann-Hurwitz genus with
-    min_genus <= genus <= genus_cap (vectors over the cap are counted in
-    ``stream.truncated``), branch orders equal to the sorted ``exact``,
-    and ``data = payload(multiset)`` (None without a payload).
+    is decided once per multiset: ``_multiset_genus`` (vectors over the
+    cap are counted in ``stream.truncated``) and ``data =
+    payload(multiset)`` (None without a payload).
     """
-    orders = G.element_order
     cls_of = class_index(G)
-    reps = [c.representative for c in conjugacy_classes(G)]
-    allowed = [
-        g
-        for g in range(1, G.order)
-        if (branch_order_cap is None or orders[g] <= branch_order_cap)
-        and (exact is None or orders[g] in exact)
-    ]
-    r_values = range(max_r + 1)
-    if exact is not None:
-        r_values = [len(exact)] if len(exact) <= max_r else []
+    allowed, r_values = _branch_plan(G, max_r, branch_order_cap, exact)
 
     def decide(key):
-        branch = tuple(sorted(orders[reps[c]] for c in key))
-        if exact is not None and branch != exact:
-            return None
-        try:
-            genus = hurwitz_genus(G.order, b, branch)
-        except GenusError:
-            return None
-        if genus > genus_cap:
+        genus = _multiset_genus(G, b, key, genus_cap, min_genus, exact)
+        if genus is None or genus > genus_cap or not payload:
             return genus, None
-        if genus < min_genus:
-            return None
-        return genus, payload(key) if payload else None
+        return genus, payload(key)
 
     memo = {}
     for r in r_values:
         for ab, gammas in _raw_tuples(G, b, r, allowed):
             key = tuple(sorted([cls_of[g] for g in gammas]))
             try:
-                entry = memo[key]
+                genus, data = memo[key]
             except KeyError:
-                entry = memo[key] = decide(key)
-            if entry is None:
+                genus, data = memo[key] = decide(key)
+            if genus is None:
                 continue
-            genus, data = entry
             if genus > genus_cap:
                 stream.truncated += 1
                 continue
             yield ab, gammas, genus, data
+
+
+def _count_vectors(G: GroupTable, b: int, multisets, uniform):
+    """Exact numbers of generating vectors, counted without listing them.
+
+    ``multisets`` are sorted branch-class tuples and ``uniform`` holds
+    (u, r) pairs.  Returns ({M: vectors whose sorted branch-class
+    multiset is M}, {(u, r): vectors whose r gammas all equal u}).
+
+    The tuples of H that generate G number sum of mu(H, G) N_H over the
+    subgroups H (P. Hall's inversion).  N_H(M) for one ordering of M is
+    the identity coefficient of f0_H * C_1 * ... * C_r in Z[H], where
+    f0_H(x) counts the (alpha, beta) in H^2b with prod [alpha_j, beta_j]
+    = x and C_i is the sum of H's elements in the i-th class of M.  Both
+    are central in Z[H], so every ordering of M gives the same count and
+    N_gen(M) is that count times the number of distinct orderings.  Per
+    subgroup only the multisets whose classes all meet H are walked, in
+    ``combinations_with_replacement`` order and by size, keeping one DP
+    vector per multiset of the size below: each is the prefix of the
+    multisets that extend it by one class.
+    """
+    n = G.order
+    mult, inv = G.mult, G.inverse
+    classes = conjugacy_classes(G)
+    counts = dict.fromkeys(multisets, 0)
+    ucounts = dict.fromkeys(uniform, 0)
+    used = sorted({c for M in counts for c in M})
+    longest = max(map(len, counts), default=0)
+    for H, mu in mobius(G).items():
+        if not mu:
+            continue
+        elems = sorted(H)
+        comm = [0] * n
+        for x in elems:
+            for y in elems:
+                comm[G.commutator(x, y)] += 1
+        comm = [(z, k) for z, k in enumerate(comm) if k]
+        f0 = [0] * n
+        f0[0] = 1
+        for _ in range(b):
+            f0 = _convolve(mult, elems, f0, comm)
+        for u, r in uniform:
+            if u in H:
+                ucounts[u, r] += mu * f0[inv[G.power(u, r)]]
+        # per class of G, its elements in H as (element, weight 1) terms
+        parts = [[(x, 1) for x in c.members if x in H] for c in classes]
+        hit = [c for c in used if parts[c]]
+        if () in counts:
+            counts[()] += mu * f0[0]
+        level = {(): f0}  # DP vector of every multiset of size r - 1
+        for r in range(1, longest + 1):
+            below, level = level, {}
+            for M in itertools.combinations_with_replacement(hit, r):
+                head, part = below[M[:-1]], parts[M[-1]]
+                if r < longest:
+                    level[M] = _convolve(mult, elems, head, part)
+                    total = level[M][0]
+                else:
+                    total = sum(head[inv[c]] for c, _ in part)
+                if M in counts:
+                    counts[M] += mu * total
+    for M in counts:
+        counts[M] *= _orderings(M)
+    return counts, ucounts
+
+
+def _convolve(mult, elems, f, terms):
+    """f * g in the group algebra, for f supported on ``elems`` and g the
+    sum of w * y over the (y, w) in ``terms``."""
+    out = [0] * len(f)
+    for x in elems:
+        fx = f[x]
+        if fx:
+            row = mult[x]
+            for y, w in terms:
+                out[row[y]] += fx * w
+    return out
+
+
+def _orderings(key):
+    """Number of distinct orderings of the multiset ``key``."""
+    out = factorial(len(key))
+    for c in set(key):
+        out //= factorial(key.count(c))
+    return out
 
 
 def enumerate_vectors(

@@ -395,6 +395,27 @@ def all_subgroups(G: GroupTable):
     return out
 
 
+def mobius(G: GroupTable):
+    """The Moebius function mu(H, G) of the subgroup lattice, as a dict
+    from every subgroup H (a frozenset) to an integer.
+
+    Top-down recursion: mu(G, G) = 1 and mu(H, G) = -sum of mu(K, G)
+    over the subgroups K with H < K <= G (P. Hall, "The Eulerian
+    functions of a group", 1936).
+    """
+    if "mobius" in G._cache:
+        return G._cache["mobius"]
+    mu = {}
+    above = []  # (K, mu(K, G)) with mu(K, G) != 0, larger K first
+    for H in reversed(all_subgroups(G)):
+        m = 1 if len(H) == G.order else -sum(v for K, v in above if H < K)
+        mu[H] = m
+        if m:
+            above.append((H, m))
+    G._cache["mobius"] = mu
+    return mu
+
+
 def subgroup_table(G: GroupTable, elements):
     """Re-index a subgroup as its own GroupTable.
 

@@ -81,6 +81,7 @@ def brute_vectors(G, b, r):
                             changed = True
         return sub
 
+    spans = {}  # element set -> order of the subgroup it generates
     out = []
     for ab in itertools.product(range(n), repeat=2 * b):
         for gam in itertools.product(range(1, n), repeat=r):
@@ -96,7 +97,10 @@ def brute_vectors(G, b, r):
                 prod = G.mult[prod][g]
             if prod != 0:
                 continue
-            if len(gen_span(set(ab) | set(gam))) != n:
+            elems = frozenset(ab) | frozenset(gam)
+            if elems not in spans:
+                spans[elems] = len(gen_span(elems))
+            if spans[elems] != n:
                 continue
             out.append((ab, gam))
     return out
@@ -168,3 +172,90 @@ def induced_complex(tableG, sub, chi_index):
                 acc += chi[sub.table.class_of[in_h[x]]]
         out.append(acc / sub.H.order)
     return out
+
+
+def listed_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
+    """The classification sweep's buckets by listing: every vector of
+    ``brute_vectors`` with r <= max_r and no branch order over
+    branch_order_cap, keyed one vector at a time by (r, genus, H^1
+    positivity mask over the irreducibles, the same mask at the
+    conjugate characters, stabilizer-union mask, uniform gamma or -1).
+
+    Returns (counts, first, truncated): the number of vectors per key,
+    the first vector listed per key as (ab, gammas), and the number of
+    vectors whose genus is over genus_cap.  Vectors of genus < 2 are
+    dropped.
+    """
+    n = G.order
+    vals = complex_table(table)
+    nchars = len(vals)
+    def close(row, other):
+        return all(abs(x - y) < 1e-9 for x, y in zip(row, other))
+
+    conj = []
+    for row in vals:
+        bar = [y.conjugate() for y in row]
+        conj.append(next(j for j in range(nchars) if close(vals[j], bar)))
+    ones = [1] * len(vals[0])
+    trivial = next(i for i in range(nchars) if close(vals[i], ones))
+    fixed = {}  # element -> per character, (1/|g|) sum_t chi(g^t)
+    stab = {}  # element -> mask of the union of the conjugates of <g>
+
+    def element_data(g):
+        if g not in fixed:
+            powers, x = [], 0
+            while True:
+                powers.append(x)
+                x = G.mult[x][g]
+                if x == 0:
+                    break
+            sums = []
+            for i in range(nchars):
+                s = sum(vals[i][table.class_of[p]] for p in powers)
+                s /= len(powers)
+                assert abs(s - round(s.real)) < 1e-9
+                sums.append(int(round(s.real)))
+            fixed[g] = sums
+            mask = 0
+            for t in range(n):
+                y = G.mult[G.mult[t][g]][G.inverse[t]]
+                z = 0
+                while True:
+                    mask |= 1 << z
+                    z = G.mult[z][y]
+                    if z == 0:
+                        break
+            stab[g] = mask
+        return fixed[g], stab[g]
+
+    counts, first, truncated = {}, {}, 0
+    for r in range(max_r + 1):
+        for ab, gam in brute_vectors(G, b, r):
+            orders = [G.element_order[g] for g in gam]
+            if branch_order_cap is not None and any(
+                m > branch_order_cap for m in orders
+            ):
+                continue
+            genus = genus_float(n, b, orders)
+            if genus > genus_cap:
+                truncated += 1
+                continue
+            if genus < 2:
+                continue
+            dims = []
+            sig = 1
+            for i in range(nchars):
+                dims.append(round(vals[i][0].real) * (2 * b - 2 + r))
+            for g in gam:
+                sums, mask = element_data(g)
+                sig |= mask
+                for i in range(nchars):
+                    dims[i] -= sums[i]
+            dims[trivial] = 2 * b
+            maskpos = sum(1 << i for i in range(nchars) if dims[i] > 0)
+            maskconj = sum(1 << i for i in range(nchars) if dims[conj[i]] > 0)
+            u = gam[0] if gam and all(g == gam[0] for g in gam) else -1
+            key = (r, genus, maskpos, maskconj, sig, u)
+            counts[key] = counts.get(key, 0) + 1
+            first.setdefault(key, (tuple(ab), tuple(gam)))
+    return counts, first, truncated

@@ -152,16 +152,19 @@ def test_criterion_5_character_tables(capsys):
 
 def test_criterion_6_broughton_sums(capsys):
     def check():
-        from isoprod.classify import _cover_buckets
+        from isoprod.classify import _cover_buckets, _Representatives
 
         total = 0
         for spec in builtin_groups_upto(16):
             G = build_group(spec)
             table = character_table(G)
-            buckets, _ = _cover_buckets(G, table, 1, 4, 33, 8)
-            for (r, genus, *_rest), (_count, (ab, gammas)) in sorted(
-                buckets.items()
-            ):
+            args = (G, table, 1, 4, 33, 8)
+            buckets, _ = _cover_buckets(*args)
+            reps = _Representatives(*args)
+            for key in sorted(buckets):
+                r, genus = key[:2]
+                ab, gammas = reps[key]
+                assert len(gammas) == r
                 v = GeneratingVector(G, 1, ab[:1], ab[1:], gammas)
                 cover = validate_vector(v)
                 assert cover.genus == genus

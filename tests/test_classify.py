@@ -5,6 +5,7 @@ from isoprod.classify import (
     ClassificationRecord,
     SearchBounds,
     _cover_buckets,
+    _Representatives,
     acts_trivially,
     check_conformance,
     classify_all,
@@ -14,6 +15,8 @@ from isoprod.covers import GeneratingVector, enumerate_vectors
 from isoprod.errors import DomainError
 from isoprod.groups import abelian_element, build_group, builtin_groups_upto
 from isoprod.surfaces import build_surface, example46_construct
+
+from oracles import listed_buckets
 
 
 def _klein_surface():
@@ -115,10 +118,10 @@ def test_classify_small_sweep():
 
 
 def test_cover_buckets_and_covers_share_one_stream():
-    """The sweep's buckets and enumerate_vectors walk the same vectors:
-    at b = 1, r <= 3 and genus cap 9 the bucket counts add up to the
-    vectors listed without dedup, and both truncated counts equal the
-    number of vectors whose genus is over the cap."""
+    """The sweep's counted buckets and enumerate_vectors see the same
+    vectors: at b = 1, r <= 3 and genus cap 9 the bucket counts add up
+    to the vectors listed without dedup, and both truncated counts equal
+    the number of listed vectors whose genus is over the cap."""
     over_total = 0
     for spec in builtin_groups_upto(8):
         G = build_group(spec)
@@ -127,7 +130,7 @@ def test_cover_buckets_and_covers_share_one_stream():
             G, 1, 3, genus_cap=9, dedup=False, branch_order_cap=8
         )
         listed = sum(1 for _ in stream)
-        assert sum(count for count, _ in buckets.values()) == listed, spec
+        assert sum(buckets.values()) == listed, spec
         uncapped = enumerate_vectors(
             G, 1, 3, genus_cap=10**6, dedup=False, branch_order_cap=8
         )
@@ -135,6 +138,38 @@ def test_cover_buckets_and_covers_share_one_stream():
         assert truncated == stream.truncated == over, spec
         over_total += over
     assert over_total > 0
+
+
+def test_counted_buckets_match_listing_oracle():
+    """Counting by Moebius inversion gives the listing oracle's bucket
+    keys, counts and truncated count for every built-in group of order
+    <= 12 over bases of genus 0, 1 and 2, under a genus cap that
+    truncates and a branch-order cap that drops elements of order 9 to
+    12."""
+    uniform = truncated_total = 0
+    for spec in builtin_groups_upto(12):
+        G = build_group(spec)
+        table = character_table(G)
+        for b, max_r in ((0, 4), (1, 2), (2, 1 if G.order <= 8 else 0)):
+            counted = _cover_buckets(G, table, b, max_r, 9, 8)
+            counts, _, truncated = listed_buckets(G, table, b, max_r, 9, 8)
+            assert counted == (counts, truncated), (spec, b, max_r)
+            uniform += sum(1 for key in counts if key[-1] != -1)
+            truncated_total += truncated
+    assert uniform > 0 and truncated_total > 0
+
+
+def test_representatives_are_first_listed():
+    """Each bucket's representative is the first vector listed in it."""
+    for spec in builtin_groups_upto(8):
+        G = build_group(spec)
+        table = character_table(G)
+        buckets, _ = _cover_buckets(G, table, 1, 3, 33, 8)
+        _, first, _ = listed_buckets(G, table, 1, 3, 33, 8)
+        reps = _Representatives(G, table, 1, 3, 33, 8)
+        assert set(buckets) == set(first), spec
+        for key in sorted(buckets):
+            assert reps[key] == first[key], (spec, key)
 
 
 def test_classify_weights_against_bruteforce():

@@ -103,6 +103,10 @@ GOLDEN_STDOUT = {
         "classify", "--groups", "ab:2,4,quat:8", "--max-r", "3", "--max-s", "3",
         "--genus-cap", "9", "--full",
     ): "cdee5aa494a3f8dccfd143b31f17a664ba023b20ad040b48202a0d6096da621c",
+    (
+        "classify", "--groups", "sym:3,ab:2,2", "--max-r", "2", "--max-s", "2",
+        "--base-genera", "1,2;2,2", "--full",
+    ): "a52fefa8591bf6ccce0cdf3aa2fb1bc294d3fc1b8233f76fca72cb6de5912c6c",
 }
 
 

@@ -18,6 +18,7 @@ from isoprod.groups import (
     commutator_subgroup,
     conjugacy_classes,
     cyclic_subgroup,
+    mobius,
     subgroup_table,
 )
 
@@ -244,6 +245,41 @@ def test_automorphism_counts():
         for phi in auts:
             assert phi[0] == 0
             assert sorted(phi) == list(range(G.order))
+
+
+@pytest.mark.parametrize(
+    "spec, mu",
+    [
+        ("ab:2", -1),
+        ("ab:2,2", 2),
+        ("ab:2,2,2", -8),
+        ("ab:2,2,2,2", 64),
+        ("sym:3", 3),
+        ("alt:4", 4),
+        ("sym:4", -12),
+        ("dih:5", 5),
+        ("quat:8", 0),
+        ("dih:4", 0),
+        ("ab:4", 0),
+    ],
+)
+def test_mobius_of_trivial_subgroup(spec, mu):
+    """mu(1, G): (-1)^k p^(k(k-1)/2) on Z_p^k, 0 unless the Frattini
+    subgroup is trivial, and the known values on S_3, A_4, S_4, D_5."""
+    assert mobius(build_group(spec))[frozenset([0])] == mu
+
+
+def test_mobius_defining_identity():
+    """sum of mu(K, G) over H <= K <= G is 1 for H = G and 0 otherwise,
+    for every subgroup of every built-in group of order <= 16."""
+    for spec in builtin_groups_upto(16):
+        G = build_group(spec)
+        mu = mobius(G)
+        subs = all_subgroups(G)
+        assert set(mu) == set(subs), spec
+        for H in subs:
+            total = sum(mu[K] for K in subs if H <= K)
+            assert total == (1 if len(H) == G.order else 0), (spec, sorted(H))
 
 
 def test_builtin_groups_upto():
