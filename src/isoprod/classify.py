@@ -19,13 +19,12 @@ from itertools import combinations_with_replacement
 
 from .characters import character_table
 from .covers import (
-    CoverStream,
     GeneratingVector,
     _branch_plan,
-    _branch_stream,
     _conj_cyclic,
     _count_vectors,
     _multiset_genus,
+    _raw_tuples,
     isotypic_dimensions,
 )
 from .errors import ConsistencyError, DomainError, IsoprodError
@@ -191,10 +190,13 @@ def check_conformance(rec: ClassificationRecord):
 
 
 def _class_data(G, table, b):
-    """The sweep's payload: (maskpos, maskconj, sig) of a branch-class
+    """The bucket data (maskpos, maskconj, sig) of a branch-class
     multiset, i.e. the H^1 positivity mask over the irreducibles, the
     same mask at the conjugate characters, and the stabilizer-union
-    mask."""
+    mask.  Built once per base genus and cached on G."""
+    cache = G._cache.setdefault("class_data", {})
+    if b in cache:
+        return cache[b]
     nchars = len(table.characters)
     trivial = table.trivial_index
     degrees = [c.degree for c in table.characters]
@@ -227,6 +229,7 @@ def _class_data(G, table, b):
                 sig |= 1 << x
         return maskpos, maskconj, sig
 
+    cache[b] = class_data
     return class_data
 
 
@@ -287,40 +290,40 @@ def _bucket_key(r, genus, data, u):
     return (r, genus, *data, -1 if u is None else u)
 
 
-class _Representatives:
-    """The first listed vector of each bucket of ``_cover_buckets`` with
-    the same arguments, as (ab, gammas).  One walk over ``_branch_stream``
-    serves every lookup: it stops as soon as the asked bucket has been
-    seen and resumes from there on the next miss."""
+def _representative(G, table, b, key, genus_cap, branch_order_cap):
+    """The first listed vector of bucket ``key`` of ``_cover_buckets``
+    with the same b, genus_cap and branch_order_cap, as (ab, gammas).
 
-    def __init__(self, G, table, b, max_r, genus_cap, branch_order_cap):
-        self._walk = iter(
-            CoverStream(
-                _branch_stream,
-                G,
-                b,
-                max_r,
-                genus_cap,
-                branch_order_cap=branch_order_cap,
-                payload=_class_data(G, table, b),
-            )
-        )
-        self._first = {}
-        self._where = f"{G.spec} at b = {b}, r <= {max_r}"
-
-    def __getitem__(self, key):
-        first = self._first
-        while key not in first:
-            try:
-                ab, gammas, genus, data = next(self._walk)
-            except StopIteration:
-                raise ConsistencyError(
-                    f"no listed vector of {self._where} lies in counted "
-                    f"bucket {key}"
-                ) from None
-            r, u = len(gammas), _uniform_gamma(gammas)
-            first.setdefault(_bucket_key(r, genus, data, u), (ab, gammas))
-        return first[key]
+    Only ``_raw_tuples`` at the key's r is walked, over the gammas a
+    vector of the bucket can hold: u alone for a uniform bucket, else
+    the allowed elements whose ``_conj_cyclic`` set lies inside the
+    key's stabilizer-union mask.  That walk lists, in listing order, a
+    subsequence of the listing that holds every vector of the bucket.
+    """
+    r, genus, *data, u = key
+    if u >= 0:
+        allowed = [u]
+    else:
+        sig = data[-1]
+        allowed = [
+            g
+            for g in _branch_plan(G, r, branch_order_cap, None)[0]
+            if all(sig >> x & 1 for x in _conj_cyclic(G, g))
+        ]
+    cls_of = class_index(G)
+    class_data = _class_data(G, table, b)
+    fits = {}  # sorted branch-class multiset -> has the key's genus, data
+    for ab, gammas in _raw_tuples(G, b, r, allowed):
+        M = tuple(sorted([cls_of[g] for g in gammas]))
+        if M not in fits:
+            genus_M = _multiset_genus(G, b, M, genus_cap, 2, None)
+            fits[M] = genus_M == genus and list(class_data(M)) == data
+        uniform = _uniform_gamma(gammas)
+        if fits[M] and _bucket_key(r, genus, data, uniform) == key:
+            return ab, gammas
+    raise ConsistencyError(
+        f"no listed vector of {G.spec} at b = {b} lies in counted bucket {key}"
+    )
 
 
 def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivial"):
@@ -341,21 +344,24 @@ def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivi
     if G.order > bounds.max_group_order:
         return records, counts
     table = character_table(G, cache_dir=cache_dir)
-    sides = {}
+    buckets, reps = {}, {}
+    caps = (bounds.genus_cap, bounds.branch_order_cap)
 
     def side(b, max_r):
-        """(bucket counts, representatives) of one factor's covers."""
-        key = (b, max_r)
-        if key not in sides:
-            args = (
-                G, table, b, max_r, bounds.genus_cap, bounds.branch_order_cap
-            )
-            sides[key] = _cover_buckets(*args)[0], _Representatives(*args)
-        return sides[key]
+        """Bucket counts of one factor's covers."""
+        if (b, max_r) not in buckets:
+            buckets[b, max_r] = _cover_buckets(G, table, b, max_r, *caps)[0]
+        return buckets[b, max_r]
+
+    def rep(b, key):
+        """A bucket's representative; a key serves many pairs."""
+        if (b, key) not in reps:
+            reps[b, key] = _representative(G, table, b, key, *caps)
+        return reps[b, key]
 
     for bC, bD in bounds.base_genera:
-        bks_C, reps_C = side(bC, bounds.max_branch_points_r)
-        bks_D, reps_D = side(bD, bounds.max_branch_points_s)
+        bks_C = side(bC, bounds.max_branch_points_r)
+        bks_D = side(bD, bounds.max_branch_points_s)
         for keyC in sorted(bks_C):
             cntC = bks_C[keyC]
             rC, gC, maskC, _mcC, sigC, uC = keyC
@@ -369,7 +375,7 @@ def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivi
                 a_mask = _aut0_mask(table, maskC, maskDc)
                 if a_mask == 1 and detail != "full":
                     continue
-                exC, exD = reps_C[keyC], reps_D[keyD]
+                exC, exD = rep(bC, keyC), rep(bD, keyD)
                 try:
                     rec = _build_record(
                         G, table, bC, bD, exC, exD, a_mask, weight

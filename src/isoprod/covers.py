@@ -189,18 +189,15 @@ def isotypic_dimensions(cover: BranchedCover, table) -> tuple:
 
 
 class CoverStream:
-    """Iterator over ``gen(stream, *args, **kwargs)``; ``truncated``
-    counts the otherwise valid vectors dropped because their genus
-    exceeded the cap."""
+    """Iterator over ``gen(stream)``; ``truncated`` counts the otherwise
+    valid vectors dropped because their genus exceeded the cap."""
 
-    def __init__(self, gen, *args, **kwargs):
+    def __init__(self, gen):
         self._gen = gen
-        self._args = args
-        self._kwargs = kwargs
         self.truncated = 0
 
     def __iter__(self):
-        return self._gen(self, *self._args, **self._kwargs)
+        return self._gen(self)
 
 
 def _raw_tuples(G, b, r, allowed_gamma):
@@ -281,50 +278,6 @@ def _multiset_genus(G: GroupTable, b, key, genus_cap, min_genus, exact):
     if genus <= genus_cap and genus < min_genus:
         return None
     return genus
-
-
-def _branch_stream(
-    stream,
-    G: GroupTable,
-    b: int,
-    max_r: int,
-    genus_cap: int,
-    min_genus: int = 2,
-    branch_order_cap: int | None = None,
-    exact: tuple | None = None,
-    payload=None,
-):
-    """Every generating vector of G over a genus-b base with r <= max_r
-    branch points, as (ab, gammas, genus, data), r ascending.
-
-    All that depends only on the sorted branch-class multiset of gammas
-    is decided once per multiset: ``_multiset_genus`` (vectors over the
-    cap are counted in ``stream.truncated``) and ``data =
-    payload(multiset)`` (None without a payload).
-    """
-    cls_of = class_index(G)
-    allowed, r_values = _branch_plan(G, max_r, branch_order_cap, exact)
-
-    def decide(key):
-        genus = _multiset_genus(G, b, key, genus_cap, min_genus, exact)
-        if genus is None or genus > genus_cap or not payload:
-            return genus, None
-        return genus, payload(key)
-
-    memo = {}
-    for r in r_values:
-        for ab, gammas in _raw_tuples(G, b, r, allowed):
-            key = tuple(sorted([cls_of[g] for g in gammas]))
-            try:
-                genus, data = memo[key]
-            except KeyError:
-                genus, data = memo[key] = decide(key)
-            if genus is None:
-                continue
-            if genus > genus_cap:
-                stream.truncated += 1
-                continue
-            yield ab, gammas, genus, data
 
 
 def _count_vectors(G: GroupTable, b: int, multisets, uniform):
@@ -443,28 +396,40 @@ def enumerate_vectors(
         )
     exact = tuple(sorted(exact_branch_orders)) if exact_branch_orders else None
     auts = automorphisms(G) if dedup else None
+    cls_of = class_index(G)
+    allowed, r_values = _branch_plan(G, max_r, branch_order_cap, exact)
 
     def gen(stream):
-        # _vector_code is injective only for a fixed r: one set per r
-        seen, r = set(), 0
-        for ab, gammas, g, _ in _branch_stream(
-            stream, G, b, max_r, genus_cap, min_genus, branch_order_cap, exact
-        ):
-            if dedup:
-                if len(gammas) != r:
-                    seen, r = set(), len(gammas)
-                code = _vector_code(G, ab, gammas)
-                if code in seen:
-                    continue
-                for phi in auts:
-                    seen.add(
-                        _vector_code(
-                            G,
-                            tuple(phi[x] for x in ab),
-                            tuple(phi[x] for x in gammas),
-                        )
+        # ``_multiset_genus`` is decided once per sorted branch-class
+        # multiset; vectors over the cap count in ``stream.truncated``
+        genus_of = {}
+        for r in r_values:
+            seen = set()  # _vector_code is injective only for a fixed r
+            for ab, gammas in _raw_tuples(G, b, r, allowed):
+                key = tuple(sorted([cls_of[g] for g in gammas]))
+                if key not in genus_of:
+                    genus_of[key] = _multiset_genus(
+                        G, b, key, genus_cap, min_genus, exact
                     )
-            v = GeneratingVector(G, b, ab[:b], ab[b:], gammas)
-            yield BranchedCover(v, g)
+                genus = genus_of[key]
+                if genus is None:
+                    continue
+                if genus > genus_cap:
+                    stream.truncated += 1
+                    continue
+                if dedup:
+                    code = _vector_code(G, ab, gammas)
+                    if code in seen:
+                        continue
+                    for phi in auts:
+                        seen.add(
+                            _vector_code(
+                                G,
+                                tuple(phi[x] for x in ab),
+                                tuple(phi[x] for x in gammas),
+                            )
+                        )
+                v = GeneratingVector(G, b, ab[:b], ab[b:], gammas)
+                yield BranchedCover(v, genus)
 
     return CoverStream(gen)

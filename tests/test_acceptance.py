@@ -152,18 +152,16 @@ def test_criterion_5_character_tables(capsys):
 
 def test_criterion_6_broughton_sums(capsys):
     def check():
-        from isoprod.classify import _cover_buckets, _Representatives
+        from isoprod.classify import _cover_buckets, _representative
 
         total = 0
         for spec in builtin_groups_upto(16):
             G = build_group(spec)
             table = character_table(G)
-            args = (G, table, 1, 4, 33, 8)
-            buckets, _ = _cover_buckets(*args)
-            reps = _Representatives(*args)
+            buckets, _ = _cover_buckets(G, table, 1, 4, 33, 8)
             for key in sorted(buckets):
                 r, genus = key[:2]
-                ab, gammas = reps[key]
+                ab, gammas = _representative(G, table, 1, key, 33, 8)
                 assert len(gammas) == r
                 v = GeneratingVector(G, 1, ab[:1], ab[1:], gammas)
                 cover = validate_vector(v)

@@ -5,14 +5,14 @@ from isoprod.classify import (
     ClassificationRecord,
     SearchBounds,
     _cover_buckets,
-    _Representatives,
+    _representative,
     acts_trivially,
     check_conformance,
     classify_all,
     compute_aut0,
 )
 from isoprod.covers import GeneratingVector, enumerate_vectors
-from isoprod.errors import DomainError
+from isoprod.errors import ConsistencyError, DomainError
 from isoprod.groups import abelian_element, build_group, builtin_groups_upto
 from isoprod.surfaces import build_surface, example46_construct
 
@@ -160,16 +160,38 @@ def test_counted_buckets_match_listing_oracle():
 
 
 def test_representatives_are_first_listed():
-    """Each bucket's representative is the first vector listed in it."""
-    for spec in builtin_groups_upto(8):
+    """Each bucket's representative is the first vector listed in it:
+    at b = 1, r <= 3 under genus cap 33 for the built-in groups of order
+    <= 8, and under genus cap 9 at b = 0, r <= 4 and b = 1, r <= 3 for
+    those of order <= 12 and at b = 2, r <= 1 for those of order <= 8.
+    Both uniform and non-uniform buckets are compared."""
+    compared = {True: 0, False: 0}  # uniform bucket -> buckets compared
+    for spec in builtin_groups_upto(12):
         G = build_group(spec)
         table = character_table(G)
-        buckets, _ = _cover_buckets(G, table, 1, 3, 33, 8)
-        _, first, _ = listed_buckets(G, table, 1, 3, 33, 8)
-        reps = _Representatives(G, table, 1, 3, 33, 8)
-        assert set(buckets) == set(first), spec
-        for key in sorted(buckets):
-            assert reps[key] == first[key], (spec, key)
+        inputs = [(0, 4, 9), (1, 3, 9)]
+        if G.order <= 8:
+            inputs += [(1, 3, 33), (2, 1, 9)]
+        for b, max_r, genus_cap in inputs:
+            buckets, _ = _cover_buckets(G, table, b, max_r, genus_cap, 8)
+            _, first, _ = listed_buckets(G, table, b, max_r, genus_cap, 8)
+            assert set(buckets) == set(first), (spec, b, max_r)
+            for key in sorted(buckets):
+                rep = _representative(G, table, b, key, genus_cap, 8)
+                assert rep == first[key], (spec, b, key)
+                compared[key[-1] >= 0] += 1
+    assert compared[True] > 0 and compared[False] > 0
+
+
+def test_representative_of_an_empty_bucket_raises():
+    """A key that no vector has is a consistency error naming the group
+    spec, the base genus and the key."""
+    G = build_group("ab:2,2")
+    key = (2, 99, 1, 1, 1, -1)
+    with pytest.raises(ConsistencyError) as err:
+        _representative(G, character_table(G), 1, key, 9, 8)
+    message = str(err.value)
+    assert "ab:2,2" in message and "b = 1" in message and str(key) in message
 
 
 def test_classify_weights_against_bruteforce():

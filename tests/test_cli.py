@@ -107,6 +107,10 @@ GOLDEN_STDOUT = {
         "classify", "--groups", "sym:3,ab:2,2", "--max-r", "2", "--max-s", "2",
         "--base-genera", "1,2;2,2", "--full",
     ): "a52fefa8591bf6ccce0cdf3aa2fb1bc294d3fc1b8233f76fca72cb6de5912c6c",
+    (
+        "classify", "--groups", "ab:4,8", "--max-group-order", "32",
+        "--max-r", "4", "--max-s", "4",
+    ): "0ca801432f55a4a4de36bfe824862b7e3814179d5ba433305aa448ea4baae3f4",
 }
 
 
