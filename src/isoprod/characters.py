@@ -85,9 +85,6 @@ class CharacterTable:
             return chi
         return self._index[chi.values]
 
-    def conjugate(self, chi) -> Character:
-        return self.characters[self.conj_index[self.index_of(chi)]]
-
     def value(self, chi, g) -> Cyc:
         """Exact value chi(g) for a group element g."""
         chi = self.characters[self.index_of(chi)]

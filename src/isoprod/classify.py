@@ -25,7 +25,7 @@ from .covers import (
     _count_vectors,
     _multiset_genus,
     _raw_tuples,
-    isotypic_dimensions,
+    h1_multiplicities,
 )
 from .errors import ConsistencyError, DomainError, IsoprodError
 from .groups import abelian_invariants, build_group, center, class_index
@@ -86,9 +86,10 @@ def _kernel_masks(table):
     return cache
 
 
-def _aut0_mask(table, dimsC_positive_mask, dimsD_conj_positive_mask):
+def _aut0_mask(table, relevant):
+    """Mask of the central elements in Ker(chi) for every chi whose bit
+    is set in ``relevant``."""
     ker_masks, center_mask = _kernel_masks(table)
-    relevant = dimsC_positive_mask & dimsD_conj_positive_mask
     out = center_mask
     i = 0
     m = relevant
@@ -121,17 +122,13 @@ def acts_trivially(S: UnmixedSurface, sigma: int) -> bool:
 
 def compute_aut0(S: UnmixedSurface) -> frozenset:
     """{sigma in Z_G : sigma acts trivially on H^*(S, QQ)}; always a
-    subgroup containing the identity."""
-    table = character_table(S.group)
-    dimsC = isotypic_dimensions(S.cover_C, table)
-    dimsD = isotypic_dimensions(S.cover_D, table)
-    maskC = sum(1 << i for i, d in enumerate(dimsC) if d > 0)
-    maskDc = sum(
-        1 << i
-        for i in range(len(dimsD))
-        if dimsD[table.conj_index[i]] > 0
+    subgroup containing the identity.  The chi that matter are those
+    with a nonzero H^2 summand, i.e. H^1(C)^chi and H^1(D)^conj(chi)
+    both nonzero."""
+    relevant = sum(
+        1 << i for i, a in enumerate(S.invariants.h2_summands) if a
     )
-    return _mask_to_set(_aut0_mask(table, maskC, maskDc))
+    return _mask_to_set(_aut0_mask(character_table(S.group), relevant))
 
 
 # -- conformance with the classification shape ------------------------
@@ -197,35 +194,16 @@ def _class_data(G, table, b):
     cache = G._cache.setdefault("class_data", {})
     if b in cache:
         return cache[b]
-    nchars = len(table.characters)
-    trivial = table.trivial_index
-    degrees = [c.degree for c in table.characters]
-    # l[class][char]
-    class_reps = [c.representative for c in table.classes]
-    ltab = [
-        [table.trivial_multiplicity(i, rep) for i in range(nchars)]
-        for rep in class_reps
-    ]
 
     def class_data(cls_key):
-        dims = []
-        for i in range(nchars):
-            if i == trivial:
-                dims.append(2 * b)
-            else:
-                d = degrees[i] * (2 * b - 2 + len(cls_key)) - sum(
-                    ltab[c][i] for c in cls_key
-                )
-                dims.append(d)
-        maskpos = sum(1 << i for i, d in enumerate(dims) if d > 0)
+        mults = h1_multiplicities(table, b, cls_key)
+        maskpos = sum(1 << i for i, m in enumerate(mults) if m)
         maskconj = sum(
-            1 << i
-            for i in range(nchars)
-            if dims[table.conj_index[i]] > 0
+            1 << i for i, j in enumerate(table.conj_index) if mults[j]
         )
         sig = 1
         for c in cls_key:
-            for x in _conj_cyclic(G, class_reps[c]):
+            for x in _conj_cyclic(G, table.classes[c].representative):
                 sig |= 1 << x
         return maskpos, maskconj, sig
 
@@ -359,20 +337,22 @@ def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivi
             reps[b, key] = _representative(G, table, b, key, *caps)
         return reps[b, key]
 
+    aut0_of = {}  # maskC & maskDc -> _aut0_mask
     for bC, bD in bounds.base_genera:
-        bks_C = side(bC, bounds.max_branch_points_r)
-        bks_D = side(bD, bounds.max_branch_points_s)
-        for keyC in sorted(bks_C):
-            cntC = bks_C[keyC]
-            rC, gC, maskC, _mcC, sigC, uC = keyC
-            for keyD in sorted(bks_D):
-                cntD = bks_D[keyD]
-                rD, gD, _mD, maskDc, sigD, uD = keyD
+        items_C = sorted(side(bC, bounds.max_branch_points_r).items())
+        items_D = sorted(side(bD, bounds.max_branch_points_s).items())
+        for keyC, cntC in items_C:
+            _r, _g, maskC, _mc, sigC, _u = keyC
+            for keyD, cntD in items_D:
+                _r, _g, _m, maskDc, sigD, _u = keyD
                 if sigC & sigD != 1:
                     continue
                 weight = cntC * cntD
                 counts["surfaces"] += weight
-                a_mask = _aut0_mask(table, maskC, maskDc)
+                relevant = maskC & maskDc
+                if relevant not in aut0_of:
+                    aut0_of[relevant] = _aut0_mask(table, relevant)
+                a_mask = aut0_of[relevant]
                 if a_mask == 1 and detail != "full":
                     continue
                 exC, exD = rep(bC, keyC), rep(bD, keyD)

@@ -148,35 +148,37 @@ def stabilizer_union(v: GeneratingVector) -> frozenset:
     return frozenset(acc)
 
 
-def broughton_multiplicity(cover: BranchedCover, table, chi) -> int:
-    """Multiplicity of chi in H^1(C, CC): chi(1)(2b-2+r) - sum_j
-    l_{gamma_j}(chi) for nontrivial chi, 2b for the trivial character."""
-    v = cover.vector
-    b = v.base_genus
-    i = table.index_of(chi)
-    if i == table.trivial_index:
-        return 2 * b
-    c = table.characters[i]
-    m = c.degree * (2 * b - 2 + len(v.gammas))
-    for g in v.gammas:
-        m -= table.trivial_multiplicity(i, g)
-    if m < 0:
-        raise ConsistencyError(f"negative isotypic multiplicity {m}")
-    return m
-
-
-def broughton_dimension(cover: BranchedCover, table, chi) -> int:
-    """Dimension of the chi-isotypic component of H^1(C, CC), i.e.
-    chi(1) times the multiplicity."""
-    i = table.index_of(chi)
-    return table.characters[i].degree * broughton_multiplicity(cover, table, i)
+def h1_multiplicities(table, b: int, classes) -> tuple:
+    """Per-irreducible multiplicities in H^1(C, CC) of a G-cover of a
+    genus-b curve whose branch elements lie in the conjugacy classes
+    ``classes`` (a multiset of class indices), by Broughton's formula:
+    2b for the trivial character, chi(1)(2b-2+r) - sum_gamma
+    l_gamma(chi) for the others."""
+    reps = [table.classes[k].representative for k in classes]
+    out = []
+    for i, chi in enumerate(table.characters):
+        if i == table.trivial_index:
+            m = 2 * b
+        else:
+            m = chi.degree * (2 * b - 2 + len(reps)) - sum(
+                table.trivial_multiplicity(i, g) for g in reps
+            )
+            if m < 0:
+                raise ConsistencyError(f"negative isotypic multiplicity {m}")
+        out.append(m)
+    return tuple(out)
 
 
 def isotypic_dimensions(cover: BranchedCover, table) -> tuple:
-    """Per-irreducible dimensions of H^1(C, CC); they sum to 2 g(C)."""
+    """Per-irreducible dimensions of H^1(C, CC), chi(1) times the
+    ``h1_multiplicities``; they sum to 2 g(C)."""
+    v = cover.vector
+    classes = [table.class_of[g] for g in v.gammas]
     dims = tuple(
-        broughton_dimension(cover, table, i)
-        for i in range(len(table.characters))
+        chi.degree * m
+        for chi, m in zip(
+            table.characters, h1_multiplicities(table, v.base_genus, classes)
+        )
     )
     if sum(dims) != 2 * cover.genus:
         raise ConsistencyError(

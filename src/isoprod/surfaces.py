@@ -113,12 +113,6 @@ def _compute_invariants(S: UnmixedSurface) -> SurfaceInvariants:
     return SurfaceInvariants(q, pg, chi, K2, euler, b1, b2, tuple(summands))
 
 
-def h2_decomposition(S: UnmixedSurface) -> SurfaceInvariants:
-    """Invariants with the per-character H^2 summand dimensions; the W
-    term (H^2 tensor H^0 plus H^0 tensor H^2) contributes 2."""
-    return S.invariants
-
-
 EXAMPLE_FAMILIES = ("z2m_z2mn", "z2_z2m_z2mn")
 
 

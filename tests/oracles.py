@@ -130,6 +130,38 @@ def broughton_complex(G, table, cover, chi_index):
     return int(round(acc))
 
 
+def aut0_complex(S):
+    """Aut_0(S) by the paper's definition, in complex arithmetic: the
+    central sigma with chi(sigma) = chi(1) for every irreducible chi
+    such that H^1(C)^chi and H^1(D)^conj(chi) are both nonzero."""
+    from isoprod.characters import character_table
+
+    G = S.group
+    table = character_table(G)
+    vals = complex_table(table)
+    nchars = len(vals)
+    multC = [broughton_complex(G, table, S.cover_C, i) for i in range(nchars)]
+    multD = [broughton_complex(G, table, S.cover_D, i) for i in range(nchars)]
+
+    def close(row, other):
+        return all(abs(x - y) < 1e-9 for x, y in zip(row, other))
+
+    relevant = []
+    for i, row in enumerate(vals):
+        bar = [y.conjugate() for y in row]
+        j = next(j for j in range(nchars) if close(vals[j], bar))
+        if multC[i] and multD[j]:
+            relevant.append(row)
+    out = set()
+    for sigma in range(G.order):
+        if any(G.mult[sigma][g] != G.mult[g][sigma] for g in range(G.order)):
+            continue
+        k = table.class_of[sigma]
+        if all(abs(row[k] - row[0]) < 1e-9 for row in relevant):
+            out.add(sigma)
+    return frozenset(out)
+
+
 def chi_top_euler(gC, gD, order):
     """Euler number of (C x D)/G from multiplicativity."""
     num = (2 - 2 * gC) * (2 - 2 * gD)

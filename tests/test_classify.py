@@ -4,7 +4,9 @@ from isoprod.characters import character_table
 from isoprod.classify import (
     ClassificationRecord,
     SearchBounds,
+    _aut0_mask,
     _cover_buckets,
+    _mask_to_set,
     _representative,
     acts_trivially,
     check_conformance,
@@ -16,7 +18,7 @@ from isoprod.errors import ConsistencyError, DomainError
 from isoprod.groups import abelian_element, build_group, builtin_groups_upto
 from isoprod.surfaces import build_surface, example46_construct
 
-from oracles import listed_buckets
+from oracles import aut0_complex, listed_buckets
 
 
 def _klein_surface():
@@ -37,13 +39,18 @@ def test_acts_trivially():
     assert acts_trivially(S, 0)
 
 
-def test_acts_trivially_requires_central():
+def _s3_surface():
+    """A sym:3 surface and one of its (non-central) involutions."""
     G = build_group("sym:3")
     t = next(g for g in range(6) if G.element_order[g] == 2)
     c = next(g for g in range(6) if G.element_order[g] == 3)
     vC = GeneratingVector(G, 1, (c,), (c,), (t, t))
     vD = GeneratingVector(G, 1, (t,), (t,), (c, c, c))
-    S = build_surface(vC, vD)
+    return t, build_surface(vC, vD)
+
+
+def test_acts_trivially_requires_central():
+    t, S = _s3_surface()
     with pytest.raises(DomainError):
         acts_trivially(S, t)
 
@@ -54,13 +61,42 @@ def test_compute_aut0_klein():
 
 
 def test_compute_aut0_trivial_for_s3():
-    G = build_group("sym:3")
-    t = next(g for g in range(6) if G.element_order[g] == 2)
-    c = next(g for g in range(6) if G.element_order[g] == 3)
-    vC = GeneratingVector(G, 1, (c,), (c,), (t, t))
-    vD = GeneratingVector(G, 1, (t,), (t,), (c, c, c))
-    S = build_surface(vC, vD)
+    _, S = _s3_surface()
     assert compute_aut0(S) == frozenset([0])
+
+
+def test_compute_aut0_matches_complex_oracle():
+    """compute_aut0 and the bucket masks agree with Aut_0 by the paper's
+    definition in complex arithmetic: on every freely paired couple of
+    bucket representatives of four groups at b = 1, r <= 3, on both
+    example families and on a sym:3 surface."""
+    surfaces = []
+    for spec in ["ab:2,2", "ab:2,4", "dih:4", "quat:8"]:
+        G = build_group(spec)
+        table = character_table(G)
+        buckets, _ = _cover_buckets(G, table, 1, 3, 33, 8)
+        vectors = {}
+        for key in buckets:
+            ab, gammas = _representative(G, table, 1, key, 33, 8)
+            vectors[key] = GeneratingVector(G, 1, ab[:1], ab[1:], gammas)
+        for keyC, vC in sorted(vectors.items()):
+            for keyD, vD in sorted(vectors.items()):
+                if keyC[4] & keyD[4] != 1:
+                    continue
+                S = build_surface(vC, vD)
+                bucketed = _mask_to_set(_aut0_mask(table, keyC[2] & keyD[3]))
+                assert compute_aut0(S) == bucketed, (spec, keyC, keyD)
+                surfaces.append(S)
+    for family in ("z2m_z2mn", "z2_z2m_z2mn"):
+        for m, n, k, l in [(1, 1, 1, 1), (1, 2, 2, 1)]:
+            surfaces.append(example46_construct(family, m, n, k, l))
+    surfaces.append(_s3_surface()[1])
+    nontrivial = 0
+    for S in surfaces:
+        aut0 = compute_aut0(S)
+        assert aut0 == aut0_complex(S), S.to_json()
+        nontrivial += len(aut0) > 1
+    assert nontrivial > 0
 
 
 def test_conformance_positive():

@@ -4,9 +4,8 @@ from isoprod.characters import character_table
 from isoprod.covers import (
     GeneratingVector,
     _raw_tuples,
-    broughton_dimension,
-    broughton_multiplicity,
     enumerate_vectors,
+    h1_multiplicities,
     hurwitz_genus,
     isotypic_dimensions,
     stabilizer_union,
@@ -208,12 +207,12 @@ def test_broughton_against_complex_oracle():
         t = character_table(G)
         count = 0
         for cover in enumerate_vectors(G, 1, 3, genus_cap=20, dedup=True):
-            for i in range(len(t.characters)):
-                m = broughton_multiplicity(cover, t, i)
-                assert m == broughton_complex(G, t, cover, i)
-                assert broughton_dimension(cover, t, i) == (
-                    t.characters[i].degree * m
-                )
+            classes = [t.class_of[g] for g in cover.vector.gammas]
+            mults = h1_multiplicities(t, 1, classes)
+            dims = isotypic_dimensions(cover, t)
+            for i, chi in enumerate(t.characters):
+                assert mults[i] == broughton_complex(G, t, cover, i)
+                assert dims[i] == chi.degree * mults[i]
             count += 1
             if count >= 12:
                 break

@@ -7,7 +7,6 @@ from isoprod.surfaces import (
     EXAMPLE_FAMILIES,
     build_surface,
     example46_construct,
-    h2_decomposition,
 )
 
 from oracles import chi_top_euler
@@ -75,7 +74,7 @@ def test_b2_identity():
 def test_h2_decomposition_exposes_summands():
     G, vC, vD = _klein_vectors()
     S = build_surface(vC, vD)
-    inv = h2_decomposition(S)
+    inv = S.invariants
     assert len(inv.h2_summands) == 4
     assert inv.h2_summands == (4, 0, 0, 4)
 
