@@ -18,6 +18,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 from . import __version__
@@ -30,7 +31,9 @@ from .errors import (
 )
 from .groups import (
     GroupTable,
+    _extend_map,
     _greedy_generators,
+    _powers,
     _word_tree,
     class_index,
     conjugacy_classes,
@@ -215,35 +218,20 @@ def _sum_is(e, terms, want):
 
 
 def _abelian_characters(G: GroupTable):
+    """The homomorphisms G -> Z_e (e the exponent), each from the
+    images of the greedy generators, as linear characters."""
     n = G.order
     e = G.exponent
     classes = conjugacy_classes(G)
     gens = _greedy_generators(G.mult)
-    mult = G.mult
-    # word tree for evaluating a homomorphism from generator images
     parent, bfs = _word_tree(G.mult, gens)
-
-    import itertools
-
-    choice_sets = [
-        range(0, e, e // G.element_order[g]) for g in gens
-    ]
+    add_e = [[(a + b) % e for b in range(e)] for a in range(e)]
+    choice_sets = [range(0, e, e // G.element_order[g]) for g in gens]
     homs = []
-    for exps in itertools.product(*choice_sets):
-        val = [0] * n
-        for x in bfs[1:]:
-            px, gi = parent[x]
-            val[x] = (val[px] + exps[gi]) % e
-        ok = True
-        for x in range(n):
-            for gi, g in enumerate(gens):
-                if val[mult[x][g]] != (val[x] + exps[gi]) % e:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            homs.append(tuple(val))
+    for exps in product(*choice_sets):
+        val = _extend_map(G.mult, gens, parent, bfs, exps, add_e)
+        if val is not None:
+            homs.append(val)
     if len(set(homs)) != n:
         raise ConsistencyError(
             f"abelian character search found {len(set(homs))} characters, expected {n}"
@@ -381,15 +369,7 @@ def _dixon_characters(G: GroupTable):
     e_inv = pow(e, p - 2, p)
 
     # power-map classes: pw[r][j] = class of reps[r]^j, j = 0..|reps[r]|-1
-    pw = []
-    for r in range(k):
-        row = []
-        y = 0
-        d = G.element_order[reps[r]]
-        for _ in range(d):
-            row.append(class_of[y])
-            y = mult[y][reps[r]]
-        pw.append(row)
+    pw = [[class_of[y] for y in _powers(mult, x)] for x in reps]
 
     chars = []
     for B, _ in spaces:

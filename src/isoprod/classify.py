@@ -187,10 +187,13 @@ def check_conformance(rec: ClassificationRecord):
 
 
 def _class_data(G, table, b):
-    """The bucket data (maskpos, maskconj, sig) of a branch-class
-    multiset, i.e. the H^1 positivity mask over the irreducibles, the
-    same mask at the conjugate characters, and the stabilizer-union
-    mask.  Built once per base genus and cached on G."""
+    """The bucket data (maskpos, sig) of a branch-class multiset, i.e.
+    the H^1 positivity mask over the irreducibles and the
+    stabilizer-union mask.  Built once per base genus and cached on G.
+
+    H^1(C, C) is the complexification of H^1(C, Q), so chi and conj(chi)
+    have the same multiplicity: maskpos is also the mask at the
+    conjugate characters."""
     cache = G._cache.setdefault("class_data", {})
     if b in cache:
         return cache[b]
@@ -198,14 +201,11 @@ def _class_data(G, table, b):
     def class_data(cls_key):
         mults = h1_multiplicities(table, b, cls_key)
         maskpos = sum(1 << i for i, m in enumerate(mults) if m)
-        maskconj = sum(
-            1 << i for i, j in enumerate(table.conj_index) if mults[j]
-        )
         sig = 1
         for c in cls_key:
             for x in _conj_cyclic(G, table.classes[c].representative):
                 sig |= 1 << x
-        return maskpos, maskconj, sig
+        return maskpos, sig
 
     cache[b] = class_data
     return class_data
@@ -214,7 +214,7 @@ def _class_data(G, table, b):
 def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
     """Count the valid generating vectors in each bucket of the
     classification signature.  Key: (r, genus, dims-positivity mask,
-    conj-dims mask, stabilizer-union mask, uniform gamma or -1).
+    stabilizer-union mask, uniform gamma or -1).
     Returns (buckets, number of vectors dropped because their genus
     exceeds genus_cap), with buckets[key] the number of vectors in it.
 
@@ -337,19 +337,19 @@ def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivi
             reps[b, key] = _representative(G, table, b, key, *caps)
         return reps[b, key]
 
-    aut0_of = {}  # maskC & maskDc -> _aut0_mask
+    aut0_of = {}  # maskC & maskD -> _aut0_mask
     for bC, bD in bounds.base_genera:
         items_C = sorted(side(bC, bounds.max_branch_points_r).items())
         items_D = sorted(side(bD, bounds.max_branch_points_s).items())
         for keyC, cntC in items_C:
-            _r, _g, maskC, _mc, sigC, _u = keyC
+            _r, _g, maskC, sigC, _u = keyC
             for keyD, cntD in items_D:
-                _r, _g, _m, maskDc, sigD, _u = keyD
+                _r, _g, maskD, sigD, _u = keyD
                 if sigC & sigD != 1:
                     continue
                 weight = cntC * cntD
                 counts["surfaces"] += weight
-                relevant = maskC & maskDc
+                relevant = maskC & maskD
                 if relevant not in aut0_of:
                     aut0_of[relevant] = _aut0_mask(table, relevant)
                 a_mask = aut0_of[relevant]

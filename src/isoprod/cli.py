@@ -27,8 +27,6 @@ from .errors import ConsistencyError, IsoprodError, UsageError
 from .groups import build_group, builtin_groups_upto
 from .surfaces import EXAMPLE_FAMILIES, build_surface, example46_construct
 
-FORMATS = ("json", "csv", "table")
-
 
 def _out(line=""):
     sys.stdout.write(line + "\n")
@@ -267,10 +265,6 @@ def cmd_verify_example(args):
 # -- argument parsing --------------------------------------------------
 
 
-def _add_format(p):
-    p.add_argument("--format", choices=FORMATS, default="json")
-
-
 def make_parser():
     p = argparse.ArgumentParser(
         prog="isoprod",
@@ -283,7 +277,7 @@ def make_parser():
     q = sub.add_parser("chartab", help="exact character table of a group")
     q.add_argument("group")
     q.add_argument("--method", choices=("auto", "abelian", "dixon"), default="auto")
-    _add_format(q)
+    q.add_argument("--format", choices=("json", "csv", "table"), default="json")
     q.add_argument("--cache-dir", default=None)
     q.set_defaults(fn=cmd_chartab)
 
@@ -295,14 +289,14 @@ def make_parser():
     q.add_argument("--genus-cap", type=int, default=65)
     q.add_argument("--branch-order-cap", type=int, default=None)
     q.add_argument("--no-dedup", action="store_true")
-    _add_format(q)
+    q.add_argument("--format", choices=("json", "csv", "table"), default="json")
     q.set_defaults(fn=cmd_covers)
 
     q = sub.add_parser("surfaces", help="build one surface from two vectors")
     q.add_argument("group")
     q.add_argument("--vc", required=True, help="vector as b|alphas|betas|gammas")
     q.add_argument("--vd", required=True)
-    _add_format(q)
+    q.add_argument("--format", choices=("json", "table"), default="json")
     q.set_defaults(fn=cmd_surfaces)
 
     q = sub.add_parser("classify", help="exhaustive sweep for nontrivial Aut_0")
@@ -328,7 +322,7 @@ def make_parser():
     q.add_argument("n", type=int)
     q.add_argument("k", type=int)
     q.add_argument("l", type=int)
-    _add_format(q)
+    q.add_argument("--format", choices=("json", "table"), default="json")
     q.set_defaults(fn=cmd_verify_example)
     return p
 

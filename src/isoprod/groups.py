@@ -75,14 +75,7 @@ class GroupTable:
             if inv[g] is None or mult[inv[g]][g] != 0:
                 raise TableError(f"element {g} has no two-sided inverse")
         self.inverse = tuple(inv)
-        orders = [0] * n
-        for g in range(n):
-            x, k = g, 1
-            while x != 0:
-                x = mult[x][g]
-                k += 1
-            orders[g] = k
-        self.element_order = tuple(orders)
+        self.element_order = tuple(len(_powers(mult, g)) for g in range(n))
         if labels is None:
             labels = tuple(f"g{i}" for i in range(n))
         self.labels = tuple(labels)
@@ -98,11 +91,7 @@ class GroupTable:
         return m[m[m[g][h]][self.inverse[g]]][self.inverse[h]]
 
     def power(self, g, k):
-        x = 0
-        k %= self.element_order[g]
-        for _ in range(k):
-            x = self.mult[x][g]
-        return x
+        return _powers(self.mult, g)[k % self.element_order[g]]
 
     @property
     def exponent(self):
@@ -162,6 +151,16 @@ def _find_identity(mult):
         if all(mult[e][g] == g and mult[g][e] == g for g in range(n)):
             return e
     raise TableError("no identity element")
+
+
+def _powers(mult, g):
+    """[1, g, g^2, ..., g^(d-1)] as indices, d the order of g."""
+    out = [0]
+    x = g
+    while x != 0:
+        out.append(x)
+        x = mult[x][g]
+    return out
 
 
 def _word_tree(mult, gens):
@@ -283,12 +282,7 @@ def commutator_subgroup(G: GroupTable):
 def cyclic_subgroup(G: GroupTable, g):
     if not 0 <= g < G.order:
         raise DomainError(f"element index {g} out of range")
-    out = [0]
-    x = g
-    while x != 0:
-        out.append(x)
-        x = G.mult[x][g]
-    return frozenset(out)
+    return frozenset(_powers(G.mult, g))
 
 
 def abelian_invariants(G: GroupTable):
@@ -300,33 +294,20 @@ def abelian_invariants(G: GroupTable):
     if not G.is_abelian():
         raise DomainError("abelian_invariants requires an abelian group")
     factors = []
-    H = {0}
-    m = G.mult
-    n = G.order
-    while len(H) < n:
-        best_g, best_d = None, 0
-        for g in range(n):
-            if g in H:
-                continue
-            x, d = g, 1
-            while x not in H:
-                x = m[x][g]
-                d += 1
-            if d > best_d:
-                best_g, best_d = g, d
-        factors.append(best_d)
-        newH = set(H)
-        x = 0
-        for _ in range(best_d):
-            newH |= {m[h][x] for h in H}
-            x = m[x][best_g]
-        H = newH
+    H = frozenset([0])
+
+    def order_mod_H(g):
+        # the order of gH in G/H is |<g>| / |<g> & H|
+        pw = _powers(G.mult, g)
+        return len(pw) // len(H.intersection(pw))
+
+    while len(H) < G.order:
+        g = max(range(G.order), key=order_mod_H)
+        factors.append(order_mod_H(g))
+        H = closure(G, H | {g})
     factors.reverse()
     assert all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
-    prod = 1
-    for d in factors:
-        prod *= d
-    assert prod == n
+    assert prod(factors) == G.order
     return tuple(factors)
 
 
@@ -452,10 +433,6 @@ def automorphisms(G: GroupTable):
     if "automorphisms" in G._cache:
         return G._cache["automorphisms"]
     n = G.order
-    if n == 1:
-        auts = ((0,),)
-        G._cache["automorphisms"] = auts
-        return auts
     gens = _greedy_generators(G.mult)
     reg = subgroup_registry(G)
     parent, bfs_order = _word_tree(G.mult, gens)
@@ -475,8 +452,8 @@ def automorphisms(G: GroupTable):
 
     def assign(k, images, sid):
         if k == len(gens):
-            phi = _build_map(G, gens, images, parent, bfs_order)
-            if phi is not None:
+            phi = _extend_map(G.mult, gens, parent, bfs_order, images, G.mult)
+            if phi is not None and len(set(phi)) == n:
                 auts.append(phi)
             return
         target_size = len(reg.sets[gen_sids[k]])
@@ -491,19 +468,20 @@ def automorphisms(G: GroupTable):
     return auts
 
 
-def _build_map(G, gens, images, parent, bfs_order):
-    n = G.order
-    phi = [0] * n
+def _extend_map(mult, gens, parent, bfs_order, images, target):
+    """The map that sends gens[i] to images[i] in the group with Cayley
+    table ``target``, extended along the word tree (parent, bfs_order)
+    of ``gens`` in ``mult``, as a tuple; None unless it is multiplicative
+    on every (x, generator) pair, which makes it a homomorphism."""
+    phi = [0] * len(mult)
     for x in bfs_order[1:]:
         px, gi = parent[x]
-        phi[x] = G.mult[phi[px]][images[gi]]
-    # multiplicative on (x, gen) pairs => homomorphism everywhere
-    for x in range(n):
-        for gi, g in enumerate(gens):
-            if phi[G.mult[x][g]] != G.mult[phi[x]][images[gi]]:
+        phi[x] = target[phi[px]][images[gi]]
+    for x, row in enumerate(mult):
+        image_row = target[phi[x]]
+        for g, im in zip(gens, images):
+            if phi[row[g]] != image_row[im]:
                 return None
-    if len(set(phi)) != n:
-        return None
     return tuple(phi)
 
 
@@ -627,11 +605,13 @@ def _cycle_label(p):
     return "".join(parts) if parts else "()"
 
 
-def _cycle_perm(npoints, cycle):
-    """The permutation of 0..npoints-1 sending cycle[i] to cycle[i+1]."""
+def _cycle_perm(npoints, cycles):
+    """The permutation of 0..npoints-1 that sends each point of the
+    disjoint ``cycles`` to the next point of its cycle."""
     p = list(range(npoints))
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        p[a] = b
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            p[a] = b
     return tuple(p)
 
 
@@ -656,18 +636,11 @@ def _parse_perm_gens(body):
                 raise GroupSpecError("cycle notation uses 1-based points")
             if len(set(pts)) != len(pts):
                 raise GroupSpecError(f"repeated point in cycle ({cyc})")
-            cycles.append(pts)
+            cycles.append([p - 1 for p in pts])
             npoints = max(npoints, max(pts, default=0))
         raw.append(cycles)
     npoints = max(npoints, 1)
-    perms = []
-    for cycles in raw:
-        p = list(range(npoints))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                p[a - 1] = b - 1
-        perms.append(tuple(p))
-    return perms, npoints
+    return [_cycle_perm(npoints, cycles) for cycles in raw], npoints
 
 
 def _load_cayley(path):
@@ -681,10 +654,20 @@ def _load_cayley(path):
     if not isinstance(data, dict) or "table" not in data:
         raise GroupSpecError('cayley file must be {"order": N, "table": [[...]]}')
     table = data["table"]
+    if not (
+        isinstance(table, list)
+        and table
+        and all(isinstance(row, list) for row in table)
+        and all(isinstance(x, int) for row in table for x in row)
+    ):
+        raise GroupSpecError(
+            "cayley table must be a non-empty list of rows of integers"
+        )
     if "order" in data and len(table) != data["order"]:
         raise GroupSpecError("cayley file order does not match table size")
+    _check_latin(table)
     # relabel so the identity lands at index 0
-    ident = _find_identity(tuple(tuple(row) for row in table))
+    ident = _find_identity(table)
     if ident != 0:
         n = len(table)
         perm = list(range(n))
@@ -741,7 +724,7 @@ def build_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
                 raise GroupSpecError("alt:n supports 3 <= n <= 5")
             order = factorial(n) // (2 if kind == "alt" else 1)
             moved = (0,) if kind == "sym" else (0, 1)
-            gens = [_cycle_perm(n, moved + (k,)) for k in range(len(moved), n)]
+            gens = [_cycle_perm(n, [moved + (k,)]) for k in range(len(moved), n)]
             make = partial(_perm_group_table, gens, n, f"{kind}:{n}", order_cap)
     else:
         raise GroupSpecError(f"unknown group family {kind!r} in {spec!r}")

@@ -210,8 +210,9 @@ def listed_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
     """The classification sweep's buckets by listing: every vector of
     ``brute_vectors`` with r <= max_r and no branch order over
     branch_order_cap, keyed one vector at a time by (r, genus, H^1
-    positivity mask over the irreducibles, the same mask at the
-    conjugate characters, stabilizer-union mask, uniform gamma or -1).
+    positivity mask over the irreducibles, stabilizer-union mask,
+    uniform gamma or -1).  The same mask at the conjugate characters is
+    computed too and must equal the plain one.
 
     Returns (counts, first, truncated): the number of vectors per key,
     the first vector listed per key as (ab, gammas), and the number of
@@ -286,8 +287,9 @@ def listed_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
             dims[trivial] = 2 * b
             maskpos = sum(1 << i for i in range(nchars) if dims[i] > 0)
             maskconj = sum(1 << i for i in range(nchars) if dims[conj[i]] > 0)
+            assert maskconj == maskpos, (G.spec, b, gam)
             u = gam[0] if gam and all(g == gam[0] for g in gam) else -1
-            key = (r, genus, maskpos, maskconj, sig, u)
+            key = (r, genus, maskpos, sig, u)
             counts[key] = counts.get(key, 0) + 1
             first.setdefault(key, (tuple(ab), tuple(gam)))
     return counts, first, truncated

@@ -81,10 +81,10 @@ def test_compute_aut0_matches_complex_oracle():
             vectors[key] = GeneratingVector(G, 1, ab[:1], ab[1:], gammas)
         for keyC, vC in sorted(vectors.items()):
             for keyD, vD in sorted(vectors.items()):
-                if keyC[4] & keyD[4] != 1:
+                if keyC[3] & keyD[3] != 1:
                     continue
                 S = build_surface(vC, vD)
-                bucketed = _mask_to_set(_aut0_mask(table, keyC[2] & keyD[3]))
+                bucketed = _mask_to_set(_aut0_mask(table, keyC[2] & keyD[2]))
                 assert compute_aut0(S) == bucketed, (spec, keyC, keyD)
                 surfaces.append(S)
     for family in ("z2m_z2mn", "z2_z2m_z2mn"):
@@ -223,7 +223,7 @@ def test_representative_of_an_empty_bucket_raises():
     """A key that no vector has is a consistency error naming the group
     spec, the base genus and the key."""
     G = build_group("ab:2,2")
-    key = (2, 99, 1, 1, 1, -1)
+    key = (2, 99, 1, 1, -1)
     with pytest.raises(ConsistencyError) as err:
         _representative(G, character_table(G), 1, key, 9, 8)
     message = str(err.value)

@@ -46,6 +46,24 @@ def test_chartab_missing_cayley(capsys):
     assert "missing.json" in err
 
 
+@pytest.mark.parametrize(
+    "table, code, message",
+    [
+        (5, 1, "list of rows"),
+        ([[1, 0], [0]], 2, "row 1 has length 1, expected 2"),
+    ],
+)
+def test_chartab_malformed_cayley(capsys, tmp_path, table, code, message):
+    """A malformed cayley file is an error message and an exit code, not
+    a traceback: a table that is not a list of rows is a bad spec (1), a
+    ragged one a bad table (2)."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"table": table}))
+    got, out, err = run(capsys, "chartab", f"cayley:{path}")
+    assert (got, out) == (code, "")
+    assert message in err
+
+
 def test_chartab_csv(capsys):
     code, out, _ = run(capsys, "chartab", "ab:4", "--format", "csv")
     assert code == 0
@@ -132,11 +150,15 @@ def test_golden_stdout(capsys):
          "--cache-dir", "x"),
         ("verify-example", "1", "1", "1", "1", "1", "--cache-dir", "x"),
         ("classify", "--groups", "ab:2", "--format", "json"),
+        ("surfaces", "ab:2,2", "--vc", "1|2|1|2,2", "--vd", "1|2|1|1,1",
+         "--format", "csv"),
+        ("verify-example", "1", "1", "1", "1", "1", "--format", "csv"),
     ],
 )
 def test_flags_without_effect_are_rejected(capsys, argv):
     """--cache-dir exists only where a character table is cached
-    (chartab, classify) and classify has no --format."""
+    (chartab, classify), classify has no --format, and csv exists only
+    where it differs from the table format (chartab, covers)."""
     code, out, _ = run(capsys, *argv)
     assert code == 1 and out == ""
 

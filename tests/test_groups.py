@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isoprod.characters import character_table
 from isoprod.errors import GroupSpecError, SizeError, TableError
 from isoprod.groups import (
     GroupTable,
@@ -155,6 +156,25 @@ def test_cayley_identity_relabel(tmp_path):
     assert H.invariant_signature() == G.invariant_signature()
 
 
+def test_generator_images_that_do_not_extend(tmp_path):
+    """Z_4 x Z_2 listed as (0,0), (1,0), (1,1), ...: both greedy
+    generators have order 4, so of the 16 candidate character images
+    the 8 that break 2*(1,0) = 2*(1,1) must be rejected."""
+    coords = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1), (3, 0), (3, 1)]
+    pos = {c: i for i, c in enumerate(coords)}
+    table = [
+        [pos[(a + c) % 4, (b + d) % 2] for c, d in coords] for a, b in coords
+    ]
+    path = tmp_path / "z4z2.json"
+    path.write_text(json.dumps({"table": table}))
+    G = build_group(f"cayley:{path}")
+    ta = character_table(G, method="abelian")
+    td = character_table(G, method="dixon")
+    assert [c.values for c in ta.characters] == [c.values for c in td.characters]
+    assert abelian_invariants(G) == (2, 4)
+    assert len(automorphisms(G)) == 8
+
+
 def test_cayley_missing_file():
     with pytest.raises(GroupSpecError):
         build_group("cayley:/nonexistent/file.json")
@@ -228,6 +248,7 @@ def test_subgroup_table_reindex():
 def test_automorphism_counts():
     # |Aut| for well-known small groups
     expected = {
+        "ab:1": 1,
         "ab:2": 1,
         "ab:3": 2,
         "ab:2,2": 6,
