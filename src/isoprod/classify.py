@@ -28,7 +28,7 @@ from .covers import (
     h1_multiplicities,
 )
 from .errors import ConsistencyError, DomainError, IsoprodError
-from .groups import abelian_invariants, build_group, center, class_index
+from .groups import _memo, abelian_invariants, build_group, center, class_index
 from .surfaces import UnmixedSurface, build_surface
 
 DEFAULT_BASE_GENERA = ((1, 1),)
@@ -69,27 +69,21 @@ class ClassificationRecord:
 # -- the kernel criterion ---------------------------------------------
 
 
-def _kernel_masks(table):
-    cache = table.group._cache.setdefault("ker_masks", None)
-    if cache is None:
-        masks = []
-        for i in range(len(table.characters)):
-            m = 0
-            for g in table.kernel(i):
-                m |= 1 << g
-            masks.append(m)
-        cmask = 0
-        for g in center(table.group):
-            cmask |= 1 << g
-        cache = (tuple(masks), cmask)
-        table.group._cache["ker_masks"] = cache
-    return cache
+@_memo
+def _kernel_masks(G):
+    """(mask of Ker(chi) for each chi of character_table(G), mask of the
+    center)."""
+    table = character_table(G)
+    masks = tuple(
+        sum(1 << g for g in table.kernel(i)) for i in range(len(table.characters))
+    )
+    return masks, sum(1 << g for g in center(G))
 
 
 def _aut0_mask(table, relevant):
     """Mask of the central elements in Ker(chi) for every chi whose bit
     is set in ``relevant``."""
-    ker_masks, center_mask = _kernel_masks(table)
+    ker_masks, center_mask = _kernel_masks(table.group)
     out = center_mask
     i = 0
     m = relevant
@@ -334,7 +328,8 @@ def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivi
     def rep(b, key):
         """A bucket's representative; a key serves many pairs."""
         if (b, key) not in reps:
-            reps[b, key] = _representative(G, table, b, key, *caps)
+            ab, gammas = _representative(G, table, b, key, *caps)
+            reps[b, key] = GeneratingVector(G, b, ab[:b], ab[b:], gammas)
         return reps[b, key]
 
     aut0_of = {}  # maskC & maskD -> _aut0_mask
@@ -355,19 +350,17 @@ def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivi
                 a_mask = aut0_of[relevant]
                 if a_mask == 1 and detail != "full":
                     continue
-                exC, exD = rep(bC, keyC), rep(bD, keyD)
+                vC, vD = rep(bC, keyC), rep(bD, keyD)
                 try:
-                    rec = _build_record(
-                        G, table, bC, bD, exC, exD, a_mask, weight
-                    )
+                    rec = _build_record(vC, vD, a_mask, weight)
                 except IsoprodError as exc:
                     counts["errors"] += 1
                     records.append(
                         {
                             "group": spec,
                             "error": str(exc),
-                            "vC": _vec_json(spec, bC, exC),
-                            "vD": _vec_json(spec, bD, exD),
+                            "vC": vC.to_json(),
+                            "vD": vD.to_json(),
                         }
                     )
                     continue
@@ -380,22 +373,7 @@ def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivi
     return records, counts
 
 
-def _vec_json(spec, b, ex):
-    ab, gammas = ex
-    return {
-        "group": spec,
-        "b": b,
-        "alphas": list(ab[:b]),
-        "betas": list(ab[b:]),
-        "gammas": list(gammas),
-    }
-
-
-def _build_record(G, table, bC, bD, exC, exD, a_mask, weight):
-    abC, gammasC = exC
-    abD, gammasD = exD
-    vC = GeneratingVector(G, bC, abC[:bC], abC[bC:], gammasC)
-    vD = GeneratingVector(G, bD, abD[:bD], abD[bD:], gammasD)
+def _build_record(vC, vD, a_mask, weight):
     S = build_surface(vC, vD)
     aut0 = compute_aut0(S)
     if aut0 != _mask_to_set(a_mask):

@@ -34,8 +34,9 @@ from .groups import (
 AUTOMORPHISM_DEDUP_LIMIT = 32
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GeneratingVector:
+    # GroupTable has no __eq__, so the group compares by identity
     group: GroupTable
     base_genus: int
     alphas: tuple
@@ -45,19 +46,6 @@ class GeneratingVector:
     @property
     def branch_orders(self):
         return tuple(self.group.element_order[g] for g in self.gammas)
-
-    def key(self):
-        return (self.base_genus, self.alphas, self.betas, self.gammas)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GeneratingVector)
-            and self.group is other.group
-            and self.key() == other.key()
-        )
-
-    def __hash__(self):
-        return hash(self.key())
 
     def to_json(self):
         return {
@@ -118,7 +106,9 @@ def validate_vector(v: GeneratingVector) -> BranchedCover:
             f"long relation fails: product is {G.labels[prod]}, not identity"
         )
     reg = subgroup_registry(G)
-    sid = reg.extend_many(0, alphas + betas + gammas)
+    sid = 0
+    for g in alphas + betas + gammas:
+        sid = reg.extend(sid, g)
     if len(reg.sets[sid]) != n:
         raise GenerationError(
             f"elements generate a subgroup of order {len(reg.sets[sid])}, not G"

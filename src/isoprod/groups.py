@@ -3,7 +3,7 @@
 Elements are indices 0..order-1 with the identity at index 0.  Groups are
 built from a small spec mini-language (see ``build_group``), validated at
 construction (Latin square, associativity, inverses) and immutable
-afterwards; every derived structure is cached on the table.
+afterwards; every derived structure is computed once, by ``_memo``.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from functools import partial
-from math import factorial, gcd, prod
+from functools import partial, wraps
+from math import factorial, lcm, prod
 from operator import itemgetter
 
 from .errors import (
@@ -27,8 +27,20 @@ from .errors import (
 DEFAULT_ORDER_CAP = 128
 
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
+def _memo(fn):
+    """``fn(G)`` computed once per table and kept in ``G._cache`` under
+    fn's name; for functions of the table alone."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def memoized(G):
+        try:
+            return G._cache[name]
+        except KeyError:
+            out = G._cache[name] = fn(G)
+            return out
+
+    return memoized
 
 
 class GroupTable:
@@ -66,15 +78,11 @@ class GroupTable:
             raise TableError("identity element must sit at index 0")
         self.identity = 0
         _check_associative(mult)
-        inv = [None] * n
-        for g in range(n):
-            for h in range(n):
-                if mult[g][h] == 0:
-                    inv[g] = h
-                    break
-            if inv[g] is None or mult[inv[g]][g] != 0:
+        # each row of a Latin square holds exactly one identity
+        self.inverse = tuple(row.index(0) for row in mult)
+        for g, h in enumerate(self.inverse):
+            if mult[h][g] != 0:
                 raise TableError(f"element {g} has no two-sided inverse")
-        self.inverse = tuple(inv)
         self.element_order = tuple(len(_powers(mult, g)) for g in range(n))
         if labels is None:
             labels = tuple(f"g{i}" for i in range(n))
@@ -94,32 +102,22 @@ class GroupTable:
         return _powers(self.mult, g)[k % self.element_order[g]]
 
     @property
+    @_memo
     def exponent(self):
-        e = 1
-        for k in self.element_order:
-            e = _lcm(e, k)
-        return e
+        return lcm(*self.element_order)
 
     def is_abelian(self):
-        if "abelian" not in self._cache:
-            m = self.mult
-            self._cache["abelian"] = all(
-                m[g][h] == m[h][g]
-                for g in range(self.order)
-                for h in range(g + 1, self.order)
-            )
-        return self._cache["abelian"]
+        return len(conjugacy_classes(self)) == self.order
 
+    @_memo
     def fingerprint(self):
         """Stable digest of the full table; used as a cache key."""
-        if "fp" not in self._cache:
-            h = hashlib.sha256()
-            h.update(str(self.order).encode())
-            for row in self.mult:
-                h.update(bytes(x % 256 for x in row))
-                h.update(str(row).encode())
-            self._cache["fp"] = h.hexdigest()[:24]
-        return self._cache["fp"]
+        h = hashlib.sha256()
+        h.update(str(self.order).encode())
+        for row in self.mult:
+            h.update(bytes(x % 256 for x in row))
+            h.update(str(row).encode())
+        return h.hexdigest()[:24]
 
     def invariant_signature(self):
         """(order, class sizes, element-order census) -- the comparison
@@ -217,10 +215,9 @@ class ConjugacyClass:
     members: tuple
 
 
+@_memo
 def conjugacy_classes(G: GroupTable):
     """Classes sorted by (size, representative index); identity first."""
-    if "classes" in G._cache:
-        return G._cache["classes"]
     n = G.order
     seen = [False] * n
     classes = []
@@ -235,29 +232,25 @@ def conjugacy_classes(G: GroupTable):
             seen[x] = True
         classes.append(ConjugacyClass(members[0], members))
     classes.sort(key=lambda c: (len(c.members), c.representative))
-    classes = tuple(classes)
-    G._cache["classes"] = classes
-    class_of = [0] * n
-    for i, c in enumerate(classes):
+    return tuple(classes)
+
+
+@_memo
+def class_index(G: GroupTable):
+    """class_index(G)[x] is the position of x's class in the classes."""
+    class_of = [0] * G.order
+    for i, c in enumerate(conjugacy_classes(G)):
         for x in c.members:
             class_of[x] = i
-    G._cache["class_of"] = tuple(class_of)
-    return classes
+    return tuple(class_of)
 
 
-def class_index(G: GroupTable):
-    conjugacy_classes(G)
-    return G._cache["class_of"]
-
-
+@_memo
 def center(G: GroupTable):
-    if "center" not in G._cache:
-        m = G.mult
-        n = G.order
-        G._cache["center"] = frozenset(
-            g for g in range(n) if all(m[g][h] == m[h][g] for h in range(n))
-        )
-    return G._cache["center"]
+    """The elements whose conjugacy class is a singleton."""
+    return frozenset(
+        c.representative for c in conjugacy_classes(G) if len(c.members) == 1
+    )
 
 
 def closure(G: GroupTable, elements):
@@ -270,13 +263,10 @@ def closure(G: GroupTable, elements):
     return frozenset(_word_tree(G.mult, list(set(elements)))[1])
 
 
+@_memo
 def commutator_subgroup(G: GroupTable):
-    if "commutator" not in G._cache:
-        comms = {
-            G.commutator(g, h) for g in range(G.order) for h in range(G.order)
-        }
-        G._cache["commutator"] = closure(G, comms)
-    return G._cache["commutator"]
+    comms = {G.commutator(g, h) for g in range(G.order) for h in range(G.order)}
+    return closure(G, comms)
 
 
 def cyclic_subgroup(G: GroupTable, g):
@@ -316,7 +306,8 @@ def abelian_invariants(G: GroupTable):
 
 class SubgroupRegistry:
     """Interns subgroups as small ids with a memoized one-element
-    extension map; backbone of the enumeration hot loops."""
+    extension map; backbone of the enumeration hot loops and of
+    ``all_subgroups``."""
 
     def __init__(self, G: GroupTable):
         self.G = G
@@ -324,15 +315,8 @@ class SubgroupRegistry:
         self.ids = {self.sets[0]: 0}
         self.ext = {}
 
-    def intern(self, s: frozenset):
-        i = self.ids.get(s)
-        if i is None:
-            i = len(self.sets)
-            self.sets.append(s)
-            self.ids[s] = i
-        return i
-
     def extend(self, sid, g):
+        """The id of the subgroup generated by subgroup ``sid`` and g."""
         key = (sid, g)
         out = self.ext.get(key)
         if out is None:
@@ -340,42 +324,37 @@ class SubgroupRegistry:
             if g in s:
                 out = sid
             else:
-                out = self.intern(closure(self.G, set(s) | {g}))
+                K = closure(self.G, s | {g})
+                out = self.ids.setdefault(K, len(self.sets))
+                if out == len(self.sets):
+                    self.sets.append(K)
             self.ext[key] = out
         return out
 
-    def extend_many(self, sid, elems):
-        for g in elems:
-            sid = self.extend(sid, g)
-        return sid
 
-
+@_memo
 def subgroup_registry(G: GroupTable) -> SubgroupRegistry:
-    if "subreg" not in G._cache:
-        G._cache["subreg"] = SubgroupRegistry(G)
-    return G._cache["subreg"]
+    return SubgroupRegistry(G)
 
 
+@_memo
 def all_subgroups(G: GroupTable):
-    """Every subgroup of G as a frozenset, smallest first."""
-    if "subgroups" in G._cache:
-        return G._cache["subgroups"]
-    found = {frozenset([0])}
-    frontier = [frozenset([0])]
-    while frontier:
-        H = frontier.pop()
+    """Every subgroup of G as a frozenset, smallest first.
+
+    Each subgroup is reached from the trivial one by adding its elements
+    one at a time, so extending every interned subgroup by every element
+    until no new id appears interns them all.
+    """
+    reg = subgroup_registry(G)
+    sid = 0
+    while sid < len(reg.sets):
         for g in range(1, G.order):
-            if g in H:
-                continue
-            K = closure(G, set(H) | {g})
-            if K not in found:
-                found.add(K)
-                frontier.append(K)
-    out = tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
-    G._cache["subgroups"] = out
-    return out
+            reg.extend(sid, g)
+        sid += 1
+    return tuple(sorted(reg.sets, key=lambda s: (len(s), sorted(s))))
 
 
+@_memo
 def mobius(G: GroupTable):
     """The Moebius function mu(H, G) of the subgroup lattice, as a dict
     from every subgroup H (a frozenset) to an integer.
@@ -384,8 +363,6 @@ def mobius(G: GroupTable):
     over the subgroups K with H < K <= G (P. Hall, "The Eulerian
     functions of a group", 1936).
     """
-    if "mobius" in G._cache:
-        return G._cache["mobius"]
     mu = {}
     above = []  # (K, mu(K, G)) with mu(K, G) != 0, larger K first
     for H in reversed(all_subgroups(G)):
@@ -393,7 +370,6 @@ def mobius(G: GroupTable):
         mu[H] = m
         if m:
             above.append((H, m))
-    G._cache["mobius"] = mu
     return mu
 
 
@@ -424,14 +400,13 @@ def subgroup_table(G: GroupTable, elements):
 # -- automorphisms -----------------------------------------------------
 
 
+@_memo
 def automorphisms(G: GroupTable):
     """All automorphisms of G as element-permutation tuples.
 
     Brute force over generator images with subgroup-size pruning;
     intended for order <= 32.
     """
-    if "automorphisms" in G._cache:
-        return G._cache["automorphisms"]
     n = G.order
     gens = _greedy_generators(G.mult)
     reg = subgroup_registry(G)
@@ -463,9 +438,7 @@ def automorphisms(G: GroupTable):
                 assign(k + 1, images + [c], nsid)
 
     assign(0, [], 0)
-    auts = tuple(auts)
-    G._cache["automorphisms"] = auts
-    return auts
+    return tuple(auts)
 
 
 def _extend_map(mult, gens, parent, bfs_order, images, target):
@@ -517,47 +490,32 @@ def abelian_element(G: GroupTable, coords):
     return G.aux["coords"].index(coords) if factors else 0
 
 
+def _metacyclic_table(k, t, a, b, spec):
+    """The group of order 2k of the a^i b^j (0 <= i < k, j in {0, 1})
+    with b a b^-1 = a^-1 and b^2 = a^t; a^i b^j sits at index i + k*j."""
+    elems = [(i, j) for j in range(2) for i in range(k)]
+    mult = [
+        [
+            (i1 + (-i2 if j1 else i2) + t * j1 * j2) % k + k * ((j1 + j2) % 2)
+            for i2, j2 in elems
+        ]
+        for i1, j1 in elems
+    ]
+    labels = [f"{a}^{i}{b}" if j else f"{a}^{i}" for i, j in elems]
+    return GroupTable(mult, labels=labels, spec=spec)
+
+
 def _dihedral_table(n):
     if n < 2:
         raise GroupSpecError("dih:n requires n >= 2")
-    # element (i, j) = r^i s^j, index i + n*j
-    def idx(i, j):
-        return i % n + n * (j % 2)
-
-    mult = [[0] * (2 * n) for _ in range(2 * n)]
-    for i1 in range(n):
-        for j1 in range(2):
-            for i2 in range(n):
-                for j2 in range(2):
-                    i = i1 + (i2 if j1 == 0 else -i2)
-                    mult[idx(i1, j1)][idx(i2, j2)] = idx(i, j1 + j2)
-    labels = [f"r^{i}" if j == 0 else f"r^{i}s" for j in range(2) for i in range(n)]
-    return GroupTable(mult, labels=labels, spec=f"dih:{n}")
+    return _metacyclic_table(n, 0, "r", "s", f"dih:{n}")
 
 
 def _quaternion_table(m):
-    # dicyclic group of order m = 4n: x = i^a j^b, j^2 = i^n, j i j^-1 = i^-1
+    # dicyclic group of order m: j i j^-1 = i^-1, j^2 = i^(m/4)
     if m % 4 != 0 or m < 8:
         raise GroupSpecError("quat:m requires m divisible by 4, m >= 8")
-    n = m // 4
-    two_n = 2 * n
-
-    def idx(a, b):
-        return a % two_n + two_n * (b % 2)
-
-    mult = [[0] * m for _ in range(m)]
-    for a1 in range(two_n):
-        for b1 in range(2):
-            for a2 in range(two_n):
-                for b2 in range(2):
-                    a = a1 + (a2 if b1 == 0 else -a2)
-                    if b1 + b2 == 2:
-                        a += n
-                    mult[idx(a1, b1)][idx(a2, b2)] = idx(a, b1 + b2)
-    labels = [
-        f"i^{a}" if b == 0 else f"i^{a}j" for b in range(2) for a in range(two_n)
-    ]
-    return GroupTable(mult, labels=labels, spec=f"quat:{m}")
+    return _metacyclic_table(m // 2, m // 4, "i", "j", f"quat:{m}")
 
 
 def _perm_group_table(perms, npoints, spec, order_cap):
@@ -672,7 +630,8 @@ def _load_cayley(path):
         n = len(table)
         perm = list(range(n))
         perm[0], perm[ident] = ident, 0
-        table = [[perm.index(table[perm[i]][perm[j]]) for j in range(n)] for i in range(n)]
+        # perm swaps two points, so it is its own inverse
+        table = [[perm[table[perm[i]][perm[j]]] for j in range(n)] for i in range(n)]
     return table
 
 

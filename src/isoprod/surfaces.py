@@ -116,7 +116,7 @@ def _compute_invariants(S: UnmixedSurface) -> SurfaceInvariants:
 EXAMPLE_FAMILIES = ("z2m_z2mn", "z2_z2m_z2mn")
 
 
-def example46_construct(family, m, n, k, l, order_cap=128) -> UnmixedSurface:
+def example46_construct(family, m, n, k, l) -> UnmixedSurface:
     """The explicit two-parameter-family surfaces with an involution
     acting trivially on cohomology.
 
@@ -134,14 +134,14 @@ def example46_construct(family, m, n, k, l, order_cap=128) -> UnmixedSurface:
     if min(m, n, k, l) < 1:
         raise DomainError("parameters m, n, k, l must be >= 1")
     if family == "z2m_z2mn":
-        G = build_group(f"ab:{2 * m},{2 * m * n}", order_cap=order_cap)
+        G = build_group(f"ab:{2 * m},{2 * m * n}")
         alpha = abelian_element(G, (1, 0))
         beta = abelian_element(G, (0, 1))
         gamma = abelian_element(G, (m, 0))
         gamma2 = abelian_element(G, (0, m * n))
         a1, b1_, a2, b2_ = alpha, beta, alpha, beta
     else:
-        G = build_group(f"ab:2,{2 * m},{2 * m * n}", order_cap=order_cap)
+        G = build_group(f"ab:2,{2 * m},{2 * m * n}")
         lam = abelian_element(G, (1, 0, 0))
         mu = abelian_element(G, (0, 1, 0))
         nu = abelian_element(G, (0, 0, 1))

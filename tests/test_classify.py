@@ -126,6 +126,77 @@ def test_conformance_example_families():
         assert ok, (fam, reason)
 
 
+# (spec, vC, vD, Aut_0, reason).  Vectors are (b, alphas, betas, gammas);
+# an element is an index, or coordinates in an ab: group.  Aut_0 None
+# means compute_aut0(S).  check_conformance reads only the record, and
+# most of its checks need an Aut_0 given by hand: sym:3 has a trivial
+# center, and in an abelian group with b = 1 on both sides a nontrivial
+# Aut_0 is always {1, sigma_1 tau_1} with distinct uniform involutions.
+_X, _Y = (1, 0), (0, 1)
+CONFORMANCE_FAILURES = [
+    (
+        "sym:3", (1, (3,), (3,), (1, 1)), (1, (1,), (1,), (3, 3, 3)), [0, 1],
+        "group is not abelian",
+    ),
+    (
+        "ab:3,3", (0, (), (), ((0, 1), (0, 2), (1, 0), (2, 0))),
+        (1, ((0, 1),), ((1, 0),), ((1, 1), (2, 2))), None,
+        "invariant factors (3, 3) not of shape (2m, 2mn)",
+    ),
+    (
+        "ab:3,3,3", (1, ((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1), (0, 0, 2))),
+        (1, ((1, 0, 0),), ((0, 0, 1),), ((0, 1, 0), (0, 2, 0))),
+        [(0, 0, 0), (1, 0, 0)],
+        "invariant factors (3, 3, 3) not of shape (2, 2m, 2mn)",
+    ),
+    (
+        "ab:6", (1, ((1,),), ((0,),), ((3,), (3,))),
+        (1, ((1,),), ((0,),), ((2,), (4,))), [(0,), (3,)],
+        "invariant factors (6,) have length 1",
+    ),
+    (
+        "ab:2,2", (0, (), (), (_Y,) * 4 + (_X,) * 2), (1, (_Y,), (_X,), ((1, 1),) * 2),
+        None, "base genera are not both 1",
+    ),
+    (
+        "ab:2,2", (1, (_X,), (_Y,), (_X, _X)), (2, (_X, _Y), (_Y, _X), ()),
+        [(0, 0), (1, 1)], "base genera are not both 1",
+    ),
+    (
+        "ab:2,4", (1, (_X,), (_Y,), ((0, 1), (0, 3))), (1, (_X,), (_Y,), (_X, _X)),
+        [(0, 0), (1, 2)], "branch elements are not all equal on each factor",
+    ),
+    (
+        "ab:4,4", (1, (_Y,), (_X,), (_X,) * 4), (1, (_X,), (_Y,), (_Y,) * 4),
+        [(0, 0), (2, 2)], "uniform branch elements are not involutions",
+    ),
+    (
+        "ab:2,2", (1, (_X,), (_Y,), (_X, _X)), (1, (_X,), (_Y,), (_Y, _Y)),
+        [(0, 0), (1, 0), (0, 1), (1, 1)], "Aut_0 is not generated by sigma_1 tau_1",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, vC, vD, aut0, reason", CONFORMANCE_FAILURES)
+def test_conformance_failure_reasons(spec, vC, vD, aut0, reason):
+    """Every reason a valid surface can fail the classified shape for.
+    Coinciding involutions make the action not free, and in an abelian
+    group the long relation with uniform involutions forces an even
+    count, so those two reasons are never reached."""
+    G = build_group(spec)
+
+    def element(x):
+        return x if isinstance(x, int) else abelian_element(G, x)
+
+    def vector(b, *parts):
+        return GeneratingVector(G, b, *(tuple(map(element, p)) for p in parts))
+
+    S = build_surface(vector(*vC), vector(*vD))
+    aut0 = compute_aut0(S) if aut0 is None else frozenset(map(element, aut0))
+    assert len(aut0) > 1
+    assert check_conformance(ClassificationRecord(S, aut0)) == (False, reason)
+
+
 def test_bounds_validation():
     with pytest.raises(DomainError):
         SearchBounds(max_group_order=0).validate()

@@ -8,6 +8,7 @@ import pytest
 
 import isoprod
 from isoprod.cli import main
+from isoprod.errors import IsoprodError
 
 
 def run(capsys, *argv):
@@ -129,6 +130,14 @@ GOLDEN_STDOUT = {
         "classify", "--groups", "ab:4,8", "--max-group-order", "32",
         "--max-r", "4", "--max-s", "4",
     ): "0ca801432f55a4a4de36bfe824862b7e3814179d5ba433305aa448ea4baae3f4",
+    ("covers", "dih:4", "--b", "1", "--max-r", "3", "--format", "csv"):
+        "f778b14168ea1d123983642747879059f795d6f767f4cb901780a29ed30ad350",
+    (
+        "surfaces", "ab:2,2", "--vc", "1|2|1|2,2", "--vd", "1|2|1|1,1",
+        "--format", "table",
+    ): "622142dd4c4c8696e8031c3daebe149989b147487c01a03b27a99b6341c827d2",
+    ("verify-example", "1", "1", "1", "1", "1", "--format", "table"):
+        "dfbcccc5e11dde7e9259e99d80234abb622343382ac6e4796c4c1ffa5f52242f",
 }
 
 
@@ -140,6 +149,28 @@ def test_golden_stdout(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_classify_error_records(capsys, monkeypatch):
+    """A surface that fails to build is an error record naming the group,
+    the message and both vectors, counted in "errors", with exit 3."""
+    argv = ("classify", "--groups", "ab:2,2,ab:2,4", "--max-r", "2", "--max-s", "2")
+    code, out, _ = run(capsys, *argv)
+    *good, summary = map(json.loads, out.splitlines())
+    assert code == 0 and summary["errors"] == 0 and good
+
+    def fail(vC, vD):
+        raise IsoprodError("no surface")
+
+    monkeypatch.setattr("isoprod.classify.build_surface", fail)
+    code, out, _ = run(capsys, *argv)
+    *bad, summary = map(json.loads, out.splitlines())
+    assert code == 3 and summary["errors"] == len(good)
+    expected = [
+        {"group": r["group"], "error": "no surface", "vC": r["vC"], "vD": r["vD"]}
+        for r in good
+    ]
+    assert sorted(bad, key=json.dumps) == sorted(expected, key=json.dumps)
 
 
 @pytest.mark.parametrize(

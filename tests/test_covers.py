@@ -73,6 +73,17 @@ def test_validate_vector():
         validate_vector(GeneratingVector(G, 1, (a,), (a,), (a, a)))
 
 
+def test_generating_vector_equality():
+    """Vectors are equal, and hash equal, when their fields are; the
+    group compares by identity, so an equal table built twice differs."""
+    G = build_group("ab:2,2")
+    v = GeneratingVector(G, 1, (1,), (2,), (1, 1))
+    assert v == GeneratingVector(G, 1, (1,), (2,), (1, 1))
+    assert len({v, GeneratingVector(G, 1, (1,), (2,), (1, 1))}) == 1
+    assert v != GeneratingVector(G, 1, (1,), (2,), (2, 2))
+    assert v != GeneratingVector(build_group("ab:2,2"), 1, (1,), (2,), (1, 1))
+
+
 def test_stabilizer_union_abelian():
     G = build_group("ab:2,2")
     a = abelian_element(G, (1, 0))
