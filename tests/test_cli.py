@@ -112,6 +112,10 @@ GOLDEN_STDOUT = {
         "5868f973117604769e5c3694eb0d4b0bf95d31e8a2b8add144679c48559a89e3",
     ("chartab", "sym:4", "--format", "table"):
         "3e22abdbeea9e730816c4e15f5c87b96d6a2db87153da577fd65c51ac9705a4e",
+    ("chartab", "alt:5", "--format", "table"):
+        "d105a04dd9baf98067672253cec96fd1e7ae083519af607b74d762fc9d222498",
+    ("chartab", "dih:5", "--format", "csv"):
+        "9e66d05132b043442d1dcb9a561a4698f364cb4276f57c0324707f4aec44bf12",
     ("covers", "ab:2,2", "--b", "1", "--max-r", "4", "--genus-cap", "3"):
         "6d3b7848a0bc7202cf28f9a97aecb550be89a561dd0f4728ad72a22f7c2907a8",
     ("covers", "sym:3", "--b", "1", "--branch", "2,2"):
