@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import isqrt
 
@@ -62,8 +61,6 @@ class CharacterTable:
             sorted(characters, key=lambda c: (c.degree, c.values))
         )
         self._index = {c.values: i for i, c in enumerate(self.characters)}
-        self._cyc_cache = {}
-        n = group.order
         if len(self.characters) != len(self.classes):
             raise ConsistencyError(
                 f"{len(self.characters)} characters for {len(self.classes)} classes"
@@ -93,15 +90,6 @@ class CharacterTable:
         chi = self.characters[self.index_of(chi)]
         return Cyc(self.exponent, chi.values[self.class_of[g]])
 
-    def class_values(self, chi):
-        i = self.index_of(chi)
-        if i not in self._cyc_cache:
-            chi = self.characters[i]
-            self._cyc_cache[i] = tuple(
-                Cyc(self.exponent, v) for v in chi.values
-            )
-        return self._cyc_cache[i]
-
     def kernel(self, chi) -> frozenset:
         """{g : chi(g) = chi(1)}, i.e. all eigenvalues are 1."""
         chi = self.characters[self.index_of(chi)]
@@ -121,14 +109,6 @@ class CharacterTable:
         return chi.values[self.class_of[sigma]][0]
 
     # -- verification --------------------------------------------------
-
-    def inner(self, f_values, g_values) -> Fraction:
-        """Class-function inner product <f, g> from per-class Cyc values."""
-        n = self.group.order
-        acc = Cyc.zero(self.exponent)
-        for cl, fv, gv in zip(self.classes, f_values, g_values):
-            acc = acc + fv * gv.conj() * len(cl.members)
-        return (acc / n).as_fraction()
 
     def check(self):
         """Burnside's identity and both orthogonality relations, exactly:
@@ -191,15 +171,15 @@ def _conj_values(values, e):
 
 
 def _sparse(v, scale=1):
-    """Nonzero (exponent, multiplicity) entries of a multiplicity vector;
-    ``scale`` lifts exponents over zeta_e to zeta_(scale*e)."""
+    """Nonzero (exponent, coefficient) entries of an integer vector over
+    zeta_e; ``scale`` lifts exponents over zeta_e to zeta_(scale*e)."""
     return tuple((k * scale, m) for k, m in enumerate(v) if m)
 
 
 def _fold(e, terms):
     """Sum w * x * conj(y) over (w, x, y) in ``terms`` as its phi(e)
-    integer power-basis coefficients; x and y are sparse multiplicity
-    vectors over zeta_e, summed into e buckets and reduced once."""
+    integer power-basis coefficients; x and y are sparse integer vectors
+    over zeta_e, summed into e buckets and reduced once."""
     folded = [0] * e
     for w, xs, ys in terms:
         for k, a in xs:
@@ -532,42 +512,64 @@ def induced_character(
 ) -> tuple:
     """chi^G as exact per-class Cyc values:
     chi^G(g) = |C_G(g)|/|H| sum_{h in H meeting g^G} chi(h), summed per
-    H-class as integer multiplicity vectors over zeta_(e_G)."""
+    H-class as integer multiplicity vectors over zeta_(e_G), reduced, and
+    divided exactly: chi^G(g) is an algebraic integer, and the power basis
+    is an integral basis of Z[zeta_(e_G)]."""
     G = tableG.group
     eG = tableG.exponent
     eH = sub.table.exponent
     assert eG % eH == 0
     scale = eG // eH
-    chi = sub.table.characters[sub.table.index_of(chi)]
+    j = sub.table.index_of(chi)
     acc = [[0] * eG for _ in tableG.classes]
-    for cl, v in zip(sub.table.classes, chi.values):
+    for cl, v in zip(sub.table.classes, sub.table.characters[j].values):
         row = acc[tableG.class_of[sub.embed[cl.representative]]]
         for k, m in _sparse(v, scale):
             row[k] += len(cl.members) * m
     out = []
     for cl, row in zip(tableG.classes, acc):
-        centralizer_over_h = Fraction(G.order, len(cl.members) * sub.H.order)
-        out.append(Cyc(eG, [m * centralizer_over_h for m in row]))
+        den = len(cl.members) * sub.H.order
+        coeffs = []
+        for c in reduce_folded(row, eG):
+            q, rem = divmod(c * G.order, den)
+            if rem:
+                raise ConsistencyError(
+                    f"chi_{j}^G is not an algebraic integer at class of "
+                    f"{cl.representative}: {_where(sub)}"
+                )
+            coeffs.append(q)
+        out.append(Cyc(eG, coeffs))
     return tuple(out)
 
 
 def decompose(tableG: CharacterTable, values) -> tuple:
-    """Multiplicities <f, chi> for every irreducible chi; the exact
-    reconstruction Sum m_chi chi = f is verified."""
+    """Multiplicities <f, chi> for every irreducible chi of the class
+    function f given by per-class Cyc ``values``, each folded as integers
+    over zeta_e; the reconstruction Sum m_chi chi = f is verified."""
+    e = tableG.exponent
+    if any(v.e != e for v in values):
+        raise DecompositionError(f"class function values must lie in Q(zeta_{e})")
+    f = [
+        (len(cl.members), _sparse(v.coeffs))
+        for cl, v in zip(tableG.classes, values)
+    ]
     mults = []
     for i, chi in enumerate(tableG.characters):
-        m = tableG.inner(values, tableG.class_values(i))
-        if m.denominator != 1 or m < 0:
+        terms = ((w, fv, _sparse(v)) for (w, fv), v in zip(f, chi.values))
+        coeffs = _fold(e, terms)
+        m, rem = divmod(coeffs[0], tableG.group.order)
+        if any(coeffs[1:]) or rem or m < 0:
             raise DecompositionError(
-                f"class function is not a character: <f, chi_{i}> = {m}"
+                f"class function is not a character: |G| * <f, chi_{i}> "
+                f"has coefficients {list(coeffs)}"
             )
-        mults.append(int(m))
-    for ci in range(len(tableG.classes)):
-        acc = Cyc.zero(tableG.exponent)
-        for i, m in enumerate(mults):
-            if m:
-                acc = acc + tableG.class_values(i)[ci] * m
-        if acc != values[ci]:
+        mults.append(m)
+    for ci, v in enumerate(values):
+        acc = [0] * e
+        for m, chi in zip(mults, tableG.characters):
+            for k, a in enumerate(chi.values[ci]):
+                acc[k] += m * a
+        if Cyc(e, acc) != v:
             raise DecompositionError("reconstruction from multiplicities failed")
     return tuple(mults)
 

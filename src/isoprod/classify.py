@@ -180,29 +180,21 @@ def check_conformance(rec: ClassificationRecord):
 # -- sweep driver ------------------------------------------------------
 
 
-def _class_data(G, table, b):
-    """The bucket data (maskpos, sig) of a branch-class multiset, i.e.
-    the H^1 positivity mask over the irreducibles and the
-    stabilizer-union mask.  Built once per base genus and cached on G.
+def _class_data(G, table, b, M):
+    """The bucket data (maskpos, sig) of the branch-class multiset M:
+    the H^1 positivity mask over the irreducibles and the stabilizer-union
+    mask.
 
     H^1(C, C) is the complexification of H^1(C, Q), so chi and conj(chi)
     have the same multiplicity: maskpos is also the mask at the
     conjugate characters."""
-    cache = G._cache.setdefault("class_data", {})
-    if b in cache:
-        return cache[b]
-
-    def class_data(cls_key):
-        mults = h1_multiplicities(table, b, cls_key)
-        maskpos = sum(1 << i for i, m in enumerate(mults) if m)
-        sig = 1
-        for c in cls_key:
-            for x in _conj_cyclic(G, table.classes[c].representative):
-                sig |= 1 << x
-        return maskpos, sig
-
-    cache[b] = class_data
-    return class_data
+    mults = h1_multiplicities(table, b, M)
+    maskpos = sum(1 << i for i, m in enumerate(mults) if m)
+    sig = 1
+    for c in M:
+        for x in _conj_cyclic(G, table.classes[c].representative):
+            sig |= 1 << x
+    return maskpos, sig
 
 
 def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
@@ -234,7 +226,6 @@ def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
         for u in members[M[0]]
     ]
     counts, ucounts = _count_vectors(G, b, genus_of, uniform)
-    class_data = _class_data(G, table, b)
     buckets = {}
     truncated = 0
 
@@ -249,7 +240,7 @@ def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
             continue
         if not count:
             continue
-        data = class_data(M)
+        data = _class_data(G, table, b, M)
         if M and M.count(M[0]) == len(M):
             for u in members[M[0]]:
                 add(_bucket_key(len(M), genus, data, u), ucounts[u, len(M)])
@@ -283,13 +274,14 @@ def _representative(G, table, b, key, genus_cap, branch_order_cap):
             if all(sig >> x & 1 for x in _conj_cyclic(G, g))
         ]
     cls_of = class_index(G)
-    class_data = _class_data(G, table, b)
     fits = {}  # sorted branch-class multiset -> has the key's genus, data
     for ab, gammas in _raw_tuples(G, b, r, allowed):
         M = tuple(sorted([cls_of[g] for g in gammas]))
         if M not in fits:
             genus_M = _multiset_genus(G, b, M, genus_cap, 2, None)
-            fits[M] = genus_M == genus and list(class_data(M)) == data
+            fits[M] = (
+                genus_M == genus and list(_class_data(G, table, b, M)) == data
+            )
         uniform = _uniform_gamma(gammas)
         if fits[M] and _bucket_key(r, genus, data, uniform) == key:
             return ab, gammas
@@ -357,7 +349,7 @@ def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivi
                     counts["errors"] += 1
                     records.append(
                         {
-                            "group": spec,
+                            "group": G.spec,
                             "error": str(exc),
                             "vC": vC.to_json(),
                             "vD": vD.to_json(),
@@ -368,7 +360,7 @@ def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivi
                     counts["nontrivial_aut0"] += weight
                     if not rec.conforms:
                         counts["conformance_failures"] += weight
-                records.append(_record_json(spec, rec))
+                records.append(_record_json(rec))
     records.sort(key=_record_sort_key)
     return records, counts
 
@@ -386,11 +378,11 @@ def _build_record(vC, vD, a_mask, weight):
     return rec
 
 
-def _record_json(spec, rec: ClassificationRecord):
+def _record_json(rec: ClassificationRecord):
     S = rec.surface
     inv = S.invariants
     return {
-        "group": spec,
+        "group": S.group.spec,
         "vC": S.cover_C.vector.to_json(),
         "vD": S.cover_D.vector.to_json(),
         "genus_C": S.cover_C.genus,

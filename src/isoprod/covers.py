@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .errors import (
     BranchOrderError,
@@ -23,6 +22,7 @@ from .errors import (
 )
 from .groups import (
     GroupTable,
+    _memo,
     automorphisms,
     conjugacy_classes,
     class_index,
@@ -70,8 +70,9 @@ def hurwitz_genus(order: int, b: int, branch_orders) -> int:
     for m in branch_orders:
         num, den = num * m + den * order * (m - 1), den * m
     if num % den:
+        d = gcd(num, den)
         raise GenusError(
-            f"Riemann-Hurwitz value {Fraction(num, den)} is not an integer"
+            f"Riemann-Hurwitz value {num // d}/{den // d} is not an integer"
         )
     rhs = num // den
     if rhs % 2 != 0:
@@ -117,16 +118,18 @@ def validate_vector(v: GeneratingVector) -> BranchedCover:
     return BranchedCover(v, g)
 
 
+@_memo
+def _class_cyclic_unions(G: GroupTable) -> tuple:
+    """Per conjugacy class, the union of <y> over its members y."""
+    return tuple(
+        frozenset().union(*(cyclic_subgroup(G, y) for y in c.members))
+        for c in conjugacy_classes(G)
+    )
+
+
 def _conj_cyclic(G: GroupTable, x) -> frozenset:
-    """Union over g of <g x g^-1>; cached per conjugacy class."""
-    cache = G._cache.setdefault("conj_cyclic", {})
-    ci = class_index(G)[x]
-    if ci not in cache:
-        acc = set()
-        for y in conjugacy_classes(G)[ci].members:
-            acc |= cyclic_subgroup(G, y)
-        cache[ci] = frozenset(acc)
-    return cache[ci]
+    """Union over g of <g x g^-1>."""
+    return _class_cyclic_unions(G)[class_index(G)[x]]
 
 
 def stabilizer_union(v: GeneratingVector) -> frozenset:

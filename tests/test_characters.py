@@ -13,7 +13,8 @@ from isoprod.characters import (
     induced_character,
     restriction_multiplicity,
 )
-from isoprod.errors import ConsistencyError, DomainError
+from isoprod.cyclotomic import Cyc
+from isoprod.errors import ConsistencyError, DecompositionError, DomainError
 from isoprod.groups import (
     all_subgroups,
     build_group,
@@ -175,6 +176,21 @@ def test_induced_from_a3():
             )
 
 
+def test_decompose_rejects_class_functions_that_are_not_characters():
+    """<f, chi> must be a non-negative integer: zeta_3 at every class of
+    Z_3 gives an irrational one, 1 at the identity of Z_2 and 0 elsewhere
+    gives 1/2, and minus the trivial character gives -1."""
+    t3 = character_table(build_group("ab:3"))
+    with pytest.raises(DecompositionError, match="not a character"):
+        decompose(t3, [Cyc(3, [0, 1])] * 3)
+    t2 = character_table(build_group("ab:2"))
+    with pytest.raises(DecompositionError, match="not a character"):
+        decompose(t2, [Cyc(2, [1]), Cyc(2, [0])])
+    with pytest.raises(DecompositionError, match="not a character"):
+        decompose(t2, [Cyc(2, [-1]), Cyc(2, [-1])])
+    assert DecompositionError.exit_code == 2
+
+
 def test_frobenius_reciprocity():
     G = build_group("sym:4")
     t = character_table(G)
@@ -233,6 +249,20 @@ def test_restriction_error_names_group_subgroup_and_characters():
     msg = str(err.value)
     assert "sym:3" in msg and str(sorted(sc.elements)) in msg
     assert f"phi_{t.trivial_index}" in msg and f"chi_{nontriv}" in msg
+
+
+def test_induced_error_names_group_subgroup_and_character():
+    """chi^G(g) is an algebraic integer, so a class sum that |C_G(g)|/|H|
+    does not divide exactly (here from a subgroup order that does not
+    match its table) is a ConsistencyError."""
+    t, sc = _a3_in_s3()
+    sc.H = build_group("ab:4")
+    with pytest.raises(ConsistencyError) as err:
+        induced_character(t, sc, sc.table.trivial_index)
+    msg = str(err.value)
+    assert "algebraic integer" in msg and "sym:3" in msg
+    assert str(sorted(sc.elements)) in msg
+    assert f"chi_{sc.table.trivial_index}^G" in msg
 
 
 def test_lemma_error_names_group_subgroup_and_character(monkeypatch):

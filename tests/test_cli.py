@@ -157,8 +157,10 @@ def test_golden_stdout(capsys):
 
 def test_classify_error_records(capsys, monkeypatch):
     """A surface that fails to build is an error record naming the group,
-    the message and both vectors, counted in "errors", with exit 3."""
-    argv = ("classify", "--groups", "ab:2,2,ab:2,4", "--max-r", "2", "--max-s", "2")
+    the message and both vectors, counted in "errors", with exit 3.  Every
+    record names its group by the normalised spec its vectors carry, also
+    when the typed spec (ab:1,2,2) is not normalised."""
+    argv = ("classify", "--groups", "ab:1,2,2,ab:2,4", "--max-r", "2", "--max-s", "2")
     code, out, _ = run(capsys, *argv)
     *good, summary = map(json.loads, out.splitlines())
     assert code == 0 and summary["errors"] == 0 and good
@@ -175,6 +177,9 @@ def test_classify_error_records(capsys, monkeypatch):
         for r in good
     ]
     assert sorted(bad, key=json.dumps) == sorted(expected, key=json.dumps)
+    assert {r["group"] for r in good} == {"ab:2,2", "ab:2,4"}
+    for r in good + bad:
+        assert r["group"] == r["vC"]["group"] == r["vD"]["group"]
 
 
 @pytest.mark.parametrize(
