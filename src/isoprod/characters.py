@@ -111,28 +111,28 @@ class CharacterTable:
     # -- verification --------------------------------------------------
 
     def check(self):
-        """Burnside's identity and both orthogonality relations, exactly:
-        each inner product is summed as integers over exponents mod e and
-        reduced once modulo the e-th cyclotomic polynomial."""
+        """The values at the identity are the degrees, Burnside's identity
+        and the row relation hold, exactly: each inner product is summed
+        as integers over exponents mod e and reduced once modulo the e-th
+        cyclotomic polynomial.  The column relation is implied: the value
+        matrix X is square (``__init__``), so X D X* = |G| I, D the class
+        sizes, gives X^-1 = D X*/|G|, hence X* X = |G| D^-1 (Isaacs,
+        Character Theory of Finite Groups, ch. 2)."""
         n = self.group.order
+        e = self.exponent
+        # class 0 is the identity, whose only eigenvalue is 1
+        if any(c.values[0] != (c.degree,) + (0,) * (e - 1) for c in self.characters):
+            raise ConsistencyError("a value at the identity is not the degree")
         if sum(c.degree * c.degree for c in self.characters) != n:
             raise ConsistencyError("Burnside identity sum chi(1)^2 = |G| fails")
-        e = self.exponent
         sizes = [len(c.members) for c in self.classes]
         sparse = [[_sparse(v) for v in c.values] for c in self.characters]
         for i, rows_i in enumerate(sparse):
             for j in range(i, len(sparse)):
-                terms = zip(sizes, rows_i, sparse[j])
-                if not _sum_is(e, terms, n if i == j else 0):
+                coeffs = _fold(e, zip(sizes, rows_i, sparse[j]))
+                if coeffs[0] != (n if i == j else 0) or any(coeffs[1:]):
                     raise ConsistencyError(
                         f"row orthogonality fails for characters {i}, {j}"
-                    )
-        for r in range(len(sizes)):
-            for s in range(r, len(sizes)):
-                terms = ((1, rows[r], rows[s]) for rows in sparse)
-                if not _sum_is(e, terms, n // sizes[r] if r == s else 0):
-                    raise ConsistencyError(
-                        f"column orthogonality fails for classes {r}, {s}"
                     )
 
     # -- serialization -------------------------------------------------
@@ -149,25 +149,38 @@ class CharacterTable:
         }
 
     @classmethod
-    def from_json(cls, group: GroupTable, data, check=True):
-        classes = conjugacy_classes(group)
-        if data["exponent"] != group.exponent or data["classes"] != [
-            len(c.members) for c in classes
-        ]:
-            raise IsoprodError("cached character table does not match group")
-        chars = [
-            Character(d["degree"], tuple(tuple(v) for v in d["values"]))
-            for d in data["characters"]
-        ]
+    def from_json(
+        cls, group: GroupTable, data, check=True, source="character table"
+    ):
+        """The table in ``data``, which must be {"exponent": e, "classes":
+        [class sizes], "characters": [{"degree": int, "values": k lists
+        of e ints}]} for ``group``; else IsoprodError names ``source``."""
+        sizes = [len(c.members) for c in conjugacy_classes(group)]
+        e = group.exponent
+        try:
+            chars = [
+                Character(d["degree"], tuple(tuple(v) for v in d["values"]))
+                for d in data["characters"]
+            ]
+            fits = data["exponent"] == e and data["classes"] == sizes
+        except (KeyError, TypeError):
+            fits = False
+        if not fits or not all(
+            type(c.degree) is int
+            and len(c.values) == len(sizes)
+            and all(len(v) == e and all(type(x) is int for x in v) for v in c.values)
+            for c in chars
+        ):
+            raise IsoprodError(
+                f"{source} does not match {group.spec}: expected exponent "
+                f"{e}, class sizes {sizes} and characters each with an "
+                f"integer degree and {len(sizes)} lists of {e} integers"
+            )
         return cls(group, chars, check=check)
 
 
-def _conj_vec(v, e):
-    return tuple(v[(-k) % e] for k in range(e))
-
-
 def _conj_values(values, e):
-    return tuple(_conj_vec(v, e) for v in values)
+    return tuple(tuple(v[(-k) % e] for k in range(e)) for v in values)
 
 
 def _sparse(v, scale=1):
@@ -188,42 +201,28 @@ def _fold(e, terms):
     return reduce_folded(folded, e)
 
 
-def _sum_is(e, terms, want):
-    """True iff the sum folded by ``_fold`` equals the integer ``want``."""
-    coeffs = _fold(e, terms)
-    return coeffs[0] == want and not any(coeffs[1:])
-
-
 # -- abelian fast path -------------------------------------------------
 
 
 def _abelian_characters(G: GroupTable):
     """The homomorphisms G -> Z_e (e the exponent), each from the
-    images of the greedy generators, as linear characters."""
-    n = G.order
+    images of the greedy generators, as linear characters;
+    ``CharacterTable`` rejects a missing or repeated one."""
     e = G.exponent
     classes = conjugacy_classes(G)
     gens = _greedy_generators(G.mult)
     parent, bfs = _word_tree(G.mult, gens)
     add_e = [[(a + b) % e for b in range(e)] for a in range(e)]
     choice_sets = [range(0, e, e // G.element_order[g]) for g in gens]
-    homs = []
+    chars = []
     for exps in product(*choice_sets):
         val = _extend_map(G.mult, gens, parent, bfs, exps, add_e)
         if val is not None:
-            homs.append(val)
-    if len(set(homs)) != n:
-        raise ConsistencyError(
-            f"abelian character search found {len(set(homs))} characters, expected {n}"
-        )
-    chars = []
-    for val in homs:
-        values = []
-        for c in classes:
-            v = [0] * e
-            v[val[c.representative]] = 1
-            values.append(tuple(v))
-        chars.append(Character(1, tuple(values)))
+            values = tuple(
+                tuple(int(k == val[c.representative]) for k in range(e))
+                for c in classes
+            )
+            chars.append(Character(1, values))
     return chars
 
 
@@ -248,22 +247,16 @@ def _dixon_prime(order, exponent):
     raise ConsistencyError("no suitable Dixon prime below bound")
 
 
-def _primitive_root(p):
-    fac = []
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            fac.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        fac.append(m)
+def _root_of_unity(e, p):
+    """A primitive e-th root of unity in F_p, e dividing p - 1: the first
+    g^((p-1)/e), g = 2, 3, ..., whose order is exactly e.  Another root
+    permutes the Dixon rows by a Galois automorphism, and the rows are
+    sorted, so the table does not depend on the choice."""
     for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-    raise ConsistencyError("no primitive root found")
+        z = pow(g, (p - 1) // e, p)
+        if all(pow(z, e // q, p) != 1 for q in range(2, e + 1) if e % q == 0):
+            return z
+    raise ConsistencyError(f"no primitive {e}-th root of unity mod {p}")
 
 
 def _rref_mod(rows, p):
@@ -308,6 +301,16 @@ def _matvec(M, v, p):
     return [sum(Mr[t] * v[t] for t in range(len(v))) % p for Mr in M]
 
 
+def _combine(coeffs, rows, p):
+    """Sum c_i * rows[i] over F_p."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            for t, x in enumerate(row):
+                out[t] += c * x
+    return [x % p for x in out]
+
+
 def _dixon_characters(G: GroupTable):
     n = G.order
     classes = conjugacy_classes(G)
@@ -342,11 +345,8 @@ def _dixon_characters(G: GroupTable):
 
     inv_class = [class_of[inv[reps[s]]] for s in range(k)]
     size_inv = [pow(h, p - 2, p) for h in sizes]
-    g0 = _primitive_root(p)
-    z = pow(g0, (p - 1) // e, p)
-    zinv = pow(z, p - 2, p)
+    zinv = pow(_root_of_unity(e, p), p - 2, p)
     zinv_pow = [pow(zinv, t, p) for t in range(e)]  # zinv has order e
-    e_inv = pow(e, p - 2, p)
 
     # power-map classes: pw[r][j] = class of reps[r]^j, j = 0..|reps[r]|-1
     pw = [[class_of[y] for y in _powers(mult, x)] for x in reps]
@@ -366,23 +366,27 @@ def _dixon_characters(G: GroupTable):
         chi_p = [(degree * omega[s] * size_inv[s]) % p for s in range(k)]
         values = []
         for r in range(k):
+            # the eigenvalues of reps[r] are d-th roots of unity, d its
+            # order: zeta_e^(kk*step), kk < d, has multiplicity
+            # d^-1 Sum_j chi(g^j) zeta_e^(-j*kk*step); the rest have none
             d = len(pw[r])
-            vec = []
-            for kk in range(e):
-                acc = 0
-                for j in range(e):
-                    acc += chi_p[pw[r][j % d]] * zinv_pow[(j * kk) % e]
-                m = (acc * e_inv) % p
+            step = e // d
+            d_inv = pow(d, p - 2, p)
+            vec = [0] * e
+            for kk in range(d):
+                acc = sum(
+                    chi_p[cls] * zinv_pow[(j * kk * step) % e]
+                    for j, cls in enumerate(pw[r])
+                )
+                m = (acc * d_inv) % p
                 if m > degree:
                     raise ConsistencyError(
                         "negative or oversized multiplicity in Dixon lift"
                     )
-                vec.append(m)
+                vec[kk * step] = m
             if sum(vec) != degree:
                 raise ConsistencyError("multiplicity vector does not sum to degree")
             values.append(tuple(vec))
-        if values[0][0] != degree:
-            raise ConsistencyError("identity class value must equal the degree")
         chars.append(Character(degree, tuple(values)))
     return chars
 
@@ -397,14 +401,8 @@ def _refine_spaces(spaces, M, p):
         W = [_matvec(M, b, p) for b in B]
         A = [[W[i][piv[j]] for j in range(d)] for i in range(d)]
         # invariance check (the class algebra is closed, so this must hold)
-        for i in range(d):
-            recon = [0] * len(B[0])
-            for j in range(d):
-                if A[i][j]:
-                    for cidx in range(len(B[0])):
-                        recon[cidx] = (recon[cidx] + A[i][j] * B[j][cidx]) % p
-            if recon != W[i]:
-                raise ConsistencyError("eigenspace not invariant under class sum")
+        if any(_combine(A[i], B, p) != W[i] for i in range(d)):
+            raise ConsistencyError("eigenspace not invariant under class sum")
         At = [[A[j][i] % p for j in range(d)] for i in range(d)]
         used = 0
         for lam in range(p):
@@ -415,14 +413,7 @@ def _refine_spaces(spaces, M, p):
             ns = _nullspace_mod(N, p)
             if not ns:
                 continue
-            rows = []
-            for u in ns:
-                row = [0] * len(B[0])
-                for i, ui in enumerate(u):
-                    if ui:
-                        for cidx in range(len(B[0])):
-                            row[cidx] = (row[cidx] + ui * B[i][cidx]) % p
-                rows.append(row)
+            rows = [_combine(u, B, p) for u in ns]
             rr, rpiv = _rref_mod(rows, p)
             new.append((rr, rpiv))
             used += len(rr)
@@ -466,7 +457,15 @@ def character_table(
         return cached
     if path and os.path.exists(path):
         with open(path) as fh:
-            table = CharacterTable.from_json(G, json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise IsoprodError(
+                    f"cached character table {path} is not JSON: {exc}"
+                ) from exc
+        table = CharacterTable.from_json(
+            G, data, source=f"cached character table {path}"
+        )
         _TABLE_CACHE[key] = table
         return table
     if method == "abelian" or (method == "auto" and G.is_abelian()):
@@ -545,7 +544,9 @@ def induced_character(
 def decompose(tableG: CharacterTable, values) -> tuple:
     """Multiplicities <f, chi> for every irreducible chi of the class
     function f given by per-class Cyc ``values``, each folded as integers
-    over zeta_e; the reconstruction Sum m_chi chi = f is verified."""
+    over zeta_e.  The irreducibles of a checked table are an orthonormal
+    basis of the class functions, so once every <f, chi> is a
+    non-negative integer, f = Sum <f, chi> chi is a character."""
     e = tableG.exponent
     if any(v.e != e for v in values):
         raise DecompositionError(f"class function values must lie in Q(zeta_{e})")
@@ -564,13 +565,6 @@ def decompose(tableG: CharacterTable, values) -> tuple:
                 f"has coefficients {list(coeffs)}"
             )
         mults.append(m)
-    for ci, v in enumerate(values):
-        acc = [0] * e
-        for m, chi in zip(mults, tableG.characters):
-            for k, a in enumerate(chi.values[ci]):
-                acc[k] += m * a
-        if Cyc(e, acc) != v:
-            raise DecompositionError("reconstruction from multiplicities failed")
     return tuple(mults)
 
 

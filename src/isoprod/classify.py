@@ -27,7 +27,7 @@ from .covers import (
     _raw_tuples,
     h1_multiplicities,
 )
-from .errors import ConsistencyError, DomainError, IsoprodError
+from .errors import ConsistencyError, DomainError, IsoprodError, SizeError
 from .groups import _memo, abelian_invariants, build_group, center, class_index
 from .surfaces import UnmixedSurface, build_surface
 
@@ -301,11 +301,8 @@ def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivi
     }
     records = []
     try:
-        G = build_group(spec, order_cap=max(bounds.max_group_order, 128))
-    except IsoprodError:
-        counts["errors"] += 1
-        return records, counts
-    if G.order > bounds.max_group_order:
+        G = build_group(spec, order_cap=bounds.max_group_order)
+    except SizeError:
         return records, counts
     table = character_table(G, cache_dir=cache_dir)
     buckets, reps = {}, {}

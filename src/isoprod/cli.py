@@ -15,7 +15,6 @@ import sys
 from . import __version__
 from .characters import character_table
 from .classify import (
-    ALL_BASE_GENERA,
     SearchBounds,
     check_conformance,
     classify_all,
@@ -23,7 +22,7 @@ from .classify import (
     ClassificationRecord,
 )
 from .covers import GeneratingVector, enumerate_vectors
-from .errors import ConsistencyError, IsoprodError, UsageError
+from .errors import ConsistencyError, DomainError, IsoprodError, UsageError
 from .groups import build_group, builtin_groups_upto
 from .surfaces import EXAMPLE_FAMILIES, build_surface, example46_construct
 
@@ -173,8 +172,6 @@ def cmd_surfaces(args):
 
 
 def cmd_classify(args):
-    if args.max_group_order < 1:
-        raise UsageError("--max-group-order must be >= 1")
     base_genera = []
     for tok in args.base_genera.split(";"):
         parts = tok.split(",")
@@ -184,8 +181,6 @@ def cmd_classify(args):
             pair = (int(parts[0]), int(parts[1]))
         except ValueError as exc:
             raise UsageError(f"bad base genus pair {tok!r}") from exc
-        if pair not in ALL_BASE_GENERA:
-            raise UsageError(f"unsupported base genus pair {tok!r}")
         base_genera.append(pair)
     bounds = SearchBounds(
         max_group_order=args.max_group_order,
@@ -194,7 +189,12 @@ def cmd_classify(args):
         genus_cap=args.genus_cap,
         base_genera=tuple(base_genera),
         branch_order_cap=args.branch_order_cap,
-    ).validate()
+    )
+    try:
+        bounds.validate()
+    except DomainError as exc:
+        # a bad bound is bad user input, like a flag that does not parse
+        raise UsageError(str(exc)) from exc
     if args.groups:
         # comma-separated specs; commas inside "ab:d1,d2" belong to the
         # preceding spec (tokens without ':' are continuations)

@@ -375,9 +375,9 @@ def enumerate_vectors(
 
     With ``dedup`` one representative per orbit of simultaneous
     relabeling by group automorphisms is emitted.  Dedup builds Aut(G)
-    and is supported for |G| <= AUTOMORPHISM_DEDUP_LIMIT only; above it
-    DomainError is raised at once, and ``dedup=False`` lists every
-    vector.
+    at the first vector it keeps, and is supported for |G| <=
+    AUTOMORPHISM_DEDUP_LIMIT only; above it DomainError is raised at
+    once, and ``dedup=False`` lists every vector.
     """
     if b not in (0, 1, 2):
         raise DomainError("base genus must be 0, 1 or 2")
@@ -390,7 +390,6 @@ def enumerate_vectors(
             f"|G| = {n}; pass dedup=False (--no-dedup) to list every vector"
         )
     exact = tuple(sorted(exact_branch_orders)) if exact_branch_orders else None
-    auts = automorphisms(G) if dedup else None
     cls_of = class_index(G)
     allowed, r_values = _branch_plan(G, max_r, branch_order_cap, exact)
 
@@ -398,6 +397,7 @@ def enumerate_vectors(
         # ``_multiset_genus`` is decided once per sorted branch-class
         # multiset; vectors over the cap count in ``stream.truncated``
         genus_of = {}
+        auts = None  # Aut(G), built at the first vector dedup must mark
         for r in r_values:
             seen = set()  # _vector_code is injective only for a fixed r
             for ab, gammas in _raw_tuples(G, b, r, allowed):
@@ -416,6 +416,8 @@ def enumerate_vectors(
                     code = _vector_code(G, ab, gammas)
                     if code in seen:
                         continue
+                    if auts is None:
+                        auts = automorphisms(G)
                     for phi in auts:
                         seen.add(
                             _vector_code(

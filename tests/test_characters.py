@@ -14,7 +14,12 @@ from isoprod.characters import (
     restriction_multiplicity,
 )
 from isoprod.cyclotomic import Cyc
-from isoprod.errors import ConsistencyError, DecompositionError, DomainError
+from isoprod.errors import (
+    ConsistencyError,
+    DecompositionError,
+    DomainError,
+    IsoprodError,
+)
 from isoprod.groups import (
     all_subgroups,
     build_group,
@@ -48,7 +53,9 @@ def test_degrees_of_known_groups():
 
 
 def test_orthogonality_complex_oracle():
-    """Cross-check the exact tables against plain complex arithmetic."""
+    """Cross-check the exact tables against plain complex arithmetic:
+    the row relation, and the column relation Sum_chi chi(g_r)
+    conj(chi(g_s)) = |C_G(g_r)| [r = s], which ``check`` leaves implied."""
     for spec in ["sym:3", "dih:4", "quat:8", "alt:4", "ab:2,6", "sym:4"]:
         t = character_table(build_group(spec))
         k = len(t.characters)
@@ -57,6 +64,45 @@ def test_orthogonality_complex_oracle():
                 got = inner_complex(t, i, j)
                 want = 1.0 if i == j else 0.0
                 assert abs(got - want) < 1e-9, (spec, i, j)
+        vals = complex_table(t)
+        for r, cl in enumerate(t.classes):
+            for s in range(k):
+                got = sum(row[r] * row[s].conjugate() for row in vals)
+                want = t.group.order / len(cl.members) if r == s else 0.0
+                assert abs(got - want) < 1e-9, (spec, r, s)
+
+
+@pytest.mark.parametrize(
+    "spec", ["sym:3", "dih:4", "quat:8", "alt:4", "dih:5", "sym:4"]
+)
+def test_single_unit_moves_are_rejected(spec):
+    """Moving one unit of one (character, class) multiplicity vector to
+    another exponent changes a value, and ``check`` rejects every such
+    table: at the identity class by the identity column, elsewhere by
+    the row relation."""
+    G = build_group(spec)
+    chars = list(character_table(G).characters)
+    e = G.exponent
+    moves = 0
+    for i, chi in enumerate(chars):
+        for ci, v in enumerate(chi.values):
+            for a in range(e):
+                if not v[a]:
+                    continue
+                for b in range(e):
+                    if b == a:
+                        continue
+                    moved = list(v)
+                    moved[a] -= 1
+                    moved[b] += 1
+                    values = list(chi.values)
+                    values[ci] = tuple(moved)
+                    edited = list(chars)
+                    edited[i] = Character(chi.degree, tuple(values))
+                    with pytest.raises(ConsistencyError):
+                        CharacterTable(G, edited)
+                    moves += 1
+    assert moves >= len(chars) * len(chars) * (e - 1)
 
 
 def test_abelian_and_dixon_agree():
@@ -129,31 +175,87 @@ def test_disk_cache(tmp_path):
     assert [c.values for c in t1.characters] == [c.values for c in t2.characters]
 
 
-@pytest.mark.parametrize("altered", [(2, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 0)])
-def test_corrupted_disk_cache_rejected(tmp_path, altered):
-    """A cached table with one value changed at a non-identity class (the
-    degree-2 character of S3 at the 3-cycles, still summing to the degree)
-    is rejected on load, whether or not the altered row stays closed under
-    complex conjugation."""
-    G = build_group("sym:3")
+def _write_sym3_cache(tmp_path):
+    """Write sym:3's table to a cache in ``tmp_path``, empty the
+    in-memory cache and return the file and its JSON."""
     cache = character_table.__globals__["_TABLE_CACHE"]
     cache.clear()
-    character_table(G, cache_dir=str(tmp_path))
+    character_table(build_group("sym:3"), cache_dir=str(tmp_path))
     cache.clear()
     (path,) = tmp_path.iterdir()
-    data = json.loads(path.read_text())
-    three_cycles = next(
-        i
-        for i, c in enumerate(conjugacy_classes(G))
-        if G.element_order[c.representative] == 3
-    )
-    deg2 = next(c for c in data["characters"] if c["degree"] == 2)
-    assert deg2["values"][three_cycles] == [0, 0, 1, 0, 1, 0]
-    deg2["values"][three_cycles] = list(altered)
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "altered",
+    [("value", (2, 0, 0, 0, 0, 0)), ("value", (1, 0, 0, 0, 1, 0)),
+     ("degrees", (0, 2)), ("degrees", (1, 2))],
+)
+def test_corrupted_disk_cache_rejected(tmp_path, altered):
+    """A cached table is rejected on load when one value is changed at a
+    non-identity class (the degree-2 character of S3 at the 3-cycles,
+    still summing to the degree), whether or not the altered row stays
+    closed under complex conjugation, or when the degrees of two
+    characters are swapped (the values at the identity no longer equal
+    the degrees)."""
+    G = build_group("sym:3")
+    path, data = _write_sym3_cache(tmp_path)
+    kind, arg = altered
+    if kind == "value":
+        three_cycles = next(
+            i
+            for i, c in enumerate(conjugacy_classes(G))
+            if G.element_order[c.representative] == 3
+        )
+        deg2 = next(c for c in data["characters"] if c["degree"] == 2)
+        assert deg2["values"][three_cycles] == [0, 0, 1, 0, 1, 0]
+        deg2["values"][three_cycles] = list(arg)
+    else:
+        a, b = (data["characters"][i] for i in arg)
+        assert a["degree"] != b["degree"]
+        a["degree"], b["degree"] = b["degree"], a["degree"]
     path.write_text(json.dumps(data))
     with pytest.raises(ConsistencyError):
         character_table(build_group("sym:3"), cache_dir=str(tmp_path))
-    assert not cache
+    assert not character_table.__globals__["_TABLE_CACHE"]
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (None, "{not json"),
+        (None, "[]"),
+        (None, '{"exponent": 6}'),
+        (["characters"], None),
+        (["characters", 1], []),
+        (["characters", 1, "degree"], 1.0),
+        (["characters", 1, "values", 1, 0], "1"),
+        (["characters", 1, "values", 1], [1, 0, 0]),
+        (["characters", 1, "values"], [[1, 0, 0, 0, 0, 0]]),
+    ],
+    ids=["not-json", "list", "no-classes", "characters-null",
+         "character-list", "float-degree", "string-value", "short-vector",
+         "one-class"],
+)
+def test_malformed_disk_cache_rejected(tmp_path, keys, value):
+    """A cache file that is not {"exponent": int, "classes": [int],
+    "characters": [{"degree": int, "values": k lists of e ints}]} is a
+    validation error (exit 2) naming the file, not a traceback.  The
+    file holds ``value`` itself, or sym:3's table with ``value`` at
+    ``keys``."""
+    path, data = _write_sym3_cache(tmp_path)
+    if keys is None:
+        path.write_text(value)
+    else:
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path.write_text(json.dumps(data))
+    with pytest.raises(IsoprodError) as info:
+        character_table(build_group("sym:3"), cache_dir=str(tmp_path))
+    assert info.value.exit_code == 2
+    assert str(path) in str(info.value)
 
 
 def test_induced_from_a3():

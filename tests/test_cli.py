@@ -264,6 +264,41 @@ def test_classify_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--max-group-order", "0"),
+        ("--base-genera", "0,1"),
+        ("--base-genera", "1,x"),
+        ("--max-r", "-1"),
+        ("--max-s", "-1"),
+        ("--genus-cap", "1"),
+    ],
+)
+def test_classify_bad_bounds_are_usage_errors(capsys, flags):
+    """Every bad classify bound exits 1 with a message, whether it fails
+    to parse or fails ``SearchBounds.validate``."""
+    code, out, err = run(capsys, "classify", "--groups", "ab:2", *flags)
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "groups, code",
+    [("ab:2,foo:3", 1), ("ab:2,2,2,2,2,2,2,2", 0), ("sym:5", 0)],
+)
+def test_classify_bad_and_oversized_specs(capsys, groups, code):
+    """A spec that does not parse is a usage error with its message; a
+    group above --max-group-order is skipped, not counted as an error."""
+    got, out, err = run(
+        capsys, "classify", "--groups", groups, "--max-r", "1", "--max-s", "1"
+    )
+    assert got == code
+    if code:
+        assert out == "" and "unknown group family 'foo'" in err
+    else:
+        assert json.loads(out)["errors"] == 0 and err == ""
+
+
 def test_classify_deterministic_output(capsys):
     argv = ["classify", "--groups", "ab:2,4", "--max-r", "2", "--max-s", "2"]
     _, out1, _ = run(capsys, *argv)

@@ -192,6 +192,18 @@ def test_dedup_above_limit_raises():
         enumerate_vectors(build_group("dih:17"), 1, 2)
 
 
+def test_dedup_builds_no_automorphisms_without_vectors(monkeypatch):
+    """Dedup builds Aut(G) at the first vector it keeps, so a stream with
+    no vector never builds it (Z_2^5 has 9,999,360 automorphisms and no
+    generating vector at b = 1 with r <= 2)."""
+
+    def refuse(G):
+        raise AssertionError("Aut(G) built for a stream without vectors")
+
+    monkeypatch.setattr("isoprod.covers.automorphisms", refuse)
+    assert list(enumerate_vectors(build_group("ab:2,2,2,2,2"), 1, 2)) == []
+
+
 def test_exact_branch_orders():
     G = build_group("ab:2,2")
     covers = list(
