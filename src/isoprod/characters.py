@@ -111,18 +111,29 @@ class CharacterTable:
     # -- verification --------------------------------------------------
 
     def check(self):
-        """The values at the identity are the degrees, Burnside's identity
-        and the row relation hold, exactly: each inner product is summed
-        as integers over exponents mod e and reduced once modulo the e-th
-        cyclotomic polynomial.  The column relation is implied: the value
-        matrix X is square (``__init__``), so X D X* = |G| I, D the class
-        sizes, gives X^-1 = D X*/|G|, hence X* X = |G| D^-1 (Isaacs,
-        Character Theory of Finite Groups, ch. 2)."""
-        n = self.group.order
+        """Each multiplicity vector is the eigenvalue multiset of its
+        class: at element order d it is non-negative, sums to the degree
+        and lives on the d-th roots of unity, the exponents that are
+        multiples of e/d (at the identity, class 0, the value is then the
+        degree).  Burnside's identity and the row relation hold, exactly:
+        each inner product is summed as integers over exponents mod e and
+        reduced once modulo the e-th cyclotomic polynomial.  The column
+        relation is implied: the value matrix X is square (``__init__``),
+        so X D X* = |G| I, D the class sizes, gives X^-1 = D X*/|G|,
+        hence X* X = |G| D^-1 (Isaacs, Character Theory of Finite Groups,
+        ch. 2)."""
+        G = self.group
+        n = G.order
         e = self.exponent
-        # class 0 is the identity, whose only eigenvalue is 1
-        if any(c.values[0] != (c.degree,) + (0,) * (e - 1) for c in self.characters):
-            raise ConsistencyError("a value at the identity is not the degree")
+        steps = [e // G.element_order[c.representative] for c in self.classes]
+        for i, c in enumerate(self.characters):
+            for r, (v, step) in enumerate(zip(c.values, steps)):
+                # non-negative with all of the degree on the multiples of step
+                if min(v) < 0 or sum(v) != c.degree or sum(v[::step]) != c.degree:
+                    raise ConsistencyError(
+                        f"character {i} at class {r} is not a multiset of "
+                        f"{e // step}-th roots of unity of size {c.degree}"
+                    )
         if sum(c.degree * c.degree for c in self.characters) != n:
             raise ConsistencyError("Burnside identity sum chi(1)^2 = |G| fails")
         sizes = [len(c.members) for c in self.classes]
@@ -378,14 +389,8 @@ def _dixon_characters(G: GroupTable):
                     chi_p[cls] * zinv_pow[(j * kk * step) % e]
                     for j, cls in enumerate(pw[r])
                 )
-                m = (acc * d_inv) % p
-                if m > degree:
-                    raise ConsistencyError(
-                        "negative or oversized multiplicity in Dixon lift"
-                    )
-                vec[kk * step] = m
-            if sum(vec) != degree:
-                raise ConsistencyError("multiplicity vector does not sum to degree")
+                # a wrong lift fails check()'s support and sum test
+                vec[kk * step] = (acc * d_inv) % p
             values.append(tuple(vec))
         chars.append(Character(degree, tuple(values)))
     return chars

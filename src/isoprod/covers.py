@@ -195,11 +195,13 @@ class CoverStream:
         return self._gen(self)
 
 
-def _raw_tuples(G, b, r, allowed_gamma):
+def _raw_tuples(G, b, r, allowed_gamma, prefix=()):
     """All (alphas+betas, gammas) with the long relation satisfied and
-    the generated subgroup full.  The alpha/beta loop is outermost, then
-    the gamma tuples in lexicographic order over ``allowed_gamma``; the
-    last gamma is forced by the relation.  Yields (ab, gammas)."""
+    the generated subgroup full whose free entries (the alphas, betas
+    and first r - 1 gammas, in that order) start with ``prefix``.  The
+    alpha/beta loop is outermost, then the gamma tuples in lexicographic
+    order over ``allowed_gamma``; the last gamma is forced by the
+    relation.  Yields (ab, gammas)."""
     n = G.order
     mult = G.mult
     inv = G.inverse
@@ -207,36 +209,58 @@ def _raw_tuples(G, b, r, allowed_gamma):
     extend = reg.extend
     sets = reg.sets
     allowed = frozenset(allowed_gamma)
+    ab_head, head = prefix[: 2 * b], prefix[2 * b :]
 
-    for ab in itertools.product(range(n), repeat=2 * b):
+    for ab_tail in itertools.product(range(n), repeat=2 * b - len(ab_head)):
+        ab = ab_head + ab_tail
         c = 0
         for j in range(b):
             c = mult[c][G.commutator(ab[j], ab[b + j])]
         sid0 = 0
-        for g in ab:
+        for g in ab + head:
             sid0 = extend(sid0, g)
-        for gammas in itertools.product(allowed_gamma, repeat=max(r - 1, 0)):
+        for g in head:
+            c = mult[c][g]
+        for tail in itertools.product(
+            allowed_gamma, repeat=max(r - 1 - len(head), 0)
+        ):
             prod, sid = c, sid0
-            for g in gammas:
+            for g in tail:
                 prod = mult[prod][g]
                 sid = extend(sid, g)
             if r:
                 last = inv[prod]
                 if last not in allowed:
                     continue
-                gammas += (last,)
+                tail += (last,)
                 sid = extend(sid, last)
             elif prod:
                 continue
             if len(sets[sid]) == n:
-                yield ab, gammas
+                yield ab, head + tail
 
 
-def _vector_code(G, ab, gammas):
-    code = 0
-    for g in ab + gammas:
-        code = code * G.order + g
-    return code
+def _canonical_tuples(G, b, r, allowed_gamma, auts):
+    """The tuples of ``_raw_tuples`` that are lex-least in their orbit
+    under ``auts`` = Aut(G), in the same order.  A tuple is lex-least iff
+    each entry is least in its orbit under the stabilizer of the entries
+    before it (R. C. Read's orderly generation), so the walk fixes free
+    entries one at a time, skips a candidate x that some phi in the
+    current stabilizer sends below x, and narrows the stabilizer to the
+    phi fixing x.  Once it is trivial, or no free entry is left (a phi
+    fixing those fixes the forced last gamma), ``_raw_tuples`` lists
+    the completions of the prefix."""
+    free = 2 * b + max(r - 1, 0)
+
+    def walk(prefix, stab):
+        if len(stab) == 1 or len(prefix) == free:
+            yield from _raw_tuples(G, b, r, allowed_gamma, prefix)
+            return
+        for x in range(G.order) if len(prefix) < 2 * b else allowed_gamma:
+            if all(phi[x] >= x for phi in stab):
+                yield from walk(prefix + (x,), [phi for phi in stab if phi[x] == x])
+
+    return walk((), auts)
 
 
 def _branch_plan(G: GroupTable, max_r: int, branch_order_cap, exact):
@@ -374,10 +398,16 @@ def enumerate_vectors(
     min_genus <= g <= genus_cap.
 
     With ``dedup`` one representative per orbit of simultaneous
-    relabeling by group automorphisms is emitted.  Dedup builds Aut(G)
-    at the first vector it keeps, and is supported for |G| <=
-    AUTOMORPHISM_DEDUP_LIMIT only; above it DomainError is raised at
-    once, and ``dedup=False`` lists every vector.
+    relabeling by group automorphisms is emitted: the lex-least vector
+    of the orbit, the one listed first, found by stabilizer-chain
+    pruning (``_canonical_tuples``) without listing the rest.  Aut(G) is
+    built at the first r with a vector that has a genus, kept or over
+    the cap, and the walk of that r restarts pruned.  Aut(G) acts
+    freely on generating vectors, so ``truncated`` counts the canonical
+    truncated vectors times |Aut(G)|, every vector over the cap.  Dedup
+    is supported for |G| <= AUTOMORPHISM_DEDUP_LIMIT only; above it
+    DomainError is raised at once, and ``dedup=False`` lists every
+    vector.
     """
     if b not in (0, 1, 2):
         raise DomainError("base genus must be 0, 1 or 2")
@@ -395,37 +425,32 @@ def enumerate_vectors(
 
     def gen(stream):
         # ``_multiset_genus`` is decided once per sorted branch-class
-        # multiset; vectors over the cap count in ``stream.truncated``
-        genus_of = {}
-        auts = None  # Aut(G), built at the first vector dedup must mark
+        # multiset; vectors over the cap count in ``stream.truncated``,
+        # with dedup |Aut(G)| per canonical one
+        memo = {}
+        auts = None  # Aut(G), built at the first tuple with a genus
+
+        def genus_of(gammas):
+            key = tuple(sorted([cls_of[g] for g in gammas]))
+            if key not in memo:
+                memo[key] = _multiset_genus(G, b, key, genus_cap, min_genus, exact)
+            return memo[key]
+
         for r in r_values:
-            seen = set()  # _vector_code is injective only for a fixed r
-            for ab, gammas in _raw_tuples(G, b, r, allowed):
-                key = tuple(sorted([cls_of[g] for g in gammas]))
-                if key not in genus_of:
-                    genus_of[key] = _multiset_genus(
-                        G, b, key, genus_cap, min_genus, exact
-                    )
-                genus = genus_of[key]
+            tuples = _raw_tuples(G, b, r, allowed)
+            if dedup and auts is None and any(
+                genus_of(gammas) is not None for _, gammas in tuples
+            ):
+                auts = automorphisms(G)
+            if dedup and auts:
+                tuples = _canonical_tuples(G, b, r, allowed, auts)
+            for ab, gammas in tuples:
+                genus = genus_of(gammas)
                 if genus is None:
                     continue
                 if genus > genus_cap:
-                    stream.truncated += 1
+                    stream.truncated += len(auts) if auts else 1
                     continue
-                if dedup:
-                    code = _vector_code(G, ab, gammas)
-                    if code in seen:
-                        continue
-                    if auts is None:
-                        auts = automorphisms(G)
-                    for phi in auts:
-                        seen.add(
-                            _vector_code(
-                                G,
-                                tuple(phi[x] for x in ab),
-                                tuple(phi[x] for x in gammas),
-                            )
-                        )
                 v = GeneratingVector(G, b, ab[:b], ab[b:], gammas)
                 yield BranchedCover(v, genus)
 

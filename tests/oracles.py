@@ -293,3 +293,54 @@ def listed_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
             counts[key] = counts.get(key, 0) + 1
             first.setdefault(key, (tuple(ab), tuple(gam)))
     return counts, first, truncated
+
+
+def dedup_by_marking(G, b, max_r, genus_cap, min_genus=2, exact=None):
+    """Orbit dedup by listing: walk every tuple of ``covers._raw_tuples``
+    (every non-identity gamma allowed, or only the orders in ``exact``)
+    and keep a vector unless an earlier kept vector of the same r marked
+    it, marking all its images under ``groups.automorphisms``.  The
+    genus is Riemann-Hurwitz in integers; branch orders other than the
+    sorted ``exact``, an odd 2g - 2 or a negative genus are skipped, a
+    genus over genus_cap counts as truncated and one below min_genus is
+    skipped.
+
+    Returns (kept, truncated): the kept vectors as (ab, gammas, genus)
+    in listing order, and the number of vectors over genus_cap.
+    """
+    from isoprod.covers import _raw_tuples
+    from isoprod.groups import automorphisms
+
+    n = G.order
+    orders = G.element_order
+    allowed = [g for g in range(1, n) if exact is None or orders[g] in exact]
+    genus_of = {}  # gammas -> genus, or None to skip
+
+    def genus(branch):
+        if exact is not None and branch != sorted(exact):
+            return None
+        # 2g - 2 = |G|(2b - 2) + sum (|G| - |G|/m); m divides |G|
+        twice = n * (2 * b - 2) + sum(n - n // m for m in branch)
+        if twice % 2 or twice < -2:
+            return None
+        return twice // 2 + 1
+
+    kept, truncated = [], 0
+    for r in range(max_r + 1):
+        if exact is not None and r != len(exact):
+            continue
+        marked = set()
+        for ab, gam in _raw_tuples(G, b, r, allowed):
+            if gam not in genus_of:
+                genus_of[gam] = genus(sorted(orders[x] for x in gam))
+            g = genus_of[gam]
+            if g is None:
+                continue
+            if g > genus_cap:
+                truncated += 1
+            elif g >= min_genus and (ab, gam) not in marked:
+                kept.append((ab, gam, g))
+                for phi in automorphisms(G):
+                    image = phi.__getitem__
+                    marked.add((tuple(map(image, ab)), tuple(map(image, gam))))
+    return kept, truncated

@@ -220,6 +220,33 @@ def test_corrupted_disk_cache_rejected(tmp_path, altered):
     assert not character_table.__globals__["_TABLE_CACHE"]
 
 
+def test_cached_vector_must_be_an_eigenvalue_multiset(tmp_path, capsys):
+    """The trivial character's vector at the transpositions written as
+    [2, 0, 0, 1, 0, 0] keeps the value 2 - 1 = 1, so the row relation
+    cannot see it, but it is three eigenvalues for a degree-1 character:
+    a ConsistencyError (exit 3), not a traceback from the lookups that
+    read the vector's entries."""
+    from isoprod.cli import main
+
+    G = build_group("sym:3")
+    path, data = _write_sym3_cache(tmp_path)
+    transpositions = next(
+        i
+        for i, c in enumerate(conjugacy_classes(G))
+        if G.element_order[c.representative] == 2
+    )
+    trivial = next(
+        c for c in data["characters"] if all(v[0] == 1 for v in c["values"])
+    )
+    assert trivial["values"][transpositions] == [1, 0, 0, 0, 0, 0]
+    trivial["values"][transpositions] = [2, 0, 0, 1, 0, 0]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConsistencyError):
+        character_table(build_group("sym:3"), cache_dir=str(tmp_path))
+    assert main(["chartab", "sym:3", "--cache-dir", str(tmp_path)]) == 3
+    assert "class" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "keys, value",
     [

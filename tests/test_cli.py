@@ -142,6 +142,10 @@ GOLDEN_STDOUT = {
     ): "622142dd4c4c8696e8031c3daebe149989b147487c01a03b27a99b6341c827d2",
     ("verify-example", "1", "1", "1", "1", "1", "--format", "table"):
         "dfbcccc5e11dde7e9259e99d80234abb622343382ac6e4796c4c1ffa5f52242f",
+    ("covers", "dih:8", "--b", "1", "--max-r", "3", "--genus-cap", "65"):
+        "1543a90e2957cb64f27378ba04b8d01952ba495d931474d72e061e60f5f82cb1",
+    ("covers", "ab:2,2,2,2", "--b", "1", "--max-r", "3", "--genus-cap", "65"):
+        "42a93e69fb7612a2948a2843961ed6731c267f665788fb30441004906f13eb8c",
 }
 
 

@@ -18,9 +18,14 @@ from isoprod.errors import (
     GenusError,
     RelationError,
 )
-from isoprod.groups import abelian_element, build_group
+from isoprod.groups import abelian_element, build_group, builtin_groups_upto
 
-from oracles import broughton_complex, brute_vectors, genus_float
+from oracles import (
+    broughton_complex,
+    brute_vectors,
+    dedup_by_marking,
+    genus_float,
+)
 
 
 def test_hurwitz_known_values():
@@ -193,9 +198,10 @@ def test_dedup_above_limit_raises():
 
 
 def test_dedup_builds_no_automorphisms_without_vectors(monkeypatch):
-    """Dedup builds Aut(G) at the first vector it keeps, so a stream with
-    no vector never builds it (Z_2^5 has 9,999,360 automorphisms and no
-    generating vector at b = 1 with r <= 2)."""
+    """Dedup builds Aut(G) at the first r with a vector that has a genus,
+    kept or over the cap, so a stream with no vector never builds it
+    (Z_2^5 has 9,999,360 automorphisms and no generating vector at
+    b = 1 with r <= 2)."""
 
     def refuse(G):
         raise AssertionError("Aut(G) built for a stream without vectors")
@@ -247,3 +253,54 @@ def test_unramified_genus_one_quotient():
     G = build_group("ab:4")
     covers = list(enumerate_vectors(G, 1, 0, dedup=False, min_genus=0))
     assert covers and all(c.genus == 1 for c in covers)
+
+
+ORACLE_CASES = (
+    [(s, 1, 2, cap, None) for s in builtin_groups_upto(16) for cap in (65, 4)]
+    + [
+        (s, 1, 4, 65, None)
+        for s in ("dih:4", "quat:8", "ab:2,2,2", "ab:3,3", "dih:5", "alt:4")
+    ]
+    + [
+        (s, b, r, 65, None)
+        for s in ("sym:3", "dih:4")
+        for b, r in ((0, 4), (2, 1))
+    ]
+    + [("dih:4", 1, 4, 65, (2, 4, 4))]
+)
+
+
+@pytest.mark.parametrize("spec,b,max_r,cap,exact", ORACLE_CASES)
+def test_dedup_matches_marking_oracle(spec, b, max_r, cap, exact):
+    """The pruned walk emits exactly the vectors, in the same order and
+    with the same genera, that listing every tuple and marking every
+    Aut(G) image of each kept one keeps, and the same truncated count."""
+    G = build_group(spec)
+    stream = enumerate_vectors(
+        G, b, max_r, genus_cap=cap, exact_branch_orders=exact
+    )
+    got = [
+        (c.vector.alphas + c.vector.betas, c.vector.gammas, c.genus)
+        for c in stream
+    ]
+    assert (got, stream.truncated) == dedup_by_marking(G, b, max_r, cap, exact=exact)
+
+
+def test_dedup_walks_no_listing(monkeypatch):
+    """Dedup lists no vector to keep one per orbit: the mark-and-skip
+    helper is gone, and dih:5 at r <= 4 takes fewer than 10,000 tuples
+    from ``_raw_tuples`` (listing them all takes 72,060)."""
+    import isoprod.covers as covers
+
+    assert not hasattr(covers, "_vector_code")
+    taken = 0
+
+    def counting(*args, **kwargs):
+        nonlocal taken
+        for item in _raw_tuples(*args, **kwargs):
+            taken += 1
+            yield item
+
+    monkeypatch.setattr(covers, "_raw_tuples", counting)
+    assert list(enumerate_vectors(build_group("dih:5"), 1, 4))
+    assert taken < 10_000
