@@ -160,12 +160,11 @@ class CharacterTable:
         }
 
     @classmethod
-    def from_json(
-        cls, group: GroupTable, data, check=True, source="character table"
-    ):
-        """The table in ``data``, which must be {"exponent": e, "classes":
-        [class sizes], "characters": [{"degree": int, "values": k lists
-        of e ints}]} for ``group``; else IsoprodError names ``source``."""
+    def from_json(cls, group: GroupTable, data, source="character table"):
+        """The checked table in ``data``, which must be {"exponent": e,
+        "classes": [class sizes], "characters": [{"degree": int, "values":
+        k lists of e ints}]} for ``group``; else IsoprodError names
+        ``source``."""
         sizes = [len(c.members) for c in conjugacy_classes(group)]
         e = group.exponent
         try:
@@ -187,7 +186,7 @@ class CharacterTable:
                 f"{e}, class sizes {sizes} and characters each with an "
                 f"integer degree and {len(sizes)} lists of {e} integers"
             )
-        return cls(group, chars, check=check)
+        return cls(group, chars)
 
 
 def _conj_values(values, e):

@@ -15,7 +15,6 @@ vector pairs with identical Aut_0 and conformance outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .characters import character_table
 from .covers import (
@@ -51,9 +50,12 @@ class SearchBounds:
             raise DomainError("branch point bounds must be >= 0")
         if self.genus_cap < 2:
             raise DomainError("genus_cap must be >= 2")
-        for pair in self.base_genera:
-            if tuple(pair) not in ALL_BASE_GENERA:
+        pairs = [tuple(pair) for pair in self.base_genera]
+        for i, pair in enumerate(pairs):
+            if pair not in ALL_BASE_GENERA:
                 raise DomainError(f"unsupported base genus pair {pair}")
+            if pair in pairs[:i]:
+                raise DomainError(f"base genus pair {pair} is listed twice")
         return self
 
 
@@ -204,28 +206,16 @@ def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
     Returns (buckets, number of vectors dropped because their genus
     exceeds genus_cap), with buckets[key] the number of vectors in it.
 
-    The counts come from ``_count_vectors``, once per branch-class
-    multiset M that ``_multiset_genus`` keeps; the vectors whose gammas
-    all equal one u are counted apart, and the rest of M's vectors go to
-    the u = -1 bucket.  Nothing is listed.
+    ``_count_vectors`` reports every branch-class multiset M that has
+    vectors, with its count; the genus, the cap and the bucket data are
+    decided only for those.  The vectors whose gammas all equal one u
+    are counted apart, and the rest of M's vectors go to the u = -1
+    bucket.  Nothing is listed.
     """
     cls_of = class_index(G)
-    allowed, r_values = _branch_plan(G, max_r, branch_order_cap, None)
-    allowed_classes = sorted({cls_of[g] for g in allowed})
-    genus_of = {}
-    for r in r_values:
-        for M in combinations_with_replacement(allowed_classes, r):
-            genus = _multiset_genus(G, b, M, genus_cap, 2, None)
-            if genus is not None:
-                genus_of[M] = genus
-    members = [c.members for c in table.classes]
-    uniform = [
-        (u, len(M))
-        for M, genus in genus_of.items()
-        if M and genus <= genus_cap and M.count(M[0]) == len(M)
-        for u in members[M[0]]
-    ]
-    counts, ucounts = _count_vectors(G, b, genus_of, uniform)
+    allowed = _branch_plan(G, max_r, branch_order_cap, None)[0]
+    classes = sorted({cls_of[g] for g in allowed})
+    counts, ucounts = _count_vectors(G, b, classes, max_r, allowed)
     buckets = {}
     truncated = 0
 
@@ -233,19 +223,20 @@ def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
         if count:
             buckets[key] = buckets.get(key, 0) + count
 
-    for M, genus in genus_of.items():
-        count = counts[M]
+    for M, count in counts.items():
+        genus = _multiset_genus(G, b, M, genus_cap, 2, None)
+        if genus is None:
+            continue
         if genus > genus_cap:
             truncated += count
             continue
-        if not count:
-            continue
+        r = len(M)
         data = _class_data(G, table, b, M)
-        if M and M.count(M[0]) == len(M):
-            for u in members[M[0]]:
-                add(_bucket_key(len(M), genus, data, u), ucounts[u, len(M)])
-                count -= ucounts[u, len(M)]
-        add(_bucket_key(len(M), genus, data, None), count)
+        if M and M.count(M[0]) == r:
+            for u in table.classes[M[0]].members:
+                add(_bucket_key(r, genus, data, u), ucounts[u, r])
+                count -= ucounts[u, r]
+        add(_bucket_key(r, genus, data, None), count)
     return buckets, truncated
 
 

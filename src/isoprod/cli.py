@@ -209,6 +209,9 @@ def cmd_classify(args):
                 groups.append(tok)
         if not groups:
             raise UsageError("--groups is empty")
+        for i, spec in enumerate(groups):
+            if spec in groups[:i]:
+                raise UsageError(f"--groups lists {spec!r} twice")
     else:
         groups = builtin_groups_upto(args.max_group_order)
     records, summary = classify_all(

@@ -299,12 +299,14 @@ def _multiset_genus(G: GroupTable, b, key, genus_cap, min_genus, exact):
     return genus
 
 
-def _count_vectors(G: GroupTable, b: int, multisets, uniform):
+def _count_vectors(G: GroupTable, b: int, classes, max_r: int, elements):
     """Exact numbers of generating vectors, counted without listing them.
 
-    ``multisets`` are sorted branch-class tuples and ``uniform`` holds
-    (u, r) pairs.  Returns ({M: vectors whose sorted branch-class
-    multiset is M}, {(u, r): vectors whose r gammas all equal u}).
+    Returns ({M: vectors whose sorted branch-class multiset is M}, {(u, r):
+    vectors whose r gammas all equal u}).  M runs over every multiset of
+    at most max_r of the sorted class indices ``classes`` whose count is
+    nonzero, so the multisets with no vector are never reported; (u, r)
+    over the u in ``elements`` and 1 <= r <= max_r.
 
     The tuples of H that generate G number sum of mu(H, G) N_H over the
     subgroups H (P. Hall's inversion).  N_H(M) for one ordering of M is
@@ -313,18 +315,16 @@ def _count_vectors(G: GroupTable, b: int, multisets, uniform):
     = x and C_i is the sum of H's elements in the i-th class of M.  Both
     are central in Z[H], so every ordering of M gives the same count and
     N_gen(M) is that count times the number of distinct orderings.  Per
-    subgroup only the multisets whose classes all meet H are walked, in
+    subgroup the multisets whose classes all meet H are walked, in
     ``combinations_with_replacement`` order and by size, keeping one DP
     vector per multiset of the size below: each is the prefix of the
     multisets that extend it by one class.
     """
     n = G.order
     mult, inv = G.mult, G.inverse
-    classes = conjugacy_classes(G)
-    counts = dict.fromkeys(multisets, 0)
-    ucounts = dict.fromkeys(uniform, 0)
-    used = sorted({c for M in counts for c in M})
-    longest = max(map(len, counts), default=0)
+    members = [c.members for c in conjugacy_classes(G)]
+    counts = {}
+    ucounts = {(u, r): 0 for u in elements for r in range(1, max_r + 1)}
     for H, mu in mobius(G).items():
         if not mu:
             continue
@@ -338,29 +338,25 @@ def _count_vectors(G: GroupTable, b: int, multisets, uniform):
         f0[0] = 1
         for _ in range(b):
             f0 = _convolve(mult, elems, f0, comm)
-        for u, r in uniform:
+        for u, r in ucounts:
             if u in H:
                 ucounts[u, r] += mu * f0[inv[G.power(u, r)]]
-        # per class of G, its elements in H as (element, weight 1) terms
-        parts = [[(x, 1) for x in c.members if x in H] for c in classes]
-        hit = [c for c in used if parts[c]]
-        if () in counts:
-            counts[()] += mu * f0[0]
+        # per class, its elements in H as (element, weight 1) terms
+        parts = {c: [(x, 1) for x in members[c] if x in H] for c in classes}
+        hit = [c for c in classes if parts[c]]
+        counts[()] = counts.get((), 0) + mu * f0[0]
         level = {(): f0}  # DP vector of every multiset of size r - 1
-        for r in range(1, longest + 1):
+        for r in range(1, max_r + 1):
             below, level = level, {}
             for M in itertools.combinations_with_replacement(hit, r):
                 head, part = below[M[:-1]], parts[M[-1]]
-                if r < longest:
+                if r < max_r:
                     level[M] = _convolve(mult, elems, head, part)
                     total = level[M][0]
                 else:
                     total = sum(head[inv[c]] for c, _ in part)
-                if M in counts:
-                    counts[M] += mu * total
-    for M in counts:
-        counts[M] *= _orderings(M)
-    return counts, ucounts
+                counts[M] = counts.get(M, 0) + mu * total
+    return {M: k * _orderings(M) for M, k in counts.items() if k}, ucounts
 
 
 def _convolve(mult, elems, f, terms):

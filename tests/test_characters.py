@@ -160,7 +160,7 @@ def test_json_roundtrip():
     G = build_group("dih:4")
     t = character_table(G)
     data = json.loads(json.dumps(t.to_json()))
-    t2 = CharacterTable.from_json(G, data, check=True)
+    t2 = CharacterTable.from_json(G, data)
     assert [c.values for c in t2.characters] == [c.values for c in t.characters]
 
 

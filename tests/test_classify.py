@@ -204,6 +204,8 @@ def test_bounds_validation():
         SearchBounds(genus_cap=1).validate()
     with pytest.raises(DomainError):
         SearchBounds(base_genera=((0, 1),)).validate()
+    with pytest.raises(DomainError):
+        SearchBounds(base_genera=((1, 1), (1, 2), (1, 1))).validate()
     SearchBounds().validate()
 
 
@@ -245,6 +247,27 @@ def test_cover_buckets_and_covers_share_one_stream():
         assert truncated == stream.truncated == over, spec
         over_total += over
     assert over_total > 0
+
+
+def test_cover_buckets_decide_only_multisets_with_vectors(monkeypatch):
+    """``_cover_buckets`` decides a genus only for the branch-class
+    multisets that have vectors: on Z_2^4 at b = 1, r <= 4 those are 245
+    of the 3,876 multisets of at most 4 of its 15 non-identity classes,
+    and ``_multiset_genus`` is called no more often than that."""
+    import isoprod.classify as classify
+
+    calls = 0
+    decide = classify._multiset_genus
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return decide(*args)
+
+    monkeypatch.setattr(classify, "_multiset_genus", counting)
+    G = build_group("ab:2,2,2,2")
+    buckets, _ = _cover_buckets(G, character_table(G), 1, 4, 33, 8)
+    assert buckets and 0 < calls <= 245
 
 
 def test_counted_buckets_match_listing_oracle():

@@ -146,6 +146,9 @@ GOLDEN_STDOUT = {
         "1543a90e2957cb64f27378ba04b8d01952ba495d931474d72e061e60f5f82cb1",
     ("covers", "ab:2,2,2,2", "--b", "1", "--max-r", "3", "--genus-cap", "65"):
         "42a93e69fb7612a2948a2843961ed6731c267f665788fb30441004906f13eb8c",
+    # the default sweep: the 33 built-ins of order <= 16 at r, s <= 4
+    ("classify",):
+        "a9c11d9dc841fe7867f16a4400cfe08d692bf8e0d1f4d8828a63128250eaefa7",
 }
 
 
@@ -277,6 +280,7 @@ def test_classify_usage_error(capsys):
         ("--max-r", "-1"),
         ("--max-s", "-1"),
         ("--genus-cap", "1"),
+        ("--base-genera", "1,1;1,1"),
     ],
 )
 def test_classify_bad_bounds_are_usage_errors(capsys, flags):
@@ -286,19 +290,29 @@ def test_classify_bad_bounds_are_usage_errors(capsys, flags):
     assert code == 1 and out == "" and err.startswith("error: ")
 
 
+SPEC_CASES = [
+    ("ab:2,foo:3", 1, "unknown group family 'foo'"),
+    ("ab:2,2,dih:4,ab:2,2", 1, "--groups lists 'ab:2,2' twice"),
+    ("ab:2,2,2,2,2,2,2,2", 0, None),
+    ("sym:5", 0, None),
+]
+
+
 @pytest.mark.parametrize(
-    "groups, code",
-    [("ab:2,foo:3", 1), ("ab:2,2,2,2,2,2,2,2", 0), ("sym:5", 0)],
+    "groups, code, message",
+    SPEC_CASES,
+    ids=[f"{groups}-{code}" for groups, code, _ in SPEC_CASES],
 )
-def test_classify_bad_and_oversized_specs(capsys, groups, code):
-    """A spec that does not parse is a usage error with its message; a
-    group above --max-group-order is skipped, not counted as an error."""
+def test_classify_bad_and_oversized_specs(capsys, groups, code, message):
+    """A spec that does not parse, or one listed twice, is a usage error
+    with its message; a group above --max-group-order is skipped, not
+    counted as an error."""
     got, out, err = run(
         capsys, "classify", "--groups", groups, "--max-r", "1", "--max-s", "1"
     )
     assert got == code
     if code:
-        assert out == "" and "unknown group family 'foo'" in err
+        assert out == "" and message in err
     else:
         assert json.loads(out)["errors"] == 0 and err == ""
 

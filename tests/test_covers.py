@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
 
 from isoprod.characters import character_table
 from isoprod.covers import (
     GeneratingVector,
+    _count_vectors,
     _raw_tuples,
     enumerate_vectors,
     h1_multiplicities,
@@ -18,7 +21,12 @@ from isoprod.errors import (
     GenusError,
     RelationError,
 )
-from isoprod.groups import abelian_element, build_group, builtin_groups_upto
+from isoprod.groups import (
+    abelian_element,
+    build_group,
+    builtin_groups_upto,
+    class_index,
+)
 
 from oracles import (
     broughton_complex,
@@ -150,6 +158,33 @@ def test_raw_tuples_match_bruteforce(spec, b, r):
     G = build_group(spec)
     got = list(_raw_tuples(G, b, r, list(range(1, G.order))))
     assert got == sorted(brute_vectors(G, b, r))
+
+
+def test_count_vectors_match_bruteforce():
+    """``_count_vectors`` reports exactly the branch-class multisets that
+    have vectors, each with the oracle's count, and the oracle's count of
+    the vectors whose r gammas all equal u for every (u, r): every
+    built-in group of order <= 8, every non-identity element allowed, at
+    b = 0, r <= 4 and b = 1, r <= 3.  Multisets with no valid genus are
+    counted too."""
+    for spec in builtin_groups_upto(8):
+        G = build_group(spec)
+        cls_of = class_index(G)
+        classes = sorted(set(cls_of[1:]))
+        elements = range(1, G.order)
+        for b, max_r in ((0, 4), (1, 3)):
+            multisets, uniform = Counter(), Counter()
+            for r in range(max_r + 1):
+                for _, gammas in brute_vectors(G, b, r):
+                    multisets[tuple(sorted(cls_of[g] for g in gammas))] += 1
+                    if gammas and gammas.count(gammas[0]) == r:
+                        uniform[gammas[0], r] += 1
+            counts, ucounts = _count_vectors(G, b, classes, max_r, elements)
+            assert counts == dict(multisets), (spec, b)
+            assert 0 not in counts.values()
+            pairs = {(u, r) for u in elements for r in range(1, max_r + 1)}
+            assert set(ucounts) == pairs, (spec, b)
+            assert ucounts == {k: uniform[k] for k in pairs}, (spec, b)
 
 
 def test_genus_cap_sets_truncated():
