@@ -20,6 +20,7 @@ from .characters import character_table
 from .covers import (
     GeneratingVector,
     _branch_plan,
+    _class_cyclic_unions,
     _conj_cyclic,
     _count_vectors,
     _multiset_genus,
@@ -57,15 +58,6 @@ class SearchBounds:
             if pair in pairs[:i]:
                 raise DomainError(f"base genus pair {pair} is listed twice")
         return self
-
-
-@dataclass
-class ClassificationRecord:
-    surface: UnmixedSurface
-    aut0: frozenset
-    conforms: bool | None = None
-    reason: str = ""
-    weight: int = 1
 
 
 # -- the kernel criterion ---------------------------------------------
@@ -136,8 +128,9 @@ def _uniform_gamma(gammas):
     return None
 
 
-def check_conformance(rec: ClassificationRecord):
-    """Does a nontrivial-Aut_0 surface have the classified shape?
+def check_conformance(S: UnmixedSurface, aut0: frozenset):
+    """Does a surface S with nontrivial Aut_0 = ``aut0`` have the
+    classified shape?
 
     Shape: abelian group with invariant factors (2m, 2mn) or
     (2, 2m, 2mn); both base genera 1; each vector's branch elements all
@@ -145,9 +138,8 @@ def check_conformance(rec: ClassificationRecord):
     even branch-point counts; Aut_0 = {1, sigma_1 tau_1}.
     Returns (bool, reason).
     """
-    if len(rec.aut0) <= 1:
+    if len(aut0) <= 1:
         raise DomainError("conformance check applies to nontrivial Aut_0 only")
-    S = rec.surface
     G = S.group
     if not G.is_abelian():
         return False, "group is not abelian"
@@ -174,7 +166,7 @@ def check_conformance(rec: ClassificationRecord):
     if len(vC.gammas) % 2 != 0 or len(vD.gammas) % 2 != 0:
         return False, "branch point counts are not both even"
     expected = frozenset([0, G.mult[s1][t1]])
-    if rec.aut0 != expected:
+    if aut0 != expected:
         return False, "Aut_0 is not generated by sigma_1 tau_1"
     return True, ""
 
@@ -194,7 +186,7 @@ def _class_data(G, table, b, M):
     maskpos = sum(1 << i for i, m in enumerate(mults) if m)
     sig = 1
     for c in M:
-        for x in _conj_cyclic(G, table.classes[c].representative):
+        for x in _class_cyclic_unions(G)[c]:
             sig |= 1 << x
     return maskpos, sig
 
@@ -213,7 +205,7 @@ def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
     bucket.  Nothing is listed.
     """
     cls_of = class_index(G)
-    allowed = _branch_plan(G, max_r, branch_order_cap, None)[0]
+    allowed = _branch_plan(G, branch_order_cap)
     classes = sorted({cls_of[g] for g in allowed})
     counts, ucounts = _count_vectors(G, b, classes, max_r, allowed)
     buckets = {}
@@ -224,7 +216,7 @@ def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
             buckets[key] = buckets.get(key, 0) + count
 
     for M, count in counts.items():
-        genus = _multiset_genus(G, b, M, genus_cap, 2, None)
+        genus = _multiset_genus(G, b, M)
         if genus is None:
             continue
         if genus > genus_cap:
@@ -261,7 +253,7 @@ def _representative(G, table, b, key, genus_cap, branch_order_cap):
         sig = data[-1]
         allowed = [
             g
-            for g in _branch_plan(G, r, branch_order_cap, None)[0]
+            for g in _branch_plan(G, branch_order_cap)
             if all(sig >> x & 1 for x in _conj_cyclic(G, g))
         ]
     cls_of = class_index(G)
@@ -269,9 +261,9 @@ def _representative(G, table, b, key, genus_cap, branch_order_cap):
     for ab, gammas in _raw_tuples(G, b, r, allowed):
         M = tuple(sorted([cls_of[g] for g in gammas]))
         if M not in fits:
-            genus_M = _multiset_genus(G, b, M, genus_cap, 2, None)
             fits[M] = (
-                genus_M == genus and list(_class_data(G, table, b, M)) == data
+                _multiset_genus(G, b, M) == genus
+                and list(_class_data(G, table, b, M)) == data
             )
         uniform = _uniform_gamma(gammas)
         if fits[M] and _bucket_key(r, genus, data, uniform) == key:
@@ -332,7 +324,7 @@ def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivi
                     continue
                 vC, vD = rep(bC, keyC), rep(bD, keyD)
                 try:
-                    rec = _build_record(vC, vD, a_mask, weight)
+                    rec = _record(vC, vD, a_mask, weight)
                 except IsoprodError as exc:
                     counts["errors"] += 1
                     records.append(
@@ -344,35 +336,31 @@ def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivi
                         }
                     )
                     continue
-                if len(rec.aut0) > 1:
+                if rec["aut0_order"] > 1:
                     counts["nontrivial_aut0"] += weight
-                    if not rec.conforms:
+                    if not rec["conforms"]:
                         counts["conformance_failures"] += weight
-                records.append(_record_json(rec))
+                records.append(rec)
     records.sort(key=_record_sort_key)
     return records, counts
 
 
-def _build_record(vC, vD, a_mask, weight):
+def _record(vC, vD, a_mask, weight):
+    """The JSON-ready record of the surface of (vC, vD), standing for
+    ``weight`` vector pairs; its Aut_0 is rechecked against the bucketed
+    mask ``a_mask``."""
     S = build_surface(vC, vD)
     aut0 = compute_aut0(S)
     if aut0 != _mask_to_set(a_mask):
         raise IsoprodError(
             "bucketed Aut_0 disagrees with the per-surface computation"
         )
-    rec = ClassificationRecord(S, aut0, weight=weight)
-    if len(aut0) > 1:
-        rec.conforms, rec.reason = check_conformance(rec)
-    return rec
-
-
-def _record_json(rec: ClassificationRecord):
-    S = rec.surface
+    conforms, reason = check_conformance(S, aut0) if len(aut0) > 1 else (None, "")
     inv = S.invariants
     return {
         "group": S.group.spec,
-        "vC": S.cover_C.vector.to_json(),
-        "vD": S.cover_D.vector.to_json(),
+        "vC": vC.to_json(),
+        "vD": vD.to_json(),
         "genus_C": S.cover_C.genus,
         "genus_D": S.cover_D.genus,
         "q": inv.q,
@@ -380,12 +368,12 @@ def _record_json(rec: ClassificationRecord):
         "chi": inv.chi,
         "K2": inv.K2,
         "b2": inv.b2,
-        "aut0": sorted(rec.aut0),
-        "aut0_labels": [S.group.labels[g] for g in sorted(rec.aut0)],
-        "aut0_order": len(rec.aut0),
-        "conforms": rec.conforms,
-        "reason": rec.reason,
-        "weight": rec.weight,
+        "aut0": sorted(aut0),
+        "aut0_labels": [S.group.labels[g] for g in sorted(aut0)],
+        "aut0_order": len(aut0),
+        "conforms": conforms,
+        "reason": reason,
+        "weight": weight,
     }
 
 

@@ -14,15 +14,9 @@ import sys
 
 from . import __version__
 from .characters import character_table
-from .classify import (
-    SearchBounds,
-    check_conformance,
-    classify_all,
-    compute_aut0,
-    ClassificationRecord,
-)
+from .classify import SearchBounds, check_conformance, classify_all, compute_aut0
 from .covers import GeneratingVector, enumerate_vectors
-from .errors import ConsistencyError, DomainError, IsoprodError, UsageError
+from .errors import ConsistencyError, DomainError, IsoprodError, SizeError, UsageError
 from .groups import build_group, builtin_groups_upto
 from .surfaces import EXAMPLE_FAMILIES, build_surface, example46_construct
 
@@ -209,9 +203,20 @@ def cmd_classify(args):
                 groups.append(tok)
         if not groups:
             raise UsageError("--groups is empty")
-        for i, spec in enumerate(groups):
-            if spec in groups[:i]:
-                raise UsageError(f"--groups lists {spec!r} twice")
+        # one group under two spellings is one group: past one spec,
+        # compare the built groups' normalised specs (the text, above the
+        # order cap)
+        seen = {}
+        for spec in groups if len(groups) > 1 else ():
+            try:
+                key = build_group(spec, order_cap=args.max_group_order).spec
+            except SizeError:
+                key = spec
+            if key in seen:
+                raise UsageError(
+                    f"--groups lists {key!r} twice: as {seen[key]!r} and {spec!r}"
+                )
+            seen[key] = spec
     else:
         groups = builtin_groups_upto(args.max_group_order)
     records, summary = classify_all(
@@ -242,8 +247,7 @@ def cmd_verify_example(args):
     sigma = S.group.mult[gC][gD]
     if aut0 != frozenset([0, sigma]):
         raise ConsistencyError("Aut_0 is not generated by gamma * gamma'")
-    rec = ClassificationRecord(S, aut0)
-    ok, reason = check_conformance(rec)
+    ok, reason = check_conformance(S, aut0)
     data = S.to_json()
     data["genus_C"] = S.cover_C.genus
     data["genus_D"] = S.cover_D.genus

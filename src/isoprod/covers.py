@@ -146,15 +146,15 @@ def h1_multiplicities(table, b: int, classes) -> tuple:
     genus-b curve whose branch elements lie in the conjugacy classes
     ``classes`` (a multiset of class indices), by Broughton's formula:
     2b for the trivial character, chi(1)(2b-2+r) - sum_gamma
-    l_gamma(chi) for the others."""
-    reps = [table.classes[k].representative for k in classes]
+    l_gamma(chi) for the others, l_gamma(chi) being the eigenvalue-1
+    count of chi at gamma's class."""
     out = []
     for i, chi in enumerate(table.characters):
         if i == table.trivial_index:
             m = 2 * b
         else:
-            m = chi.degree * (2 * b - 2 + len(reps)) - sum(
-                table.trivial_multiplicity(i, g) for g in reps
+            m = chi.degree * (2 * b - 2 + len(classes)) - sum(
+                chi.values[k][0] for k in classes
             )
             if m < 0:
                 raise ConsistencyError(f"negative isotypic multiplicity {m}")
@@ -263,40 +263,28 @@ def _canonical_tuples(G, b, r, allowed_gamma, auts):
     return walk((), auts)
 
 
-def _branch_plan(G: GroupTable, max_r: int, branch_order_cap, exact):
-    """(allowed, r_values): the elements a gamma may be, in index order,
-    and the branch-point counts to walk, ascending."""
+def _branch_plan(G: GroupTable, branch_order_cap, exact=None):
+    """The elements a gamma may be, in index order."""
     orders = G.element_order
-    allowed = [
+    return [
         g
         for g in range(1, G.order)
         if (branch_order_cap is None or orders[g] <= branch_order_cap)
         and (exact is None or orders[g] in exact)
     ]
-    r_values = range(max_r + 1)
-    if exact is not None:
-        r_values = [len(exact)] if len(exact) <= max_r else []
-    return allowed, r_values
 
 
-def _multiset_genus(G: GroupTable, b, key, genus_cap, min_genus, exact):
-    """The genus of the vectors whose sorted branch-class multiset is
-    ``key``, or None when they are skipped: branch orders other than the
-    sorted ``exact``, no valid Riemann-Hurwitz genus, or a genus below
-    min_genus.  A genus over genus_cap is returned; those vectors are
-    counted as truncated."""
-    orders = G.element_order
+def _multiset_genus(G: GroupTable, b, key):
+    """The Riemann-Hurwitz genus of the vectors whose sorted branch-class
+    multiset is ``key``, or None when it is below 2.  Callers pass the
+    multisets of actual generating vectors, whose value is a genus by
+    Riemann's existence theorem, so a GenusError here is a fault and is
+    raised."""
     classes = conjugacy_classes(G)
-    branch = tuple(sorted(orders[classes[c].representative] for c in key))
-    if exact is not None and branch != exact:
-        return None
-    try:
-        genus = hurwitz_genus(G.order, b, branch)
-    except GenusError:
-        return None
-    if genus <= genus_cap and genus < min_genus:
-        return None
-    return genus
+    genus = hurwitz_genus(
+        G.order, b, [G.element_order[classes[c].representative] for c in key]
+    )
+    return genus if genus >= 2 else None
 
 
 def _count_vectors(G: GroupTable, b: int, classes, max_r: int, elements):
@@ -386,12 +374,11 @@ def enumerate_vectors(
     max_r: int,
     genus_cap: int = 65,
     dedup: bool = True,
-    min_genus: int = 2,
     branch_order_cap: int | None = None,
     exact_branch_orders=None,
 ):
     """Stream of valid BranchedCover with r <= max_r branch points and
-    min_genus <= g <= genus_cap.
+    2 <= g <= genus_cap.
 
     With ``dedup`` one representative per orbit of simultaneous
     relabeling by group automorphisms is emitted: the lex-least vector
@@ -417,19 +404,22 @@ def enumerate_vectors(
         )
     exact = tuple(sorted(exact_branch_orders)) if exact_branch_orders else None
     cls_of = class_index(G)
-    allowed, r_values = _branch_plan(G, max_r, branch_order_cap, exact)
+    allowed = _branch_plan(G, branch_order_cap, exact)
+    r_values = [r for r in range(max_r + 1) if exact is None or r == len(exact)]
 
     def gen(stream):
-        # ``_multiset_genus`` is decided once per sorted branch-class
-        # multiset; vectors over the cap count in ``stream.truncated``,
-        # with dedup |Aut(G)| per canonical one
+        # the genus, or None to skip, is decided once per sorted
+        # branch-class multiset; vectors over the cap count in
+        # ``stream.truncated``, with dedup |Aut(G)| per canonical one
         memo = {}
         auts = None  # Aut(G), built at the first tuple with a genus
 
         def genus_of(gammas):
             key = tuple(sorted([cls_of[g] for g in gammas]))
             if key not in memo:
-                memo[key] = _multiset_genus(G, b, key, genus_cap, min_genus, exact)
+                branch = tuple(sorted([G.element_order[g] for g in gammas]))
+                skip = exact is not None and branch != exact
+                memo[key] = None if skip else _multiset_genus(G, b, key)
             return memo[key]
 
         for r in r_values:

@@ -275,6 +275,7 @@ def cyclic_subgroup(G: GroupTable, g):
     return frozenset(_powers(G.mult, g))
 
 
+@_memo
 def abelian_invariants(G: GroupTable):
     """Invariant factors d_1 | d_2 | ... | d_t of an abelian group.
 

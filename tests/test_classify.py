@@ -2,7 +2,6 @@ import pytest
 
 from isoprod.characters import character_table
 from isoprod.classify import (
-    ClassificationRecord,
     SearchBounds,
     _aut0_mask,
     _cover_buckets,
@@ -101,8 +100,7 @@ def test_compute_aut0_matches_complex_oracle():
 
 def test_conformance_positive():
     G, a, b, S = _klein_surface()
-    rec = ClassificationRecord(S, compute_aut0(S))
-    ok, reason = check_conformance(rec)
+    ok, reason = check_conformance(S, compute_aut0(S))
     assert ok and reason == ""
 
 
@@ -115,20 +113,19 @@ def test_conformance_needs_nontrivial():
         GeneratingVector(G, 1, (t,), (t,), (c, c, c)),
     )
     with pytest.raises(DomainError):
-        check_conformance(ClassificationRecord(S, compute_aut0(S)))
+        check_conformance(S, compute_aut0(S))
 
 
 def test_conformance_example_families():
     for fam in (1, 2):
         S = example46_construct(fam, 1, 2, 1, 2)
-        rec = ClassificationRecord(S, compute_aut0(S))
-        ok, reason = check_conformance(rec)
+        ok, reason = check_conformance(S, compute_aut0(S))
         assert ok, (fam, reason)
 
 
 # (spec, vC, vD, Aut_0, reason).  Vectors are (b, alphas, betas, gammas);
 # an element is an index, or coordinates in an ab: group.  Aut_0 None
-# means compute_aut0(S).  check_conformance reads only the record, and
+# means compute_aut0(S).  check_conformance takes Aut_0 as given, and
 # most of its checks need an Aut_0 given by hand: sym:3 has a trivial
 # center, and in an abelian group with b = 1 on both sides a nontrivial
 # Aut_0 is always {1, sigma_1 tau_1} with distinct uniform involutions.
@@ -194,7 +191,7 @@ def test_conformance_failure_reasons(spec, vC, vD, aut0, reason):
     S = build_surface(vector(*vC), vector(*vD))
     aut0 = compute_aut0(S) if aut0 is None else frozenset(map(element, aut0))
     assert len(aut0) > 1
-    assert check_conformance(ClassificationRecord(S, aut0)) == (False, reason)
+    assert check_conformance(S, aut0) == (False, reason)
 
 
 def test_bounds_validation():

@@ -85,6 +85,11 @@ def test_covers_klein(capsys):
     assert summary["count"] == len(genera)
 
 
+def test_covers_bad_branch(capsys):
+    code, out, err = run(capsys, "covers", "ab:2", "--branch", "x")
+    assert code == 1 and out == "" and "bad --branch value" in err
+
+
 def test_covers_trivial_group(capsys):
     code, out, _ = run(capsys, "covers", "ab:1", "--b", "1", "--max-r", "2")
     assert code == 0
@@ -239,6 +244,10 @@ def test_surfaces_not_free(capsys):
 def test_surfaces_bad_vector_syntax(capsys):
     code, _, err = run(capsys, "surfaces", "ab:2,2", "--vc", "1|2", "--vd", "x")
     assert code == 1
+    code, _, err = run(
+        capsys, "surfaces", "ab:2,2", "--vc", "1|a|1|2,2", "--vd", "1|2|1|1,1"
+    )
+    assert code == 1 and "bad integer in vector" in err
 
 
 def test_classify_small(capsys):
@@ -281,6 +290,7 @@ def test_classify_usage_error(capsys):
         ("--max-s", "-1"),
         ("--genus-cap", "1"),
         ("--base-genera", "1,1;1,1"),
+        ("--base-genera", "1"),
     ],
 )
 def test_classify_bad_bounds_are_usage_errors(capsys, flags):
@@ -293,6 +303,8 @@ def test_classify_bad_bounds_are_usage_errors(capsys, flags):
 SPEC_CASES = [
     ("ab:2,foo:3", 1, "unknown group family 'foo'"),
     ("ab:2,2,dih:4,ab:2,2", 1, "--groups lists 'ab:2,2' twice"),
+    ("ab:1,2,2,ab:2,2", 1, "--groups lists 'ab:2,2' twice: as 'ab:1,2,2' and"),
+    (",", 1, "--groups is empty"),
     ("ab:2,2,2,2,2,2,2,2", 0, None),
     ("sym:5", 0, None),
 ]
@@ -304,9 +316,9 @@ SPEC_CASES = [
     ids=[f"{groups}-{code}" for groups, code, _ in SPEC_CASES],
 )
 def test_classify_bad_and_oversized_specs(capsys, groups, code, message):
-    """A spec that does not parse, or one listed twice, is a usage error
-    with its message; a group above --max-group-order is skipped, not
-    counted as an error."""
+    """A spec that does not parse, an empty list, or one group listed
+    twice, also under two spellings, is a usage error with its message; a
+    group above --max-group-order is skipped, not counted as an error."""
     got, out, err = run(
         capsys, "classify", "--groups", groups, "--max-r", "1", "--max-s", "1"
     )

@@ -6,6 +6,7 @@ from isoprod.characters import character_table
 from isoprod.covers import (
     GeneratingVector,
     _count_vectors,
+    _multiset_genus,
     _raw_tuples,
     enumerate_vectors,
     h1_multiplicities,
@@ -118,17 +119,16 @@ def test_stabilizer_union_conjugates():
 
 def test_raw_count_matches_bruteforce():
     """Enumeration without dedup agrees with an independent nested-loop
-    search on tiny groups."""
+    search on tiny groups, over the oracle's vectors of genus >= 2."""
     for spec in ["ab:2", "ab:3", "ab:2,2", "sym:3"]:
         G = build_group(spec)
         for r in (0, 1, 2):
             brute = [
                 (ab, gam)
                 for ab, gam in brute_vectors(G, 1, r)
+                if genus_float(G.order, 1, [G.element_order[g] for g in gam]) >= 2
             ]
-            stream = enumerate_vectors(
-                G, 1, r, genus_cap=1000, dedup=False, min_genus=0
-            )
+            stream = enumerate_vectors(G, 1, r, genus_cap=1000, dedup=False)
             got = [
                 (c.vector.alphas + c.vector.betas, c.vector.gammas)
                 for c in stream
@@ -142,7 +142,7 @@ def test_raw_count_z2():
     involution, alpha and beta free -- 4 raw tuples."""
     G = build_group("ab:2")
     assert len(brute_vectors(G, 1, 2)) == 4
-    stream = enumerate_vectors(G, 1, 2, dedup=False, min_genus=0)
+    stream = enumerate_vectors(G, 1, 2, dedup=False)
     assert sum(1 for c in stream if c.vector.gammas) == 4
 
 
@@ -284,10 +284,26 @@ def test_broughton_against_complex_oracle():
 
 def test_unramified_genus_one_quotient():
     """b=1, r=0 forces commuting generators; for Z4 the covering curve is
-    elliptic (g=1), below the surface-construction threshold."""
+    elliptic (g=1), below the surface-construction threshold, so
+    enumerate_vectors lists none of those vectors."""
     G = build_group("ab:4")
-    covers = list(enumerate_vectors(G, 1, 0, dedup=False, min_genus=0))
-    assert covers and all(c.genus == 1 for c in covers)
+    assert list(_raw_tuples(G, 1, 0, []))
+    assert hurwitz_genus(4, 1, ()) == 1
+    assert not list(enumerate_vectors(G, 1, 0, dedup=False))
+
+
+def test_multiset_genus_raises_skips_and_ignores_caps():
+    """``_multiset_genus`` raises on a multiset with no Riemann-Hurwitz
+    genus (one involution on Z2 over P^1), returns None below genus 2
+    (Z4 unramified over an elliptic curve) and returns a genus over any
+    cap unchanged (four involutions of Z2^2 over an elliptic curve)."""
+    G = build_group("ab:2")
+    with pytest.raises(GenusError):
+        _multiset_genus(G, 0, (class_index(G)[1],))
+    assert _multiset_genus(build_group("ab:4"), 1, ()) is None
+    G = build_group("ab:2,2")
+    t = class_index(G)[abelian_element(G, (1, 0))]
+    assert _multiset_genus(G, 1, (t,) * 4) == 5
 
 
 ORACLE_CASES = (

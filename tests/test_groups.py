@@ -203,10 +203,13 @@ def test_abelian_invariants_roundtrip(factors):
 
 def test_abelian_invariants_canonicalize():
     # Z2 x Z6 and Z2 x Z2 x Z3 are the same group
-    a = abelian_invariants(build_group("ab:2,6"))
+    G = build_group("ab:2,6")
+    a = abelian_invariants(G)
     b = abelian_invariants(build_group("ab:2,2,3"))
     assert a == b == (2, 6)
     assert abelian_invariants(build_group("ab:3,4")) == (12,)
+    # computed once per table
+    assert abelian_invariants(G) is a
 
 
 def test_abelian_element():
