@@ -14,6 +14,7 @@ sums that recover the multiplicity vectors exactly.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import dataclass
@@ -52,7 +53,7 @@ class Character:
 
 
 class CharacterTable:
-    def __init__(self, group: GroupTable, characters, check=True):
+    def __init__(self, group: GroupTable, characters):
         self.group = group
         self.classes = conjugacy_classes(group)
         self.class_of = class_index(group)
@@ -66,8 +67,7 @@ class CharacterTable:
                 f"{len(self.characters)} characters for {len(self.classes)} classes"
             )
         # checked before the lookups below, which assume a valid table
-        if check:
-            self.check()
+        self.check()
         self.trivial_index = next(
             i
             for i, c in enumerate(self.characters)
@@ -433,28 +433,21 @@ def _refine_spaces(spaces, M, p):
 _TABLE_CACHE = {}
 
 
-def character_table(
-    G: GroupTable, method: str = "auto", cache_dir: str | None = None
-) -> CharacterTable:
-    """Complete exact character table of G.
-
-    ``method`` is "auto" (abelian fast path when applicable), "abelian",
-    or "dixon".  With ``cache_dir`` the table is persisted as JSON keyed
-    by the group fingerprint.
+def character_table(G: GroupTable, cache_dir: str | None = None) -> CharacterTable:
+    """Complete exact character table of G: the abelian fast path when G
+    is abelian, else Dixon's method.  Tables are kept in memory by the
+    group fingerprint and, with ``cache_dir``, persisted there as JSON.
     """
-    if method not in ("auto", "abelian", "dixon"):
-        raise DomainError(f"unknown character table method {method!r}")
-    if method == "abelian" and not G.is_abelian():
-        raise DomainError("abelian method requires an abelian group")
-    key = (G.fingerprint(), method if method == "dixon" else "auto")
+    key = G.fingerprint()
     path = None
     if cache_dir:
-        path = os.path.join(cache_dir, f"chartab-{key[0]}-{key[1]}-v{__version__}.json")
+        path = os.path.join(cache_dir, f"chartab-{key}-v{__version__}.json")
     cached = _TABLE_CACHE.get(key)
     if cached is not None:
         if cached.group is not G:
-            # same Cayley table, different GroupTable instance: rebind
-            cached = CharacterTable(G, cached.characters, check=False)
+            # same Cayley table, so the same classes and values: rebind
+            cached = copy.copy(cached)
+            cached.group = G
             _TABLE_CACHE[key] = cached
         if path and not os.path.exists(path):
             _write_cache(cache_dir, path, cached)
@@ -472,11 +465,8 @@ def character_table(
         )
         _TABLE_CACHE[key] = table
         return table
-    if method == "abelian" or (method == "auto" and G.is_abelian()):
-        chars = _abelian_characters(G)
-    else:
-        chars = _dixon_characters(G)
-    table = CharacterTable(G, chars, check=True)
+    chars = _abelian_characters(G) if G.is_abelian() else _dixon_characters(G)
+    table = CharacterTable(G, chars)
     _TABLE_CACHE[key] = table
     if path:
         _write_cache(cache_dir, path, table)

@@ -236,9 +236,10 @@ def _bucket_key(r, genus, data, u):
     return (r, genus, *data, -1 if u is None else u)
 
 
-def _representative(G, table, b, key, genus_cap, branch_order_cap):
+def _representative(G, table, b, key, branch_order_cap):
     """The first listed vector of bucket ``key`` of ``_cover_buckets``
-    with the same b, genus_cap and branch_order_cap, as (ab, gammas).
+    with the same b and branch_order_cap, as (ab, gammas); the key
+    carries the genus.
 
     Only ``_raw_tuples`` at the key's r is walked, over the gammas a
     vector of the bucket can hold: u alone for a uniform bucket, else
@@ -300,7 +301,9 @@ def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivi
     def rep(b, key):
         """A bucket's representative; a key serves many pairs."""
         if (b, key) not in reps:
-            ab, gammas = _representative(G, table, b, key, *caps)
+            ab, gammas = _representative(
+                G, table, b, key, bounds.branch_order_cap
+            )
             reps[b, key] = GeneratingVector(G, b, ab[:b], ab[b:], gammas)
         return reps[b, key]
 

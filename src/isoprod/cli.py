@@ -53,7 +53,7 @@ def _parse_vector(G, text):
 
 def cmd_chartab(args):
     G = build_group(args.group)
-    table = character_table(G, method=args.method, cache_dir=_cache_dir(args))
+    table = character_table(G, cache_dir=_cache_dir(args))
     if args.format == "json":
         _out(json.dumps(table.to_json(), sort_keys=True))
         return 0
@@ -93,11 +93,17 @@ def _print_table(headers, rows):
 def cmd_covers(args):
     G = build_group(args.group)
     exact = None
-    if args.branch:
+    if args.branch is not None:
         try:
             exact = [int(t) for t in args.branch.split(",") if t.strip()]
         except ValueError as exc:
             raise UsageError(f"bad --branch value {args.branch!r}") from exc
+        if not exact:
+            raise UsageError("--branch is empty")
+        if args.max_r is not None and args.max_r < len(exact):
+            raise UsageError(
+                f"--max-r {args.max_r} is below the {len(exact)} --branch orders"
+            )
     max_r = args.max_r if args.max_r is not None else (len(exact) if exact else 4)
     stream = enumerate_vectors(
         G,
@@ -283,7 +289,6 @@ def make_parser():
 
     q = sub.add_parser("chartab", help="exact character table of a group")
     q.add_argument("group")
-    q.add_argument("--method", choices=("auto", "abelian", "dixon"), default="auto")
     q.add_argument("--format", choices=("json", "csv", "table"), default="json")
     q.add_argument("--cache-dir", default=None)
     q.set_defaults(fn=cmd_chartab)

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -7,6 +8,8 @@ from isoprod.characters import (
     Character,
     CharacterTable,
     SubgroupChars,
+    _abelian_characters,
+    _dixon_characters,
     character_table,
     decompose,
     find_constituent_avoiding,
@@ -110,16 +113,9 @@ def test_abelian_and_dixon_agree():
         G = build_group(spec)
         if not G.is_abelian():
             continue
-        ta = character_table(G, method="abelian")
-        td = character_table(G, method="dixon")
-        assert [c.values for c in ta.characters] == [
-            c.values for c in td.characters
-        ], spec
-
-
-def test_abelian_method_rejects_nonabelian():
-    with pytest.raises(DomainError):
-        character_table(build_group("sym:3"), method="abelian")
+        ta = CharacterTable(G, _abelian_characters(G))
+        td = CharacterTable(G, _dixon_characters(G))
+        assert ta.characters == td.characters, spec
 
 
 def test_kernel_and_trivial_multiplicity():
@@ -169,10 +165,36 @@ def test_disk_cache(tmp_path):
     character_table.__globals__["_TABLE_CACHE"].clear()
     t1 = character_table(G, cache_dir=str(tmp_path))
     files = list(tmp_path.iterdir())
-    assert len(files) == 1
+    assert [f.name for f in files] == [
+        f"chartab-{G.fingerprint()}-v{characters.__version__}.json"
+    ]
     character_table.__globals__["_TABLE_CACHE"].clear()
     t2 = character_table(build_group("sym:3"), cache_dir=str(tmp_path))
     assert [c.values for c in t1.characters] == [c.values for c in t2.characters]
+
+
+def test_table_is_rebound_to_an_equal_group(monkeypatch):
+    """A second GroupTable with the same Cayley table gets the cached
+    table bound to itself, without running Dixon again; the first
+    instance gets its own table back."""
+    cache = characters._TABLE_CACHE
+    cache.clear()
+    dixon = characters._dixon_characters
+    calls = []
+
+    def counted(G):
+        calls.append(G)
+        return dixon(G)
+
+    monkeypatch.setattr(characters, "_dixon_characters", counted)
+    G1, G2 = build_group("sym:3"), build_group("sym:3")
+    assert G1 is not G2
+    t1 = character_table(G1)
+    t2 = character_table(G2)
+    assert t2.group is G2 and t2.characters == t1.characters
+    assert list(cache) == [G1.fingerprint()]
+    assert character_table(G1).group is G1
+    assert calls == [G1]
 
 
 def _write_sym3_cache(tmp_path):
@@ -368,7 +390,7 @@ def test_restriction_error_names_group_subgroup_and_characters():
     nontriv = next(i for i in range(3) if i != sc.table.trivial_index)
     # a private copy of the subgroup table with one character replaced by
     # zeta_3 everywhere: restricting the trivial character gives 3/zeta_3
-    sc.table = CharacterTable(sc.H, sc.table.characters, check=False)
+    sc.table = copy.copy(sc.table)
     broken = Character(1, ((0, 1, 0),) * len(sc.table.classes))
     sc.table.characters = tuple(
         broken if k == nontriv else c for k, c in enumerate(sc.table.characters)

@@ -76,7 +76,7 @@ def test_compute_aut0_matches_complex_oracle():
         buckets, _ = _cover_buckets(G, table, 1, 3, 33, 8)
         vectors = {}
         for key in buckets:
-            ab, gammas = _representative(G, table, 1, key, 33, 8)
+            ab, gammas = _representative(G, table, 1, key, 8)
             vectors[key] = GeneratingVector(G, 1, ab[:1], ab[1:], gammas)
         for keyC, vC in sorted(vectors.items()):
             for keyD, vD in sorted(vectors.items()):
@@ -304,7 +304,7 @@ def test_representatives_are_first_listed():
             _, first, _ = listed_buckets(G, table, b, max_r, genus_cap, 8)
             assert set(buckets) == set(first), (spec, b, max_r)
             for key in sorted(buckets):
-                rep = _representative(G, table, b, key, genus_cap, 8)
+                rep = _representative(G, table, b, key, 8)
                 assert rep == first[key], (spec, b, key)
                 compared[key[-1] >= 0] += 1
     assert compared[True] > 0 and compared[False] > 0
@@ -316,7 +316,7 @@ def test_representative_of_an_empty_bucket_raises():
     G = build_group("ab:2,2")
     key = (2, 99, 1, 1, -1)
     with pytest.raises(ConsistencyError) as err:
-        _representative(G, character_table(G), 1, key, 9, 8)
+        _representative(G, character_table(G), 1, key, 8)
     message = str(err.value)
     assert "ab:2,2" in message and "b = 1" in message and str(key) in message
 

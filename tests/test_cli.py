@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import isoprod
-from isoprod.cli import main
+from isoprod.cli import main, make_parser
 from isoprod.errors import IsoprodError
 
 
@@ -86,8 +87,16 @@ def test_covers_klein(capsys):
 
 
 def test_covers_bad_branch(capsys):
-    code, out, err = run(capsys, "covers", "ab:2", "--branch", "x")
-    assert code == 1 and out == "" and "bad --branch value" in err
+    """A --branch that does not parse, that lists no order, or that
+    lists more orders than --max-r allows is a usage error."""
+    cases = [
+        (("ab:2", "--branch", "x"), "bad --branch value"),
+        (("ab:2,2", "--branch", ","), "--branch is empty"),
+        (("ab:2,2", "--branch", "2,2", "--max-r", "1"), "below the 2 --branch"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, "covers", *argv)
+        assert code == 1 and out == "" and message in err, argv
 
 
 def test_covers_trivial_group(capsys):
@@ -378,6 +387,37 @@ def test_bad_subcommand(capsys):
 
 def test_version(capsys):
     assert main(["--version"]) == 0
+
+
+def test_cli_options_are_pinned():
+    """Every subcommand's 23 options, so that adding or removing a flag
+    is an edit to this list."""
+    (subparsers,) = [
+        a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {
+        name: [
+            s
+            for a in parser._actions
+            for s in a.option_strings
+            if s not in ("-h", "--help")
+        ]
+        for name, parser in subparsers.choices.items()
+    }
+    assert options == {
+        "chartab": ["--format", "--cache-dir"],
+        "covers": [
+            "--b", "--max-r", "--branch", "--genus-cap", "--branch-order-cap",
+            "--no-dedup", "--format",
+        ],
+        "surfaces": ["--vc", "--vd", "--format"],
+        "classify": [
+            "--groups", "--max-group-order", "--max-r", "--max-s",
+            "--genus-cap", "--branch-order-cap", "--base-genera", "--workers",
+            "--full", "--cache-dir",
+        ],
+        "verify-example": ["--format"],
+    }
 
 
 STDLIB_ONLY = """
