@@ -22,7 +22,7 @@ from .covers import (
     _branch_plan,
     _class_cyclic_unions,
     _conj_cyclic,
-    _count_vectors,
+    _counted_multisets,
     _multiset_genus,
     _raw_tuples,
     h1_multiplicities,
@@ -198,30 +198,21 @@ def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
     Returns (buckets, number of vectors dropped because their genus
     exceeds genus_cap), with buckets[key] the number of vectors in it.
 
-    ``_count_vectors`` reports every branch-class multiset M that has
-    vectors, with its count; the genus, the cap and the bucket data are
-    decided only for those.  The vectors whose gammas all equal one u
-    are counted apart, and the rest of M's vectors go to the u = -1
-    bucket.  Nothing is listed.
+    ``_counted_multisets`` makes the genus and cap decision once per
+    branch-class multiset M with vectors, as for ``enumerate_vectors``;
+    the bucket data is computed only for the kept M.  The vectors whose
+    gammas all equal one u are counted apart, and the rest of M's
+    vectors go to the u = -1 bucket.  Nothing is listed.
     """
-    cls_of = class_index(G)
     allowed = _branch_plan(G, branch_order_cap)
-    classes = sorted({cls_of[g] for g in allowed})
-    counts, ucounts = _count_vectors(G, b, classes, max_r, allowed)
+    kept, ucounts, truncated = _counted_multisets(G, b, max_r, genus_cap, allowed)
     buckets = {}
-    truncated = 0
 
     def add(key, count):
         if count:
             buckets[key] = buckets.get(key, 0) + count
 
-    for M, count in counts.items():
-        genus = _multiset_genus(G, b, M)
-        if genus is None:
-            continue
-        if genus > genus_cap:
-            truncated += count
-            continue
+    for M, (genus, count) in kept.items():
         r = len(M)
         data = _class_data(G, table, b, M)
         if M and M.count(M[0]) == r:

@@ -105,6 +105,8 @@ def cmd_covers(args):
                 f"--max-r {args.max_r} is below the {len(exact)} --branch orders"
             )
     max_r = args.max_r if args.max_r is not None else (len(exact) if exact else 4)
+    if args.b not in (0, 1, 2) or max_r < 0 or args.genus_cap < 1:
+        raise UsageError("need --b 0, 1 or 2, --max-r >= 0 and --genus-cap >= 1")
     stream = enumerate_vectors(
         G,
         args.b,

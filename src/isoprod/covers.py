@@ -184,15 +184,16 @@ def isotypic_dimensions(cover: BranchedCover, table) -> tuple:
 
 
 class CoverStream:
-    """Iterator over ``gen(stream)``; ``truncated`` counts the otherwise
-    valid vectors dropped because their genus exceeded the cap."""
+    """Iterator over ``gen()``; ``truncated`` counts the otherwise valid
+    vectors dropped because their genus exceeded the cap, and is known
+    when the stream is created."""
 
-    def __init__(self, gen):
+    def __init__(self, gen, truncated):
         self._gen = gen
-        self.truncated = 0
+        self.truncated = truncated
 
     def __iter__(self):
-        return self._gen(self)
+        return self._gen()
 
 
 def _raw_tuples(G, b, r, allowed_gamma, prefix=()):
@@ -242,14 +243,14 @@ def _raw_tuples(G, b, r, allowed_gamma, prefix=()):
 
 def _canonical_tuples(G, b, r, allowed_gamma, auts):
     """The tuples of ``_raw_tuples`` that are lex-least in their orbit
-    under ``auts`` = Aut(G), in the same order.  A tuple is lex-least iff
-    each entry is least in its orbit under the stabilizer of the entries
-    before it (R. C. Read's orderly generation), so the walk fixes free
-    entries one at a time, skips a candidate x that some phi in the
-    current stabilizer sends below x, and narrows the stabilizer to the
-    phi fixing x.  Once it is trivial, or no free entry is left (a phi
-    fixing those fixes the forced last gamma), ``_raw_tuples`` lists
-    the completions of the prefix."""
+    under the automorphisms ``auts``, in the same order.  A tuple is
+    lex-least iff each entry is least in its orbit under the stabilizer
+    of the entries before it (R. C. Read's orderly generation), so the
+    walk fixes free entries one at a time, skips a candidate x that some
+    phi in the current stabilizer sends below x, and narrows the
+    stabilizer to the phi fixing x.  Once it is trivial, or no free entry
+    is left (a phi fixing those fixes the forced last gamma),
+    ``_raw_tuples`` lists the completions of the prefix."""
     free = 2 * b + max(r - 1, 0)
 
     def walk(prefix, stab):
@@ -368,6 +369,31 @@ def _orderings(key):
     return out
 
 
+def _counted_multisets(G: GroupTable, b, max_r, genus_cap, allowed, exact=None):
+    """Genus and cap, decided once per sorted branch-class multiset M that
+    ``_count_vectors`` reports for gammas in ``allowed`` (a union of
+    classes); with ``exact``, sorted branch orders, only M of those
+    orders count.  Returns (kept, ucounts, truncated): kept[M] = (genus,
+    count) for the M of genus <= genus_cap, the uniform counts, and the
+    number of vectors over the cap.  Listing and sweep share it."""
+    cls_of = class_index(G)
+    classes = sorted({cls_of[g] for g in allowed})
+    counts, ucounts = _count_vectors(G, b, classes, max_r, allowed)
+    order_of = [G.element_order[c.representative] for c in conjugacy_classes(G)]
+    kept, truncated = {}, 0
+    for M, count in counts.items():
+        if exact and tuple(sorted([order_of[c] for c in M])) != exact:
+            continue
+        genus = _multiset_genus(G, b, M)
+        if genus is None:
+            continue
+        if genus > genus_cap:
+            truncated += count
+        else:
+            kept[M] = genus, count
+    return kept, ucounts, truncated
+
+
 def enumerate_vectors(
     G: GroupTable,
     b: int,
@@ -380,15 +406,16 @@ def enumerate_vectors(
     """Stream of valid BranchedCover with r <= max_r branch points and
     2 <= g <= genus_cap.
 
-    With ``dedup`` one representative per orbit of simultaneous
-    relabeling by group automorphisms is emitted: the lex-least vector
-    of the orbit, the one listed first, found by stabilizer-chain
-    pruning (``_canonical_tuples``) without listing the rest.  Aut(G) is
-    built at the first r with a vector that has a genus, kept or over
-    the cap, and the walk of that r restarts pruned.  Aut(G) acts
-    freely on generating vectors, so ``truncated`` counts the canonical
-    truncated vectors times |Aut(G)|, every vector over the cap.  Dedup
-    is supported for |G| <= AUTOMORPHISM_DEDUP_LIMIT only; above it
+    The vectors are counted first (``_counted_multisets``): that fixes
+    the kept branch-class multisets with their genera and ``truncated``,
+    the number of vectors over the cap, when the stream is created.  Only
+    the r of a kept multiset are walked, and a listed vector is kept iff
+    its multiset is.  With ``dedup`` one representative per orbit of
+    simultaneous relabeling by group automorphisms is emitted: the
+    lex-least vector of the orbit, the one listed first, found by
+    stabilizer-chain pruning (``_canonical_tuples``) without listing the
+    rest.  Aut(G) is built only when some vector is kept.  Dedup is
+    supported for |G| <= AUTOMORPHISM_DEDUP_LIMIT only; above it
     DomainError is raised at once, and ``dedup=False`` lists every
     vector.
     """
@@ -403,41 +430,18 @@ def enumerate_vectors(
             f"|G| = {n}; pass dedup=False (--no-dedup) to list every vector"
         )
     exact = tuple(sorted(exact_branch_orders)) if exact_branch_orders else None
-    cls_of = class_index(G)
     allowed = _branch_plan(G, branch_order_cap, exact)
-    r_values = [r for r in range(max_r + 1) if exact is None or r == len(exact)]
+    kept, _, truncated = _counted_multisets(G, b, max_r, genus_cap, allowed, exact)
+    # under the identity alone the canonical walk is the plain listing
+    auts = automorphisms(G) if dedup and kept else [tuple(range(n))]
+    cls_of = class_index(G)
 
-    def gen(stream):
-        # the genus, or None to skip, is decided once per sorted
-        # branch-class multiset; vectors over the cap count in
-        # ``stream.truncated``, with dedup |Aut(G)| per canonical one
-        memo = {}
-        auts = None  # Aut(G), built at the first tuple with a genus
+    def gen():
+        for r in sorted({len(M) for M in kept}):
+            for ab, gammas in _canonical_tuples(G, b, r, allowed, auts):
+                M = tuple(sorted([cls_of[g] for g in gammas]))
+                if M in kept:
+                    v = GeneratingVector(G, b, ab[:b], ab[b:], gammas)
+                    yield BranchedCover(v, kept[M][0])
 
-        def genus_of(gammas):
-            key = tuple(sorted([cls_of[g] for g in gammas]))
-            if key not in memo:
-                branch = tuple(sorted([G.element_order[g] for g in gammas]))
-                skip = exact is not None and branch != exact
-                memo[key] = None if skip else _multiset_genus(G, b, key)
-            return memo[key]
-
-        for r in r_values:
-            tuples = _raw_tuples(G, b, r, allowed)
-            if dedup and auts is None and any(
-                genus_of(gammas) is not None for _, gammas in tuples
-            ):
-                auts = automorphisms(G)
-            if dedup and auts:
-                tuples = _canonical_tuples(G, b, r, allowed, auts)
-            for ab, gammas in tuples:
-                genus = genus_of(gammas)
-                if genus is None:
-                    continue
-                if genus > genus_cap:
-                    stream.truncated += len(auts) if auts else 1
-                    continue
-                v = GeneratingVector(G, b, ab[:b], ab[b:], gammas)
-                yield BranchedCover(v, genus)
-
-    return CoverStream(gen)
+    return CoverStream(gen, truncated)

@@ -251,17 +251,17 @@ def test_cover_buckets_decide_only_multisets_with_vectors(monkeypatch):
     multisets that have vectors: on Z_2^4 at b = 1, r <= 4 those are 245
     of the 3,876 multisets of at most 4 of its 15 non-identity classes,
     and ``_multiset_genus`` is called no more often than that."""
-    import isoprod.classify as classify
+    import isoprod.covers as covers
 
     calls = 0
-    decide = classify._multiset_genus
+    decide = covers._multiset_genus
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return decide(*args)
 
-    monkeypatch.setattr(classify, "_multiset_genus", counting)
+    monkeypatch.setattr(covers, "_multiset_genus", counting)
     G = build_group("ab:2,2,2,2")
     buckets, _ = _cover_buckets(G, character_table(G), 1, 4, 33, 8)
     assert buckets and 0 < calls <= 245

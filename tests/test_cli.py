@@ -88,11 +88,15 @@ def test_covers_klein(capsys):
 
 def test_covers_bad_branch(capsys):
     """A --branch that does not parse, that lists no order, or that
-    lists more orders than --max-r allows is a usage error."""
+    lists more orders than --max-r allows is a usage error, and so is a
+    base genus or cap out of range."""
     cases = [
         (("ab:2", "--branch", "x"), "bad --branch value"),
         (("ab:2,2", "--branch", ","), "--branch is empty"),
         (("ab:2,2", "--branch", "2,2", "--max-r", "1"), "below the 2 --branch"),
+        (("ab:2", "--max-r", "-1"), "--max-r >= 0"),
+        (("ab:2", "--genus-cap", "0"), "--genus-cap >= 1"),
+        (("ab:2", "--b", "3"), "need --b 0, 1 or 2"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, "covers", *argv)

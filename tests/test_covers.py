@@ -188,11 +188,16 @@ def test_count_vectors_match_bruteforce():
 
 
 def test_genus_cap_sets_truncated():
+    """``truncated`` holds its final value before the first iteration,
+    and a second iteration yields the same covers without changing it."""
     G = build_group("ab:2,2")
     stream = enumerate_vectors(G, 1, 4, genus_cap=3, dedup=False)
-    covers = list(stream)
-    assert stream.truncated  # r=4 vectors have genus 5
-    assert all(c.genus <= 3 for c in covers)
+    before = stream.truncated
+    covers = [(c.vector, c.genus) for c in stream]
+    assert before == stream.truncated == 420  # r=4 vectors have genus 5
+    assert all(genus <= 3 for _, genus in covers)
+    assert [(c.vector, c.genus) for c in stream] == covers
+    assert stream.truncated == 420
 
 
 @pytest.mark.parametrize("spec,max_r", [("ab:2,2", 2), ("dih:4", 4), ("quat:8", 4)])
@@ -233,16 +238,21 @@ def test_dedup_above_limit_raises():
 
 
 def test_dedup_builds_no_automorphisms_without_vectors(monkeypatch):
-    """Dedup builds Aut(G) at the first r with a vector that has a genus,
-    kept or over the cap, so a stream with no vector never builds it
-    (Z_2^5 has 9,999,360 automorphisms and no generating vector at
-    b = 1 with r <= 2)."""
+    """Dedup builds Aut(G) and lists tuples only when the count keeps
+    some vector, so a stream with no vector does neither (Z_2^5 has
+    9,999,360 automorphisms and no generating vector at b = 1 with
+    r <= 3), and neither does one whose vectors are all over the cap
+    (Z_2^4 at b = 1, r <= 3 has 20,160 vectors, all of genus 13)."""
+    import isoprod.covers as covers
 
-    def refuse(G):
-        raise AssertionError("Aut(G) built for a stream without vectors")
+    def refuse(*args):
+        raise AssertionError("Aut(G) built or tuples listed without vectors")
 
-    monkeypatch.setattr("isoprod.covers.automorphisms", refuse)
-    assert list(enumerate_vectors(build_group("ab:2,2,2,2,2"), 1, 2)) == []
+    monkeypatch.setattr(covers, "automorphisms", refuse)
+    monkeypatch.setattr(covers, "_raw_tuples", refuse)
+    assert list(enumerate_vectors(build_group("ab:2,2,2,2,2"), 1, 3)) == []
+    stream = enumerate_vectors(build_group("ab:2,2,2,2"), 1, 3, genus_cap=2)
+    assert list(stream) == [] and stream.truncated == 20160
 
 
 def test_exact_branch_orders():
@@ -317,7 +327,7 @@ ORACLE_CASES = (
         for s in ("sym:3", "dih:4")
         for b, r in ((0, 4), (2, 1))
     ]
-    + [("dih:4", 1, 4, 65, (2, 4, 4))]
+    + [("dih:4", 1, 4, 65, (2, 4, 4)), ("ab:2,2,2,2", 1, 3, 2, None)]
 )
 
 
