@@ -51,6 +51,8 @@ class SearchBounds:
             raise DomainError("branch point bounds must be >= 0")
         if self.genus_cap < 2:
             raise DomainError("genus_cap must be >= 2")
+        if self.branch_order_cap is not None and self.branch_order_cap < 1:
+            raise DomainError("branch_order_cap must be >= 1")
         pairs = [tuple(pair) for pair in self.base_genera]
         for i, pair in enumerate(pairs):
             if pair not in ALL_BASE_GENERA:

@@ -403,42 +403,73 @@ def subgroup_table(G: GroupTable, elements):
 
 @_memo
 def automorphisms(G: GroupTable):
-    """All automorphisms of G as element-permutation tuples.
+    """All automorphisms of G as element-permutation tuples, the
+    identity first.
 
-    Brute force over generator images with subgroup-size pruning;
-    intended for order <= 32.
+    Sims's search down the chain Aut(G) = S_0 > S_1 > ... > S_k = 1,
+    S_i the automorphisms fixing the first i greedy generators (C. C.
+    Sims, 1970; Holt, Eick and O'Brien, *Handbook of Computational Group
+    Theory*, 2005, ch. 4).  From i = k - 1 down to 0, each image c of
+    gens[i] not yet in its orbit under the automorphisms found so far is
+    searched exhaustively for one map of S_i that sends gens[i] to c, so
+    the orbit comes out whole and S_i is the disjoint union of u S_(i+1)
+    over its transversal u.  Aut(G) is listed as the products
+    u_0 u_1 ... u_(k-1), each once; ``_extend_map`` checks only the
+    leaves the searches walk.  Images are pruned by element order and
+    generated-subgroup size.
     """
     n = G.order
     gens = _greedy_generators(G.mult)
     reg = subgroup_registry(G)
     parent, bfs_order = _word_tree(G.mult, gens)
     assert len(bfs_order) == n
-
-    gen_sids = []
-    sid = 0
-    for g in gens:
-        sid = reg.extend(sid, g)
-        gen_sids.append(sid)
+    gen_sids = list(itertools.accumulate(gens, reg.extend, initial=0))
     order = G.element_order
     by_order = {}
     for g in range(n):
         by_order.setdefault(order[g], []).append(g)
 
-    auts = []
+    def candidates(k, sid):
+        """(c, id of <images, c>) for the images c of gens[k] after
+        images generating subgroup ``sid``."""
+        size = len(reg.sets[gen_sids[k + 1]])
+        for c in by_order[order[gens[k]]]:
+            nsid = reg.extend(sid, c)
+            if len(reg.sets[nsid]) == size:
+                yield c, nsid
 
-    def assign(k, images, sid):
+    def search(images, sid):
+        """One automorphism sending gens[j] to images[j] for every j
+        < len(images) (which generate subgroup ``sid``), or None."""
+        k = len(images)
         if k == len(gens):
             phi = _extend_map(G.mult, gens, parent, bfs_order, images, G.mult)
-            if phi is not None and len(set(phi)) == n:
-                auts.append(phi)
-            return
-        target_size = len(reg.sets[gen_sids[k]])
-        for c in by_order.get(order[gens[k]], ()):
-            nsid = reg.extend(sid, c)
-            if len(reg.sets[nsid]) == target_size:
-                assign(k + 1, images + [c], nsid)
+            return phi if phi is not None and len(set(phi)) == n else None
+        for c, nsid in candidates(k, sid):
+            phi = search(images + [c], nsid)
+            if phi is not None:
+                return phi
+        return None
 
-    assign(0, [], 0)
+    identity = tuple(range(n))
+    found = []  # those found at levels >= i lie in S_i
+    auts = [identity]
+    for i in reversed(range(len(gens))):
+        orbit = {gens[i]: identity}  # x -> a map of S_i sending gens[i] to x
+        for c, sid in candidates(i, gen_sids[i]):
+            if c in orbit:
+                continue
+            phi = search(gens[:i] + [c], sid)
+            if phi is None:
+                continue
+            found.append(phi)
+            points = list(orbit)
+            for x in points:
+                for s in found:
+                    if s[x] not in orbit:
+                        orbit[s[x]] = tuple(map(s.__getitem__, orbit[x]))
+                        points.append(s[x])
+        auts = [tuple(map(u.__getitem__, p)) for u in orbit.values() for p in auts]
     return tuple(auts)
 
 

@@ -344,3 +344,64 @@ def dedup_by_marking(G, b, max_r, genus_cap, min_genus=2, exact=None):
                     image = phi.__getitem__
                     marked.add((tuple(map(image, ab)), tuple(map(image, gam))))
     return kept, truncated
+
+
+def automorphisms_by_leaves(G):
+    """Every automorphism of G by checking every leaf: each tuple of
+    generator images that passes the element-order and generated-subgroup
+    size pruning goes through ``groups._extend_map`` and a bijection test,
+    with no orbit or transversal; tuples in leaf order."""
+    from isoprod.groups import (
+        _extend_map,
+        _greedy_generators,
+        _word_tree,
+        subgroup_registry,
+    )
+
+    n = G.order
+    gens = _greedy_generators(G.mult)
+    reg = subgroup_registry(G)
+    parent, bfs_order = _word_tree(G.mult, gens)
+    gen_sids = []
+    sid = 0
+    for g in gens:
+        sid = reg.extend(sid, g)
+        gen_sids.append(sid)
+    order = G.element_order
+    auts = []
+
+    def assign(k, images, sid):
+        if k == len(gens):
+            phi = _extend_map(G.mult, gens, parent, bfs_order, images, G.mult)
+            if phi is not None and len(set(phi)) == n:
+                auts.append(phi)
+            return
+        target_size = len(reg.sets[gen_sids[k]])
+        for c in range(n):
+            if order[c] == order[gens[k]]:
+                nsid = reg.extend(sid, c)
+                if len(reg.sets[nsid]) == target_size:
+                    assign(k + 1, images + [c], nsid)
+
+    assign(0, [], 0)
+    return tuple(auts)
+
+
+def automorphisms_brute(G):
+    """Every automorphism of G as a bijection fixing the identity with
+    phi(xy) = phi(x)phi(y) for every x, y; (n - 1)! candidates, so only
+    for tiny G."""
+    import itertools
+
+    n = G.order
+    mult = G.mult
+    auts = []
+    for rest in itertools.permutations(range(1, n)):
+        phi = (0,) + rest
+        if all(
+            phi[mult[x][y]] == mult[phi[x]][phi[y]]
+            for x in range(n)
+            for y in range(n)
+        ):
+            auts.append(phi)
+    return auts

@@ -203,6 +203,8 @@ def test_bounds_validation():
         SearchBounds(base_genera=((0, 1),)).validate()
     with pytest.raises(DomainError):
         SearchBounds(base_genera=((1, 1), (1, 2), (1, 1))).validate()
+    with pytest.raises(DomainError):
+        SearchBounds(branch_order_cap=0).validate()
     SearchBounds().validate()
 
 

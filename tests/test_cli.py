@@ -97,6 +97,7 @@ def test_covers_bad_branch(capsys):
         (("ab:2", "--max-r", "-1"), "--max-r >= 0"),
         (("ab:2", "--genus-cap", "0"), "--genus-cap >= 1"),
         (("ab:2", "--b", "3"), "need --b 0, 1 or 2"),
+        (("ab:2,2", "--branch-order-cap", "0"), "--branch-order-cap >= 1"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, "covers", *argv)
@@ -304,6 +305,7 @@ def test_classify_usage_error(capsys):
         ("--genus-cap", "1"),
         ("--base-genera", "1,1;1,1"),
         ("--base-genera", "1"),
+        ("--branch-order-cap", "0"),
     ],
 )
 def test_classify_bad_bounds_are_usage_errors(capsys, flags):

@@ -1,9 +1,11 @@
 import json
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isoprod import groups
 from isoprod.characters import (
     CharacterTable,
     _abelian_characters,
@@ -27,7 +29,11 @@ from isoprod.groups import (
     subgroup_table,
 )
 
-from oracles import saturate_closure
+from oracles import (
+    automorphisms_brute,
+    automorphisms_by_leaves,
+    saturate_closure,
+)
 
 
 def test_cyclic_group_basics():
@@ -253,7 +259,9 @@ def test_subgroup_table_reindex():
 
 
 def test_automorphism_counts():
-    # |Aut| for well-known small groups
+    """|Aut(G)| for small groups, the abelian ones against Hillar and
+    Rhea's closed form and D_n (n >= 3) against n * phi(n); every map is
+    a bijection fixing the identity that respects products."""
     expected = {
         "ab:1": 1,
         "ab:2": 1,
@@ -261,18 +269,63 @@ def test_automorphism_counts():
         "ab:2,2": 6,
         "ab:4": 2,
         "ab:2,2,2": 168,
+        "ab:3,3": 48,
+        "ab:4,4": 96,
+        "ab:2,2,4": 192,
+        "ab:2,4,4": 1536,
+        "ab:2,2,2,2": 20160,
+        "ab:3,3,3": 11232,
+        "ab:2,2,2,4": 21504,
         "sym:3": 6,
         "quat:8": 24,
         "dih:4": 8,
+        "dih:5": 20,
+        "dih:8": 32,
+        "dih:16": 128,
     }
     for spec, count in expected.items():
         G = build_group(spec)
         auts = automorphisms(G)
-        assert len(auts) == count, spec
-        # each is a bijection fixing the identity and respecting products
+        assert len(auts) == len(set(auts)) == count, spec
+        rows = [itemgetter(*row) for row in G.mult]
         for phi in auts:
             assert phi[0] == 0
             assert sorted(phi) == list(range(G.order))
+            # phi(x * y) == phi(x) * phi(y): row x of the table mapped by
+            # phi is row phi(x) read at the columns phi(y)
+            image = itemgetter(*phi)
+            assert [row(phi) for row in rows] == [image(G.mult[p]) for p in phi]
+
+
+@pytest.mark.parametrize("spec", builtin_groups_upto(16) + ["sym:4", "quat:12"])
+def test_automorphisms_match_oracles(spec):
+    """The orbit search lists the same set as checking every leaf, and,
+    for |G| <= 8, as a brute force over all bijections."""
+    G = build_group(spec)
+    auts = set(automorphisms(G))
+    assert auts == set(automorphisms_by_leaves(G))
+    if G.order <= 8:
+        assert auts == set(automorphisms_brute(G))
+
+
+def test_automorphisms_check_only_found_maps(monkeypatch):
+    """Z_2^4 has 20,160 automorphisms, and checking every generator-image
+    leaf calls ``_extend_map`` that often; the orbit search checks only
+    the leaves it walks to reach an orbit point it has not reached yet.
+    The list is deterministic, identity first."""
+    calls = []
+    extend = groups._extend_map
+
+    def counted(*args):
+        calls.append(1)
+        return extend(*args)
+
+    monkeypatch.setattr(groups, "_extend_map", counted)
+    auts = automorphisms(build_group("ab:2,2,2,2"))
+    assert len(auts) == 20160
+    assert len(calls) <= 64
+    assert auts == automorphisms(build_group("ab:2,2,2,2"))
+    assert auts[0] == tuple(range(16))
 
 
 @pytest.mark.parametrize(
