@@ -9,7 +9,10 @@ and the trivial multiplicity l_sigma(chi) -- plain integer tests.
 Abelian groups get a direct fast path; everything else goes through
 Dixon's method: simultaneous diagonalization of the class-sum matrices
 over a prime field F_p with p = 1 (mod e), followed by discrete Fourier
-sums that recover the multiplicity vectors exactly.
+sums that recover the multiplicity vectors exactly.  On each common
+eigenspace not yet split, the eigenvalues of a class sum are the roots
+of its characteristic polynomial (Hessenberg reduction, O(d^3) on a
+d-dimensional space); a nullspace is solved for only at those roots.
 """
 
 from __future__ import annotations
@@ -321,6 +324,51 @@ def _combine(coeffs, rows, p):
     return [x % p for x in out]
 
 
+def _charpoly_mod(A, p):
+    """Coefficients of det(xI - A) over F_p, constant term first.
+
+    A is brought to upper Hessenberg form H by similarity: per column,
+    a nonzero sub-diagonal pivot is swapped (rows and columns) up to the
+    first sub-diagonal and the entries below it are eliminated.  With P_m
+    the polynomial of the leading m x m block,
+    P_(m+1) = (x - h_mm) P_m - Sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) P_i.
+    O(d^3) for d x d.
+    """
+    H = [[x % p for x in row] for row in A]
+    d = len(H)
+    for j in range(d - 2):
+        s = next((i for i in range(j + 1, d) if H[i][j]), None)
+        if s is None:
+            continue
+        if s != j + 1:
+            H[s], H[j + 1] = H[j + 1], H[s]
+            for row in H:
+                row[s], row[j + 1] = row[j + 1], row[s]
+        inv = pow(H[j + 1][j], p - 2, p)
+        for i in range(j + 2, d):
+            f = H[i][j] * inv % p
+            if f:
+                # row_i -= f row_(j+1), then col_(j+1) += f col_i
+                H[i] = [(x - f * y) % p for x, y in zip(H[i], H[j + 1])]
+                for row in H:
+                    row[j + 1] = (row[j + 1] + f * row[i]) % p
+    polys = [[1]]
+    for m in range(d):
+        nxt = [0] + polys[m]
+        for t, c in enumerate(polys[m]):
+            nxt[t] -= H[m][m] * c
+        sub = 1
+        for i in range(m - 1, -1, -1):
+            sub = sub * H[i + 1][i] % p
+            if not sub:
+                break
+            c = H[i][m] * sub
+            for t, y in enumerate(polys[i]):
+                nxt[t] -= c * y
+        polys.append([x % p for x in nxt])
+    return polys[d]
+
+
 def _dixon_characters(G: GroupTable):
     n = G.order
     classes = conjugacy_classes(G)
@@ -408,8 +456,15 @@ def _refine_spaces(spaces, M, p):
         if any(_combine(A[i], B, p) != W[i] for i in range(d)):
             raise ConsistencyError("eigenspace not invariant under class sum")
         At = [[A[j][i] % p for j in range(d)] for i in range(d)]
+        cp = _charpoly_mod(At, p)
         used = 0
         for lam in range(p):
+            # the nullspace is nonzero exactly at the roots of det(xI - At)
+            v = 0
+            for c in reversed(cp):
+                v = (v * lam + c) % p
+            if v:
+                continue
             N = [
                 [(At[i][j] - (lam if i == j else 0)) % p for j in range(d)]
                 for i in range(d)

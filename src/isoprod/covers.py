@@ -423,6 +423,8 @@ def enumerate_vectors(
         raise DomainError("base genus must be 0, 1 or 2")
     if max_r < 0 or genus_cap <= 0:
         raise DomainError("caps must be positive")
+    if branch_order_cap is not None and branch_order_cap < 1:
+        raise DomainError("branch_order_cap must be >= 1")
     n = G.order
     if dedup and n > AUTOMORPHISM_DEDUP_LIMIT:
         raise DomainError(

@@ -405,3 +405,25 @@ def automorphisms_brute(G):
         ):
             auts.append(phi)
     return auts
+
+
+def det_mod(M, p):
+    """det(M) over F_p by Gaussian elimination to upper-triangular
+    form: each row swap flips the sign, and the determinant is the
+    product of the pivots."""
+    rows = [[x % p for x in row] for row in M]
+    n = len(rows)
+    det = 1
+    for c in range(n):
+        r = next((i for i in range(c, n) if rows[i][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            det = -det
+        det = det * rows[c][c] % p
+        inv = pow(rows[c][c], p - 2, p)
+        for i in range(c + 1, n):
+            f = rows[i][c] * inv % p
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[c])]
+    return det % p

@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from isoprod.characters import (
     CharacterTable,
     SubgroupChars,
     _abelian_characters,
+    _charpoly_mod,
     _dixon_characters,
     character_table,
     decompose,
@@ -33,6 +35,7 @@ from isoprod.groups import (
 from oracles import (
     complex_table,
     cyc_complex,
+    det_mod,
     induced_complex,
     inner_complex,
     restriction_complex,
@@ -116,6 +119,54 @@ def test_abelian_and_dixon_agree():
         ta = CharacterTable(G, _abelian_characters(G))
         td = CharacterTable(G, _dixon_characters(G))
         assert ta.characters == td.characters, spec
+
+
+def _charpoly_cases():
+    rng = random.Random(19)
+    for p in (31, 61):
+        for d in range(1, 7):
+            for _ in range(3):
+                yield [[rng.randrange(p) for _ in range(d)] for _ in range(d)], p
+    yield [[0] * 4 for _ in range(4)], 31
+    # nilpotent Jordan block: no sub-diagonal pivot in any column
+    yield [[int(j == i + 1) for j in range(5)] for i in range(5)], 31
+    # first sub-diagonal entry 0, a lower one not: rows and columns swap
+    yield [[1, 2, 3, 4], [0, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]], 61
+
+
+def test_charpoly_matches_determinant_oracle():
+    """det(xI - A) from the Hessenberg recurrence agrees with a plain
+    Gaussian-elimination determinant of lambda*I - A at every lambda."""
+    for A, p in _charpoly_cases():
+        d = len(A)
+        cp = _charpoly_mod(A, p)
+        assert len(cp) == d + 1 and cp[-1] == 1, A
+        for lam in range(p):
+            got = sum(c * lam**t for t, c in enumerate(cp)) % p
+            want = det_mod(
+                [[int(i == j) * lam - A[i][j] for j in range(d)] for i in range(d)],
+                p,
+            )
+            assert got == want, (A, p, lam)
+
+
+@pytest.mark.parametrize("spec,k", [("sym:5", 7), ("dih:30", 18)])
+def test_dixon_solves_only_at_eigenvalues(monkeypatch, spec, k):
+    """Dixon takes the eigenvalues of each class-sum matrix from its
+    characteristic polynomial, so it solves for a nullspace a few times
+    per class, not once per element of F_p (p > 2|G|)."""
+    G = build_group(spec)
+    assert len(conjugacy_classes(G)) == k
+    nullspace = characters._nullspace_mod
+    calls = []
+
+    def counted(mat, p):
+        calls.append(p)
+        return nullspace(mat, p)
+
+    monkeypatch.setattr(characters, "_nullspace_mod", counted)
+    _dixon_characters(G)
+    assert 0 < len(calls) <= 3 * k
 
 
 def test_kernel_and_trivial_multiplicity():

@@ -200,6 +200,20 @@ def test_genus_cap_sets_truncated():
     assert stream.truncated == 420
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_branch_order_cap_below_one_raises(cap):
+    """A cap below 1 is refused when the stream is created instead of
+    yielding nothing with ``truncated == 0``.  Cap 1 stays valid: it
+    allows no branch point, which leaves the unramified covers (r = 0,
+    genus 5 over base genus 2)."""
+    G = build_group("ab:2,2")
+    with pytest.raises(DomainError, match="branch_order_cap"):
+        enumerate_vectors(G, 1, 4, branch_order_cap=cap)
+    covers = list(enumerate_vectors(G, 2, 1, branch_order_cap=1))
+    assert covers
+    assert all(not c.vector.gammas and c.genus == 5 for c in covers)
+
+
 @pytest.mark.parametrize("spec,max_r", [("ab:2,2", 2), ("dih:4", 4), ("quat:8", 4)])
 def test_dedup_orbits(spec, max_r):
     """Dedup emits exactly one representative per automorphism orbit.
