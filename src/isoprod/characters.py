@@ -18,20 +18,12 @@ d-dimensional space); a nullspace is solved for only at those roots.
 from __future__ import annotations
 
 import copy
-import json
-import os
 from dataclasses import dataclass
 from itertools import product
 from math import isqrt
 
-from . import __version__
 from .cyclotomic import Cyc, reduce_folded
-from .errors import (
-    ConsistencyError,
-    DecompositionError,
-    DomainError,
-    IsoprodError,
-)
+from .errors import ConsistencyError, DecompositionError, DomainError
 from .groups import (
     GroupTable,
     _extend_map,
@@ -161,35 +153,6 @@ class CharacterTable:
                 for c in self.characters
             ],
         }
-
-    @classmethod
-    def from_json(cls, group: GroupTable, data, source="character table"):
-        """The checked table in ``data``, which must be {"exponent": e,
-        "classes": [class sizes], "characters": [{"degree": int, "values":
-        k lists of e ints}]} for ``group``; else IsoprodError names
-        ``source``."""
-        sizes = [len(c.members) for c in conjugacy_classes(group)]
-        e = group.exponent
-        try:
-            chars = [
-                Character(d["degree"], tuple(tuple(v) for v in d["values"]))
-                for d in data["characters"]
-            ]
-            fits = data["exponent"] == e and data["classes"] == sizes
-        except (KeyError, TypeError):
-            fits = False
-        if not fits or not all(
-            type(c.degree) is int
-            and len(c.values) == len(sizes)
-            and all(len(v) == e and all(type(x) is int for x in v) for v in c.values)
-            for c in chars
-        ):
-            raise IsoprodError(
-                f"{source} does not match {group.spec}: expected exponent "
-                f"{e}, class sizes {sizes} and characters each with an "
-                f"integer degree and {len(sizes)} lists of {e} integers"
-            )
-        return cls(group, chars)
 
 
 def _conj_values(values, e):
@@ -488,15 +451,11 @@ def _refine_spaces(spaces, M, p):
 _TABLE_CACHE = {}
 
 
-def character_table(G: GroupTable, cache_dir: str | None = None) -> CharacterTable:
+def character_table(G: GroupTable) -> CharacterTable:
     """Complete exact character table of G: the abelian fast path when G
     is abelian, else Dixon's method.  Tables are kept in memory by the
-    group fingerprint and, with ``cache_dir``, persisted there as JSON.
-    """
+    group fingerprint."""
     key = G.fingerprint()
-    path = None
-    if cache_dir:
-        path = os.path.join(cache_dir, f"chartab-{key}-v{__version__}.json")
     cached = _TABLE_CACHE.get(key)
     if cached is not None:
         if cached.group is not G:
@@ -504,36 +463,11 @@ def character_table(G: GroupTable, cache_dir: str | None = None) -> CharacterTab
             cached = copy.copy(cached)
             cached.group = G
             _TABLE_CACHE[key] = cached
-        if path and not os.path.exists(path):
-            _write_cache(cache_dir, path, cached)
         return cached
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except ValueError as exc:
-                raise IsoprodError(
-                    f"cached character table {path} is not JSON: {exc}"
-                ) from exc
-        table = CharacterTable.from_json(
-            G, data, source=f"cached character table {path}"
-        )
-        _TABLE_CACHE[key] = table
-        return table
     chars = _abelian_characters(G) if G.is_abelian() else _dixon_characters(G)
     table = CharacterTable(G, chars)
     _TABLE_CACHE[key] = table
-    if path:
-        _write_cache(cache_dir, path, table)
     return table
-
-
-def _write_cache(cache_dir, path, table):
-    os.makedirs(cache_dir, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(table.to_json(), fh, sort_keys=True)
-    os.replace(tmp, path)
 
 
 # -- subgroups, induction, decomposition ------------------------------

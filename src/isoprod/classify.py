@@ -267,7 +267,7 @@ def _representative(G, table, b, key, branch_order_cap):
     )
 
 
-def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivial"):
+def _classify_group(spec, bounds: SearchBounds, detail="nontrivial"):
     """All classification records for one group.  Returns
     (records, summary_counts); records are JSON-ready dicts."""
     counts = {
@@ -281,7 +281,7 @@ def _classify_group(spec, bounds: SearchBounds, cache_dir=None, detail="nontrivi
         G = build_group(spec, order_cap=bounds.max_group_order)
     except SizeError:
         return records, counts
-    table = character_table(G, cache_dir=cache_dir)
+    table = character_table(G)
     buckets, reps = {}, {}
     caps = (bounds.genus_cap, bounds.branch_order_cap)
 
@@ -391,15 +391,14 @@ def _record_sort_key(r):
 
 
 def _worker(args):
-    spec, bounds, cache_dir, detail = args
-    return spec, _classify_group(spec, bounds, cache_dir, detail)
+    spec, bounds, detail = args
+    return spec, _classify_group(spec, bounds, detail)
 
 
 def classify_all(
     bounds: SearchBounds,
     groups,
     workers: int = 1,
-    cache_dir=None,
     detail: str = "nontrivial",
 ):
     """Classify every admissible surface over the given group specs.
@@ -417,7 +416,7 @@ def classify_all(
         "errors": 0,
     }
     all_records = []
-    jobs = [(spec, bounds, cache_dir, detail) for spec in groups]
+    jobs = [(spec, bounds, detail) for spec in groups]
     if workers > 1 and len(jobs) > 1:
         import multiprocessing as mp
 

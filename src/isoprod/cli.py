@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -18,15 +17,16 @@ from .classify import SearchBounds, check_conformance, classify_all, compute_aut
 from .covers import GeneratingVector, enumerate_vectors
 from .errors import ConsistencyError, DomainError, IsoprodError, SizeError, UsageError
 from .groups import build_group, builtin_groups_upto
-from .surfaces import EXAMPLE_FAMILIES, build_surface, example46_construct
+from .surfaces import (
+    EXAMPLE_FAMILIES,
+    build_surface,
+    example46_construct,
+    example_family,
+)
 
 
 def _out(line=""):
     sys.stdout.write(line + "\n")
-
-
-def _cache_dir(args):
-    return args.cache_dir or os.environ.get("ISOPROD_CACHE_DIR") or None
 
 
 def _parse_vector(G, text):
@@ -53,7 +53,7 @@ def _parse_vector(G, text):
 
 def cmd_chartab(args):
     G = build_group(args.group)
-    table = character_table(G, cache_dir=_cache_dir(args))
+    table = character_table(G)
     if args.format == "json":
         _out(json.dumps(table.to_json(), sort_keys=True))
         return 0
@@ -167,8 +167,6 @@ def cmd_surfaces(args):
     S = build_surface(vC, vD)
     aut0 = compute_aut0(S)
     data = S.to_json()
-    data["genus_C"] = S.cover_C.genus
-    data["genus_D"] = S.cover_D.genus
     data["aut0"] = sorted(aut0)
     data["aut0_labels"] = [G.labels[g] for g in sorted(aut0)]
     if args.format == "json":
@@ -240,7 +238,6 @@ def cmd_classify(args):
         bounds,
         groups,
         workers=args.workers,
-        cache_dir=_cache_dir(args),
         detail="full" if args.full else "nontrivial",
     )
     for rec in records:
@@ -255,7 +252,12 @@ def cmd_classify(args):
 
 
 def cmd_verify_example(args):
-    S = example46_construct(args.family, args.m, args.n, args.k, args.l)
+    try:
+        family = example_family(args.family)
+        S = example46_construct(family, args.m, args.n, args.k, args.l)
+    except DomainError as exc:
+        # an unknown family or a parameter below 1 is bad user input
+        raise UsageError(str(exc)) from exc
     aut0 = compute_aut0(S)
     if len(aut0) != 2:
         raise ConsistencyError(f"expected |Aut_0| = 2, got {len(aut0)}")
@@ -266,8 +268,6 @@ def cmd_verify_example(args):
         raise ConsistencyError("Aut_0 is not generated by gamma * gamma'")
     ok, reason = check_conformance(S, aut0)
     data = S.to_json()
-    data["genus_C"] = S.cover_C.genus
-    data["genus_D"] = S.cover_D.genus
     data["aut0"] = sorted(aut0)
     data["aut0_generator"] = S.group.labels[sigma]
     data["conforms"] = ok
@@ -278,7 +278,7 @@ def cmd_verify_example(args):
     else:
         for k in sorted(data):
             _out(f"{k}: {data[k]}")
-    if args.family in (2, "2", "z2_z2m_z2mn"):
+    if family == "z2_z2m_z2mn":
         _out(
             "# note: genus constants for this family follow Riemann-Hurwitz "
             "(g(C) = 4 m^2 n k + 1)"
@@ -301,7 +301,6 @@ def make_parser():
     q = sub.add_parser("chartab", help="exact character table of a group")
     q.add_argument("group")
     q.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    q.add_argument("--cache-dir", default=None)
     q.set_defaults(fn=cmd_chartab)
 
     q = sub.add_parser("covers", help="enumerate generating vectors / covers")
@@ -336,7 +335,6 @@ def make_parser():
         action="store_true",
         help="emit a record for every surface class, not only nontrivial Aut_0",
     )
-    q.add_argument("--cache-dir", default=None)
     q.set_defaults(fn=cmd_classify)
 
     q = sub.add_parser("verify-example", help="check the explicit family")

@@ -47,6 +47,8 @@ class UnmixedSurface:
             "group": self.group.spec,
             "vC": self.cover_C.vector.to_json(),
             "vD": self.cover_D.vector.to_json(),
+            "genus_C": self.cover_C.genus,
+            "genus_D": self.cover_D.genus,
             "q": inv.q,
             "pg": inv.pg,
             "chi": inv.chi,
@@ -116,6 +118,18 @@ def _compute_invariants(S: UnmixedSurface) -> SurfaceInvariants:
 EXAMPLE_FAMILIES = ("z2m_z2mn", "z2_z2m_z2mn")
 
 
+def example_family(family) -> str:
+    """The name in EXAMPLE_FAMILIES that ``family`` denotes: the name
+    itself or its number, 1 or 2."""
+    if family in (1, "1"):
+        return "z2m_z2mn"
+    if family in (2, "2"):
+        return "z2_z2m_z2mn"
+    if family not in EXAMPLE_FAMILIES:
+        raise DomainError(f"unknown family {family!r}")
+    return family
+
+
 def example46_construct(family, m, n, k, l) -> UnmixedSurface:
     """The explicit two-parameter-family surfaces with an involution
     acting trivially on cohomology.
@@ -125,12 +139,7 @@ def example46_construct(family, m, n, k, l) -> UnmixedSurface:
                           gamma' = lambda * mu^m
     with 2k (resp. 2l) branch points on the two factors.
     """
-    if family in (1, "1"):
-        family = "z2m_z2mn"
-    if family in (2, "2"):
-        family = "z2_z2m_z2mn"
-    if family not in EXAMPLE_FAMILIES:
-        raise DomainError(f"unknown family {family!r}")
+    family = example_family(family)
     if min(m, n, k, l) < 1:
         raise DomainError("parameters m, n, k, l must be >= 1")
     if family == "z2m_z2mn":

@@ -19,12 +19,7 @@ from isoprod.characters import (
     restriction_multiplicity,
 )
 from isoprod.cyclotomic import Cyc
-from isoprod.errors import (
-    ConsistencyError,
-    DecompositionError,
-    DomainError,
-    IsoprodError,
-)
+from isoprod.errors import ConsistencyError, DecompositionError, DomainError
 from isoprod.groups import (
     all_subgroups,
     build_group,
@@ -202,26 +197,16 @@ def test_value_rendering():
 
 
 def test_json_roundtrip():
-    from isoprod.characters import CharacterTable
-
+    """``to_json``, which ``chartab`` prints, carries the whole table:
+    the characters read back from it make the same checked table."""
     G = build_group("dih:4")
     t = character_table(G)
     data = json.loads(json.dumps(t.to_json()))
-    t2 = CharacterTable.from_json(G, data)
-    assert [c.values for c in t2.characters] == [c.values for c in t.characters]
-
-
-def test_disk_cache(tmp_path):
-    G = build_group("sym:3")
-    character_table.__globals__["_TABLE_CACHE"].clear()
-    t1 = character_table(G, cache_dir=str(tmp_path))
-    files = list(tmp_path.iterdir())
-    assert [f.name for f in files] == [
-        f"chartab-{G.fingerprint()}-v{characters.__version__}.json"
+    chars = [
+        Character(c["degree"], tuple(tuple(v) for v in c["values"]))
+        for c in data["characters"]
     ]
-    character_table.__globals__["_TABLE_CACHE"].clear()
-    t2 = character_table(build_group("sym:3"), cache_dir=str(tmp_path))
-    assert [c.values for c in t1.characters] == [c.values for c in t2.characters]
+    assert CharacterTable(G, chars).characters == t.characters
 
 
 def test_table_is_rebound_to_an_equal_group(monkeypatch):
@@ -248,114 +233,54 @@ def test_table_is_rebound_to_an_equal_group(monkeypatch):
     assert calls == [G1]
 
 
-def _write_sym3_cache(tmp_path):
-    """Write sym:3's table to a cache in ``tmp_path``, empty the
-    in-memory cache and return the file and its JSON."""
-    cache = character_table.__globals__["_TABLE_CACHE"]
-    cache.clear()
-    character_table(build_group("sym:3"), cache_dir=str(tmp_path))
-    cache.clear()
-    (path,) = tmp_path.iterdir()
-    return path, json.loads(path.read_text())
-
-
 @pytest.mark.parametrize(
-    "altered",
+    "kind, arg",
     [("value", (2, 0, 0, 0, 0, 0)), ("value", (1, 0, 0, 0, 1, 0)),
-     ("degrees", (0, 2)), ("degrees", (1, 2))],
+     ("degrees", (0, 2)), ("degrees", (1, 2)),
+     ("trivial", (2, 0, 0, 1, 0, 0))],
+    ids=["value-2", "value-1-1", "degrees-0-2", "degrees-1-2", "trivial"],
 )
-def test_corrupted_disk_cache_rejected(tmp_path, altered):
-    """A cached table is rejected on load when one value is changed at a
-    non-identity class (the degree-2 character of S3 at the 3-cycles,
-    still summing to the degree), whether or not the altered row stays
-    closed under complex conjugation, or when the degrees of two
-    characters are swapped (the values at the identity no longer equal
-    the degrees)."""
-    G = build_group("sym:3")
-    path, data = _write_sym3_cache(tmp_path)
-    kind, arg = altered
-    if kind == "value":
-        three_cycles = next(
-            i
-            for i, c in enumerate(conjugacy_classes(G))
-            if G.element_order[c.representative] == 3
-        )
-        deg2 = next(c for c in data["characters"] if c["degree"] == 2)
-        assert deg2["values"][three_cycles] == [0, 0, 1, 0, 1, 0]
-        deg2["values"][three_cycles] = list(arg)
-    else:
-        a, b = (data["characters"][i] for i in arg)
-        assert a["degree"] != b["degree"]
-        a["degree"], b["degree"] = b["degree"], a["degree"]
-    path.write_text(json.dumps(data))
-    with pytest.raises(ConsistencyError):
-        character_table(build_group("sym:3"), cache_dir=str(tmp_path))
-    assert not character_table.__globals__["_TABLE_CACHE"]
-
-
-def test_cached_vector_must_be_an_eigenvalue_multiset(tmp_path, capsys):
-    """The trivial character's vector at the transpositions written as
-    [2, 0, 0, 1, 0, 0] keeps the value 2 - 1 = 1, so the row relation
-    cannot see it, but it is three eigenvalues for a degree-1 character:
-    a ConsistencyError (exit 3), not a traceback from the lookups that
-    read the vector's entries."""
+def test_edited_sym3_table_is_rejected(capsys, monkeypatch, kind, arg):
+    """``check`` rejects sym:3's table with one edit: the degree-2
+    character's value at the 3-cycles changed (still summing to the
+    degree), whether or not the row stays closed under complex
+    conjugation; the degrees of two characters swapped (the values at
+    the identity no longer equal the degrees); or the trivial
+    character's vector at the transpositions written as
+    [2, 0, 0, 1, 0, 0], which keeps the value 2 - 1 = 1, so the row
+    relation cannot see it, but is three eigenvalues for a degree-1
+    character.  ``chartab`` on such a table exits 3 with an error
+    message, not a traceback from the lookups that read the vectors."""
     from isoprod.cli import main
 
     G = build_group("sym:3")
-    path, data = _write_sym3_cache(tmp_path)
-    transpositions = next(
-        i
-        for i, c in enumerate(conjugacy_classes(G))
-        if G.element_order[c.representative] == 2
-    )
-    trivial = next(
-        c for c in data["characters"] if all(v[0] == 1 for v in c["values"])
-    )
-    assert trivial["values"][transpositions] == [1, 0, 0, 0, 0, 0]
-    trivial["values"][transpositions] = [2, 0, 0, 1, 0, 0]
-    path.write_text(json.dumps(data))
-    with pytest.raises(ConsistencyError):
-        character_table(build_group("sym:3"), cache_dir=str(tmp_path))
-    assert main(["chartab", "sym:3", "--cache-dir", str(tmp_path)]) == 3
-    assert "class" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "keys, value",
-    [
-        (None, "{not json"),
-        (None, "[]"),
-        (None, '{"exponent": 6}'),
-        (["characters"], None),
-        (["characters", 1], []),
-        (["characters", 1, "degree"], 1.0),
-        (["characters", 1, "values", 1, 0], "1"),
-        (["characters", 1, "values", 1], [1, 0, 0]),
-        (["characters", 1, "values"], [[1, 0, 0, 0, 0, 0]]),
-    ],
-    ids=["not-json", "list", "no-classes", "characters-null",
-         "character-list", "float-degree", "string-value", "short-vector",
-         "one-class"],
-)
-def test_malformed_disk_cache_rejected(tmp_path, keys, value):
-    """A cache file that is not {"exponent": int, "classes": [int],
-    "characters": [{"degree": int, "values": k lists of e ints}]} is a
-    validation error (exit 2) naming the file, not a traceback.  The
-    file holds ``value`` itself, or sym:3's table with ``value`` at
-    ``keys``."""
-    path, data = _write_sym3_cache(tmp_path)
-    if keys is None:
-        path.write_text(value)
+    chars = list(character_table(G).characters)
+    order = [G.element_order[c.representative] for c in conjugacy_classes(G)]
+    if kind == "degrees":
+        a, b = (chars[i] for i in arg)
+        assert a.degree != b.degree
+        chars[arg[0]] = Character(b.degree, a.values)
+        chars[arg[1]] = Character(a.degree, b.values)
     else:
-        node = data
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value
-        path.write_text(json.dumps(data))
-    with pytest.raises(IsoprodError) as info:
-        character_table(build_group("sym:3"), cache_dir=str(tmp_path))
-    assert info.value.exit_code == 2
-    assert str(path) in str(info.value)
+        if kind == "value":
+            i = next(i for i, c in enumerate(chars) if c.degree == 2)
+            r, old = order.index(3), (0, 0, 1, 0, 1, 0)
+        else:
+            i = next(
+                i for i, c in enumerate(chars) if all(v[0] == 1 for v in c.values)
+            )
+            r, old = order.index(2), (1, 0, 0, 0, 0, 0)
+        values = list(chars[i].values)
+        assert values[r] == old
+        values[r] = arg
+        chars[i] = Character(chars[i].degree, tuple(values))
+    with pytest.raises(ConsistencyError):
+        CharacterTable(G, chars)
+    monkeypatch.setattr(characters, "_TABLE_CACHE", {})
+    monkeypatch.setattr(characters, "_dixon_characters", lambda G: chars)
+    assert main(["chartab", "sym:3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_induced_from_a3():

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -219,12 +220,14 @@ def test_classify_error_records(capsys, monkeypatch):
         ("surfaces", "ab:2,2", "--vc", "1|2|1|2,2", "--vd", "1|2|1|1,1",
          "--format", "csv"),
         ("verify-example", "1", "1", "1", "1", "1", "--format", "csv"),
+        ("chartab", "sym:3", "--cache-dir", "x"),
+        ("classify", "--groups", "ab:2", "--cache-dir", "x"),
     ],
 )
 def test_flags_without_effect_are_rejected(capsys, argv):
-    """--cache-dir exists only where a character table is cached
-    (chartab, classify), classify has no --format, and csv exists only
-    where it differs from the table format (chartab, covers)."""
+    """No subcommand takes --cache-dir (character tables live in
+    memory only), classify has no --format, and csv exists only where it
+    differs from the table format (chartab, covers)."""
     code, out, _ = run(capsys, *argv)
     assert code == 1 and out == ""
 
@@ -351,17 +354,25 @@ def test_classify_deterministic_output(capsys):
     assert out1 == out2
 
 
-def test_classify_cache_roundtrip(capsys, tmp_path, monkeypatch):
-    argv = ["classify", "--groups", "dih:4", "--max-r", "2", "--max-s", "2"]
-    code, cold, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
-    assert code == 0 and list(tmp_path.iterdir())
-    from isoprod.characters import _TABLE_CACHE
+def test_cache_dir_environment_is_ignored(capsys, tmp_path, monkeypatch):
+    """ISOPROD_CACHE_DIR is not read: with it naming a directory that
+    holds a corrupted table file for sym:4, under the name an on-disk
+    table cache would use, chartab prints the golden table and leaves
+    the directory as it was."""
+    from isoprod import characters
+    from isoprod.groups import build_group
 
-    _TABLE_CACHE.clear()
+    name = f"chartab-{build_group('sym:4').fingerprint()}-v{isoprod.__version__}.json"
+    (tmp_path / name).write_text("{not json")
+    monkeypatch.setattr(characters, "_TABLE_CACHE", {})
     monkeypatch.setenv("ISOPROD_CACHE_DIR", str(tmp_path))
-    code, warm, _ = run(capsys, *argv)
-    assert code == 0
-    assert cold == warm
+    argv = ("chartab", "sym:4", "--format", "table")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+    assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == [
+        (name, "{not json")
+    ]
 
 
 def test_verify_example_family1(capsys):
@@ -387,6 +398,20 @@ def test_verify_example_family2_notes_delta(capsys):
     assert len(data["aut0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("3", "1", "1", "1", "1"), "unknown family '3'"),
+        (("1", "1", "0", "1", "1"), "m, n, k, l must be >= 1"),
+    ],
+)
+def test_verify_example_bad_input_is_usage(capsys, argv, message):
+    """An unknown family or a parameter below 1 is a usage error (1),
+    like a bad bound for covers or classify."""
+    code, out, err = run(capsys, "verify-example", *argv)
+    assert code == 1 and out == "" and message in err
+
+
 def test_bad_subcommand(capsys):
     assert main(["frobnicate"]) == 1
 
@@ -396,7 +421,7 @@ def test_version(capsys):
 
 
 def test_cli_options_are_pinned():
-    """Every subcommand's 23 options, so that adding or removing a flag
+    """Every subcommand's 21 options, so that adding or removing a flag
     is an edit to this list."""
     (subparsers,) = [
         a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -411,7 +436,7 @@ def test_cli_options_are_pinned():
         for name, parser in subparsers.choices.items()
     }
     assert options == {
-        "chartab": ["--format", "--cache-dir"],
+        "chartab": ["--format"],
         "covers": [
             "--b", "--max-r", "--branch", "--genus-cap", "--branch-order-cap",
             "--no-dedup", "--format",
@@ -420,7 +445,7 @@ def test_cli_options_are_pinned():
         "classify": [
             "--groups", "--max-group-order", "--max-r", "--max-s",
             "--genus-cap", "--branch-order-cap", "--base-genera", "--workers",
-            "--full", "--cache-dir",
+            "--full",
         ],
         "verify-example": ["--format"],
     }
@@ -448,3 +473,32 @@ def test_runs_without_numpy():
     lines = proc.stdout.strip().splitlines()
     assert len(json.loads(lines[0])["characters"]) == 7
     assert json.loads(lines[-1])["nontrivial_aut0"] > 0
+
+
+def test_library_keeps_no_file_state():
+    """No module of the library imports os, and the one call to open()
+    reads a cayley table file (groups._load_cayley): character tables
+    and every other derived structure live in memory only."""
+    root = os.path.dirname(isoprod.__file__)
+    opens = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "os" for a in node.names), where
+        if isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "os", where
+        if isinstance(node, ast.Call) and "open" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            opens.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                visit(ast.parse(fh.read()), name[:-3])
+    assert opens == ["groups._load_cayley"]
