@@ -4,7 +4,10 @@ Characters are stored per conjugacy class as eigenvalue-multiplicity
 vectors over e-th roots of unity (e = group exponent): the value at g is
 Sum_k m_k zeta_e^k with non-negative integer m_k summing to the degree.
 This makes the two predicates the classification needs -- chi(g) = chi(1)
-and the trivial multiplicity l_sigma(chi) -- plain integer tests.
+and the trivial multiplicity l_sigma(chi) -- plain integer tests.  Each
+table also builds, once, every vector's sparse (exponent, multiplicity)
+row; the orthogonality check, decomposition, restriction and induction
+all sum over those rows.
 
 Abelian groups get a direct fast path; everything else goes through
 Dixon's method: simultaneous diagonalization of the class-sum matrices
@@ -17,7 +20,6 @@ d-dimensional space); a nullspace is solved for only at those roots.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from itertools import product
 from math import isqrt
@@ -28,6 +30,7 @@ from .groups import (
     GroupTable,
     _extend_map,
     _greedy_generators,
+    _memo,
     _powers,
     _word_tree,
     class_index,
@@ -57,6 +60,11 @@ class CharacterTable:
             sorted(characters, key=lambda c: (c.degree, c.values))
         )
         self._index = {c.values: i for i, c in enumerate(self.characters)}
+        # sparse[i][r]: the nonzero (exponent, multiplicity) entries of
+        # character i at class r, read by every inner product
+        self.sparse = tuple(
+            tuple(_sparse(v) for v in c.values) for c in self.characters
+        )
         if len(self.characters) != len(self.classes):
             raise ConsistencyError(
                 f"{len(self.characters)} characters for {len(self.classes)} classes"
@@ -132,7 +140,7 @@ class CharacterTable:
         if sum(c.degree * c.degree for c in self.characters) != n:
             raise ConsistencyError("Burnside identity sum chi(1)^2 = |G| fails")
         sizes = [len(c.members) for c in self.classes]
-        sparse = [[_sparse(v) for v in c.values] for c in self.characters]
+        sparse = self.sparse
         for i, rows_i in enumerate(sparse):
             for j in range(i, len(sparse)):
                 coeffs = _fold(e, zip(sizes, rows_i, sparse[j]))
@@ -159,10 +167,10 @@ def _conj_values(values, e):
     return tuple(tuple(v[(-k) % e] for k in range(e)) for v in values)
 
 
-def _sparse(v, scale=1):
+def _sparse(v):
     """Nonzero (exponent, coefficient) entries of an integer vector over
-    zeta_e; ``scale`` lifts exponents over zeta_e to zeta_(scale*e)."""
-    return tuple((k * scale, m) for k, m in enumerate(v) if m)
+    zeta_e."""
+    return tuple((k, m) for k, m in enumerate(v) if m)
 
 
 def _fold(e, terms):
@@ -446,28 +454,16 @@ def _refine_spaces(spaces, M, p):
     return new
 
 
-# -- public construction with caching ---------------------------------
-
-_TABLE_CACHE = {}
+# -- public construction ----------------------------------------------
 
 
+@_memo
 def character_table(G: GroupTable) -> CharacterTable:
     """Complete exact character table of G: the abelian fast path when G
-    is abelian, else Dixon's method.  Tables are kept in memory by the
-    group fingerprint."""
-    key = G.fingerprint()
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        if cached.group is not G:
-            # same Cayley table, so the same classes and values: rebind
-            cached = copy.copy(cached)
-            cached.group = G
-            _TABLE_CACHE[key] = cached
-        return cached
+    is abelian, else Dixon's method.  Computed once per group and kept
+    on it (``_memo``), so it lives exactly as long as G."""
     chars = _abelian_characters(G) if G.is_abelian() else _dixon_characters(G)
-    table = CharacterTable(G, chars)
-    _TABLE_CACHE[key] = table
-    return table
+    return CharacterTable(G, chars)
 
 
 # -- subgroups, induction, decomposition ------------------------------
@@ -504,10 +500,10 @@ def induced_character(
     scale = eG // eH
     j = sub.table.index_of(chi)
     acc = [[0] * eG for _ in tableG.classes]
-    for cl, v in zip(sub.table.classes, sub.table.characters[j].values):
+    for cl, v in zip(sub.table.classes, sub.table.sparse[j]):
         row = acc[tableG.class_of[sub.embed[cl.representative]]]
-        for k, m in _sparse(v, scale):
-            row[k] += len(cl.members) * m
+        for k, m in v:
+            row[k * scale] += len(cl.members) * m
     out = []
     for cl, row in zip(tableG.classes, acc):
         den = len(cl.members) * sub.H.order
@@ -538,8 +534,8 @@ def decompose(tableG: CharacterTable, values) -> tuple:
         for cl, v in zip(tableG.classes, values)
     ]
     mults = []
-    for i, chi in enumerate(tableG.characters):
-        terms = ((w, fv, _sparse(v)) for (w, fv), v in zip(f, chi.values))
+    for i, rows in enumerate(tableG.sparse):
+        terms = ((w, fv, v) for (w, fv), v in zip(f, rows))
         coeffs = _fold(e, terms)
         m, rem = divmod(coeffs[0], tableG.group.order)
         if any(coeffs[1:]) or rem or m < 0:
@@ -558,14 +554,14 @@ def restriction_multiplicity(
     zeta_(e_G) (equals <phi, chi^G>_G by Frobenius reciprocity)."""
     scale = tableG.exponent // sub.table.exponent
     i, j = tableG.index_of(phi), sub.table.index_of(chi)
-    phi_values = tableG.characters[i].values
+    phi_rows = tableG.sparse[i]
     terms = (
         (
             len(cl.members),
-            _sparse(phi_values[tableG.class_of[sub.embed[cl.representative]]]),
-            _sparse(v, scale),
+            phi_rows[tableG.class_of[sub.embed[cl.representative]]],
+            [(k * scale, m) for k, m in v],
         )
-        for cl, v in zip(sub.table.classes, sub.table.characters[j].values)
+        for cl, v in zip(sub.table.classes, sub.table.sparse[j])
     )
     coeffs = _fold(tableG.exponent, terms)
     m, rem = divmod(coeffs[0], sub.H.order)

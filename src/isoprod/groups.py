@@ -8,7 +8,6 @@ afterwards; every derived structure is computed once, by ``_memo``.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import re
@@ -108,16 +107,6 @@ class GroupTable:
 
     def is_abelian(self):
         return len(conjugacy_classes(self)) == self.order
-
-    @_memo
-    def fingerprint(self):
-        """Stable digest of the full table; used as a cache key."""
-        h = hashlib.sha256()
-        h.update(str(self.order).encode())
-        for row in self.mult:
-            h.update(bytes(x % 256 for x in row))
-            h.update(str(row).encode())
-        return h.hexdigest()[:24]
 
     def invariant_signature(self):
         """(order, class sizes, element-order census) -- the comparison
@@ -616,6 +605,7 @@ def _parse_perm_gens(body):
     npoints = 0
     for txt in gens_txt:
         cycles = []
+        seen = set()
         rest = txt.strip()
         matched = _CYCLE_RE.findall(rest)
         if not matched and rest:
@@ -624,8 +614,9 @@ def _parse_perm_gens(body):
             pts = [int(t) for t in re.split(r"[,\s]+", cyc.strip()) if t]
             if any(p < 1 for p in pts):
                 raise GroupSpecError("cycle notation uses 1-based points")
-            if len(set(pts)) != len(pts):
-                raise GroupSpecError(f"repeated point in cycle ({cyc})")
+            if len(set(pts)) != len(pts) or seen.intersection(pts):
+                raise GroupSpecError(f"repeated point in permutation {txt!r}")
+            seen.update(pts)
             cycles.append([p - 1 for p in pts])
             npoints = max(npoints, max(pts, default=0))
         raw.append(cycles)

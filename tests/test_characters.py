@@ -1,6 +1,8 @@
 import copy
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -209,12 +211,10 @@ def test_json_roundtrip():
     assert CharacterTable(G, chars).characters == t.characters
 
 
-def test_table_is_rebound_to_an_equal_group(monkeypatch):
-    """A second GroupTable with the same Cayley table gets the cached
-    table bound to itself, without running Dixon again; the first
-    instance gets its own table back."""
-    cache = characters._TABLE_CACHE
-    cache.clear()
+def test_table_is_memoised_on_its_group(monkeypatch):
+    """A group's table is computed once and bound to that group; a
+    second GroupTable with the same Cayley table gets a table of its
+    own, with the same characters."""
     dixon = characters._dixon_characters
     calls = []
 
@@ -226,11 +226,22 @@ def test_table_is_rebound_to_an_equal_group(monkeypatch):
     G1, G2 = build_group("sym:3"), build_group("sym:3")
     assert G1 is not G2
     t1 = character_table(G1)
+    assert character_table(G1) is t1 and t1.group is G1
     t2 = character_table(G2)
-    assert t2.group is G2 and t2.characters == t1.characters
-    assert list(cache) == [G1.fingerprint()]
-    assert character_table(G1).group is G1
-    assert calls == [G1]
+    assert t2 is not t1 and t2.group is G2
+    assert t2.characters == t1.characters
+    assert calls == [G1, G2]
+
+
+def test_table_does_not_outlive_its_group():
+    """Nothing but the group holds its table: once the group is gone,
+    so is the table."""
+    G = build_group("sym:4")
+    ref = weakref.ref(character_table(G))
+    assert ref() is not None
+    del G
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize(
@@ -276,7 +287,6 @@ def test_edited_sym3_table_is_rejected(capsys, monkeypatch, kind, arg):
         chars[i] = Character(chars[i].degree, tuple(values))
     with pytest.raises(ConsistencyError):
         CharacterTable(G, chars)
-    monkeypatch.setattr(characters, "_TABLE_CACHE", {})
     monkeypatch.setattr(characters, "_dixon_characters", lambda G: chars)
     assert main(["chartab", "sym:3"]) == 3
     out, err = capsys.readouterr()
@@ -370,6 +380,10 @@ def test_restriction_error_names_group_subgroup_and_characters():
     broken = Character(1, ((0, 1, 0),) * len(sc.table.classes))
     sc.table.characters = tuple(
         broken if k == nontriv else c for k, c in enumerate(sc.table.characters)
+    )
+    sc.table.sparse = tuple(
+        tuple(map(characters._sparse, broken.values)) if k == nontriv else rows
+        for k, rows in enumerate(sc.table.sparse)
     )
     with pytest.raises(ConsistencyError) as err:
         restriction_multiplicity(t, sc, t.trivial_index, nontriv)

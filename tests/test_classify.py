@@ -176,10 +176,7 @@ CONFORMANCE_FAILURES = [
 
 @pytest.mark.parametrize("spec, vC, vD, aut0, reason", CONFORMANCE_FAILURES)
 def test_conformance_failure_reasons(spec, vC, vD, aut0, reason):
-    """Every reason a valid surface can fail the classified shape for.
-    Coinciding involutions make the action not free, and in an abelian
-    group the long relation with uniform involutions forces an even
-    count, so those two reasons are never reached."""
+    """Every reason a valid surface can fail the classified shape for."""
     G = build_group(spec)
 
     def element(x):

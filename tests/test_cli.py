@@ -356,15 +356,11 @@ def test_classify_deterministic_output(capsys):
 
 def test_cache_dir_environment_is_ignored(capsys, tmp_path, monkeypatch):
     """ISOPROD_CACHE_DIR is not read: with it naming a directory that
-    holds a corrupted table file for sym:4, under the name an on-disk
-    table cache would use, chartab prints the golden table and leaves
+    holds a corrupted table file for sym:4, under the name the on-disk
+    table cache used, chartab prints the golden table and leaves
     the directory as it was."""
-    from isoprod import characters
-    from isoprod.groups import build_group
-
-    name = f"chartab-{build_group('sym:4').fingerprint()}-v{isoprod.__version__}.json"
+    name = "chartab-e4aba24b12c379a7bdeedb8c-v0.1.0.json"
     (tmp_path / name).write_text("{not json")
-    monkeypatch.setattr(characters, "_TABLE_CACHE", {})
     monkeypatch.setenv("ISOPROD_CACHE_DIR", str(tmp_path))
     argv = ("chartab", "sym:4", "--format", "table")
     code, out, err = run(capsys, *argv)
@@ -478,9 +474,19 @@ def test_runs_without_numpy():
 def test_library_keeps_no_file_state():
     """No module of the library imports os, and the one call to open()
     reads a cayley table file (groups._load_cayley): character tables
-    and every other derived structure live in memory only."""
+    and every other derived structure live in memory only.  No module
+    assigns a dict, list or set at module level either, so what is
+    derived from a group is kept on that group (``_memo``), not in a
+    global that outlives it."""
     root = os.path.dirname(isoprod.__file__)
     opens = []
+    mutable = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+    def is_mutable(value):
+        return isinstance(value, mutable) or (
+            isinstance(value, ast.Call)
+            and getattr(value.func, "id", None) in ("dict", "list", "set")
+        )
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -500,5 +506,9 @@ def test_library_keeps_no_file_state():
     for name in sorted(os.listdir(root)):
         if name.endswith(".py"):
             with open(os.path.join(root, name)) as fh:
-                visit(ast.parse(fh.read()), name[:-3])
+                module = ast.parse(fh.read())
+            visit(module, name[:-3])
+            for node in module.body:
+                if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    assert not is_mutable(node.value), (name, node.lineno)
     assert opens == ["groups._load_cayley"]

@@ -136,7 +136,10 @@ def test_order_cap():
 
 
 def test_bad_specs():
-    for spec in ["", "foo", "xyz:3", "ab:", "ab:0", "dih:x", "sym:9", "alt:2"]:
+    for spec in [
+        "", "foo", "xyz:3", "ab:", "ab:0", "dih:x", "sym:9", "alt:2",
+        "perm:(1 2)(1 2)", "perm:(1 2)(2 3)",
+    ]:
         with pytest.raises(GroupSpecError):
             build_group(spec)
 
@@ -373,10 +376,3 @@ def test_builtin_groups_upto():
         key = (spec.split(":")[0], G.invariant_signature())
         assert key not in seen  # no duplicates within a family
         seen.add(key)
-
-
-def test_fingerprint_stability():
-    a = build_group("dih:5").fingerprint()
-    b = build_group("dih:5").fingerprint()
-    c = build_group("dih:6").fingerprint()
-    assert a == b != c
