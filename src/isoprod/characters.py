@@ -7,7 +7,8 @@ This makes the two predicates the classification needs -- chi(g) = chi(1)
 and the trivial multiplicity l_sigma(chi) -- plain integer tests.  Each
 table also builds, once, every vector's sparse (exponent, multiplicity)
 row; the orthogonality check, decomposition, restriction and induction
-all sum over those rows.
+all sum over those rows.  The check folds no pair of two rows it has
+certified as linear characters (homomorphisms G -> Z_e).
 
 Abelian groups get a direct fast path; everything else goes through
 Dixon's method: simultaneous diagonalization of the class-sum matrices
@@ -118,13 +119,17 @@ class CharacterTable:
         class: at element order d it is non-negative, sums to the degree
         and lives on the d-th roots of unity, the exponents that are
         multiples of e/d (at the identity, class 0, the value is then the
-        degree).  Burnside's identity and the row relation hold, exactly:
-        each inner product is summed as integers over exponents mod e and
-        reduced once modulo the e-th cyclotomic polynomial.  The column
-        relation is implied: the value matrix X is square (``__init__``),
-        so X D X* = |G| I, D the class sizes, gives X^-1 = D X*/|G|,
-        hence X* X = |G| D^-1 (Isaacs, Character Theory of Finite Groups,
-        ch. 2)."""
+        degree).  Burnside's identity and the row relation hold, exactly.
+        A degree-1 row whose exponent map is a homomorphism G -> Z_e
+        (``_is_homomorphism``) is a linear character; such rows must be
+        pairwise distinct, and a pair of two of them needs no inner
+        product: distinct linear characters are orthogonal, and every
+        |lambda(g)|^2 is 1.  Every other pair's inner product is summed
+        as integers over exponents mod e and reduced once modulo the e-th
+        cyclotomic polynomial.  The column relation is implied: the value
+        matrix X is square (``__init__``), so X D X* = |G| I, D the class
+        sizes, gives X^-1 = D X*/|G|, hence X* X = |G| D^-1 (Isaacs,
+        Character Theory of Finite Groups, ch. 2)."""
         G = self.group
         n = G.order
         e = self.exponent
@@ -139,10 +144,25 @@ class CharacterTable:
                     )
         if sum(c.degree * c.degree for c in self.characters) != n:
             raise ConsistencyError("Burnside identity sum chi(1)^2 = |G| fails")
+        gens = _greedy_generators(G.mult)
+        linear = {}  # values -> index of the certified rows
+        for i, c in enumerate(self.characters):
+            if c.degree == 1:
+                # the multiset test left one unit per class
+                k = [c.values[r].index(1) for r in self.class_of]
+                if _is_homomorphism(G.mult, gens, k, e):
+                    j = linear.setdefault(c.values, i)
+                    if j != i:
+                        raise ConsistencyError(
+                            f"characters {j} and {i} are the same linear character"
+                        )
+        certified = set(linear.values())
         sizes = [len(c.members) for c in self.classes]
         sparse = self.sparse
         for i, rows_i in enumerate(sparse):
             for j in range(i, len(sparse)):
+                if i in certified and j in certified:
+                    continue
                 coeffs = _fold(e, zip(sizes, rows_i, sparse[j]))
                 if coeffs[0] != (n if i == j else 0) or any(coeffs[1:]):
                     raise ConsistencyError(
@@ -173,6 +193,16 @@ def _sparse(v):
     return tuple((k, m) for k, m in enumerate(v) if m)
 
 
+def _is_homomorphism(mult, gens, k, e):
+    """Whether x -> k[x] is a homomorphism to Z_e: k(x g) = k(x) + k(g)
+    (mod e) for every x and every g of ``gens``, which generate the
+    group.  That suffices, since the g for which it holds for every x
+    are closed under products."""
+    return all(
+        k[row[g]] == (kx + k[g]) % e for g in gens for row, kx in zip(mult, k)
+    )
+
+
 def _fold(e, terms):
     """Sum w * x * conj(y) over (w, x, y) in ``terms`` as its phi(e)
     integer power-basis coefficients; x and y are sparse integer vectors
@@ -198,14 +228,12 @@ def _abelian_characters(G: GroupTable):
     parent, bfs = _word_tree(G.mult, gens)
     add_e = [[(a + b) % e for b in range(e)] for a in range(e)]
     choice_sets = [range(0, e, e // G.element_order[g]) for g in gens]
+    units = [tuple(int(k == j) for k in range(e)) for j in range(e)]
     chars = []
     for exps in product(*choice_sets):
         val = _extend_map(G.mult, gens, parent, bfs, exps, add_e)
         if val is not None:
-            values = tuple(
-                tuple(int(k == val[c.representative]) for k in range(e))
-                for c in classes
-            )
+            values = tuple(units[val[c.representative]] for c in classes)
             chars.append(Character(1, values))
     return chars
 

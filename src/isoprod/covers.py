@@ -295,7 +295,103 @@ def _count_vectors(G: GroupTable, b: int, classes, max_r: int, elements):
     vectors whose r gammas all equal u}).  M runs over every multiset of
     at most max_r of the sorted class indices ``classes`` whose count is
     nonzero, so the multisets with no vector are never reported; (u, r)
-    over the u in ``elements`` and 1 <= r <= max_r.
+    over the u in ``elements`` and 1 <= r <= max_r.  Abelian groups are
+    counted in closed form (``_count_abelian``), the others by Moebius
+    inversion over the subgroup lattice (``_count_by_mobius``).
+    """
+    if G.is_abelian():
+        return _count_abelian(G, b, classes, max_r, elements)
+    return _count_by_mobius(G, b, classes, max_r, elements)
+
+
+def _count_abelian(G: GroupTable, b: int, classes, max_r: int, elements):
+    """``_count_vectors`` for abelian G, without the subgroup lattice.
+
+    Every class is one element, class i is {i} (classes sort by size,
+    then representative), and the long relation is prod gamma_i = 1.
+    The (alpha, beta) complete an ordering of a multiset M with product 1
+    to a generating vector iff their images generate G/S, S = <M>, so M
+    has _orderings(M) |S|^2b phi_2b(G/S) vectors, phi_d(A) the number of
+    d-tuples generating A (P. Hall's Eulerian function, 1936; ``lifts``).
+    The sorted (r - 1)-prefixes are walked level by level with their
+    product and subgroup id; the last gamma is forced to be the inverse
+    of the product, and kept iff it is allowed and its class is not below
+    the prefix's last one.  The u^r = 1 of u in ``elements`` have
+    |<u>|^2b phi_2b(G/<u>) uniform vectors, the others none.
+    """
+    n, d = G.order, 2 * b
+    mult, inv = G.mult, G.inverse
+    reg = subgroup_registry(G)
+    extend, sets = reg.extend, reg.sets
+    allowed = frozenset(classes)
+    # per prime p of |G|: generators of the p-th powers pG
+    primes = []
+    for p in range(2, n + 1):
+        if n % p or any(p % q == 0 for q in range(2, p)):
+            continue
+        sid, gens = 0, []
+        for y in sorted({G.power(x, p) for x in range(n)}):
+            if y not in sets[sid]:
+                sid = extend(sid, y)
+                gens.append(y)
+        primes.append((p, gens))
+    memo = {}
+
+    def lifts(sid):
+        """|S|^d phi_d(G/S), S the subgroup ``sid``: per prime p with
+        p^k = |G : pG S| and A_p the Sylow p-subgroup of A = G/S,
+        phi_d(A) = prod_p (|A_p| / p^k)^d prod_(i<k) (p^d - p^i)."""
+        out = memo.get(sid)
+        if out is None:
+            out = len(sets[sid]) ** d
+            index = n // len(sets[sid])
+            for p, gens in primes:
+                t = sid
+                for g in gens:
+                    t = extend(t, g)
+                pk, ap = n // len(sets[t]), 1
+                while index % p == 0:
+                    index //= p
+                    ap *= p
+                out *= (ap // pk) ** d
+                pi = 1
+                while pi < pk:
+                    out *= p**d - pi
+                    pi *= p
+            memo[sid] = out
+        return out
+
+    counts = {}
+    if lifts(0):
+        counts[()] = lifts(0)
+    # (sorted prefix, its product, its subgroup id, position of its
+    # last element in ``classes``)
+    level = [((), 0, 0, 0)]
+    for r in range(1, max_r + 1):
+        for P, prod, sid, _ in level:
+            last = inv[prod]
+            if last in allowed and (not P or last >= P[-1]):
+                M = P + (last,)
+                k = lifts(extend(sid, last))
+                if k:
+                    counts[M] = _orderings(M) * k
+        if r < max_r:
+            level = [
+                (P + (x,), mult[prod][x], extend(sid, x), j)
+                for P, prod, sid, i in level
+                for j, x in enumerate(classes[i:], i)
+            ]
+    ucounts = {
+        (u, r): lifts(extend(0, u)) if G.power(u, r) == 0 else 0
+        for u in elements
+        for r in range(1, max_r + 1)
+    }
+    return counts, ucounts
+
+
+def _count_by_mobius(G: GroupTable, b: int, classes, max_r: int, elements):
+    """``_count_vectors`` for any G, by Moebius inversion; the oracle the
+    abelian closed form is tested against.
 
     The tuples of H that generate G number sum of mu(H, G) N_H over the
     subgroups H (P. Hall's inversion).  N_H(M) for one ordering of M is

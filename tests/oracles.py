@@ -427,3 +427,56 @@ def det_mod(M, p):
             f = rows[i][c] * inv % p
             rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[c])]
     return det % p
+
+
+def _cyclotomic(e):
+    """Coefficients of the e-th cyclotomic polynomial, constant term
+    first: x^e - 1 divided by Phi_d for every proper divisor d of e."""
+    poly = [-1] + [0] * (e - 1) + [1]
+    for d in range(1, e):
+        if e % d == 0:
+            poly = _poly_divmod(poly, _cyclotomic(d))[0]
+    return poly
+
+
+def _poly_divmod(num, monic):
+    """(quotient, remainder) of integer polynomials, constant term first,
+    by a monic divisor."""
+    rem = list(num)
+    deg = len(monic) - 1
+    quot = [0] * max(len(rem) - deg, 1)
+    for t in range(len(rem) - 1, deg - 1, -1):
+        q = rem[t]
+        if q:
+            quot[t - deg] = q
+            for s, c in enumerate(monic):
+                rem[t - deg + s] -= q * c
+    return quot, rem[:deg]
+
+
+def fold_orthogonality_failures(G, characters):
+    """The pairs (i, j), i <= j, of ``characters`` whose inner product is
+    not |G| [i = j], by the full row fold: sum over the classes of
+    |class| chi_i conj(chi_j), summed as integers on the exponents mod e
+    (e the exponent of G) and reduced modulo Phi_e by long division.
+    Every pair is folded, linear or not."""
+    from isoprod.groups import conjugacy_classes
+
+    e, n = G.exponent, G.order
+    sizes = [len(c.members) for c in conjugacy_classes(G)]
+    phi = _cyclotomic(e)
+    bad = []
+    for i, chi in enumerate(characters):
+        for j in range(i, len(characters)):
+            folded = [0] * e
+            for w, x, y in zip(sizes, chi.values, characters[j].values):
+                for k, a in enumerate(x):
+                    if a:
+                        for l, c in enumerate(y):
+                            if c:
+                                folded[(k - l) % e] += w * a * c
+            if i == j:
+                folded[0] -= n
+            if any(_poly_divmod(folded, phi)[1]):
+                bad.append((i, j))
+    return bad

@@ -23,9 +23,11 @@ from isoprod.characters import (
 from isoprod.cyclotomic import Cyc
 from isoprod.errors import ConsistencyError, DecompositionError, DomainError
 from isoprod.groups import (
+    abelian_element,
     all_subgroups,
     build_group,
     builtin_groups_upto,
+    class_index,
     conjugacy_classes,
 )
 
@@ -33,6 +35,7 @@ from oracles import (
     complex_table,
     cyc_complex,
     det_mod,
+    fold_orthogonality_failures,
     induced_complex,
     inner_complex,
     restriction_complex,
@@ -291,6 +294,46 @@ def test_edited_sym3_table_is_rejected(capsys, monkeypatch, kind, arg):
     assert main(["chartab", "sym:3"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
+
+
+def test_full_fold_accepts_every_builtin_table():
+    """The full row fold, every pair folded, accepts every table ``check``
+    accepts while skipping the pairs of certified linear characters:
+    the built-ins of order <= 32, sym:5, alt:5 and dih:30."""
+    for spec in builtin_groups_upto(32) + ["sym:5", "alt:5", "dih:30"]:
+        G = build_group(spec)
+        assert fold_orthogonality_failures(G, character_table(G).characters) == []
+
+
+def test_repeated_linear_character_is_rejected():
+    """Two equal rows that are both homomorphisms are refused before any
+    pair is folded, on an abelian and a non-abelian table; Burnside's
+    identity cannot see it."""
+    for spec in ("ab:4", "sym:3"):
+        G = build_group(spec)
+        chars = list(character_table(G).characters)
+        chars[1] = chars[0]
+        with pytest.raises(ConsistencyError, match="same linear character"):
+            CharacterTable(G, chars)
+
+
+def test_non_multiplicative_linear_row_is_rejected_by_the_fold():
+    """The trivial row of ab:4 with the value -1 at the element of order
+    2 is still a multiset of square roots of unity at every class, but
+    not a homomorphism, so it is not certified and the row relation
+    rejects it, as the full fold does."""
+    G = build_group("ab:4")
+    chars = list(character_table(G).characters)
+    two = abelian_element(G, (2,))
+    r = class_index(G)[two]
+    i = next(i for i, c in enumerate(chars) if all(v[0] == 1 for v in c.values))
+    values = list(chars[i].values)
+    assert values[r] == (1, 0, 0, 0)
+    values[r] = (0, 0, 1, 0)
+    chars[i] = Character(1, tuple(values))
+    assert fold_orthogonality_failures(G, chars)
+    with pytest.raises(ConsistencyError, match="row orthogonality"):
+        CharacterTable(G, chars)
 
 
 def test_induced_from_a3():

@@ -267,11 +267,11 @@ def test_cover_buckets_decide_only_multisets_with_vectors(monkeypatch):
 
 
 def test_counted_buckets_match_listing_oracle():
-    """Counting by Moebius inversion gives the listing oracle's bucket
-    keys, counts and truncated count for every built-in group of order
-    <= 12 over bases of genus 0, 1 and 2, under a genus cap that
-    truncates and a branch-order cap that drops elements of order 9 to
-    12."""
+    """Counting (closed form on abelian groups, Moebius inversion on the
+    others) gives the listing oracle's bucket keys, counts and truncated
+    count for every built-in group of order <= 12 over bases of genus 0,
+    1 and 2, under a genus cap that truncates and a branch-order cap
+    that drops elements of order 9 to 12."""
     uniform = truncated_total = 0
     for spec in builtin_groups_upto(12):
         G = build_group(spec)

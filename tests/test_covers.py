@@ -5,6 +5,9 @@ import pytest
 from isoprod.characters import character_table
 from isoprod.covers import (
     GeneratingVector,
+    _branch_plan,
+    _count_abelian,
+    _count_by_mobius,
     _count_vectors,
     _multiset_genus,
     _raw_tuples,
@@ -166,12 +169,17 @@ def test_count_vectors_match_bruteforce():
     the vectors whose r gammas all equal u for every (u, r): every
     built-in group of order <= 8, every non-identity element allowed, at
     b = 0, r <= 4 and b = 1, r <= 3.  Multisets with no valid genus are
-    counted too."""
+    counted too.  On the abelian groups, which ``_count_vectors`` counts
+    in closed form, the Moebius DP is checked as well, since it is the
+    oracle of the closed form at larger orders."""
     for spec in builtin_groups_upto(8):
         G = build_group(spec)
         cls_of = class_index(G)
         classes = sorted(set(cls_of[1:]))
         elements = range(1, G.order)
+        counters = [_count_vectors]
+        if G.is_abelian():
+            counters.append(_count_by_mobius)
         for b, max_r in ((0, 4), (1, 3)):
             multisets, uniform = Counter(), Counter()
             for r in range(max_r + 1):
@@ -179,12 +187,70 @@ def test_count_vectors_match_bruteforce():
                     multisets[tuple(sorted(cls_of[g] for g in gammas))] += 1
                     if gammas and gammas.count(gammas[0]) == r:
                         uniform[gammas[0], r] += 1
-            counts, ucounts = _count_vectors(G, b, classes, max_r, elements)
-            assert counts == dict(multisets), (spec, b)
-            assert 0 not in counts.values()
             pairs = {(u, r) for u in elements for r in range(1, max_r + 1)}
-            assert set(ucounts) == pairs, (spec, b)
-            assert ucounts == {k: uniform[k] for k in pairs}, (spec, b)
+            for count in counters:
+                counts, ucounts = count(G, b, classes, max_r, elements)
+                where = (spec, b, count.__name__)
+                assert counts == dict(multisets), where
+                assert 0 not in counts.values()
+                assert set(ucounts) == pairs, where
+                assert ucounts == {k: uniform[k] for k in pairs}, where
+
+
+def test_abelian_closed_form_matches_mobius():
+    """The closed-form count equals the Moebius DP, key order included,
+    on every abelian built-in of order <= 32: b = 0 with r <= 4 (r <= 3
+    above order 16), b = 1 with r <= 4 and b = 2 with r <= 2, under
+    branch-order cap 8 and, up to order 16, under no cap."""
+    cases = 0
+    for spec in builtin_groups_upto(32):
+        G = build_group(spec)
+        if not G.is_abelian():
+            continue
+        cls_of = class_index(G)
+        for cap in (8, None) if G.order <= 16 else (8,):
+            elements = _branch_plan(G, cap)
+            classes = sorted({cls_of[g] for g in elements})
+            for b, max_r in ((0, 4 if G.order <= 16 else 3), (1, 4), (2, 2)):
+                args = (G, b, classes, max_r, elements)
+                got, want = _count_abelian(*args), _count_by_mobius(*args)
+                assert [list(d.items()) for d in got] == [
+                    list(d.items()) for d in want
+                ], (spec, cap, b)
+                cases += 1
+    assert cases == 3 * (54 + 24)
+
+
+def test_abelian_count_builds_no_lattice(monkeypatch):
+    """Abelian groups are counted without the Moebius function or the
+    subgroup lattice, with the Moebius DP's results: the buckets of
+    Z_2^4 at b = 1, r <= 4 and the deduplicated covers of Z_2^3 at b = 1,
+    r <= 3."""
+    import isoprod.covers as covers
+    import isoprod.groups as groups
+    from isoprod.classify import _cover_buckets
+
+    def results():
+        G = build_group("ab:2,2,2,2")
+        buckets = _cover_buckets(G, character_table(G), 1, 4, 33, 8)
+        vectors = [
+            (c.vector.to_json(), c.genus)
+            for c in enumerate_vectors(build_group("ab:2,2,2"), 1, 3)
+        ]
+        return buckets, vectors
+
+    with monkeypatch.context() as m:
+        m.setattr(covers, "_count_vectors", _count_by_mobius)
+        want = results()
+
+    def refuse(*args):
+        raise AssertionError("subgroup lattice built for an abelian group")
+
+    monkeypatch.setattr(covers, "mobius", refuse)
+    monkeypatch.setattr(groups, "all_subgroups", refuse)
+    got = results()
+    assert got == want
+    assert got[0][0] and got[1]
 
 
 def test_genus_cap_sets_truncated():
