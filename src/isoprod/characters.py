@@ -77,10 +77,6 @@ class CharacterTable:
             for i, c in enumerate(self.characters)
             if c.degree == 1 and all(v[0] == 1 for v in c.values)
         )
-        self.conj_index = tuple(
-            self._index[_conj_values(c.values, self.exponent)]
-            for c in self.characters
-        )
 
     # -- lookups -------------------------------------------------------
 
@@ -181,10 +177,6 @@ class CharacterTable:
                 for c in self.characters
             ],
         }
-
-
-def _conj_values(values, e):
-    return tuple(tuple(v[(-k) % e] for k in range(e)) for v in values)
 
 
 def _sparse(v):

@@ -2,8 +2,9 @@
 
 The kernel criterion: a central sigma fails to act trivially on H^2 iff
 some irreducible chi has sigma outside Ker(chi) while both H^1(C)^chi and
-H^1(D)^conj(chi) are nonzero.  Candidates for Aut_0 live in the center of
-G, identified with automorphisms of S via sigma -> (sigma, 1) mod the
+H^1(D)^chi are nonzero (H^1 is defined over Q, so chi and conj(chi) have
+one multiplicity).  Candidates for Aut_0 live in the center of G,
+identified with automorphisms of S via sigma -> (sigma, 1) mod the
 diagonal.
 
 The sweep driver buckets generating vectors by the data the criterion
@@ -113,8 +114,8 @@ def acts_trivially(S: UnmixedSurface, sigma: int) -> bool:
 def compute_aut0(S: UnmixedSurface) -> frozenset:
     """{sigma in Z_G : sigma acts trivially on H^*(S, QQ)}; always a
     subgroup containing the identity.  The chi that matter are those
-    with a nonzero H^2 summand, i.e. H^1(C)^chi and H^1(D)^conj(chi)
-    both nonzero."""
+    with a nonzero H^2 summand, i.e. H^1(C)^chi and H^1(D)^chi both
+    nonzero: H^1 is defined over Q, so conj(chi) has chi's multiplicity."""
     relevant = sum(
         1 << i for i, a in enumerate(S.invariants.h2_summands) if a
     )
@@ -144,7 +145,8 @@ def check_conformance(S: UnmixedSurface, aut0: frozenset):
     accepts, so they are not tested: equal branch involutions on the two
     factors would fix points of C x D, and the action is free; and in an
     abelian group the long relation at base genus 1 reads s^r = 1 for a
-    uniform branch element s, so an involution forces r even.
+    uniform branch element s, so an involution forces r even.  An even
+    first invariant factor makes the others even (each divides the next).
     """
     if len(aut0) <= 1:
         raise DomainError("conformance check applies to nontrivial Aut_0 only")
@@ -156,7 +158,7 @@ def check_conformance(S: UnmixedSurface, aut0: frozenset):
         if f[0] % 2 != 0:
             return False, f"invariant factors {f} not of shape (2m, 2mn)"
     elif len(f) == 3:
-        if f[0] != 2 or f[1] % 2 != 0:
+        if f[0] != 2:
             return False, f"invariant factors {f} not of shape (2, 2m, 2mn)"
     else:
         return False, f"invariant factors {f} have length {len(f)}"
@@ -184,8 +186,8 @@ def _class_data(G, table, b, M):
     mask.
 
     H^1(C, C) is the complexification of H^1(C, Q), so chi and conj(chi)
-    have the same multiplicity: maskpos is also the mask at the
-    conjugate characters."""
+    have the same multiplicity, and the H^2 summand of chi is nonzero
+    exactly when chi is in both factors' maskpos."""
     mults = h1_multiplicities(table, b, M)
     maskpos = sum(1 << i for i, m in enumerate(mults) if m)
     sig = 1

@@ -160,6 +160,15 @@ def cmd_covers(args):
 # -- surfaces ----------------------------------------------------------
 
 
+def _print_record(data, fmt):
+    """One JSON line, or sorted ``key: value`` lines."""
+    if fmt == "json":
+        _out(json.dumps(data, sort_keys=True))
+    else:
+        for k in sorted(data):
+            _out(f"{k}: {data[k]}")
+
+
 def cmd_surfaces(args):
     G = build_group(args.group)
     vC = _parse_vector(G, args.vc)
@@ -169,11 +178,7 @@ def cmd_surfaces(args):
     data = S.to_json()
     data["aut0"] = sorted(aut0)
     data["aut0_labels"] = [G.labels[g] for g in sorted(aut0)]
-    if args.format == "json":
-        _out(json.dumps(data, sort_keys=True))
-    else:
-        for k in sorted(data):
-            _out(f"{k}: {data[k]}")
+    _print_record(data, args.format)
     return 0
 
 
@@ -273,11 +278,7 @@ def cmd_verify_example(args):
     data["conforms"] = ok
     if reason:
         data["reason"] = reason
-    if args.format == "json":
-        _out(json.dumps(data, sort_keys=True))
-    else:
-        for k in sorted(data):
-            _out(f"{k}: {data[k]}")
+    _print_record(data, args.format)
     if family == "z2_z2m_z2mn":
         _out(
             "# note: genus constants for this family follow Riemann-Hurwitz "

@@ -507,6 +507,8 @@ def abelian_element(G: GroupTable, coords):
     factors = G.aux.get("factors")
     if factors is None:
         raise DomainError("group was not built from abelian invariant factors")
+    if len(coords) != len(factors):
+        raise DomainError(f"{len(coords)} coordinates for {len(factors)} factors")
     coords = tuple(c % d for c, d in zip(coords, factors))
     return G.aux["coords"].index(coords) if factors else 0
 

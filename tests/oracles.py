@@ -46,6 +46,22 @@ def inner_complex(table, row_i, row_j):
     return acc / n
 
 
+def conjugate_index(table):
+    """Per character i, the index j with chi_j = conj(chi_i), matched by
+    complex values, or None when no character of the table matches."""
+    vals = complex_table(table)
+
+    def close(row, other):
+        return all(abs(x - y) < 1e-9 for x, y in zip(row, other))
+
+    out = []
+    for row in vals:
+        bar = [y.conjugate() for y in row]
+        match = (j for j, other in enumerate(vals) if close(other, bar))
+        out.append(next(match, None))
+    return out
+
+
 def saturate_closure(G, elements):
     """Subgroup generated by ``elements``: add every product of two
     members until nothing new appears."""
@@ -107,8 +123,9 @@ def brute_vectors(G, b, r):
 
 
 def broughton_complex(G, table, cover, chi_index):
-    """Isotypic dimension from the analytic fixed-point formula, done in
-    complex arithmetic: chi(1)(2b-2+r) - sum_j (1/|g_j|) sum_t chi(g_j^t)."""
+    """Multiplicity of chi in H^1(C, C) from the analytic fixed-point
+    formula, done in complex arithmetic:
+    chi(1)(2b-2+r) - sum_j (1/|g_j|) sum_t chi(g_j^t)."""
     v = cover.vector
     b = v.base_genus
     vals = complex_table(table)
@@ -142,16 +159,10 @@ def aut0_complex(S):
     nchars = len(vals)
     multC = [broughton_complex(G, table, S.cover_C, i) for i in range(nchars)]
     multD = [broughton_complex(G, table, S.cover_D, i) for i in range(nchars)]
-
-    def close(row, other):
-        return all(abs(x - y) < 1e-9 for x, y in zip(row, other))
-
-    relevant = []
-    for i, row in enumerate(vals):
-        bar = [y.conjugate() for y in row]
-        j = next(j for j in range(nchars) if close(vals[j], bar))
-        if multC[i] and multD[j]:
-            relevant.append(row)
+    conj = conjugate_index(table)
+    relevant = [
+        row for i, row in enumerate(vals) if multC[i] and multD[conj[i]]
+    ]
     out = set()
     for sigma in range(G.order):
         if any(G.mult[sigma][g] != G.mult[g][sigma] for g in range(G.order)):
@@ -222,15 +233,10 @@ def listed_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
     n = G.order
     vals = complex_table(table)
     nchars = len(vals)
-    def close(row, other):
-        return all(abs(x - y) < 1e-9 for x, y in zip(row, other))
-
-    conj = []
-    for row in vals:
-        bar = [y.conjugate() for y in row]
-        conj.append(next(j for j in range(nchars) if close(vals[j], bar)))
-    ones = [1] * len(vals[0])
-    trivial = next(i for i in range(nchars) if close(vals[i], ones))
+    conj = conjugate_index(table)
+    trivial = next(
+        i for i in range(nchars) if all(abs(x - 1) < 1e-9 for x in vals[i])
+    )
     fixed = {}  # element -> per character, (1/|g|) sum_t chi(g^t)
     stab = {}  # element -> mask of the union of the conjugates of <g>
 

@@ -3,6 +3,7 @@ import gc
 import json
 import random
 import weakref
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -20,6 +21,7 @@ from isoprod.characters import (
     induced_character,
     restriction_multiplicity,
 )
+from isoprod.covers import h1_multiplicities
 from isoprod.cyclotomic import Cyc
 from isoprod.errors import ConsistencyError, DecompositionError, DomainError
 from isoprod.groups import (
@@ -33,6 +35,7 @@ from isoprod.groups import (
 
 from oracles import (
     complex_table,
+    conjugate_index,
     cyc_complex,
     det_mod,
     fold_orthogonality_failures,
@@ -184,13 +187,40 @@ def test_kernel_and_trivial_multiplicity():
         assert t.trivial_multiplicity(i, 0) == c.degree
 
 
-def test_conjugate_pairing():
-    G = build_group("ab:5")
-    t = character_table(G)
-    paired = sum(1 for i in range(5) if t.conj_index[i] != i)
-    assert paired == 4  # only the trivial character is real
-    for i in range(5):
-        assert t.conj_index[t.conj_index[i]] == i
+def test_tables_closed_under_conjugation():
+    """conj(chi) is a row of every table, found by complex values: the
+    built-ins of order <= 32, sym:5, alt:5 and dih:30.  The table keeps
+    no conjugate lookup of its own; ab:5 has four non-real characters."""
+    for spec in builtin_groups_upto(32) + ["sym:5", "alt:5", "dih:30"]:
+        conj = conjugate_index(character_table(build_group(spec)))
+        assert None not in conj, spec
+        assert all(conj[j] == i for i, j in enumerate(conj)), spec
+    conj = conjugate_index(character_table(build_group("ab:5")))
+    assert sum(1 for i, j in enumerate(conj) if i != j) == 4
+
+
+def test_h1_multiplicities_agree_at_conjugates():
+    """l_gamma(chi) = l_gamma(conj chi), so Broughton's formula gives chi
+    and conj(chi) one multiplicity: every 2-multiset of non-identity
+    classes at b = 0, 1, 2 on the built-ins of order <= 16.  At b = 0 two
+    branch points leave most multiplicities negative (no such cover
+    exists), so b = 0 also runs every 4-multiset; the multisets with a
+    negative multiplicity are refused and skipped there."""
+    checked = 0
+    for spec in builtin_groups_upto(16):
+        t = character_table(build_group(spec))
+        conj = conjugate_index(t)
+        k = len(t.classes)
+        for b, r in [(0, 2), (0, 4), (1, 2), (2, 2)]:
+            for M in combinations_with_replacement(range(1, k), r):
+                try:
+                    mults = h1_multiplicities(t, b, M)
+                except ConsistencyError:
+                    assert b == 0, (spec, b, M)
+                    continue
+                assert all(mults[i] == mults[j] for i, j in enumerate(conj))
+                checked += 1
+    assert checked > 10000
 
 
 def test_value_rendering():

@@ -11,7 +11,7 @@ from isoprod.characters import (
     _abelian_characters,
     _dixon_characters,
 )
-from isoprod.errors import GroupSpecError, SizeError, TableError
+from isoprod.errors import DomainError, GroupSpecError, SizeError, TableError
 from isoprod.groups import (
     GroupTable,
     abelian_element,
@@ -230,6 +230,12 @@ def test_abelian_element():
     g = abelian_element(G, (1, 2))
     assert G.element_order[g] == 2
     assert G.mult[abelian_element(G, (1, 0))][abelian_element(G, (0, 2))] == g
+    assert abelian_element(build_group("ab:1"), ()) == 0
+    # one coordinate per invariant factor, no more and no fewer
+    V = build_group("ab:2,2")
+    for coords in [(1, 0, 1), (1,)]:
+        with pytest.raises(DomainError, match="coordinates for"):
+            abelian_element(V, coords)
 
 
 def test_conjugacy_class_order():

@@ -1,6 +1,7 @@
 import pytest
 
-from isoprod.covers import GeneratingVector
+from isoprod.characters import character_table
+from isoprod.covers import GeneratingVector, enumerate_vectors
 from isoprod.errors import ConsistencyError, DomainError, FreenessError
 from isoprod.groups import abelian_element, build_group
 from isoprod.surfaces import (
@@ -9,7 +10,7 @@ from isoprod.surfaces import (
     example46_construct,
 )
 
-from oracles import chi_top_euler
+from oracles import broughton_complex, chi_top_euler, conjugate_index
 
 
 def _klein_vectors():
@@ -118,3 +119,33 @@ def test_surface_json():
     assert data["group"] == "ab:2,2"
     assert data["q"] == 2 and data["b2"] == 10
     assert data["vC"]["gammas"] == list(vC.gammas)
+
+
+def test_h2_summands_pair_each_character_with_its_conjugate():
+    """h2_summands[i] = m_C(chi_i) m_D(conj chi_i), both multiplicities
+    from Broughton's formula in complex arithmetic and conj(chi_i) matched
+    by values, on every free pair of b = 1, r <= 2 covers of two groups
+    with non-real characters; some pair has a nonzero summand at a
+    non-real chi."""
+    nonreal_hits = 0
+    for spec in ("ab:3,3", "ab:2,4"):
+        G = build_group(spec)
+        t = character_table(G)
+        conj = conjugate_index(t)
+        covers = list(enumerate_vectors(G, 1, 2))
+        mults = {
+            c.vector: [broughton_complex(G, t, c, i) for i in range(len(conj))]
+            for c in covers
+        }
+        for cC in covers:
+            for cD in covers:
+                try:
+                    S = build_surface(cC, cD)
+                except FreenessError:
+                    continue
+                mC, mD = mults[cC.vector], mults[cD.vector]
+                for i, j in enumerate(conj):
+                    assert S.invariants.h2_summands[i] == mC[i] * mD[j]
+                    if i != j and mC[i] * mD[j]:
+                        nonreal_hits += 1
+    assert nonreal_hits > 0
