@@ -23,15 +23,13 @@ from .errors import (
 from .groups import (
     GroupTable,
     _memo,
-    automorphisms,
+    automorphism_stabilizer,
     conjugacy_classes,
     class_index,
     cyclic_subgroup,
     mobius,
     subgroup_registry,
 )
-
-AUTOMORPHISM_DEDUP_LIMIT = 32
 
 
 @dataclass(frozen=True)
@@ -241,27 +239,54 @@ def _raw_tuples(G, b, r, allowed_gamma, prefix=()):
                 yield ab, head + tail
 
 
-def _canonical_tuples(G, b, r, allowed_gamma, auts):
-    """The tuples of ``_raw_tuples`` that are lex-least in their orbit
-    under the automorphisms ``auts``, in the same order.  A tuple is
-    lex-least iff each entry is least in its orbit under the stabilizer
-    of the entries before it (R. C. Read's orderly generation), so the
-    walk fixes free entries one at a time, skips a candidate x that some
-    phi in the current stabilizer sends below x, and narrows the
-    stabilizer to the phi fixing x.  Once it is trivial, or no free entry
-    is left (a phi fixing those fixes the forced last gamma),
-    ``_raw_tuples`` lists the completions of the prefix."""
-    free = 2 * b + max(r - 1, 0)
+def _orbit_minima(G: GroupTable, sid):
+    """Per element x, the least element of x's orbit under the
+    automorphisms that fix the subgroup ``sid`` of ``subgroup_registry(G)``
+    pointwise, or None when only the identity does; memoised per id."""
+    memo = G._cache.setdefault("_orbit_minima", {})
+    if sid not in memo:
+        stab = automorphism_stabilizer(G, subgroup_registry(G).gens[sid])
+        mins = None
+        if stab:
+            mins = [None] * G.order
+            for x in range(G.order):
+                if mins[x] is None:
+                    mins[x] = x
+                    orbit = [x]
+                    for y in orbit:
+                        for phi in stab:
+                            if mins[phi[y]] is None:
+                                mins[phi[y]] = x
+                                orbit.append(phi[y])
+        memo[sid] = mins
+    return memo[sid]
 
-    def walk(prefix, stab):
-        if len(stab) == 1 or len(prefix) == free:
+
+def _canonical_tuples(G, b, r, allowed_gamma):
+    """The tuples of ``_raw_tuples`` that are lex-least in their Aut(G)
+    orbit, in the same order.  A tuple is lex-least iff each entry is
+    least in its orbit under the stabilizer of the entries before it
+    (R. C. Read's orderly generation), and an automorphism fixes the
+    entries y_1..y_k exactly when it fixes K = <y_1..y_k> pointwise.  So
+    the walk fixes free entries one at a time, carrying the id of K:
+    it keeps a candidate x iff x is the least of its orbit under the
+    automorphisms fixing K (``_orbit_minima``) and moves on to <K, x>.
+    Once that stabilizer is trivial, or no free entry is left (a map
+    fixing those fixes the forced last gamma), ``_raw_tuples`` lists the
+    completions of the prefix."""
+    free = 2 * b + max(r - 1, 0)
+    extend = subgroup_registry(G).extend
+
+    def walk(prefix, sid):
+        mins = _orbit_minima(G, sid) if len(prefix) < free else None
+        if mins is None:
             yield from _raw_tuples(G, b, r, allowed_gamma, prefix)
             return
         for x in range(G.order) if len(prefix) < 2 * b else allowed_gamma:
-            if all(phi[x] >= x for phi in stab):
-                yield from walk(prefix + (x,), [phi for phi in stab if phi[x] == x])
+            if mins[x] == x:
+                yield from walk(prefix + (x,), extend(sid, x))
 
-    return walk((), auts)
+    return walk((), 0)
 
 
 def _branch_plan(G: GroupTable, branch_order_cap, exact=None):
@@ -509,11 +534,12 @@ def enumerate_vectors(
     its multiset is.  With ``dedup`` one representative per orbit of
     simultaneous relabeling by group automorphisms is emitted: the
     lex-least vector of the orbit, the one listed first, found by
-    stabilizer-chain pruning (``_canonical_tuples``) without listing the
-    rest.  Aut(G) is built only when some vector is kept.  Dedup is
-    supported for |G| <= AUTOMORPHISM_DEDUP_LIMIT only; above it
-    DomainError is raised at once, and ``dedup=False`` lists every
-    vector.
+    orderly generation (``_canonical_tuples``) without listing the rest:
+    an automorphism fixes a prefix of the vector pointwise exactly when
+    it fixes the subgroup the prefix generates, so the walk needs only
+    the stabilizers of subgroups, each from Sims's search
+    (``automorphism_stabilizer``), and never lists Aut(G).  No
+    stabilizer is built unless some vector is kept.
     """
     if b not in (0, 1, 2):
         raise DomainError("base genus must be 0, 1 or 2")
@@ -521,22 +547,15 @@ def enumerate_vectors(
         raise DomainError("caps must be positive")
     if branch_order_cap is not None and branch_order_cap < 1:
         raise DomainError("branch_order_cap must be >= 1")
-    n = G.order
-    if dedup and n > AUTOMORPHISM_DEDUP_LIMIT:
-        raise DomainError(
-            f"orbit dedup supports |G| <= {AUTOMORPHISM_DEDUP_LIMIT}, not "
-            f"|G| = {n}; pass dedup=False (--no-dedup) to list every vector"
-        )
     exact = tuple(sorted(exact_branch_orders)) if exact_branch_orders else None
     allowed = _branch_plan(G, branch_order_cap, exact)
     kept, _, truncated = _counted_multisets(G, b, max_r, genus_cap, allowed, exact)
-    # under the identity alone the canonical walk is the plain listing
-    auts = automorphisms(G) if dedup and kept else [tuple(range(n))]
     cls_of = class_index(G)
 
     def gen():
+        tuples = _canonical_tuples if dedup else _raw_tuples
         for r in sorted({len(M) for M in kept}):
-            for ab, gammas in _canonical_tuples(G, b, r, allowed, auts):
+            for ab, gammas in tuples(G, b, r, allowed):
                 M = tuple(sorted([cls_of[g] for g in gammas]))
                 if M in kept:
                     v = GeneratingVector(G, b, ab[:b], ab[b:], gammas)

@@ -297,11 +297,15 @@ def abelian_invariants(G: GroupTable):
 class SubgroupRegistry:
     """Interns subgroups as small ids with a memoized one-element
     extension map; backbone of the enumeration hot loops and of
-    ``all_subgroups``."""
+    ``all_subgroups``.  ``gens[sid]`` are the elements added, one
+    extension at a time, on the path that first reached subgroup
+    ``sid``; they generate it, and an extension closes them and one
+    element more."""
 
     def __init__(self, G: GroupTable):
         self.G = G
         self.sets = [frozenset([0])]
+        self.gens = [()]
         self.ids = {self.sets[0]: 0}
         self.ext = {}
 
@@ -310,14 +314,15 @@ class SubgroupRegistry:
         key = (sid, g)
         out = self.ext.get(key)
         if out is None:
-            s = self.sets[sid]
-            if g in s:
+            if g in self.sets[sid]:
                 out = sid
             else:
-                K = closure(self.G, s | {g})
+                gens = self.gens[sid] + (g,)
+                K = frozenset(_word_tree(self.G.mult, gens)[1])
                 out = self.ids.setdefault(K, len(self.sets))
                 if out == len(self.sets):
                     self.sets.append(K)
+                    self.gens.append(gens)
             self.ext[key] = out
         return out
 
@@ -390,29 +395,39 @@ def subgroup_table(G: GroupTable, elements):
 # -- automorphisms -----------------------------------------------------
 
 
-@_memo
-def automorphisms(G: GroupTable):
-    """All automorphisms of G as element-permutation tuples, the
-    identity first.
+def automorphism_stabilizer(G: GroupTable, fixed=()):
+    """Strong generators of the automorphisms of G that fix every element
+    of ``fixed``, as element-permutation tuples; empty when only the
+    identity does.
 
-    Sims's search down the chain Aut(G) = S_0 > S_1 > ... > S_k = 1,
-    S_i the automorphisms fixing the first i greedy generators (C. C.
-    Sims, 1970; Holt, Eick and O'Brien, *Handbook of Computational Group
-    Theory*, 2005, ch. 4).  From i = k - 1 down to 0, each image c of
-    gens[i] not yet in its orbit under the automorphisms found so far is
-    searched exhaustively for one map of S_i that sends gens[i] to c, so
-    the orbit comes out whole and S_i is the disjoint union of u S_(i+1)
-    over its transversal u.  Aut(G) is listed as the products
-    u_0 u_1 ... u_(k-1), each once; ``_extend_map`` checks only the
-    leaves the searches walk.  Images are pruned by element order and
-    generated-subgroup size.
+    Sims's search (C. C. Sims, 1970; Holt, Eick and O'Brien, *Handbook
+    of Computational Group Theory*, 2005, ch. 4) on the base gens: the
+    elements of ``fixed`` that enlarge the subgroup K the ones before
+    them generate, then the greedy completion, each the least element
+    outside the subgroup the ones before it generate.  S_i, the
+    automorphisms fixing gens[:i], fix K pointwise from i = m, the
+    number of fixed generators.  From i = len(gens) - 1 down to m, each
+    image c of gens[i] not yet in its orbit under the maps found so far
+    is searched exhaustively for one map of S_i that sends gens[i] to c,
+    so the orbit comes out whole and the maps found at levels >= i
+    generate S_i.  ``_extend_map`` checks only the leaves the searches
+    walk, and no product of the maps is formed.  Images are pruned by
+    element order and generated-subgroup size.
     """
     n = G.order
-    gens = _greedy_generators(G.mult)
     reg = subgroup_registry(G)
+    gens, gen_sids = [], [0]  # gen_sids[i]: the id of <gens[:i]>
+
+    def add(elements):
+        for g in elements:
+            if g not in reg.sets[gen_sids[-1]]:
+                gens.append(g)
+                gen_sids.append(reg.extend(gen_sids[-1], g))
+
+    add(fixed)
+    m = len(gens)
+    add(range(n))
     parent, bfs_order = _word_tree(G.mult, gens)
-    assert len(bfs_order) == n
-    gen_sids = list(itertools.accumulate(gens, reg.extend, initial=0))
     order = G.element_order
     by_order = {}
     for g in range(n):
@@ -440,11 +455,9 @@ def automorphisms(G: GroupTable):
                 return phi
         return None
 
-    identity = tuple(range(n))
-    found = []  # those found at levels >= i lie in S_i
-    auts = [identity]
-    for i in reversed(range(len(gens))):
-        orbit = {gens[i]: identity}  # x -> a map of S_i sending gens[i] to x
+    found = []  # those found at levels >= i generate S_i
+    for i in reversed(range(m, len(gens))):
+        orbit = {gens[i]}
         for c, sid in candidates(i, gen_sids[i]):
             if c in orbit:
                 continue
@@ -456,10 +469,9 @@ def automorphisms(G: GroupTable):
             for x in points:
                 for s in found:
                     if s[x] not in orbit:
-                        orbit[s[x]] = tuple(map(s.__getitem__, orbit[x]))
+                        orbit.add(s[x])
                         points.append(s[x])
-        auts = [tuple(map(u.__getitem__, p)) for u in orbit.values() for p in auts]
-    return tuple(auts)
+    return tuple(found)
 
 
 def _extend_map(mult, gens, parent, bfs_order, images, target):

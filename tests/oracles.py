@@ -305,7 +305,7 @@ def dedup_by_marking(G, b, max_r, genus_cap, min_genus=2, exact=None):
     """Orbit dedup by listing: walk every tuple of ``covers._raw_tuples``
     (every non-identity gamma allowed, or only the orders in ``exact``)
     and keep a vector unless an earlier kept vector of the same r marked
-    it, marking all its images under ``groups.automorphisms``.  The
+    it, marking all its images under ``automorphisms``.  The
     genus is Riemann-Hurwitz in integers; branch orders other than the
     sorted ``exact``, an odd 2g - 2 or a negative genus are skipped, a
     genus over genus_cap counts as truncated and one below min_genus is
@@ -315,9 +315,9 @@ def dedup_by_marking(G, b, max_r, genus_cap, min_genus=2, exact=None):
     in listing order, and the number of vectors over genus_cap.
     """
     from isoprod.covers import _raw_tuples
-    from isoprod.groups import automorphisms
 
     n = G.order
+    auts = automorphisms(G)
     orders = G.element_order
     allowed = [g for g in range(1, n) if exact is None or orders[g] in exact]
     genus_of = {}  # gammas -> genus, or None to skip
@@ -346,10 +346,117 @@ def dedup_by_marking(G, b, max_r, genus_cap, min_genus=2, exact=None):
                 truncated += 1
             elif g >= min_genus and (ab, gam) not in marked:
                 kept.append((ab, gam, g))
-                for phi in automorphisms(G):
+                for phi in auts:
                     image = phi.__getitem__
                     marked.add((tuple(map(image, ab)), tuple(map(image, gam))))
     return kept, truncated
+
+
+def automorphisms(G):
+    """All automorphisms of G as element-permutation tuples, the
+    identity first, as products of Sims's transversals.
+
+    The chain Aut(G) = S_0 > S_1 > ... > S_k = 1, S_i the automorphisms
+    fixing the first i greedy generators (C. C. Sims, 1970).  From
+    i = k - 1 down to 0, each image c of gens[i] not yet in its orbit
+    under the automorphisms found so far is searched exhaustively for
+    one map of S_i that sends gens[i] to c, and the orbit is kept with
+    one map per point (the transversal).  Aut(G) is listed as the
+    products u_0 u_1 ... u_(k-1), each once.
+    """
+    from isoprod.groups import (
+        _extend_map,
+        _greedy_generators,
+        _word_tree,
+        subgroup_registry,
+    )
+
+    n = G.order
+    gens = _greedy_generators(G.mult)
+    reg = subgroup_registry(G)
+    parent, bfs_order = _word_tree(G.mult, gens)
+    gen_sids = [0]
+    for g in gens:
+        gen_sids.append(reg.extend(gen_sids[-1], g))
+    order = G.element_order
+
+    def candidates(k, sid):
+        size = len(reg.sets[gen_sids[k + 1]])
+        for c in range(n):
+            if order[c] == order[gens[k]]:
+                nsid = reg.extend(sid, c)
+                if len(reg.sets[nsid]) == size:
+                    yield c, nsid
+
+    def search(images, sid):
+        if len(images) == len(gens):
+            phi = _extend_map(G.mult, gens, parent, bfs_order, images, G.mult)
+            return phi if phi is not None and len(set(phi)) == n else None
+        for c, nsid in candidates(len(images), sid):
+            phi = search(images + [c], nsid)
+            if phi is not None:
+                return phi
+        return None
+
+    identity = tuple(range(n))
+    found = []
+    auts = [identity]
+    for i in reversed(range(len(gens))):
+        orbit = {gens[i]: identity}  # x -> a map of S_i sending gens[i] to x
+        for c, sid in candidates(i, gen_sids[i]):
+            if c in orbit:
+                continue
+            phi = search(gens[:i] + [c], sid)
+            if phi is None:
+                continue
+            found.append(phi)
+            points = list(orbit)
+            for x in points:
+                for s in found:
+                    if s[x] not in orbit:
+                        orbit[s[x]] = tuple(map(s.__getitem__, orbit[x]))
+                        points.append(s[x])
+        auts = [tuple(map(u.__getitem__, p)) for u in orbit.values() for p in auts]
+    return tuple(auts)
+
+
+def canonical_tuples_by_filtering(G, b, r, allowed_gamma, auts):
+    """The tuples of ``covers._raw_tuples`` that are lex-least in their
+    orbit under the automorphisms ``auts``, by filtering the list: fix
+    the free entries one at a time, skip a candidate x that some phi in
+    the current stabilizer sends below x, and narrow the stabilizer to
+    the phi fixing x; once it is trivial, or no free entry is left,
+    ``_raw_tuples`` lists the completions of the prefix."""
+    from isoprod.covers import _raw_tuples
+
+    free = 2 * b + max(r - 1, 0)
+
+    def walk(prefix, stab):
+        if len(stab) == 1 or len(prefix) == free:
+            yield from _raw_tuples(G, b, r, allowed_gamma, prefix)
+            return
+        for x in range(G.order) if len(prefix) < 2 * b else allowed_gamma:
+            if all(phi[x] >= x for phi in stab):
+                yield from walk(prefix + (x,), [phi for phi in stab if phi[x] == x])
+
+    return walk((), auts)
+
+
+def registry_by_saturation(G):
+    """The subgroups of G in the order ``all_subgroups`` interns them:
+    from the trivial one, every interned subgroup s in turn is extended
+    by every element g = 1, ..., |G| - 1 in index order, and
+    ``saturate_closure`` of s and g is interned when it is new."""
+    sets = [frozenset([0])]
+    seen = set(sets)
+    for s in sets:
+        for g in range(1, G.order):
+            if g not in s:
+                K = saturate_closure(G, s | {g})
+                if K not in seen:
+                    seen.add(K)
+                    sets.append(K)
+    return sets
 
 
 def automorphisms_by_leaves(G):

@@ -112,16 +112,6 @@ def test_covers_trivial_group(capsys):
     assert summary["count"] == 0
 
 
-def test_covers_dedup_above_limit(capsys):
-    argv = ["covers", "dih:17", "--b", "1", "--max-r", "2"]
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert "--no-dedup" in err
-    code, out, _ = run(capsys, *argv, "--no-dedup")
-    assert code == 0
-    assert json.loads(out.splitlines()[-1])["count"] == 33456
-
-
 # sha256 of stdout; a change to any of these bytes must be deliberate
 GOLDEN_STDOUT = {
     ("covers", "dih:4", "--b", "1", "--max-r", "3"):

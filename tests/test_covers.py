@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -6,6 +7,7 @@ from isoprod.characters import character_table
 from isoprod.covers import (
     GeneratingVector,
     _branch_plan,
+    _canonical_tuples,
     _count_abelian,
     _count_by_mobius,
     _count_vectors,
@@ -30,11 +32,14 @@ from isoprod.groups import (
     build_group,
     builtin_groups_upto,
     class_index,
+    subgroup_registry,
 )
 
 from oracles import (
+    automorphisms,
     broughton_complex,
     brute_vectors,
+    canonical_tuples_by_filtering,
     dedup_by_marking,
     genus_float,
 )
@@ -291,8 +296,6 @@ def test_dedup_orbits(spec, max_r):
         for c in enumerate_vectors(G, 1, max_r, dedup=False)
     }
     reps = list(enumerate_vectors(G, 1, max_r, dedup=True))
-    from isoprod.groups import automorphisms
-
     auts = automorphisms(G)
     covered = set()
     for c in reps:
@@ -310,25 +313,37 @@ def test_dedup_orbits(spec, max_r):
     assert len(full) == len(reps) * len(auts)
 
 
-def test_dedup_above_limit_raises():
-    """Above the automorphism limit dedup refuses when the stream is
-    created rather than keeping one vector per branch-order signature."""
-    with pytest.raises(DomainError, match="dedup=False"):
-        enumerate_vectors(build_group("dih:17"), 1, 2)
+def test_dedup_dih17_matches_marking(capsys):
+    """Dedup has no group-order limit: dih:17 (order 34, |Aut| = 272)
+    keeps the vectors that marking every Aut(G) image keeps, and
+    ``covers`` dedups it with exit status 0."""
+    from isoprod.cli import main
+
+    G = build_group("dih:17")
+    stream = enumerate_vectors(G, 1, 2)
+    got = [
+        (c.vector.alphas + c.vector.betas, c.vector.gammas, c.genus)
+        for c in stream
+    ]
+    assert (got, stream.truncated) == dedup_by_marking(G, 1, 2, 65)
+    assert len(got) * 272 == 33456
+    assert main(["covers", "dih:17", "--b", "1", "--max-r", "2"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out.splitlines()[-1])["count"] == len(got)
 
 
 def test_dedup_builds_no_automorphisms_without_vectors(monkeypatch):
-    """Dedup builds Aut(G) and lists tuples only when the count keeps
-    some vector, so a stream with no vector does neither (Z_2^5 has
-    9,999,360 automorphisms and no generating vector at b = 1 with
-    r <= 3), and neither does one whose vectors are all over the cap
-    (Z_2^4 at b = 1, r <= 3 has 20,160 vectors, all of genus 13)."""
+    """Dedup searches automorphisms and lists tuples only when the count
+    keeps some vector, so a stream with no vector does neither (Z_2^5
+    has no generating vector at b = 1 with r <= 3), and neither does one
+    whose vectors are all over the cap (Z_2^4 at b = 1, r <= 3 has
+    20,160 vectors, all of genus 13)."""
     import isoprod.covers as covers
 
     def refuse(*args):
-        raise AssertionError("Aut(G) built or tuples listed without vectors")
+        raise AssertionError("Aut(G) searched or tuples listed without vectors")
 
-    monkeypatch.setattr(covers, "automorphisms", refuse)
+    monkeypatch.setattr(covers, "automorphism_stabilizer", refuse)
     monkeypatch.setattr(covers, "_raw_tuples", refuse)
     assert list(enumerate_vectors(build_group("ab:2,2,2,2,2"), 1, 3)) == []
     stream = enumerate_vectors(build_group("ab:2,2,2,2"), 1, 3, genus_cap=2)
@@ -445,3 +460,27 @@ def test_dedup_walks_no_listing(monkeypatch):
     monkeypatch.setattr(covers, "_raw_tuples", counting)
     assert list(enumerate_vectors(build_group("dih:5"), 1, 4))
     assert taken < 10_000
+
+
+def test_canonical_walk_matches_filtering_oracle():
+    """The walk on subgroup stabilizers emits the tuples, in order, that
+    filtering the list of Aut(G) at every node emits, for every built-in
+    group of order <= 16 at b = 0, 1 and 2; and each memoised array of
+    orbit minima is the one of the listed maps that fix its subgroup
+    pointwise (None when only the identity does)."""
+    cases = ((0, 3), (1, 2), (2, 1))
+    for spec in builtin_groups_upto(16):
+        G = build_group(spec)
+        auts = automorphisms(G)
+        allowed = list(range(1, G.order))
+        for b, r in cases:
+            got = list(_canonical_tuples(G, b, r, allowed))
+            want = list(canonical_tuples_by_filtering(G, b, r, allowed, auts))
+            assert got == want, (spec, b, r)
+        sets = subgroup_registry(G).sets
+        for sid, mins in G._cache["_orbit_minima"].items():
+            stab = [p for p in auts if all(p[x] == x for x in sets[sid])]
+            want = None
+            if len(stab) > 1:
+                want = [min(p[x] for p in stab) for x in range(G.order)]
+            assert mins == want, (spec, sid)

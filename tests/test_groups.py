@@ -17,7 +17,7 @@ from isoprod.groups import (
     abelian_element,
     abelian_invariants,
     all_subgroups,
-    automorphisms,
+    automorphism_stabilizer,
     build_group,
     builtin_groups_upto,
     center,
@@ -30,8 +30,10 @@ from isoprod.groups import (
 )
 
 from oracles import (
+    automorphisms,
     automorphisms_brute,
     automorphisms_by_leaves,
+    registry_by_saturation,
     saturate_closure,
 )
 
@@ -317,11 +319,25 @@ def test_automorphisms_match_oracles(spec):
         assert auts == set(automorphisms_brute(G))
 
 
+def _generated(G, maps):
+    """The group of permutations of G's elements that ``maps`` generate."""
+    identity = tuple(range(G.order))
+    out = {identity}
+    frontier = [identity]
+    for p in frontier:
+        for s in maps:
+            q = tuple(map(s.__getitem__, p))
+            if q not in out:
+                out.add(q)
+                frontier.append(q)
+    return out
+
+
 def test_automorphisms_check_only_found_maps(monkeypatch):
     """Z_2^4 has 20,160 automorphisms, and checking every generator-image
     leaf calls ``_extend_map`` that often; the orbit search checks only
-    the leaves it walks to reach an orbit point it has not reached yet.
-    The list is deterministic, identity first."""
+    the leaves it walks to reach an orbit point it has not reached yet,
+    and its strong generators generate all of Aut(G)."""
     calls = []
     extend = groups._extend_map
 
@@ -330,11 +346,44 @@ def test_automorphisms_check_only_found_maps(monkeypatch):
         return extend(*args)
 
     monkeypatch.setattr(groups, "_extend_map", counted)
-    auts = automorphisms(build_group("ab:2,2,2,2"))
-    assert len(auts) == 20160
+    G = build_group("ab:2,2,2,2")
+    strong = automorphism_stabilizer(G)
     assert len(calls) <= 64
-    assert auts == automorphisms(build_group("ab:2,2,2,2"))
-    assert auts[0] == tuple(range(16))
+    assert _generated(G, strong) == set(automorphisms(G))
+
+
+@pytest.mark.parametrize("spec", ["ab:2,2,2", "ab:2,4", "ab:3,3", "dih:4",
+                                  "dih:6", "quat:8", "sym:4", "quat:12"])
+def test_automorphism_stabilizer_matches_oracle(spec):
+    """The automorphisms fixing a tuple pointwise are generated by the
+    strong generators ``automorphism_stabilizer`` returns, for the empty
+    tuple, every single element and every pair of the first ones; the
+    tuple is empty exactly when only the identity fixes the elements."""
+    G = build_group(spec)
+    auts = automorphisms(G)
+    fixed = [()] + [(x,) for x in range(G.order)]
+    fixed += [(x, y) for x in range(1, 5) for y in range(G.order)]
+    for f in fixed:
+        want = {phi for phi in auts if all(phi[x] == x for x in f)}
+        strong = automorphism_stabilizer(G, f)
+        assert _generated(G, strong) == want, (spec, f)
+        assert (not strong) == (len(want) == 1), (spec, f)
+
+
+def test_registry_matches_saturation_oracle():
+    """The registry closes a subgroup's stored generators and one more
+    element, not every element of the subgroup; the subgroups it interns,
+    in id order, and ``all_subgroups`` are those of closing by
+    saturation, for every built-in group of order <= 32."""
+    for spec in builtin_groups_upto(32):
+        G = build_group(spec)
+        subs = all_subgroups(G)
+        reg = groups.subgroup_registry(G)
+        want = registry_by_saturation(G)
+        assert reg.sets == want, spec
+        assert subs == tuple(sorted(want, key=lambda s: (len(s), sorted(s))))
+        for sid, gens in enumerate(reg.gens):
+            assert saturate_closure(G, gens) == reg.sets[sid], (spec, sid)
 
 
 @pytest.mark.parametrize(
