@@ -112,6 +112,19 @@ def test_covers_trivial_group(capsys):
     assert summary["count"] == 0
 
 
+def test_covers_dedup_above_limit(capsys):
+    """dih:17 (order 34) lies above the order-32 limit that dedup once
+    had; it now dedups, one vector per orbit of |Aut| = 272, and
+    --no-dedup still lists all of them."""
+    argv = ["covers", "dih:17", "--b", "1", "--max-r", "2"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out.splitlines()[-1])["count"] == 123
+    code, out, _ = run(capsys, *argv, "--no-dedup")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["count"] == 33456 == 123 * 272
+
+
 # sha256 of stdout; a change to any of these bytes must be deliberate
 GOLDEN_STDOUT = {
     ("covers", "dih:4", "--b", "1", "--max-r", "3"):
