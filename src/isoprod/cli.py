@@ -127,27 +127,34 @@ def cmd_covers(args):
     )
     if args.format == "csv":
         _out("b,alphas,betas,gammas,genus")
+    # The sorted-key json.dumps of {"vector": v.to_json(), "genus": g}:
+    # the spec is the one string field, and str() of a list of ints is
+    # its JSON.
+    row = (
+        '{"genus": %d, "vector": {"alphas": %s, "b": %d, "betas": %s, '
+        '"gammas": %s, "group": ' + json.dumps(G.spec).replace("%", "%%") + "}}"
+    )
     count = 0
     for cover in stream:
-        vj, g = cover.vector.to_json(), cover.genus
+        v, g = cover.vector, cover.genus
         count += 1
         if args.format == "json":
-            _out(json.dumps({"vector": vj, "genus": g}, sort_keys=True))
+            _out(row % (g, list(v.alphas), v.base_genus, list(v.betas), list(v.gammas)))
         elif args.format == "csv":
             _out(
                 "%d,%s,%s,%s,%d"
                 % (
-                    vj["b"],
-                    " ".join(map(str, vj["alphas"])),
-                    " ".join(map(str, vj["betas"])),
-                    " ".join(map(str, vj["gammas"])),
+                    v.base_genus,
+                    " ".join(map(str, v.alphas)),
+                    " ".join(map(str, v.betas)),
+                    " ".join(map(str, v.gammas)),
                     g,
                 )
             )
         else:
             _out(
-                f"b={vj['b']} alphas={vj['alphas']} betas={vj['betas']} "
-                f"gammas={vj['gammas']} genus={g}"
+                f"b={v.base_genus} alphas={list(v.alphas)} betas={list(v.betas)} "
+                f"gammas={list(v.gammas)} genus={g}"
             )
     truncated = stream.truncated > 0
     if args.format == "json":

@@ -155,7 +155,10 @@ def h1_multiplicities(table, b: int, classes) -> tuple:
                 chi.values[k][0] for k in classes
             )
             if m < 0:
-                raise ConsistencyError(f"negative isotypic multiplicity {m}")
+                raise ConsistencyError(
+                    f"negative isotypic multiplicity {m} of chi_{i} on "
+                    f"{table.group.spec} at b = {b}, classes {sorted(classes)}"
+                )
         out.append(m)
     return tuple(out)
 
@@ -173,7 +176,8 @@ def isotypic_dimensions(cover: BranchedCover, table) -> tuple:
     )
     if sum(dims) != 2 * cover.genus:
         raise ConsistencyError(
-            f"isotypic dimensions sum to {sum(dims)}, expected {2 * cover.genus}"
+            f"isotypic dimensions sum to {sum(dims)}, expected {2 * cover.genus}, "
+            f"for the vector {v.to_json()}"
         )
     return dims
 
@@ -201,42 +205,56 @@ def _raw_tuples(G, b, r, allowed_gamma, prefix=()):
     alpha/beta loop is outermost, then the gamma tuples in lexicographic
     order over ``allowed_gamma``; the last gamma is forced by the
     relation.  Yields (ab, gammas)."""
-    n = G.order
     mult = G.mult
-    inv = G.inverse
-    reg = subgroup_registry(G)
-    extend = reg.extend
-    sets = reg.sets
-    allowed = frozenset(allowed_gamma)
+    extend = subgroup_registry(G).extend
+    tails = _gamma_tails(G, r, allowed_gamma)
     ab_head, head = prefix[: 2 * b], prefix[2 * b :]
 
-    for ab_tail in itertools.product(range(n), repeat=2 * b - len(ab_head)):
+    for ab_tail in itertools.product(range(G.order), repeat=2 * b - len(ab_head)):
         ab = ab_head + ab_tail
         c = 0
         for j in range(b):
             c = mult[c][G.commutator(ab[j], ab[b + j])]
-        sid0 = 0
+        sid = 0
         for g in ab + head:
-            sid0 = extend(sid0, g)
+            sid = extend(sid, g)
         for g in head:
             c = mult[c][g]
-        for tail in itertools.product(
-            allowed_gamma, repeat=max(r - 1 - len(head), 0)
-        ):
-            prod, sid = c, sid0
+        for tail in tails(c, sid, len(head)):
+            yield ab, head + tail
+
+
+def _gamma_tails(G, r, allowed_gamma):
+    """The gamma-tail loop of ``_raw_tuples``, set up once per (G, r,
+    allowed_gamma).  Returns ``tails(prod, sid, k)``, which yields in
+    lexicographic order the gammas after a prefix of k gammas that
+    completes a generating vector, given the product ``prod`` of the
+    prefix (its commutators, then its gammas) and the id ``sid`` of the
+    subgroup it generates in ``subgroup_registry(G)``."""
+    n = G.order
+    mult, inv = G.mult, G.inverse
+    reg = subgroup_registry(G)
+    extend, sets = reg.extend, reg.sets
+    allowed = frozenset(allowed_gamma)
+
+    def tails(prod, sid, k):
+        for tail in itertools.product(allowed_gamma, repeat=max(r - 1 - k, 0)):
+            p, s = prod, sid
             for g in tail:
-                prod = mult[prod][g]
-                sid = extend(sid, g)
+                p = mult[p][g]
+                s = extend(s, g)
             if r:
-                last = inv[prod]
+                last = inv[p]
                 if last not in allowed:
                     continue
                 tail += (last,)
-                sid = extend(sid, last)
-            elif prod:
+                s = extend(s, last)
+            elif p:
                 continue
-            if len(sets[sid]) == n:
-                yield ab, head + tail
+            if len(sets[s]) == n:
+                yield tail
+
+    return tails
 
 
 def _orbit_minima(G: GroupTable, sid):
@@ -268,25 +286,44 @@ def _canonical_tuples(G, b, r, allowed_gamma):
     least in its orbit under the stabilizer of the entries before it
     (R. C. Read's orderly generation), and an automorphism fixes the
     entries y_1..y_k exactly when it fixes K = <y_1..y_k> pointwise.  So
-    the walk fixes free entries one at a time, carrying the id of K:
-    it keeps a candidate x iff x is the least of its orbit under the
-    automorphisms fixing K (``_orbit_minima``) and moves on to <K, x>.
-    Once that stabilizer is trivial, or no free entry is left (a map
-    fixing those fixes the forced last gamma), ``_raw_tuples`` lists the
-    completions of the prefix."""
+    the walk fixes free entries one at a time, carrying the id of K and
+    the prefix's product (its commutator product once the 2b alphas and
+    betas are fixed, times each gamma after them): it keeps a candidate
+    x iff x is the least of its orbit under the automorphisms fixing K
+    (``_orbit_minima``) and moves on to <K, x>.  Once that stabilizer is
+    trivial, or no free entry is left (a map fixing those fixes the
+    forced last gamma), the prefix's completions are listed: by
+    ``_gamma_tails`` from the carried state when the alphas and betas
+    are fixed, by ``_raw_tuples`` when the prefix ends among them."""
     free = 2 * b + max(r - 1, 0)
+    mult = G.mult
     extend = subgroup_registry(G).extend
+    tails = _gamma_tails(G, r, allowed_gamma)
 
-    def walk(prefix, sid):
-        mins = _orbit_minima(G, sid) if len(prefix) < free else None
+    def walk(prefix, sid, prod):
+        k = len(prefix)
+        mins = _orbit_minima(G, sid) if k < free else None
         if mins is None:
-            yield from _raw_tuples(G, b, r, allowed_gamma, prefix)
-            return
-        for x in range(G.order) if len(prefix) < 2 * b else allowed_gamma:
-            if mins[x] == x:
-                yield from walk(prefix + (x,), extend(sid, x))
+            if k < 2 * b:
+                yield from _raw_tuples(G, b, r, allowed_gamma, prefix)
+            else:
+                ab, head = prefix[: 2 * b], prefix[2 * b :]
+                for tail in tails(prod, sid, k - 2 * b):
+                    yield ab, head + tail
+        elif k < 2 * b:
+            for x in range(G.order):
+                if mins[x] == x:
+                    ab, c = prefix + (x,), prod
+                    if k + 1 == 2 * b:
+                        for j in range(b):
+                            c = mult[c][G.commutator(ab[j], ab[b + j])]
+                    yield from walk(ab, extend(sid, x), c)
+        else:
+            for x in allowed_gamma:
+                if mins[x] == x:
+                    yield from walk(prefix + (x,), extend(sid, x), mult[prod][x])
 
-    return walk((), 0)
+    return walk((), 0, 0)
 
 
 def _branch_plan(G: GroupTable, branch_order_cap, exact=None):

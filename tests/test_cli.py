@@ -10,7 +10,9 @@ import pytest
 
 import isoprod
 from isoprod.cli import main, make_parser
+from isoprod.covers import enumerate_vectors
 from isoprod.errors import IsoprodError
+from isoprod.groups import build_group, builtin_groups_upto
 
 
 def run(capsys, *argv):
@@ -125,6 +127,26 @@ def test_covers_dedup_above_limit(capsys):
     assert json.loads(out.splitlines()[-1])["count"] == 33456 == 123 * 272
 
 
+def test_covers_json_rows_match_json_dumps(capsys):
+    """Each JSON row of ``covers`` is the sorted-key ``json.dumps`` of the
+    vector's ``to_json()`` and its genus, for every built-in group of
+    order <= 16 at b = 0, 1 and 2 (at b = 2 under genus cap 9, which
+    keeps the run short: uncapped, the cyclic groups alone emit about
+    40,000 rows)."""
+    for spec in builtin_groups_upto(16):
+        G = build_group(spec)
+        for b, max_r, cap in ((0, 4, 65), (1, 2, 65), (2, 1, 9)):
+            argv = ("--b", str(b), "--max-r", str(max_r), "--genus-cap", str(cap))
+            code, out, _ = run(capsys, "covers", spec, *argv)
+            want = [
+                json.dumps(
+                    {"vector": c.vector.to_json(), "genus": c.genus}, sort_keys=True
+                )
+                for c in enumerate_vectors(G, b, max_r, genus_cap=cap)
+            ]
+            assert code == 0 and out.splitlines()[:-1] == want, (spec, b)
+
+
 # sha256 of stdout; a change to any of these bytes must be deliberate
 GOLDEN_STDOUT = {
     ("covers", "dih:4", "--b", "1", "--max-r", "3"):
@@ -172,6 +194,19 @@ GOLDEN_STDOUT = {
     # the default sweep: the 33 built-ins of order <= 16 at r, s <= 4
     ("classify",):
         "a9c11d9dc841fe7867f16a4400cfe08d692bf8e0d1f4d8828a63128250eaefa7",
+    # JSON, csv and table rows at b = 0 and b = 2, deduped and not
+    ("covers", "dih:4", "--b", "0", "--max-r", "4"):
+        "c7817ec0d431ee9118ebd2e30fdd2f2fe31d2d1f7ec689c0adef6d60ad33f463",
+    ("covers", "sym:3", "--b", "2", "--max-r", "2"):
+        "5591fcac60467bc7f94e01ad9f351106cbb7bd92252e6c55e0f2dcb5fcbdf72e",
+    ("covers", "dih:4", "--b", "1", "--max-r", "3", "--no-dedup"):
+        "1b319d0179572ee557e575a91bf4632761d879bcdb97d6e579dfcad3aee70610",
+    ("covers", "ab:2,2", "--b", "2", "--max-r", "2", "--format", "csv"):
+        "4eec313b301f3e306bdc2d50e1d201ee867991c2d1f4dac59eef65db8256b11f",
+    ("covers", "quat:8", "--b", "0", "--max-r", "4", "--no-dedup", "--format", "csv"):
+        "0a47669f453912d3814133ef347f0880a8b09268b79d3819bc3d9c790ae1a5da",
+    ("covers", "ab:2,2", "--b", "2", "--max-r", "2", "--format", "table"):
+        "e652c4f196a5c143801f66592afab80ae930700f513bcd1b53168fa25e3ba76c",
 }
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from isoprod.characters import character_table
 from isoprod.covers import (
+    BranchedCover,
     GeneratingVector,
     _branch_plan,
     _canonical_tuples,
@@ -21,6 +22,7 @@ from isoprod.covers import (
 )
 from isoprod.errors import (
     BranchOrderError,
+    ConsistencyError,
     DomainError,
     GenerationError,
     GenusError,
@@ -338,6 +340,7 @@ def test_dedup_builds_no_automorphisms_without_vectors(monkeypatch):
 
     monkeypatch.setattr(covers, "automorphism_stabilizer", refuse)
     monkeypatch.setattr(covers, "_raw_tuples", refuse)
+    monkeypatch.setattr(covers, "_gamma_tails", refuse)
     assert list(enumerate_vectors(build_group("ab:2,2,2,2,2"), 1, 3)) == []
     stream = enumerate_vectors(build_group("ab:2,2,2,2"), 1, 3, genus_cap=2)
     assert list(stream) == [] and stream.truncated == 20160
@@ -361,6 +364,21 @@ def test_broughton_dimensions_sum():
     dims = isotypic_dimensions(cover, t)
     assert sum(dims) == 2 * cover.genus == 6
     assert dims[t.trivial_index] == 2
+
+
+def test_consistency_errors_name_their_context():
+    """A negative multiplicity names the group, b and the class multiset
+    (b = 0 with no branch point is no cover of sym:3); a wrong genus
+    names the vector."""
+    G = build_group("sym:3")
+    t = character_table(G)
+    with pytest.raises(ConsistencyError, match=r"sym:3 at b = 0, classes \[\]"):
+        h1_multiplicities(t, 0, ())
+    cover = next(iter(enumerate_vectors(G, 1, 2)))
+    wrong = BranchedCover(cover.vector, cover.genus + 1)
+    with pytest.raises(ConsistencyError) as err:
+        isotypic_dimensions(wrong, t)
+    assert str(cover.vector.to_json()) in str(err.value)
 
 
 def test_broughton_against_complex_oracle():
@@ -438,34 +456,48 @@ def test_dedup_matches_marking_oracle(spec, b, max_r, cap, exact):
 def test_dedup_walks_no_listing(monkeypatch):
     """Dedup lists no vector to keep one per orbit: the mark-and-skip
     helper is gone, and dih:5 at r <= 4 takes fewer than 10,000 tuples
-    from ``_raw_tuples`` (listing them all takes 72,060)."""
+    (listing them all takes 72,060).  Every listed tuple is a gamma tail
+    of ``_gamma_tails``, from the walk or through ``_raw_tuples``, so
+    the tails are what is counted; there are at least as many as the
+    vectors kept."""
     import isoprod.covers as covers
 
     assert not hasattr(covers, "_vector_code")
+    gamma_tails = covers._gamma_tails
     taken = 0
 
-    def counting(*args, **kwargs):
-        nonlocal taken
-        for item in _raw_tuples(*args, **kwargs):
-            taken += 1
-            yield item
+    def counting(*setup):
+        tails = gamma_tails(*setup)
 
-    monkeypatch.setattr(covers, "_raw_tuples", counting)
-    assert list(enumerate_vectors(build_group("dih:5"), 1, 4))
-    assert taken < 10_000
+        def counted(*state):
+            nonlocal taken
+            for tail in tails(*state):
+                taken += 1
+                yield tail
+
+        return counted
+
+    monkeypatch.setattr(covers, "_gamma_tails", counting)
+    kept = list(enumerate_vectors(build_group("dih:5"), 1, 4))
+    assert kept and len(kept) <= taken < 10_000
 
 
 def test_canonical_walk_matches_filtering_oracle():
     """The walk on subgroup stabilizers emits the tuples, in order, that
     filtering the list of Aut(G) at every node emits, for every built-in
-    group of order <= 16 at b = 0, 1 and 2; and each memoised array of
-    orbit minima is the one of the listed maps that fix its subgroup
-    pointwise (None when only the identity does)."""
-    cases = ((0, 3), (1, 2), (2, 1))
+    group of order <= 16 at b = 0, 1 and 2, and on a few small groups
+    at b = 2, r = 2 and b = 1, r = 3, where the walk carries its prefix
+    product across the last beta into the gammas; and each memoised
+    array of orbit minima is the one of the listed maps that fix its
+    subgroup pointwise (None when only the identity does)."""
+    small = {"sym:3", "ab:2,2", "dih:4", "quat:8", "ab:6", "ab:2,2,2"}
     for spec in builtin_groups_upto(16):
         G = build_group(spec)
         auts = automorphisms(G)
         allowed = list(range(1, G.order))
+        cases = ((0, 3), (1, 2), (2, 1))
+        if spec in small:
+            cases += ((2, 2), (1, 3))
         for b, r in cases:
             got = list(_canonical_tuples(G, b, r, allowed))
             want = list(canonical_tuples_by_filtering(G, b, r, allowed, auts))
