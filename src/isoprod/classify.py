@@ -29,7 +29,7 @@ from .covers import (
     h1_multiplicities,
 )
 from .errors import ConsistencyError, DomainError, IsoprodError, SizeError
-from .groups import _memo, abelian_invariants, build_group, center, class_index
+from .groups import _memo, build_group, center, class_index
 from .surfaces import UnmixedSurface, build_surface
 
 DEFAULT_BASE_GENERA = ((1, 1),)
@@ -141,27 +141,26 @@ def check_conformance(S: UnmixedSurface, aut0: frozenset):
     even branch-point counts; Aut_0 = {1, sigma_1 tau_1}.
     Returns (bool, reason).
 
-    Two parts of the shape hold for every surface ``build_surface``
-    accepts, so they are not tested: equal branch involutions on the two
-    factors would fix points of C x D, and the action is free; and in an
-    abelian group the long relation at base genus 1 reads s^r = 1 for a
-    uniform branch element s, so an involution forces r even.  An even
-    first invariant factor makes the others even (each divides the next).
+    Three parts of the shape hold for every surface ``build_surface``
+    accepts that passes the clauses tested, so they are not tested:
+    equal branch involutions on the two factors would fix points of
+    C x D, and the action is free; in an abelian group the long relation
+    at base genus 1 reads s^r = 1 for a uniform branch element s, so an
+    involution forces r even; and the invariant factors have the shape.
+    For the last, let s != t be the uniform involutions of the two
+    vectors.  G = <alpha, beta, s> has rank <= 3, and the two distinct
+    involutions make its Sylow 2-subgroup non-cyclic, so at rank 2 the
+    first factor is even.  At rank 3, G/<s> is 2-generated, so the odd
+    p-parts have rank <= 2 and the 2-part has rank 3; and some 2-part
+    factor is Z_2, since otherwise every involution, s among them, lies
+    in 2G and G/<s> would need 3 generators.  So the factors are
+    (2m, 2mn) or (2, 2m, 2mn).
     """
     if len(aut0) <= 1:
         raise DomainError("conformance check applies to nontrivial Aut_0 only")
     G = S.group
     if not G.is_abelian():
         return False, "group is not abelian"
-    f = abelian_invariants(G)
-    if len(f) == 2:
-        if f[0] % 2 != 0:
-            return False, f"invariant factors {f} not of shape (2m, 2mn)"
-    elif len(f) == 3:
-        if f[0] != 2:
-            return False, f"invariant factors {f} not of shape (2, 2m, 2mn)"
-    else:
-        return False, f"invariant factors {f} have length {len(f)}"
     vC, vD = S.cover_C.vector, S.cover_D.vector
     if vC.base_genus != 1 or vD.base_genus != 1:
         return False, "base genera are not both 1"

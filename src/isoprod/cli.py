@@ -100,6 +100,8 @@ def cmd_covers(args):
             raise UsageError(f"bad --branch value {args.branch!r}") from exc
         if not exact:
             raise UsageError("--branch is empty")
+        if min(exact) < 2:
+            raise UsageError("--branch orders must be >= 2")
         if args.max_r is not None and args.max_r < len(exact):
             raise UsageError(
                 f"--max-r {args.max_r} is below the {len(exact)} --branch orders"

@@ -198,30 +198,53 @@ class CoverStream:
         return self._gen()
 
 
-def _raw_tuples(G, b, r, allowed_gamma, prefix=()):
+def _raw_tuples(G, b, r, allowed_gamma, *, dedup=False):
     """All (alphas+betas, gammas) with the long relation satisfied and
-    the generated subgroup full whose free entries (the alphas, betas
-    and first r - 1 gammas, in that order) start with ``prefix``.  The
-    alpha/beta loop is outermost, then the gamma tuples in lexicographic
-    order over ``allowed_gamma``; the last gamma is forced by the
-    relation.  Yields (ab, gammas)."""
-    mult = G.mult
+    the generated subgroup full, in listing order: the free entries (the
+    2b alphas and betas over G, then the first r - 1 gammas over
+    ``allowed_gamma``) in lexicographic order; the last gamma is forced
+    by the relation.  Yields (ab, gammas).
+
+    The walk fixes free entries one at a time, carrying the id of the
+    subgroup K the prefix generates and the prefix's product (each
+    commutator [alpha_j, beta_j] once beta_j is fixed, then each
+    gamma), and hands both to ``_gamma_tails`` once the alphas and betas
+    are fixed.  With ``dedup`` only the tuples lex-least in their Aut(G)
+    orbit are listed.  A tuple is lex-least iff each entry is least in
+    its orbit under the stabilizer of the entries before it (R. C.
+    Read's orderly generation), and an automorphism fixes the entries
+    y_1..y_k exactly when it fixes K = <y_1..y_k> pointwise, so a
+    candidate x is kept iff x is the least of its orbit under the
+    automorphisms fixing K (``_orbit_minima``).  Once that stabilizer
+    is trivial the filter is off for the whole subtree, and once no
+    free entry is left it is not needed: a map fixing those fixes the
+    forced last gamma.  The gamma tails are handed off only when no
+    filter is left."""
+    n, mult, comm = G.order, G.mult, G.commutator
     extend = subgroup_registry(G).extend
     tails = _gamma_tails(G, r, allowed_gamma)
-    ab_head, head = prefix[: 2 * b], prefix[2 * b :]
+    free = 2 * b + max(r - 1, 0)
 
-    for ab_tail in itertools.product(range(G.order), repeat=2 * b - len(ab_head)):
-        ab = ab_head + ab_tail
-        c = 0
-        for j in range(b):
-            c = mult[c][G.commutator(ab[j], ab[b + j])]
-        sid = 0
-        for g in ab + head:
-            sid = extend(sid, g)
-        for g in head:
-            c = mult[c][g]
-        for tail in tails(c, sid, len(head)):
-            yield ab, head + tail
+    def walk(prefix, sid, prod, filtering):
+        k = len(prefix)
+        mins = _orbit_minima(G, sid) if filtering and k < free else None
+        if k >= 2 * b and mins is None:
+            ab, head = prefix[: 2 * b], prefix[2 * b :]
+            for tail in tails(prod, sid, k - 2 * b):
+                yield ab, head + tail
+            return
+        for x in range(n) if k < 2 * b else allowed_gamma:
+            if mins is not None and mins[x] != x:
+                continue
+            if k < b:
+                p = prod
+            elif k < 2 * b:
+                p = mult[prod][comm(prefix[k - b], x)]
+            else:
+                p = mult[prod][x]
+            yield from walk(prefix + (x,), extend(sid, x), p, mins is not None)
+
+    return walk((), 0, 0, dedup)
 
 
 def _gamma_tails(G, r, allowed_gamma):
@@ -278,52 +301,6 @@ def _orbit_minima(G: GroupTable, sid):
                                 orbit.append(phi[y])
         memo[sid] = mins
     return memo[sid]
-
-
-def _canonical_tuples(G, b, r, allowed_gamma):
-    """The tuples of ``_raw_tuples`` that are lex-least in their Aut(G)
-    orbit, in the same order.  A tuple is lex-least iff each entry is
-    least in its orbit under the stabilizer of the entries before it
-    (R. C. Read's orderly generation), and an automorphism fixes the
-    entries y_1..y_k exactly when it fixes K = <y_1..y_k> pointwise.  So
-    the walk fixes free entries one at a time, carrying the id of K and
-    the prefix's product (its commutator product once the 2b alphas and
-    betas are fixed, times each gamma after them): it keeps a candidate
-    x iff x is the least of its orbit under the automorphisms fixing K
-    (``_orbit_minima``) and moves on to <K, x>.  Once that stabilizer is
-    trivial, or no free entry is left (a map fixing those fixes the
-    forced last gamma), the prefix's completions are listed: by
-    ``_gamma_tails`` from the carried state when the alphas and betas
-    are fixed, by ``_raw_tuples`` when the prefix ends among them."""
-    free = 2 * b + max(r - 1, 0)
-    mult = G.mult
-    extend = subgroup_registry(G).extend
-    tails = _gamma_tails(G, r, allowed_gamma)
-
-    def walk(prefix, sid, prod):
-        k = len(prefix)
-        mins = _orbit_minima(G, sid) if k < free else None
-        if mins is None:
-            if k < 2 * b:
-                yield from _raw_tuples(G, b, r, allowed_gamma, prefix)
-            else:
-                ab, head = prefix[: 2 * b], prefix[2 * b :]
-                for tail in tails(prod, sid, k - 2 * b):
-                    yield ab, head + tail
-        elif k < 2 * b:
-            for x in range(G.order):
-                if mins[x] == x:
-                    ab, c = prefix + (x,), prod
-                    if k + 1 == 2 * b:
-                        for j in range(b):
-                            c = mult[c][G.commutator(ab[j], ab[b + j])]
-                    yield from walk(ab, extend(sid, x), c)
-        else:
-            for x in allowed_gamma:
-                if mins[x] == x:
-                    yield from walk(prefix + (x,), extend(sid, x), mult[prod][x])
-
-    return walk((), 0, 0)
 
 
 def _branch_plan(G: GroupTable, branch_order_cap, exact=None):
@@ -571,12 +548,12 @@ def enumerate_vectors(
     its multiset is.  With ``dedup`` one representative per orbit of
     simultaneous relabeling by group automorphisms is emitted: the
     lex-least vector of the orbit, the one listed first, found by
-    orderly generation (``_canonical_tuples``) without listing the rest:
-    an automorphism fixes a prefix of the vector pointwise exactly when
-    it fixes the subgroup the prefix generates, so the walk needs only
-    the stabilizers of subgroups, each from Sims's search
-    (``automorphism_stabilizer``), and never lists Aut(G).  No
-    stabilizer is built unless some vector is kept.
+    orderly generation (``_raw_tuples`` with its orbit filter on)
+    without listing the rest: an automorphism fixes a prefix of the
+    vector pointwise exactly when it fixes the subgroup the prefix
+    generates, so the walk needs only the stabilizers of subgroups,
+    each from Sims's search (``automorphism_stabilizer``), and never
+    lists Aut(G).  No stabilizer is built unless some vector is kept.
     """
     if b not in (0, 1, 2):
         raise DomainError("base genus must be 0, 1 or 2")
@@ -590,9 +567,8 @@ def enumerate_vectors(
     cls_of = class_index(G)
 
     def gen():
-        tuples = _canonical_tuples if dedup else _raw_tuples
         for r in sorted({len(M) for M in kept}):
-            for ab, gammas in tuples(G, b, r, allowed):
+            for ab, gammas in _raw_tuples(G, b, r, allowed, dedup=dedup):
                 M = tuple(sorted([cls_of[g] for g in gammas]))
                 if M in kept:
                     v = GeneratingVector(G, b, ab[:b], ab[b:], gammas)

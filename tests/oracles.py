@@ -425,15 +425,27 @@ def canonical_tuples_by_filtering(G, b, r, allowed_gamma, auts):
     orbit under the automorphisms ``auts``, by filtering the list: fix
     the free entries one at a time, skip a candidate x that some phi in
     the current stabilizer sends below x, and narrow the stabilizer to
-    the phi fixing x; once it is trivial, or no free entry is left,
-    ``_raw_tuples`` lists the completions of the prefix."""
+    the phi fixing x; once it is trivial, or no free entry is left, the
+    completions of the prefix are the tuples of the full listing that
+    start with it (the listing is grouped by prefix once per prefix
+    length)."""
     from isoprod.covers import _raw_tuples
 
     free = 2 * b + max(r - 1, 0)
+    listing = list(_raw_tuples(G, b, r, allowed_gamma))
+    by_prefix = {}  # prefix length -> {prefix: its tuples in listing order}
+
+    def completions(prefix):
+        k = len(prefix)
+        if k not in by_prefix:
+            by_prefix[k] = {}
+            for ab, gam in listing:
+                by_prefix[k].setdefault((ab + gam)[:k], []).append((ab, gam))
+        return by_prefix[k].get(prefix, [])
 
     def walk(prefix, stab):
         if len(stab) == 1 or len(prefix) == free:
-            yield from _raw_tuples(G, b, r, allowed_gamma, prefix)
+            yield from completions(prefix)
             return
         for x in range(G.order) if len(prefix) < 2 * b else allowed_gamma:
             if all(phi[x] >= x for phi in stab):

@@ -14,7 +14,13 @@ from isoprod.classify import (
 )
 from isoprod.covers import GeneratingVector, enumerate_vectors
 from isoprod.errors import ConsistencyError, DomainError
-from isoprod.groups import abelian_element, build_group, builtin_groups_upto
+from isoprod.groups import (
+    abelian_element,
+    abelian_invariants,
+    build_group,
+    builtin_groups_upto,
+    subgroup_registry,
+)
 from isoprod.surfaces import build_surface, example46_construct
 
 from oracles import aut0_complex, listed_buckets
@@ -123,6 +129,35 @@ def test_conformance_example_families():
         assert ok, (fam, reason)
 
 
+def test_uniform_involutions_force_the_invariant_factors():
+    """``check_conformance`` does not test the invariant factors: in an
+    abelian group, two distinct involutions s, t that each complete some
+    (alpha, beta) to a generating set, as the uniform branch elements of
+    two b = 1 vectors do, force the factors (2m, 2mn) or (2, 2m, 2mn).
+    Checked by search on every abelian built-in of order <= 64."""
+    seen = 0
+    for spec in builtin_groups_upto(64):
+        if not spec.startswith("ab:"):
+            continue
+        G = build_group(spec)
+        reg = subgroup_registry(G)
+        n, extend, sets = G.order, reg.extend, reg.sets
+
+        def completes(s):
+            ks = {extend(extend(0, s), a) for a in range(n)}
+            return any(len(sets[extend(k, b)]) == n for k in ks for b in range(n))
+
+        involutions = [s for s in range(n) if G.element_order[s] == 2]
+        if sum(map(completes, involutions)) < 2:
+            continue
+        seen += 1
+        f = abelian_invariants(G)
+        assert (len(f) == 2 and f[0] % 2 == 0) or (
+            len(f) == 3 and f[0] == 2
+        ), (spec, f)
+    assert seen == 32
+
+
 # (spec, vC, vD, Aut_0, reason).  Vectors are (b, alphas, betas, gammas);
 # an element is an index, or coordinates in an ab: group.  Aut_0 None
 # means compute_aut0(S).  check_conformance takes Aut_0 as given, and
@@ -138,18 +173,18 @@ CONFORMANCE_FAILURES = [
     (
         "ab:3,3", (0, (), (), ((0, 1), (0, 2), (1, 0), (2, 0))),
         (1, ((0, 1),), ((1, 0),), ((1, 1), (2, 2))), None,
-        "invariant factors (3, 3) not of shape (2m, 2mn)",
+        "base genera are not both 1",
     ),
     (
         "ab:3,3,3", (1, ((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1), (0, 0, 2))),
         (1, ((1, 0, 0),), ((0, 0, 1),), ((0, 1, 0), (0, 2, 0))),
         [(0, 0, 0), (1, 0, 0)],
-        "invariant factors (3, 3, 3) not of shape (2, 2m, 2mn)",
+        "branch elements are not all equal on each factor",
     ),
     (
         "ab:6", (1, ((1,),), ((0,),), ((3,), (3,))),
         (1, ((1,),), ((0,),), ((2,), (4,))), [(0,), (3,)],
-        "invariant factors (6,) have length 1",
+        "branch elements are not all equal on each factor",
     ),
     (
         "ab:2,2", (0, (), (), (_Y,) * 4 + (_X,) * 2), (1, (_Y,), (_X,), ((1, 1),) * 2),

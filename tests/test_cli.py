@@ -90,12 +90,14 @@ def test_covers_klein(capsys):
 
 
 def test_covers_bad_branch(capsys):
-    """A --branch that does not parse, that lists no order, or that
-    lists more orders than --max-r allows is a usage error, and so is a
-    base genus or cap out of range."""
+    """A --branch that does not parse, that lists no order, that lists
+    an order below 2, or that lists more orders than --max-r allows is a
+    usage error, and so is a base genus or cap out of range."""
     cases = [
         (("ab:2", "--branch", "x"), "bad --branch value"),
         (("ab:2,2", "--branch", ","), "--branch is empty"),
+        (("ab:2,2", "--branch", "0"), "--branch orders must be >= 2"),
+        (("ab:2,2", "--branch", "2,-2"), "--branch orders must be >= 2"),
         (("ab:2,2", "--branch", "2,2", "--max-r", "1"), "below the 2 --branch"),
         (("ab:2", "--max-r", "-1"), "--max-r >= 0"),
         (("ab:2", "--genus-cap", "0"), "--genus-cap >= 1"),

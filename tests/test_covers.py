@@ -7,7 +7,6 @@ from isoprod.covers import (
     BranchedCover,
     GeneratingVector,
     _branch_plan,
-    _canonical_tuples,
     _count_abelian,
     _count_by_mobius,
     _count_vectors,
@@ -455,14 +454,15 @@ def test_dedup_matches_marking_oracle(spec, b, max_r, cap, exact):
 
 def test_dedup_walks_no_listing(monkeypatch):
     """Dedup lists no vector to keep one per orbit: the mark-and-skip
-    helper is gone, and dih:5 at r <= 4 takes fewer than 10,000 tuples
-    (listing them all takes 72,060).  Every listed tuple is a gamma tail
-    of ``_gamma_tails``, from the walk or through ``_raw_tuples``, so
-    the tails are what is counted; there are at least as many as the
-    vectors kept."""
+    helper and the second, orderly walk are gone, and dih:5 at r <= 4
+    takes fewer than 10,000 tuples (listing them all takes 72,060).
+    Every listed tuple is a gamma tail of ``_gamma_tails``, to which the
+    one walk hands each prefix, so the tails are what is counted; there
+    are at least as many as the vectors kept."""
     import isoprod.covers as covers
 
     assert not hasattr(covers, "_vector_code")
+    assert not hasattr(covers, "_canonical_tuples")
     gamma_tails = covers._gamma_tails
     taken = 0
 
@@ -489,7 +489,8 @@ def test_canonical_walk_matches_filtering_oracle():
     at b = 2, r = 2 and b = 1, r = 3, where the walk carries its prefix
     product across the last beta into the gammas; and each memoised
     array of orbit minima is the one of the listed maps that fix its
-    subgroup pointwise (None when only the identity does)."""
+    subgroup pointwise (None when only the identity does).  The filter
+    is keyword-only, so a positional fifth argument is refused."""
     small = {"sym:3", "ab:2,2", "dih:4", "quat:8", "ab:6", "ab:2,2,2"}
     for spec in builtin_groups_upto(16):
         G = build_group(spec)
@@ -499,7 +500,7 @@ def test_canonical_walk_matches_filtering_oracle():
         if spec in small:
             cases += ((2, 2), (1, 3))
         for b, r in cases:
-            got = list(_canonical_tuples(G, b, r, allowed))
+            got = list(_raw_tuples(G, b, r, allowed, dedup=True))
             want = list(canonical_tuples_by_filtering(G, b, r, allowed, auts))
             assert got == want, (spec, b, r)
         sets = subgroup_registry(G).sets
@@ -509,3 +510,5 @@ def test_canonical_walk_matches_filtering_oracle():
             if len(stab) > 1:
                 want = [min(p[x] for p in stab) for x in range(G.order)]
             assert mins == want, (spec, sid)
+    with pytest.raises(TypeError):
+        _raw_tuples(G, 1, 2, allowed, True)
