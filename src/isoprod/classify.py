@@ -29,7 +29,7 @@ from .covers import (
     h1_multiplicities,
 )
 from .errors import ConsistencyError, DomainError, IsoprodError, SizeError
-from .groups import _memo, build_group, center, class_index
+from .groups import _memo, build_group, center, class_index, conjugacy_classes
 from .surfaces import UnmixedSurface, build_surface
 
 DEFAULT_BASE_GENERA = ((1, 1),)
@@ -77,10 +77,10 @@ def _kernel_masks(G):
     return masks, sum(1 << g for g in center(G))
 
 
-def _aut0_mask(table, relevant):
-    """Mask of the central elements in Ker(chi) for every chi whose bit
-    is set in ``relevant``."""
-    ker_masks, center_mask = _kernel_masks(table.group)
+def _aut0_mask(G, relevant):
+    """Mask of the central elements in Ker(chi) for every chi of
+    ``character_table(G)`` whose bit is set in ``relevant``."""
+    ker_masks, center_mask = _kernel_masks(G)
     out = center_mask
     i = 0
     m = relevant
@@ -119,7 +119,7 @@ def compute_aut0(S: UnmixedSurface) -> frozenset:
     relevant = sum(
         1 << i for i, a in enumerate(S.invariants.h2_summands) if a
     )
-    return _mask_to_set(_aut0_mask(character_table(S.group), relevant))
+    return _mask_to_set(_aut0_mask(S.group, relevant))
 
 
 # -- conformance with the classification shape ------------------------
@@ -179,7 +179,7 @@ def check_conformance(S: UnmixedSurface, aut0: frozenset):
 # -- sweep driver ------------------------------------------------------
 
 
-def _class_data(G, table, b, M):
+def _class_data(G, b, M):
     """The bucket data (maskpos, sig) of the branch-class multiset M:
     the H^1 positivity mask over the irreducibles and the stabilizer-union
     mask.
@@ -187,7 +187,7 @@ def _class_data(G, table, b, M):
     H^1(C, C) is the complexification of H^1(C, Q), so chi and conj(chi)
     have the same multiplicity, and the H^2 summand of chi is nonzero
     exactly when chi is in both factors' maskpos."""
-    mults = h1_multiplicities(table, b, M)
+    mults = h1_multiplicities(character_table(G), b, M)
     maskpos = sum(1 << i for i, m in enumerate(mults) if m)
     sig = 1
     for c in M:
@@ -196,7 +196,7 @@ def _class_data(G, table, b, M):
     return maskpos, sig
 
 
-def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
+def _cover_buckets(G, b, max_r, genus_cap, branch_order_cap):
     """Count the valid generating vectors in each bucket of the
     classification signature.  Key: (r, genus, dims-positivity mask,
     stabilizer-union mask, uniform gamma or -1).
@@ -205,9 +205,10 @@ def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
 
     ``_counted_multisets`` makes the genus and cap decision once per
     branch-class multiset M with vectors, as for ``enumerate_vectors``;
-    the bucket data is computed only for the kept M.  The vectors whose
-    gammas all equal one u are counted apart, and the rest of M's
-    vectors go to the u = -1 bucket.  Nothing is listed.
+    the bucket data, and so the character table, is read only for the
+    kept M.  The vectors whose gammas all equal one u are counted apart,
+    and the rest of M's vectors go to the u = -1 bucket.  Nothing is
+    listed.
     """
     allowed = _branch_plan(G, branch_order_cap)
     kept, ucounts, truncated = _counted_multisets(G, b, max_r, genus_cap, allowed)
@@ -219,9 +220,9 @@ def _cover_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
 
     for M, (genus, count) in kept.items():
         r = len(M)
-        data = _class_data(G, table, b, M)
+        data = _class_data(G, b, M)
         if M and M.count(M[0]) == r:
-            for u in table.classes[M[0]].members:
+            for u in conjugacy_classes(G)[M[0]].members:
                 add(_bucket_key(r, genus, data, u), ucounts[u, r])
                 count -= ucounts[u, r]
         add(_bucket_key(r, genus, data, None), count)
@@ -232,7 +233,7 @@ def _bucket_key(r, genus, data, u):
     return (r, genus, *data, -1 if u is None else u)
 
 
-def _representative(G, table, b, key, branch_order_cap):
+def _representative(G, b, key, branch_order_cap):
     """The first listed vector of bucket ``key`` of ``_cover_buckets``
     with the same b and branch_order_cap, as (ab, gammas); the key
     carries the genus.
@@ -260,7 +261,7 @@ def _representative(G, table, b, key, branch_order_cap):
         if M not in fits:
             fits[M] = (
                 _multiset_genus(G, b, M) == genus
-                and list(_class_data(G, table, b, M)) == data
+                and list(_class_data(G, b, M)) == data
             )
         uniform = _uniform_gamma(gammas)
         if fits[M] and _bucket_key(r, genus, data, uniform) == key:
@@ -284,22 +285,19 @@ def _classify_group(spec, bounds: SearchBounds, detail="nontrivial"):
         G = build_group(spec, order_cap=bounds.max_group_order)
     except SizeError:
         return records, counts
-    table = character_table(G)
     buckets, reps = {}, {}
     caps = (bounds.genus_cap, bounds.branch_order_cap)
 
     def side(b, max_r):
         """Bucket counts of one factor's covers."""
         if (b, max_r) not in buckets:
-            buckets[b, max_r] = _cover_buckets(G, table, b, max_r, *caps)[0]
+            buckets[b, max_r] = _cover_buckets(G, b, max_r, *caps)[0]
         return buckets[b, max_r]
 
     def rep(b, key):
         """A bucket's representative; a key serves many pairs."""
         if (b, key) not in reps:
-            ab, gammas = _representative(
-                G, table, b, key, bounds.branch_order_cap
-            )
+            ab, gammas = _representative(G, b, key, bounds.branch_order_cap)
             reps[b, key] = GeneratingVector(G, b, ab[:b], ab[b:], gammas)
         return reps[b, key]
 
@@ -317,7 +315,7 @@ def _classify_group(spec, bounds: SearchBounds, detail="nontrivial"):
                 counts["surfaces"] += weight
                 relevant = maskC & maskD
                 if relevant not in aut0_of:
-                    aut0_of[relevant] = _aut0_mask(table, relevant)
+                    aut0_of[relevant] = _aut0_mask(G, relevant)
                 a_mask = aut0_of[relevant]
                 if a_mask == 1 and detail != "full":
                     continue
@@ -408,7 +406,8 @@ def classify_all(
 
     Returns (records, summary).  With ``detail="nontrivial"`` (default)
     per-pair records are emitted only for nontrivial Aut_0; every pair is
-    still counted in the summary.  Deterministic for a fixed input.
+    still counted in the summary.  Deterministic for a fixed input.  At
+    most one worker process is started per group.
     """
     bounds.validate()
     groups = list(groups)
@@ -424,7 +423,7 @@ def classify_all(
         import multiprocessing as mp
 
         ctx = mp.get_context("fork")
-        with ctx.Pool(workers) as pool:
+        with ctx.Pool(min(workers, len(jobs))) as pool:
             results = pool.map(_worker, jobs)
     else:
         results = [_worker(j) for j in jobs]

@@ -8,6 +8,7 @@ consistency violation (a bug, not bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -218,6 +219,8 @@ def cmd_classify(args):
     except DomainError as exc:
         # a bad bound is bad user input, like a flag that does not parse
         raise UsageError(str(exc)) from exc
+    if args.workers < 1:
+        raise UsageError("--workers must be >= 1")
     if args.groups:
         # comma-separated specs; commas inside "ab:d1,d2" belong to the
         # preceding spec (tokens without ':' are continuations)
@@ -299,7 +302,9 @@ def cmd_verify_example(args):
 # -- argument parsing --------------------------------------------------
 
 
+@functools.cache
 def make_parser():
+    """The argument parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="isoprod",
         description="Exact computation with surfaces isogenous to a product "

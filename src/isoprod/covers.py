@@ -327,23 +327,23 @@ def _multiset_genus(G: GroupTable, b, key):
     return genus if genus >= 2 else None
 
 
-def _count_vectors(G: GroupTable, b: int, classes, max_r: int, elements):
+def _count_vectors(G: GroupTable, b: int, max_r: int, elements):
     """Exact numbers of generating vectors, counted without listing them.
 
     Returns ({M: vectors whose sorted branch-class multiset is M}, {(u, r):
     vectors whose r gammas all equal u}).  M runs over every multiset of
-    at most max_r of the sorted class indices ``classes`` whose count is
+    at most max_r of the classes making up ``elements`` whose count is
     nonzero, so the multisets with no vector are never reported; (u, r)
     over the u in ``elements`` and 1 <= r <= max_r.  Abelian groups are
     counted in closed form (``_count_abelian``), the others by Moebius
     inversion over the subgroup lattice (``_count_by_mobius``).
     """
     if G.is_abelian():
-        return _count_abelian(G, b, classes, max_r, elements)
-    return _count_by_mobius(G, b, classes, max_r, elements)
+        return _count_abelian(G, b, max_r, elements)
+    return _count_by_mobius(G, b, max_r, elements)
 
 
-def _count_abelian(G: GroupTable, b: int, classes, max_r: int, elements):
+def _count_abelian(G: GroupTable, b: int, max_r: int, elements):
     """``_count_vectors`` for abelian G, without the subgroup lattice.
 
     Every class is one element, class i is {i} (classes sort by size,
@@ -362,7 +362,8 @@ def _count_abelian(G: GroupTable, b: int, classes, max_r: int, elements):
     mult, inv = G.mult, G.inverse
     reg = subgroup_registry(G)
     extend, sets = reg.extend, reg.sets
-    allowed = frozenset(classes)
+    allowed = frozenset(elements)
+    classes = sorted(allowed)
     # per prime p of |G|: generators of the p-th powers pG
     primes = []
     for p in range(2, n + 1):
@@ -428,7 +429,7 @@ def _count_abelian(G: GroupTable, b: int, classes, max_r: int, elements):
     return counts, ucounts
 
 
-def _count_by_mobius(G: GroupTable, b: int, classes, max_r: int, elements):
+def _count_by_mobius(G: GroupTable, b: int, max_r: int, elements):
     """``_count_vectors`` for any G, by Moebius inversion; the oracle the
     abelian closed form is tested against.
 
@@ -447,6 +448,7 @@ def _count_by_mobius(G: GroupTable, b: int, classes, max_r: int, elements):
     n = G.order
     mult, inv = G.mult, G.inverse
     members = [c.members for c in conjugacy_classes(G)]
+    classes = sorted({class_index(G)[g] for g in elements})
     counts = {}
     ucounts = {(u, r): 0 for u in elements for r in range(1, max_r + 1)}
     for H, mu in mobius(G).items():
@@ -511,9 +513,7 @@ def _counted_multisets(G: GroupTable, b, max_r, genus_cap, allowed, exact=None):
     orders count.  Returns (kept, ucounts, truncated): kept[M] = (genus,
     count) for the M of genus <= genus_cap, the uniform counts, and the
     number of vectors over the cap.  Listing and sweep share it."""
-    cls_of = class_index(G)
-    classes = sorted({cls_of[g] for g in allowed})
-    counts, ucounts = _count_vectors(G, b, classes, max_r, allowed)
+    counts, ucounts = _count_vectors(G, b, max_r, allowed)
     order_of = [G.element_order[c.representative] for c in conjugacy_classes(G)]
     kept, truncated = {}, 0
     for M, count in counts.items():

@@ -108,13 +108,6 @@ class GroupTable:
     def is_abelian(self):
         return len(conjugacy_classes(self)) == self.order
 
-    def invariant_signature(self):
-        """(order, class sizes, element-order census) -- the comparison
-        key used instead of isomorphism testing."""
-        census = tuple(sorted(self.element_order))
-        sizes = tuple(sorted(len(c.members) for c in conjugacy_classes(self)))
-        return (self.order, sizes, census)
-
     def __repr__(self):
         return f"GroupTable({self.spec or self.order!r}, order={self.order})"
 
@@ -252,43 +245,10 @@ def closure(G: GroupTable, elements):
     return frozenset(_word_tree(G.mult, list(set(elements)))[1])
 
 
-@_memo
-def commutator_subgroup(G: GroupTable):
-    comms = {G.commutator(g, h) for g in range(G.order) for h in range(G.order)}
-    return closure(G, comms)
-
-
 def cyclic_subgroup(G: GroupTable, g):
     if not 0 <= g < G.order:
         raise DomainError(f"element index {g} out of range")
     return frozenset(_powers(G.mult, g))
-
-
-@_memo
-def abelian_invariants(G: GroupTable):
-    """Invariant factors d_1 | d_2 | ... | d_t of an abelian group.
-
-    Iterated maximal-order extraction: the order of a maximal element of
-    G/H is the next factor, H grows by that element.
-    """
-    if not G.is_abelian():
-        raise DomainError("abelian_invariants requires an abelian group")
-    factors = []
-    H = frozenset([0])
-
-    def order_mod_H(g):
-        # the order of gH in G/H is |<g>| / |<g> & H|
-        pw = _powers(G.mult, g)
-        return len(pw) // len(H.intersection(pw))
-
-    while len(H) < G.order:
-        g = max(range(G.order), key=order_mod_H)
-        factors.append(order_mod_H(g))
-        H = closure(G, H | {g})
-    factors.reverse()
-    assert all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
-    assert prod(factors) == G.order
-    return tuple(factors)
 
 
 # -- subgroup machinery ------------------------------------------------

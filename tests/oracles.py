@@ -7,6 +7,9 @@ beyond plain data access -- so that agreement is meaningful.
 
 import cmath
 from fractions import Fraction
+from math import prod
+
+from isoprod.groups import _memo
 
 
 def genus_float(order, b, branch_orders):
@@ -605,3 +608,54 @@ def fold_orthogonality_failures(G, characters):
             if any(_poly_divmod(folded, phi)[1]):
                 bad.append((i, j))
     return bad
+
+
+# -- group invariants that only the tests compare ----------------------
+
+
+def invariant_signature(G):
+    """(order, class sizes, element-order census) -- the comparison
+    key used instead of isomorphism testing."""
+    from isoprod.groups import conjugacy_classes
+
+    census = tuple(sorted(G.element_order))
+    sizes = tuple(sorted(len(c.members) for c in conjugacy_classes(G)))
+    return (G.order, sizes, census)
+
+
+@_memo
+def commutator_subgroup(G):
+    from isoprod.groups import closure
+
+    comms = {G.commutator(g, h) for g in range(G.order) for h in range(G.order)}
+    return closure(G, comms)
+
+
+@_memo
+def abelian_invariants(G):
+    """Invariant factors d_1 | d_2 | ... | d_t of an abelian group.
+
+    Iterated maximal-order extraction: the order of a maximal element of
+    G/H is the next factor, H grows by that element.
+    """
+    from isoprod.errors import DomainError
+    from isoprod.groups import closure, cyclic_subgroup
+
+    if not G.is_abelian():
+        raise DomainError("abelian_invariants requires an abelian group")
+    factors = []
+    H = frozenset([0])
+
+    def order_mod_H(g):
+        # the order of gH in G/H is |<g>| / |<g> & H|
+        pw = cyclic_subgroup(G, g)
+        return len(pw) // len(H.intersection(pw))
+
+    while len(H) < G.order:
+        g = max(range(G.order), key=order_mod_H)
+        factors.append(order_mod_H(g))
+        H = closure(G, H | {g})
+    factors.reverse()
+    assert all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
+    assert prod(factors) == G.order
+    return tuple(factors)

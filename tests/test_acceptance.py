@@ -158,10 +158,10 @@ def test_criterion_6_broughton_sums(capsys):
         for spec in builtin_groups_upto(16):
             G = build_group(spec)
             table = character_table(G)
-            buckets, _ = _cover_buckets(G, table, 1, 4, 33, 8)
+            buckets, _ = _cover_buckets(G, 1, 4, 33, 8)
             for key in sorted(buckets):
                 r, genus = key[:2]
-                ab, gammas = _representative(G, table, 1, key, 8)
+                ab, gammas = _representative(G, 1, key, 8)
                 assert len(gammas) == r
                 v = GeneratingVector(G, 1, ab[:1], ab[1:], gammas)
                 cover = validate_vector(v)

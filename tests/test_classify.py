@@ -4,6 +4,7 @@ from isoprod.characters import character_table
 from isoprod.classify import (
     SearchBounds,
     _aut0_mask,
+    _classify_group,
     _cover_buckets,
     _mask_to_set,
     _representative,
@@ -16,14 +17,13 @@ from isoprod.covers import GeneratingVector, enumerate_vectors
 from isoprod.errors import ConsistencyError, DomainError
 from isoprod.groups import (
     abelian_element,
-    abelian_invariants,
     build_group,
     builtin_groups_upto,
     subgroup_registry,
 )
 from isoprod.surfaces import build_surface, example46_construct
 
-from oracles import aut0_complex, listed_buckets
+from oracles import abelian_invariants, aut0_complex, listed_buckets
 
 
 def _klein_surface():
@@ -78,18 +78,17 @@ def test_compute_aut0_matches_complex_oracle():
     surfaces = []
     for spec in ["ab:2,2", "ab:2,4", "dih:4", "quat:8"]:
         G = build_group(spec)
-        table = character_table(G)
-        buckets, _ = _cover_buckets(G, table, 1, 3, 33, 8)
+        buckets, _ = _cover_buckets(G, 1, 3, 33, 8)
         vectors = {}
         for key in buckets:
-            ab, gammas = _representative(G, table, 1, key, 8)
+            ab, gammas = _representative(G, 1, key, 8)
             vectors[key] = GeneratingVector(G, 1, ab[:1], ab[1:], gammas)
         for keyC, vC in sorted(vectors.items()):
             for keyD, vD in sorted(vectors.items()):
                 if keyC[3] & keyD[3] != 1:
                     continue
                 S = build_surface(vC, vD)
-                bucketed = _mask_to_set(_aut0_mask(table, keyC[2] & keyD[2]))
+                bucketed = _mask_to_set(_aut0_mask(G, keyC[2] & keyD[2]))
                 assert compute_aut0(S) == bucketed, (spec, keyC, keyD)
                 surfaces.append(S)
     for family in ("z2m_z2mn", "z2_z2m_z2mn"):
@@ -265,7 +264,7 @@ def test_cover_buckets_and_covers_share_one_stream():
     over_total = 0
     for spec in builtin_groups_upto(8):
         G = build_group(spec)
-        buckets, truncated = _cover_buckets(G, character_table(G), 1, 3, 9, 8)
+        buckets, truncated = _cover_buckets(G, 1, 3, 9, 8)
         stream = enumerate_vectors(
             G, 1, 3, genus_cap=9, dedup=False, branch_order_cap=8
         )
@@ -297,7 +296,7 @@ def test_cover_buckets_decide_only_multisets_with_vectors(monkeypatch):
 
     monkeypatch.setattr(covers, "_multiset_genus", counting)
     G = build_group("ab:2,2,2,2")
-    buckets, _ = _cover_buckets(G, character_table(G), 1, 4, 33, 8)
+    buckets, _ = _cover_buckets(G, 1, 4, 33, 8)
     assert buckets and 0 < calls <= 245
 
 
@@ -312,7 +311,7 @@ def test_counted_buckets_match_listing_oracle():
         G = build_group(spec)
         table = character_table(G)
         for b, max_r in ((0, 4), (1, 2), (2, 1 if G.order <= 8 else 0)):
-            counted = _cover_buckets(G, table, b, max_r, 9, 8)
+            counted = _cover_buckets(G, b, max_r, 9, 8)
             counts, _, truncated = listed_buckets(G, table, b, max_r, 9, 8)
             assert counted == (counts, truncated), (spec, b, max_r)
             uniform += sum(1 for key in counts if key[-1] != -1)
@@ -334,14 +333,36 @@ def test_representatives_are_first_listed():
         if G.order <= 8:
             inputs += [(1, 3, 33), (2, 1, 9)]
         for b, max_r, genus_cap in inputs:
-            buckets, _ = _cover_buckets(G, table, b, max_r, genus_cap, 8)
+            buckets, _ = _cover_buckets(G, b, max_r, genus_cap, 8)
             _, first, _ = listed_buckets(G, table, b, max_r, genus_cap, 8)
             assert set(buckets) == set(first), (spec, b, max_r)
             for key in sorted(buckets):
-                rep = _representative(G, table, b, key, 8)
+                rep = _representative(G, b, key, 8)
                 assert rep == first[key], (spec, b, key)
                 compared[key[-1] >= 0] += 1
     assert compared[True] > 0 and compared[False] > 0
+
+
+def test_group_that_keeps_no_multiset_builds_no_table(monkeypatch):
+    """A group none of whose multisets is under the genus cap never looks
+    up its character table: at genus cap 2 all 456 vectors of Z_2^2 at
+    b = 1, r <= 4 are truncated, and the sweep keeps no record and counts
+    nothing."""
+    import isoprod.classify as classify
+
+    def refuse(G):
+        raise AssertionError(f"character table of {G.spec} looked up")
+
+    monkeypatch.setattr(classify, "character_table", refuse)
+    assert _cover_buckets(build_group("ab:2,2"), 1, 4, 2, 8) == ({}, 456)
+    records, counts = _classify_group("ab:2,2", SearchBounds(genus_cap=2))
+    assert records == []
+    assert counts == {
+        "surfaces": 0,
+        "nontrivial_aut0": 0,
+        "conformance_failures": 0,
+        "errors": 0,
+    }
 
 
 def test_representative_of_an_empty_bucket_raises():
@@ -350,7 +371,7 @@ def test_representative_of_an_empty_bucket_raises():
     G = build_group("ab:2,2")
     key = (2, 99, 1, 1, -1)
     with pytest.raises(ConsistencyError) as err:
-        _representative(G, character_table(G), 1, key, 8)
+        _representative(G, 1, key, 8)
     message = str(err.value)
     assert "ab:2,2" in message and "b = 1" in message and str(key) in message
 

@@ -349,6 +349,8 @@ def test_classify_usage_error(capsys):
         ("--base-genera", "1,1;1,1"),
         ("--base-genera", "1"),
         ("--branch-order-cap", "0"),
+        ("--workers", "0"),
+        ("--workers", "-3"),
     ],
 )
 def test_classify_bad_bounds_are_usage_errors(capsys, flags):
@@ -454,6 +456,42 @@ def test_bad_subcommand(capsys):
 
 def test_version(capsys):
     assert main(["--version"]) == 0
+
+
+def test_classify_starts_at_most_one_worker_per_group(capsys, monkeypatch):
+    """``classify --workers 100000`` over the 33 built-ins of order <= 16
+    asks for a pool of 33 processes and prints what one worker prints.
+    The ``multiprocessing`` context is a fake that records the pool size
+    and maps in this process, so no process is started."""
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+    serial = run(capsys, "classify", "--workers", "1")
+    assert sizes == []
+    assert run(capsys, "classify", "--workers", "100000") == serial
+    assert sizes == [33]
+
+
+def test_parser_is_built_once():
+    assert make_parser() is make_parser()
 
 
 def test_cli_options_are_pinned():

@@ -180,7 +180,6 @@ def test_count_vectors_match_bruteforce():
     for spec in builtin_groups_upto(8):
         G = build_group(spec)
         cls_of = class_index(G)
-        classes = sorted(set(cls_of[1:]))
         elements = range(1, G.order)
         counters = [_count_vectors]
         if G.is_abelian():
@@ -194,7 +193,7 @@ def test_count_vectors_match_bruteforce():
                         uniform[gammas[0], r] += 1
             pairs = {(u, r) for u in elements for r in range(1, max_r + 1)}
             for count in counters:
-                counts, ucounts = count(G, b, classes, max_r, elements)
+                counts, ucounts = count(G, b, max_r, elements)
                 where = (spec, b, count.__name__)
                 assert counts == dict(multisets), where
                 assert 0 not in counts.values()
@@ -212,12 +211,10 @@ def test_abelian_closed_form_matches_mobius():
         G = build_group(spec)
         if not G.is_abelian():
             continue
-        cls_of = class_index(G)
         for cap in (8, None) if G.order <= 16 else (8,):
             elements = _branch_plan(G, cap)
-            classes = sorted({cls_of[g] for g in elements})
             for b, max_r in ((0, 4 if G.order <= 16 else 3), (1, 4), (2, 2)):
-                args = (G, b, classes, max_r, elements)
+                args = (G, b, max_r, elements)
                 got, want = _count_abelian(*args), _count_by_mobius(*args)
                 assert [list(d.items()) for d in got] == [
                     list(d.items()) for d in want
@@ -237,7 +234,7 @@ def test_abelian_count_builds_no_lattice(monkeypatch):
 
     def results():
         G = build_group("ab:2,2,2,2")
-        buckets = _cover_buckets(G, character_table(G), 1, 4, 33, 8)
+        buckets = _cover_buckets(G, 1, 4, 33, 8)
         vectors = [
             (c.vector.to_json(), c.genus)
             for c in enumerate_vectors(build_group("ab:2,2,2"), 1, 3)
