@@ -13,7 +13,9 @@ certified as linear characters (homomorphisms G -> Z_e).
 Abelian groups get a direct fast path; everything else goes through
 Dixon's method: simultaneous diagonalization of the class-sum matrices
 over a prime field F_p with p = 1 (mod e), followed by discrete Fourier
-sums that recover the multiplicity vectors exactly.  On each common
+sums that recover the multiplicity vectors exactly; the Fourier matrix
+over F_p is built once per element order, so each multiplicity is one
+dot product with one of its rows.  On each common
 eigenspace not yet split, the eigenvalues of a class sum are the roots
 of its characteristic polynomial (Hessenberg reduction, O(d^3) on a
 d-dimensional space); a nullspace is solved for only at those roots.
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import isqrt
+from operator import mul
 
 from .cyclotomic import Cyc, reduce_folded
 from .errors import ConsistencyError, DecompositionError, DomainError
@@ -302,7 +305,7 @@ def _nullspace_mod(mat, p):
 
 
 def _matvec(M, v, p):
-    return [sum(Mr[t] * v[t] for t in range(len(v))) % p for Mr in M]
+    return [sum(map(mul, Mr, v)) % p for Mr in M]
 
 
 def _combine(coeffs, rows, p):
@@ -399,6 +402,17 @@ def _dixon_characters(G: GroupTable):
 
     # power-map classes: pw[r][j] = class of reps[r]^j, j = 0..|reps[r]|-1
     pw = [[class_of[y] for y in _powers(mult, x)] for x in reps]
+    # the eigenvalues of an element of order d are d-th roots of unity:
+    # zeta_e^(kk*step), kk < d, step = e/d, has multiplicity
+    # Sum_j chi(g^j) fourier[d][kk][j], fourier[d][kk][j] =
+    # d^-1 zeta_e^(-j*kk*step); the other e-th roots have none
+    fourier = {}
+    for d in {len(w) for w in pw}:
+        d_inv, step = pow(d, p - 2, p), e // d
+        fourier[d] = [
+            [d_inv * zinv_pow[j * kk * step % e] % p for j in range(d)]
+            for kk in range(d)
+        ]
 
     chars = []
     for B, _ in spaces:
@@ -414,21 +428,13 @@ def _dixon_characters(G: GroupTable):
             raise ConsistencyError("could not identify character degree")
         chi_p = [(degree * omega[s] * size_inv[s]) % p for s in range(k)]
         values = []
-        for r in range(k):
-            # the eigenvalues of reps[r] are d-th roots of unity, d its
-            # order: zeta_e^(kk*step), kk < d, has multiplicity
-            # d^-1 Sum_j chi(g^j) zeta_e^(-j*kk*step); the rest have none
-            d = len(pw[r])
-            step = e // d
-            d_inv = pow(d, p - 2, p)
+        for classes_r in pw:
+            w = [chi_p[cls] for cls in classes_r]
             vec = [0] * e
-            for kk in range(d):
-                acc = sum(
-                    chi_p[cls] * zinv_pow[(j * kk * step) % e]
-                    for j, cls in enumerate(pw[r])
-                )
-                # a wrong lift fails check()'s support and sum test
-                vec[kk * step] = (acc * d_inv) % p
+            # a wrong lift fails check()'s support and sum test
+            vec[:: e // len(w)] = [
+                sum(map(mul, w, at)) % p for at in fourier[len(w)]
+            ]
             values.append(tuple(vec))
         chars.append(Character(degree, tuple(values)))
     return chars

@@ -1,9 +1,11 @@
 """Exact finite-group arithmetic on dense Cayley tables.
 
 Elements are indices 0..order-1 with the identity at index 0.  Groups are
-built from a small spec mini-language (see ``build_group``), validated at
-construction (Latin square, associativity, inverses) and immutable
-afterwards; every derived structure is computed once, by ``_memo``.
+built from a small spec mini-language (see ``build_group``); every built-in
+family fills its table from its generators' rows (``_table_from_rows``).
+Tables are validated at construction (Latin square, associativity,
+inverses) and immutable afterwards; every derived structure is computed
+once, by ``_memo``.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class GroupTable:
     )
 
     def __init__(self, mult, labels=None, spec="", aux=None):
-        mult = tuple(tuple(int(x) for x in row) for row in mult)
+        mult = tuple(tuple(map(int, row)) for row in mult)
         n = len(mult)
         if n == 0:
             raise TableError("empty multiplication table")
@@ -120,8 +122,8 @@ def _check_latin(mult):
             raise TableError(f"row {i} has length {len(row)}, expected {n}")
         if set(row) != full:
             raise TableError(f"row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        if {row[j] for row in mult} != full:
+    for j, column in enumerate(zip(*mult)):
+        if set(column) != full:
             raise TableError(f"column {j} is not a permutation of 0..{n - 1}")
 
 
@@ -160,6 +162,23 @@ def _word_tree(mult, gens):
                 parent[y] = (x, gi)
                 bfs_order.append(y)
     return parent, bfs_order
+
+
+def _table_from_rows(n, rows):
+    """The Cayley table of the group of order n that the left
+    multiplications ``rows`` generate, rows[g][x] the index of g*x.
+
+    Row g*x is row g read at the entries of row x, since
+    (g*x)*y = g*(x*y), so a word tree over the rows fills the table
+    one gather per element.
+    """
+    mult = [None] * n
+    mult[0] = tuple(range(n))
+    parent, bfs_order = _word_tree(list(zip(*rows)) or [()] * n, range(len(rows)))
+    for y in bfs_order[1:]:
+        x, gi = parent[y]
+        mult[y] = itemgetter(*mult[x])(rows[gi])
+    return mult
 
 
 def _greedy_generators(mult):
@@ -459,14 +478,18 @@ def _abelian_table(factors):
     if not factors:
         return GroupTable([[0]], labels=("1",), spec="ab:1", aux={"factors": ()})
     coords = list(itertools.product(*[range(d) for d in factors]))
-    pos = {c: i for i, c in enumerate(coords)}
-    mult = [
-        [
-            pos[tuple((a + b) % d for a, b, d in zip(x, y, factors))]
-            for y in coords
-        ]
-        for x in coords
-    ]
+    n = len(coords)
+    rows = []  # x + the unit vector of factor d, at mixed-radix stride
+    stride = n
+    for d in factors:
+        stride //= d
+        rows.append(
+            [
+                x - (d - 1) * stride if x // stride % d == d - 1 else x + stride
+                for x in range(n)
+            ]
+        )
+    mult = _table_from_rows(n, rows)
     labels = tuple(str(c) for c in coords)
     spec = "ab:" + ",".join(str(d) for d in factors)
     return GroupTable(
@@ -489,13 +512,10 @@ def _metacyclic_table(k, t, a, b, spec):
     """The group of order 2k of the a^i b^j (0 <= i < k, j in {0, 1})
     with b a b^-1 = a^-1 and b^2 = a^t; a^i b^j sits at index i + k*j."""
     elems = [(i, j) for j in range(2) for i in range(k)]
-    mult = [
-        [
-            (i1 + (-i2 if j1 else i2) + t * j1 * j2) % k + k * ((j1 + j2) % 2)
-            for i2, j2 in elems
-        ]
-        for i1, j1 in elems
-    ]
+    # a a^i b^j = a^(i+1) b^j; b a^i = a^-i b and b a^i b = a^(t-i)
+    row_a = [(i + 1) % k + k * j for i, j in elems]
+    row_b = [(t - i) % k if j else -i % k + k for i, j in elems]
+    mult = _table_from_rows(2 * k, [row_a, row_b])
     labels = [f"{a}^{i}{b}" if j else f"{a}^{i}" for i, j in elems]
     return GroupTable(mult, labels=labels, spec=spec)
 
@@ -521,7 +541,7 @@ def _perm_group_table(perms, npoints, spec, order_cap):
     while frontier:
         x = frontier.pop()
         for g in gens:
-            y = tuple(x[g[i]] for i in range(npoints))
+            y = tuple(map(x.__getitem__, g))
             if y not in elems:
                 if len(elems) >= order_cap:
                     raise SizeError(
@@ -532,10 +552,8 @@ def _perm_group_table(perms, npoints, spec, order_cap):
     ordered = sorted(elems)
     assert ordered[0] == ident
     pos = {p: i for i, p in enumerate(ordered)}
-    mult = [
-        [pos[tuple(x[y[i]] for i in range(npoints))] for y in ordered]
-        for x in ordered
-    ]
+    rows = [[pos[tuple(map(g.__getitem__, y))] for y in ordered] for g in gens]
+    mult = _table_from_rows(len(ordered), rows)
     labels = tuple(_cycle_label(p) for p in ordered)
     return GroupTable(mult, labels=labels, spec=spec)
 

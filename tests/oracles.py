@@ -659,3 +659,75 @@ def abelian_invariants(G):
     assert all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
     assert prod(factors) == G.order
     return tuple(factors)
+
+
+# -- Cayley tables one entry at a time ---------------------------------
+
+
+def table_by_entries(spec):
+    """(mult, labels) of a built-in spec, every product computed on its
+    own from the family's defining rule: coordinate sums mod the factors
+    for ``ab:``, a^i b^j with b a b^-1 = a^-1 and b^2 = a^t for ``dih:``
+    and ``quat:``, and composition of permutation tuples (sorted, the
+    identity first) for ``sym:``, ``alt:`` and ``perm:``."""
+    import itertools
+
+    from isoprod.groups import _cycle_label, _parse_perm_gens
+
+    kind, _, body = spec.partition(":")
+    if kind == "ab":
+        factors = [d for d in map(int, body.split(",")) if d > 1]
+        if not factors:
+            return [[0]], ("1",)
+        coords = list(itertools.product(*[range(d) for d in factors]))
+        pos = {c: i for i, c in enumerate(coords)}
+        mult = [
+            [
+                pos[tuple((a + b) % d for a, b, d in zip(x, y, factors))]
+                for y in coords
+            ]
+            for x in coords
+        ]
+        return mult, tuple(str(c) for c in coords)
+    if kind in ("dih", "quat"):
+        m = int(body)
+        if kind == "dih":
+            k, t, a, b = m, 0, "r", "s"
+        else:
+            k, t, a, b = m // 2, m // 4, "i", "j"
+        elems = [(i, j) for j in range(2) for i in range(k)]
+        mult = [
+            [
+                (i1 + (-i2 if j1 else i2) + t * j1 * j2) % k + k * ((j1 + j2) % 2)
+                for i2, j2 in elems
+            ]
+            for i1, j1 in elems
+        ]
+        return mult, tuple(f"{a}^{i}{b}" if j else f"{a}^{i}" for i, j in elems)
+    if kind == "perm":
+        gens, npoints = _parse_perm_gens(body)
+    else:
+        # sym:n from the transpositions (1 k), alt:n from the 3-cycles (1 2 k)
+        npoints = int(body)
+        moved = (0,) if kind == "sym" else (0, 1)
+        gens = []
+        for k in range(len(moved), npoints):
+            cycle = moved + (k,)
+            p = list(range(npoints))
+            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                p[x] = y
+            gens.append(tuple(p))
+
+    def compose(x, y):  # (x*y)[i] = x[y[i]]
+        return tuple(x[y[i]] for i in range(npoints))
+
+    elems = {tuple(range(npoints))}
+    grown = True
+    while grown:
+        new = {compose(x, g) for x in elems for g in gens} - elems
+        elems |= new
+        grown = bool(new)
+    ordered = sorted(elems)
+    pos = {p: i for i, p in enumerate(ordered)}
+    mult = [[pos[compose(x, y)] for y in ordered] for x in ordered]
+    return mult, tuple(_cycle_label(p) for p in ordered)

@@ -209,6 +209,18 @@ GOLDEN_STDOUT = {
         "0a47669f453912d3814133ef347f0880a8b09268b79d3819bc3d9c790ae1a5da",
     ("covers", "ab:2,2", "--b", "2", "--max-r", "2", "--format", "table"):
         "e652c4f196a5c143801f66592afab80ae930700f513bcd1b53168fa25e3ba76c",
+    # character tables of groups built from permutation, metacyclic and
+    # abelian generator rows; Dixon at orders 120, 60 and 16
+    ("chartab", "sym:5", "--format", "json"):
+        "5756510c88d1fff5136cae2a6864bf27186c9a08bbec6d51a411232e7ae0deeb",
+    ("chartab", "dih:30", "--format", "json"):
+        "ee2996c3c54cd55fe57496c0c04e87fecb8b6649f09204cecbe81dbd4b7de0b4",
+    ("chartab", "ab:2,2,2,2,2,2", "--format", "json"):
+        "81ce2fdfd53ad5a5c5e76125962b25d590a0209e53a125dbe1f82cdcaf522f70",
+    ("chartab", "quat:16", "--format", "table"):
+        "0985956571bac40767b544951ff73bc3bd1923eee48e6809b2d99a36ac6b2006",
+    ("chartab", "perm:(1 2 3 4);(1 2)", "--format", "table"):
+        "3e22abdbeea9e730816c4e15f5c87b96d6a2db87153da577fd65c51ac9705a4e",
 }
 
 

@@ -36,6 +36,7 @@ from oracles import (
     invariant_signature,
     registry_by_saturation,
     saturate_closure,
+    table_by_entries,
 )
 
 
@@ -93,8 +94,10 @@ def test_identity_must_be_zero():
 def test_non_latin_rejected():
     from isoprod.groups import GroupTable
 
-    with pytest.raises(TableError):
+    with pytest.raises(TableError, match="row 1 is not a permutation"):
         GroupTable([[0, 1], [1, 1]])
+    with pytest.raises(TableError, match="column 0 is not a permutation"):
+        GroupTable([[0, 1], [0, 1]])
 
 
 def test_non_associative_rejected():
@@ -432,3 +435,84 @@ def test_builtin_groups_upto():
         key = (spec.split(":")[0], invariant_signature(G))
         assert key not in seen  # no duplicates within a family
         seen.add(key)
+
+
+@pytest.mark.parametrize(
+    "spec, mult, labels",
+    [
+        ("sym:1", ((0,),), ("()",)),
+        ("ab:1", ((0,),), ("1",)),
+        ("ab:1,1", ((0,),), ("1",)),
+        ("perm:(1)", ((0,),), ("()",)),
+        ("sym:2", ((0, 1), (1, 0)), ("()", "(1 2)")),
+        (
+            "dih:2",
+            ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)),
+            ("r^0", "r^1", "r^0s", "r^1s"),
+        ),
+    ],
+)
+def test_trivial_and_smallest_tables(spec, mult, labels):
+    """The row builder at order 1 (no generators, or only the identity)
+    and order 2 and 4."""
+    G = build_group(spec)
+    assert (G.mult, G.labels) == (mult, labels)
+
+
+def test_tables_match_entry_by_entry_oracle():
+    """Tables built from the generators' rows equal the ones computed
+    one product at a time, element indices and labels included."""
+    specs = builtin_groups_upto(64) + [
+        "sym:5",
+        "alt:5",
+        "quat:16",
+        "perm:(1 2 3 4);(1 2)",
+        "perm:(1 2)(3 4);(1 3)(2 4);(5 6)",
+    ]
+    for spec in specs:
+        G = build_group(spec)
+        mult, labels = table_by_entries(spec)
+        assert G.mult == tuple(map(tuple, mult)), spec
+        assert G.labels == labels, spec
+
+
+BUILT_IN_SPECS = (
+    "ab:2,3", "dih:5", "quat:12", "sym:4", "alt:4", "perm:(1 2)(3 4);(1 3)",
+)
+
+
+def test_tables_from_rows_are_still_validated(monkeypatch):
+    """Swapping two entries of one row keeps it a permutation but breaks
+    two columns; every family's table goes through GroupTable's checks."""
+    from_rows = groups._table_from_rows
+
+    def swapped(n, rows):
+        mult = [list(row) for row in from_rows(n, rows)]
+        mult[1][0], mult[1][1] = mult[1][1], mult[1][0]
+        return mult
+
+    monkeypatch.setattr(groups, "_table_from_rows", swapped)
+    for spec in BUILT_IN_SPECS:
+        with pytest.raises(TableError, match="column"):
+            build_group(spec)
+
+
+def test_each_family_builds_its_table_from_rows_once(monkeypatch, tmp_path):
+    from_rows = groups._table_from_rows
+    calls = []
+
+    def counted(n, rows):
+        calls.append(n)
+        return from_rows(n, rows)
+
+    monkeypatch.setattr(groups, "_table_from_rows", counted)
+    for spec in BUILT_IN_SPECS:
+        calls.clear()
+        G = build_group(spec)
+        assert calls == [G.order], spec
+    path = tmp_path / "z3.json"
+    table = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    path.write_text(json.dumps({"order": 3, "table": table}))
+    calls.clear()
+    assert build_group(f"cayley:{path}").order == 3
+    assert calls == []
