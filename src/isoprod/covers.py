@@ -9,8 +9,8 @@ a genus-b curve whose covering genus comes from Riemann-Hurwitz.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial, gcd
+from typing import NamedTuple
 
 from .errors import (
     BranchOrderError,
@@ -32,8 +32,7 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class GeneratingVector:
+class GeneratingVector(NamedTuple):
     # GroupTable has no __eq__, so the group compares by identity
     group: GroupTable
     base_genus: int
@@ -55,8 +54,7 @@ class GeneratingVector:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class BranchedCover:
+class BranchedCover(NamedTuple):
     vector: GeneratingVector
     genus: int
 
@@ -218,8 +216,9 @@ def _raw_tuples(G, b, r, allowed_gamma, *, dedup=False):
     automorphisms fixing K (``_orbit_minima``).  Once that stabilizer
     is trivial the filter is off for the whole subtree, and once no
     free entry is left it is not needed: a map fixing those fixes the
-    forced last gamma.  The gamma tails are handed off only when no
-    filter is left."""
+    forced last gamma.  The gamma tails are handed off once no filter is
+    left, or at the last free entry when it is a gamma: its kept
+    candidates are then the first factor of the tails."""
     n, mult, comm = G.order, G.mult, G.commutator
     extend = subgroup_registry(G).extend
     tails = _gamma_tails(G, r, allowed_gamma)
@@ -228,9 +227,10 @@ def _raw_tuples(G, b, r, allowed_gamma, *, dedup=False):
     def walk(prefix, sid, prod, filtering):
         k = len(prefix)
         mins = _orbit_minima(G, sid) if filtering and k < free else None
-        if k >= 2 * b and mins is None:
+        if k >= 2 * b and (mins is None or k == free - 1):
+            first = None if mins is None else [x for x in allowed_gamma if mins[x] == x]
             ab, head = prefix[: 2 * b], prefix[2 * b :]
-            for tail in tails(prod, sid, k - 2 * b):
+            for tail in tails(prod, sid, k - 2 * b, first):
                 yield ab, head + tail
             return
         for x in range(n) if k < 2 * b else allowed_gamma:
@@ -249,33 +249,44 @@ def _raw_tuples(G, b, r, allowed_gamma, *, dedup=False):
 
 def _gamma_tails(G, r, allowed_gamma):
     """The gamma-tail loop of ``_raw_tuples``, set up once per (G, r,
-    allowed_gamma).  Returns ``tails(prod, sid, k)``, which yields in
-    lexicographic order the gammas after a prefix of k gammas that
-    completes a generating vector, given the product ``prod`` of the
+    allowed_gamma).  Returns ``tails(prod, sid, k, first=None)``, which
+    yields in lexicographic order the gammas after a prefix of k gammas
+    that complete a generating vector, given the product ``prod`` of the
     prefix (its commutators, then its gammas) and the id ``sid`` of the
-    subgroup it generates in ``subgroup_registry(G)``."""
+    subgroup it generates in ``subgroup_registry(G)``; ``first``, when
+    given, replaces ``allowed_gamma`` as the candidates for the first
+    free gamma.  Once the prefix generates G only the forced last gamma
+    is checked, and no subgroup is tracked."""
     n = G.order
     mult, inv = G.mult, G.inverse
     reg = subgroup_registry(G)
     extend, sets = reg.extend, reg.sets
     allowed = frozenset(allowed_gamma)
 
-    def tails(prod, sid, k):
-        for tail in itertools.product(allowed_gamma, repeat=max(r - 1 - k, 0)):
+    def tails(prod, sid, k, first=None):
+        if not r:
+            if not prod and len(sets[sid]) == n:
+                yield ()
+            return
+        factors = [allowed_gamma] * (r - 1 - k)
+        if first is not None:
+            factors[0] = first
+        if len(sets[sid]) == n:
+            for tail in itertools.product(*factors):
+                p = prod
+                for g in tail:
+                    p = mult[p][g]
+                if inv[p] in allowed:
+                    yield tail + (inv[p],)
+            return
+        for tail in itertools.product(*factors):
             p, s = prod, sid
             for g in tail:
                 p = mult[p][g]
                 s = extend(s, g)
-            if r:
-                last = inv[p]
-                if last not in allowed:
-                    continue
-                tail += (last,)
-                s = extend(s, last)
-            elif p:
-                continue
-            if len(sets[s]) == n:
-                yield tail
+            last = inv[p]
+            if last in allowed and len(sets[extend(s, last)]) == n:
+                yield tail + (last,)
 
     return tails
 
@@ -314,16 +325,31 @@ def _branch_plan(G: GroupTable, branch_order_cap, exact=None):
     ]
 
 
+def _hurwitz_terms(G: GroupTable, b):
+    """Riemann-Hurwitz in integers: (base, weights) with 2g - 2 = base +
+    the sum of weights[gamma_i] over the branch elements, base = |G|(2b -
+    2) and weights[x] = |G| - |G|/ord(x), an integer as ord(x) divides
+    |G|.  The one genus rule of listing and counting; the weights are
+    memoised per table."""
+    n = G.order
+    weights = G._cache.get("_hurwitz_weights")
+    if weights is None:
+        weights = G._cache["_hurwitz_weights"] = [n - n // m for m in G.element_order]
+    return n * (2 * b - 2), weights
+
+
 def _multiset_genus(G: GroupTable, b, key):
     """The Riemann-Hurwitz genus of the vectors whose sorted branch-class
     multiset is ``key``, or None when it is below 2.  Callers pass the
     multisets of actual generating vectors, whose value is a genus by
     Riemann's existence theorem, so a GenusError here is a fault and is
     raised."""
+    base, weights = _hurwitz_terms(G, b)
     classes = conjugacy_classes(G)
-    genus = hurwitz_genus(
-        G.order, b, [G.element_order[classes[c].representative] for c in key]
-    )
+    twice = base + sum(weights[classes[c].representative] for c in key)
+    if twice % 2 or twice < -2:
+        raise GenusError(f"2g-2 = {twice} is not an even integer >= -2")
+    genus = twice // 2 + 1
     return genus if genus >= 2 else None
 
 
@@ -542,12 +568,15 @@ def enumerate_vectors(
     2 <= g <= genus_cap.
 
     The vectors are counted first (``_counted_multisets``): that fixes
-    the kept branch-class multisets with their genera and ``truncated``,
-    the number of vectors over the cap, when the stream is created.  Only
-    the r of a kept multiset are walked, and a listed vector is kept iff
-    its multiset is.  With ``dedup`` one representative per orbit of
-    simultaneous relabeling by group automorphisms is emitted: the
-    lex-least vector of the orbit, the one listed first, found by
+    the kept branch-class multisets and ``truncated``, the number of
+    vectors over the cap, when the stream is created.  Only the r of a
+    kept multiset are walked, and a listed vector is kept iff its
+    Riemann-Hurwitz genus, base + the sum of its gammas' weights
+    (``_hurwitz_terms``), lies in [2, genus_cap] and, with
+    ``exact_branch_orders``, its sorted branch orders are those: the
+    rule that keeps its multiset.  With ``dedup`` one representative per
+    orbit of simultaneous relabeling by group automorphisms is emitted:
+    the lex-least vector of the orbit, the one listed first, found by
     orderly generation (``_raw_tuples`` with its orbit filter on)
     without listing the rest: an automorphism fixes a prefix of the
     vector pointwise exactly when it fixes the subgroup the prefix
@@ -564,14 +593,19 @@ def enumerate_vectors(
     exact = tuple(sorted(exact_branch_orders)) if exact_branch_orders else None
     allowed = _branch_plan(G, branch_order_cap, exact)
     kept, _, truncated = _counted_multisets(G, b, max_r, genus_cap, allowed, exact)
-    cls_of = class_index(G)
+    base, weights = _hurwitz_terms(G, b)
+    # 2 <= g <= genus_cap, for the weight sum of the gammas
+    lo, hi = 2 - base, 2 * genus_cap - 2 - base
+    orders = G.element_order
 
     def gen():
         for r in sorted({len(M) for M in kept}):
             for ab, gammas in _raw_tuples(G, b, r, allowed, dedup=dedup):
-                M = tuple(sorted([cls_of[g] for g in gammas]))
-                if M in kept:
+                w = sum([weights[g] for g in gammas])
+                if lo <= w <= hi and (
+                    exact is None or tuple(sorted([orders[g] for g in gammas])) == exact
+                ):
                     v = GeneratingVector(G, b, ab[:b], ab[b:], gammas)
-                    yield BranchedCover(v, kept[M][0])
+                    yield BranchedCover(v, (base + w) // 2 + 1)
 
     return CoverStream(gen, truncated)

@@ -355,6 +355,52 @@ def dedup_by_marking(G, b, max_r, genus_cap, min_genus=2, exact=None):
     return kept, truncated
 
 
+def listing_kept_by_multiset(G, b, max_r, genus_cap, *, dedup, exact=None):
+    """The listing filtered by the multiset keep rule: every tuple of
+    ``covers._raw_tuples`` at r <= max_r (r = len(exact) with ``exact``)
+    over the gammas ``covers._branch_plan`` allows, kept iff its sorted
+    branch-class multiset is a key of the kept dict of
+    ``covers._counted_multisets``, with the genus stored there.  Returns
+    (ab, gammas, genus) in listing order."""
+    from isoprod.covers import _branch_plan, _counted_multisets, _raw_tuples
+    from isoprod.groups import class_index
+
+    exact = tuple(sorted(exact)) if exact else None
+    allowed = _branch_plan(G, None, exact)
+    kept = _counted_multisets(G, b, max_r, genus_cap, allowed, exact)[0]
+    cls_of = class_index(G)
+    out = []
+    for r in [len(exact)] if exact else range(max_r + 1):
+        for ab, gam in _raw_tuples(G, b, r, allowed, dedup=dedup):
+            M = tuple(sorted(cls_of[g] for g in gam))
+            if M in kept:
+                out.append((ab, gam, kept[M][0]))
+    return out
+
+
+def gamma_tails_brute(G, r, allowed, prefix, first=None):
+    """Every tail of gammas completing the gamma prefix ``prefix`` to a
+    generating vector at b = 0, by itertools.product over all r -
+    len(prefix) entries in lexicographic order: each entry in
+    ``allowed`` (the first in ``first`` when given, if it is a free
+    entry), prefix times tail multiplying to the identity and their
+    entries generating G."""
+    import itertools
+
+    k = len(prefix)
+    factors = [allowed] * (r - k)
+    if first is not None and r - k > 1:
+        factors[0] = first
+    out = []
+    for tail in itertools.product(*factors):
+        p = 0
+        for g in prefix + tail:
+            p = G.mult[p][g]
+        if p == 0 and len(saturate_closure(G, prefix + tail)) == G.order:
+            out.append(tail)
+    return out
+
+
 def automorphisms(G):
     """All automorphisms of G as element-permutation tuples, the
     identity first, as products of Sims's transversals.

@@ -209,6 +209,17 @@ GOLDEN_STDOUT = {
         "0a47669f453912d3814133ef347f0880a8b09268b79d3819bc3d9c790ae1a5da",
     ("covers", "ab:2,2", "--b", "2", "--max-r", "2", "--format", "table"):
         "e652c4f196a5c143801f66592afab80ae930700f513bcd1b53168fa25e3ba76c",
+    # rows kept by their Riemann-Hurwitz genus: the cap cuts inside one r
+    # (69 rows, truncated), walked order multisets other than --branch
+    # are dropped (3 rows), and 720 undeduped rows
+    ("covers", "dih:6", "--b", "1", "--max-r", "3", "--genus-cap", "9"):
+        "2556c4eb4a8f0062e2820df5798cc04e3ee02fb06cbbb3710bcf34ab64b561a0",
+    ("covers", "ab:2,6", "--b", "0", "--branch", "2,6,6", "--format", "table"):
+        "29d3c4e475f700f825e4c16ca7238fb43dd4690311ae4ea3130b8f3e069ca61d",
+    (
+        "covers", "dih:6", "--b", "0", "--max-r", "4", "--genus-cap", "6",
+        "--no-dedup", "--format", "csv",
+    ): "f10415131881c1586294525725626063134630eb59e1868565719978fed44081",
     # character tables of groups built from permutation, metacyclic and
     # abelian generator rows; Dixon at orders 120, 60 and 16
     ("chartab", "sym:5", "--format", "json"):

@@ -10,6 +10,7 @@ from isoprod.covers import (
     _count_abelian,
     _count_by_mobius,
     _count_vectors,
+    _gamma_tails,
     _multiset_genus,
     _raw_tuples,
     enumerate_vectors,
@@ -41,7 +42,9 @@ from oracles import (
     brute_vectors,
     canonical_tuples_by_filtering,
     dedup_by_marking,
+    gamma_tails_brute,
     genus_float,
+    listing_kept_by_multiset,
 )
 
 
@@ -104,6 +107,33 @@ def test_generating_vector_equality():
     assert len({v, GeneratingVector(G, 1, (1,), (2,), (1, 1))}) == 1
     assert v != GeneratingVector(G, 1, (1,), (2,), (2, 2))
     assert v != GeneratingVector(build_group("ab:2,2"), 1, (1,), (2,), (1, 1))
+
+
+def test_records_are_immutable_and_pickle():
+    """Neither record takes field assignment, both survive a pickle round
+    trip (the copy's group is a new table with the same spec), and a
+    BranchedCover compares by value."""
+    import pickle
+
+    G = build_group("ab:2,2")
+    a = abelian_element(G, (1, 0))
+    b = abelian_element(G, (0, 1))
+    v = GeneratingVector(G, 1, (a,), (b,), (a, a))
+    cover = validate_vector(v)
+    fields = ((v, "gammas"), (v, "group"), (cover, "genus"), (cover, "vector"))
+    for record, field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    for record in (v, cover):
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record)
+    assert back.genus == cover.genus == 3
+    assert type(back.vector) is GeneratingVector
+    assert back.vector.to_json() == v.to_json()
+    assert back.vector.branch_orders == v.branch_orders == (2, 2)
+    assert back.vector.group.spec == G.spec and back.vector.group is not G
+    assert cover == BranchedCover(v, 3) and cover != BranchedCover(v, 4)
+    assert len({cover, BranchedCover(v, 3)}) == 1
 
 
 def test_stabilizer_union_abelian():
@@ -447,6 +477,81 @@ def test_dedup_matches_marking_oracle(spec, b, max_r, cap, exact):
         for c in stream
     ]
     assert (got, stream.truncated) == dedup_by_marking(G, b, max_r, cap, exact=exact)
+
+
+@pytest.mark.parametrize("spec", builtin_groups_upto(12))
+def test_weight_filter_matches_multiset_keep_rule(spec):
+    """A listed vector is kept by its Riemann-Hurwitz weight sum, which
+    keeps exactly the rows, in order and with the same genera, that the
+    sorted branch-class multiset rule keeps (``listing_kept_by_multiset``),
+    at b = 0, 1 and 2, genus caps 5 and 65, dedup on and off."""
+    G = build_group(spec)
+    for b, max_r in ((0, 4), (1, 3), (2, 1)):
+        for cap in (5, 65):
+            for dedup in (True, False):
+                stream = enumerate_vectors(G, b, max_r, genus_cap=cap, dedup=dedup)
+                got = [
+                    (c.vector.alphas + c.vector.betas, c.vector.gammas, c.genus)
+                    for c in stream
+                ]
+                want = listing_kept_by_multiset(G, b, max_r, cap, dedup=dedup)
+                assert got == want, (b, cap, dedup)
+
+
+def test_weight_filter_checks_exact_branch_orders():
+    """With exact branch orders the walk also lists vectors of other
+    order multisets over the same elements (orders 2 and 6 of dih:6,
+    among them (2, 2, 6, 6) of genus 5), and the filter drops them as the
+    multiset rule does."""
+    G = build_group("dih:6")
+    exact = (2, 2, 2, 6)
+    listed = {
+        tuple(sorted(G.element_order[g] for g in gam))
+        for _, gam in _raw_tuples(G, 0, 4, _branch_plan(G, None, exact))
+    }
+    assert exact in listed
+    assert any(M != exact and hurwitz_genus(G.order, 0, M) >= 2 for M in listed)
+    for dedup in (True, False):
+        covers = list(
+            enumerate_vectors(G, 0, 4, dedup=dedup, exact_branch_orders=exact)
+        )
+        assert {tuple(sorted(c.vector.branch_orders)) for c in covers} == {exact}
+        got = [
+            (c.vector.alphas + c.vector.betas, c.vector.gammas, c.genus)
+            for c in covers
+        ]
+        assert got == listing_kept_by_multiset(G, 0, 4, 65, dedup=dedup, exact=exact)
+
+
+@pytest.mark.parametrize("spec", ["ab:2,2", "ab:6", "dih:3", "dih:4"])
+def test_gamma_tails_match_product_oracle(spec):
+    """``_gamma_tails`` yields, in order, the tails an ``itertools.product``
+    over every remaining gamma keeps, after every gamma prefix at b = 0
+    and r <= 4: prefixes that already generate G (no subgroup is tracked
+    then) and prefixes that do not, with and without a first-factor
+    candidate list (every other allowed gamma)."""
+    import itertools
+
+    G = build_group(spec)
+    reg = subgroup_registry(G)
+    allowed = list(range(1, G.order))
+    first = allowed[::2]
+    whole = 0
+    for r in range(1, 5):
+        tails = _gamma_tails(G, r, allowed)
+        for k in range(r):
+            for prefix in itertools.product(allowed, repeat=k):
+                prod, sid = 0, 0
+                for g in prefix:
+                    prod, sid = G.mult[prod][g], reg.extend(sid, g)
+                whole += len(reg.sets[sid]) == G.order
+                got = list(tails(prod, sid, k))
+                assert got == gamma_tails_brute(G, r, allowed, prefix), (r, prefix)
+                if k < r - 1:
+                    got = list(tails(prod, sid, k, first))
+                    want = gamma_tails_brute(G, r, allowed, prefix, first)
+                    assert got == want, (r, prefix, "first")
+    assert whole
 
 
 def test_dedup_walks_no_listing(monkeypatch):
