@@ -64,6 +64,7 @@ class CharacterTable:
             sorted(characters, key=lambda c: (c.degree, c.values))
         )
         self._index = {c.values: i for i, c in enumerate(self.characters)}
+        self._kernels = {}  # index -> kernel, filled by ``kernel``
         # sparse[i][r]: the nonzero (exponent, multiplicity) entries of
         # character i at class r, read by every inner product
         self.sparse = tuple(
@@ -94,16 +95,23 @@ class CharacterTable:
         return Cyc(self.exponent, chi.values[self.class_of[g]])
 
     def kernel(self, chi) -> frozenset:
-        """{g : chi(g) = chi(1)}, i.e. all eigenvalues are 1."""
-        chi = self.characters[self.index_of(chi)]
-        good = {
-            ci
-            for ci, v in enumerate(chi.values)
-            if v[0] == chi.degree
-        }
-        return frozenset(
-            g for g in range(self.group.order) if self.class_of[g] in good
-        )
+        """{g : chi(g) = chi(1)}, i.e. all eigenvalues are 1; computed
+        once per character and kept on the table."""
+        i = self.index_of(chi)
+        ker = self._kernels.get(i)
+        if ker is None:
+            chi = self.characters[i]
+            good = {ci for ci, v in enumerate(chi.values) if v[0] == chi.degree}
+            ker = self._kernels[i] = frozenset(
+                g for g, ci in enumerate(self.class_of) if ci in good
+            )
+        return ker
+
+    def __copy__(self):
+        # a copy's characters may be edited, so it shares no kernel memo
+        new = object.__new__(CharacterTable)
+        new.__dict__.update(self.__dict__, _kernels={})
+        return new
 
     def trivial_multiplicity(self, chi, sigma) -> int:
         """l_sigma(chi): multiplicity of the trivial character in the
@@ -497,7 +505,10 @@ def character_table(G: GroupTable) -> CharacterTable:
 
 class SubgroupChars:
     """A subgroup re-indexed as its own group plus its character table
-    and the embedding data needed for induction/restriction."""
+    and the embedding data needed for induction/restriction.  Both tables
+    are immutable, so the facts of one character chi of H -- its kernel
+    in G, chi^G and the constituents of chi^G -- are computed once and
+    kept here; the last two only against ``parent_table``."""
 
     def __init__(self, G: GroupTable, elements, parent_table=None):
         self.parent = G
@@ -505,10 +516,28 @@ class SubgroupChars:
         self.H, self.embed = subgroup_table(G, elements)
         self.table = character_table(self.H)
         self.elements = frozenset(self.embed)
+        self._kernels = {}
+        self._induced = {}
+        self._constituents = {}
 
     def kernel_in_parent(self, chi) -> frozenset:
-        ker = self.table.kernel(chi)
-        return frozenset(self.embed[h] for h in ker)
+        j = self.table.index_of(chi)
+        ker = self._kernels.get(j)
+        if ker is None:
+            ker = self._kernels[j] = frozenset(
+                self.embed[h] for h in self.table.kernel(j)
+            )
+        return ker
+
+    def _kept(self, memo, compute, tableG, j):
+        """compute(tableG, self, j), kept in ``memo`` when tableG is the
+        parent table; any other table gets a fresh computation."""
+        if tableG is not self.parent_table:
+            return compute(tableG, self, j)
+        out = memo.get(j)
+        if out is None:
+            out = memo[j] = compute(tableG, self, j)
+        return out
 
 
 def induced_character(
@@ -518,13 +547,16 @@ def induced_character(
     chi^G(g) = |C_G(g)|/|H| sum_{h in H meeting g^G} chi(h), summed per
     H-class as integer multiplicity vectors over zeta_(e_G), reduced, and
     divided exactly: chi^G(g) is an algebraic integer, and the power basis
-    is an integral basis of Z[zeta_(e_G)]."""
+    is an integral basis of Z[zeta_(e_G)].  Kept on ``sub`` per chi."""
+    return sub._kept(sub._induced, _induce, tableG, sub.table.index_of(chi))
+
+
+def _induce(tableG, sub, j):
     G = tableG.group
     eG = tableG.exponent
     eH = sub.table.exponent
     assert eG % eH == 0
     scale = eG // eH
-    j = sub.table.index_of(chi)
     acc = [[0] * eG for _ in tableG.classes]
     for cl, v in zip(sub.table.classes, sub.table.sparse[j]):
         row = acc[tableG.class_of[sub.embed[cl.representative]]]
@@ -604,6 +636,16 @@ def _where(sub: SubgroupChars) -> str:
     return f"G = {sub.parent.spec}, H = {sorted(sub.elements)}"
 
 
+def _scan_constituents(tableG, sub, j):
+    """Indices of the constituents of chi_j^G in table order: the phi with
+    <phi|_H, chi_j>_H > 0 (Frobenius reciprocity)."""
+    return tuple(
+        i
+        for i in range(len(tableG.characters))
+        if restriction_multiplicity(tableG, sub, i, j)
+    )
+
+
 def find_constituent_avoiding(
     tableG: CharacterTable,
     sub: SubgroupChars,
@@ -611,29 +653,28 @@ def find_constituent_avoiding(
     avoid,
     extra: int | None = None,
 ) -> Character:
-    """An irreducible constituent phi of chi^G with Ker(phi) disjoint
-    from ``avoid`` (and, when given, with ``extra`` outside Ker(phi))."""
+    """The first irreducible constituent phi of chi^G, in table order,
+    with Ker(phi) disjoint from ``avoid`` (and, when given, with ``extra``
+    outside Ker(phi))."""
+    j = sub.table.index_of(chi)
     avoid = frozenset(avoid)
-    ker_par = sub.kernel_in_parent(chi)
-    if avoid & ker_par:
+    if avoid & sub.kernel_in_parent(j):
         raise DomainError("avoid set meets Ker(chi)")
     if not avoid <= sub.elements:
         raise DomainError("avoid set must lie inside the subgroup")
     if extra is not None:
-        vals = induced_character(tableG, sub, chi)
+        vals = induced_character(tableG, sub, j)
         if not vals[tableG.class_of[extra]].is_zero():
             raise DomainError("induced character does not vanish at extra")
-    for i, phi in enumerate(tableG.characters):
-        if restriction_multiplicity(tableG, sub, phi, chi) == 0:
-            continue
+    for i in sub._kept(sub._constituents, _scan_constituents, tableG, j):
         ker = tableG.kernel(i)
         if avoid & ker:
             continue
         if extra is not None and extra in ker:
             continue
-        return phi
+        return tableG.characters[i]
     raise ConsistencyError(
         "no constituent avoiding the kernel condition exists; this "
         f"contradicts the induced-character lemma: {_where(sub)}, "
-        f"chi_{sub.table.index_of(chi)}, avoid {sorted(avoid)}, extra {extra}"
+        f"chi_{j}, avoid {sorted(avoid)}, extra {extra}"
     )

@@ -220,6 +220,36 @@ def induced_complex(tableG, sub, chi_index):
     return out
 
 
+def kernel_by_values(table, i):
+    """{g : chi_i(g) = chi_i(1)}, read afresh from the multiplicity
+    vectors: all of the degree sits on the exponent-0 entry."""
+    chi = table.characters[i]
+    return frozenset(
+        g
+        for g in range(table.group.order)
+        if chi.values[table.class_of[g]][0] == chi.degree
+    )
+
+
+def first_constituent_by_scan(tableG, sub, chi_index, avoid, extra=None):
+    """The first phi of tableG, in table order, with <phi|_H, chi> != 0,
+    Ker(phi) disjoint from ``avoid`` and ``extra`` outside Ker(phi); None
+    when there is none.  Every call restricts each phi and recomputes
+    each kernel, keeping nothing between calls.  The multiplicities come
+    from the package's ``restriction_multiplicity``, which the complex
+    oracles above check on their own."""
+    from isoprod.characters import restriction_multiplicity
+
+    for i, phi in enumerate(tableG.characters):
+        if restriction_multiplicity(tableG, sub, i, chi_index) == 0:
+            continue
+        ker = kernel_by_values(tableG, i)
+        if set(avoid) & ker or (extra is not None and extra in ker):
+            continue
+        return phi
+    return None
+
+
 def listed_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
     """The classification sweep's buckets by listing: every vector of
     ``brute_vectors`` with r <= max_r and no branch order over

@@ -21,6 +21,7 @@ from isoprod.characters import (
     induced_character,
     restriction_multiplicity,
 )
+from isoprod.classify import _kernel_masks
 from isoprod.covers import h1_multiplicities
 from isoprod.cyclotomic import Cyc
 from isoprod.errors import ConsistencyError, DecompositionError, DomainError
@@ -38,8 +39,10 @@ from oracles import (
     conjugate_index,
     cyc_complex,
     det_mod,
+    first_constituent_by_scan,
     fold_orthogonality_failures,
     induced_complex,
+    kernel_by_values,
     inner_complex,
     restriction_complex,
 )
@@ -520,6 +523,126 @@ def test_find_constituent_with_vanishing_point():
         t, sc, nontriv, [threecycle], extra=transposition
     )
     assert phi.degree == 2  # only the standard rep works here
+
+
+def _lemma_queries(G, tG):
+    """Criterion 8's queries on G: for each subgroup H != 1 and chi of H,
+    (avoid, extra) for every h of H outside Ker(chi) (part (i)) and, where
+    chi^G vanishes, the first such h with the first vanishing class
+    representative (part (ii)).  Kernels are read from the values."""
+    for elems in all_subgroups(G):
+        if len(elems) == 1:
+            continue
+        sc = SubgroupChars(G, elems, parent_table=tG)
+        for i in range(len(sc.table.characters)):
+            ker = {sc.embed[h] for h in kernel_by_values(sc.table, i)}
+            outside = sorted(sc.elements - ker)
+            if not outside:
+                continue
+            queries = [([h], None) for h in outside]
+            vals = induced_complex(tG, sc, i)
+            zero = [
+                cl.representative for cl, v in zip(tG.classes, vals) if abs(v) < 1e-9
+            ]
+            if zero:
+                queries.append(([outside[0]], zero[0]))
+            yield sc, i, queries
+
+
+@pytest.mark.parametrize("spec", ["dih:6", "alt:4", "quat:8", "ab:2,2,2"])
+def test_constituent_matches_scan_oracle(spec):
+    """The kept constituent list gives the very phi of a fresh scan, on
+    every criterion-8 instance, asked twice so that the second round
+    reads only kept facts."""
+    G = build_group(spec)
+    tG = character_table(G)
+    parts = [0, 0]
+    for sc, i, queries in _lemma_queries(G, tG):
+        for _ in range(2):
+            for avoid, extra in queries:
+                want = first_constituent_by_scan(tG, sc, i, avoid, extra)
+                assert want is not None, (spec, sorted(sc.elements), i, avoid)
+                got = find_constituent_avoiding(tG, sc, i, avoid, extra=extra)
+                assert got is want, (spec, sorted(sc.elements), i, avoid, extra)
+                parts[extra is not None] += 1
+    assert all(parts)
+
+
+def test_lemma_work_is_done_once_per_subgroup_character(monkeypatch):
+    """Across every query on one (H, chi), chi is restricted against each
+    phi at most once and chi^G is summed once, though both the caller and
+    ``extra`` ask for it; a second round over the same subgroups does no
+    such work."""
+    G = build_group("alt:4")
+    tG = character_table(G)
+    calls = {"restrict": 0, "induce": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        characters,
+        "restriction_multiplicity",
+        counted("restrict", characters.restriction_multiplicity),
+    )
+    monkeypatch.setattr(characters, "_induce", counted("induce", characters._induce))
+    instances = list(_lemma_queries(G, tG))
+    with_extra = 0
+    for round_ in range(2):
+        for sc, i, queries in instances:
+            before = dict(calls)
+            induced_character(tG, sc, i)
+            for avoid, extra in queries:
+                find_constituent_avoiding(tG, sc, i, avoid, extra=extra)
+                with_extra += extra is not None
+            restricted = calls["restrict"] - before["restrict"]
+            induced = calls["induce"] - before["induce"]
+            if round_ == 0:
+                assert restricted <= len(tG.characters) and induced == 1
+            else:
+                assert restricted == induced == 0
+    assert with_extra > 0
+
+
+def test_kernels_are_kept_and_match_values():
+    """Every kernel of every table of a built-in of order <= 16 and of its
+    subgroups equals a fresh read of the values and is kept: a repeated
+    call returns the same object.  The sweep's kernel masks agree."""
+    for spec in builtin_groups_upto(16):
+        G = build_group(spec)
+        tG = character_table(G)
+        tables = [tG] + [SubgroupChars(G, e).table for e in all_subgroups(G)]
+        for t in tables:
+            for i, chi in enumerate(t.characters):
+                ker = t.kernel(i)
+                assert ker == kernel_by_values(t, i), (spec, t.group.spec, i)
+                assert t.kernel(i) is ker and t.kernel(chi) is ker
+        masks = tuple(
+            sum(1 << g for g in kernel_by_values(tG, i))
+            for i in range(len(tG.characters))
+        )
+        assert _kernel_masks(G)[0] == masks, spec
+
+
+def test_copied_table_reads_no_stale_kernel():
+    """A copy of a table may have its characters edited, so it keeps no
+    kernel of the original."""
+    t = character_table(build_group("sym:3"))
+    sign = next(
+        i for i, c in enumerate(t.characters) if c.degree == 1 and i != t.trivial_index
+    )
+    assert len(t.kernel(sign)) == 3
+    edited = copy.copy(t)
+    edited.characters = tuple(
+        t.characters[t.trivial_index] if i == sign else c
+        for i, c in enumerate(t.characters)
+    )
+    assert edited.kernel(sign) == frozenset(range(6))
+    assert len(t.kernel(sign)) == 3
 
 
 def test_complex_values_match_oracle():
