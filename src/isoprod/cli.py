@@ -128,37 +128,31 @@ def cmd_covers(args):
         branch_order_cap=cap,
         exact_branch_orders=exact,
     )
-    if args.format == "csv":
+    # Rows are written from the raw (ab, gammas, genus) listing: every
+    # entry is an element index, printed from one string made per index.
+    # JSON rows are the sorted-key json.dumps of {"vector": v.to_json(),
+    # "genus": g}, whose one string field is the spec.
+    b, idx = args.b, [str(x) for x in range(G.order)]
+    if args.format == "json":
+        sep, genus_first = ", ", True
+        row = (
+            '{"genus": %d, "vector": {"alphas": [%s], "b": ' + str(b) + ', "betas": '
+            '[%s], "gammas": [%s], "group": ' + json.dumps(G.spec).replace("%", "%%")
+            + "}}\n"
+        )
+    elif args.format == "csv":
         _out("b,alphas,betas,gammas,genus")
-    # The sorted-key json.dumps of {"vector": v.to_json(), "genus": g}:
-    # the spec is the one string field, and str() of a list of ints is
-    # its JSON.
-    row = (
-        '{"genus": %d, "vector": {"alphas": %s, "b": %d, "betas": %s, '
-        '"gammas": %s, "group": ' + json.dumps(G.spec).replace("%", "%%") + "}}"
-    )
-    count = 0
-    for cover in stream:
-        v, g = cover.vector, cover.genus
+        sep, genus_first, row = " ", False, str(b) + ",%s,%s,%s,%d\n"
+    else:
+        sep, genus_first = ", ", False
+        row = "b=" + str(b) + " alphas=[%s] betas=[%s] gammas=[%s] genus=%d\n"
+    write, count = sys.stdout.write, 0
+    for ab, gam, g in stream.rows():
         count += 1
-        if args.format == "json":
-            _out(row % (g, list(v.alphas), v.base_genus, list(v.betas), list(v.gammas)))
-        elif args.format == "csv":
-            _out(
-                "%d,%s,%s,%s,%d"
-                % (
-                    v.base_genus,
-                    " ".join(map(str, v.alphas)),
-                    " ".join(map(str, v.betas)),
-                    " ".join(map(str, v.gammas)),
-                    g,
-                )
-            )
-        else:
-            _out(
-                f"b={v.base_genus} alphas={list(v.alphas)} betas={list(v.betas)} "
-                f"gammas={list(v.gammas)} genus={g}"
-            )
+        alphas = sep.join([idx[x] for x in ab[:b]])
+        betas = sep.join([idx[x] for x in ab[b:]])
+        gammas = sep.join([idx[x] for x in gam])
+        write(row % ((g, alphas, betas, gammas) if genus_first else (alphas, betas, gammas, g)))
     truncated = stream.truncated > 0
     if args.format == "json":
         _out(json.dumps({"count": count, "truncated": truncated}, sort_keys=True))

@@ -9,7 +9,7 @@ a genus-b curve whose covering genus comes from Riemann-Hurwitz.
 from __future__ import annotations
 
 import itertools
-from math import factorial, gcd
+from math import factorial
 from typing import NamedTuple
 
 from .errors import (
@@ -59,26 +59,6 @@ class BranchedCover(NamedTuple):
     genus: int
 
 
-def hurwitz_genus(order: int, b: int, branch_orders) -> int:
-    """g from 2g-2 = |G|(2b-2 + sum(1 - 1/m_i)); raises if not an integer
-    >= 0."""
-    num, den = order * (2 * b - 2), 1
-    for m in branch_orders:
-        num, den = num * m + den * order * (m - 1), den * m
-    if num % den:
-        d = gcd(num, den)
-        raise GenusError(
-            f"Riemann-Hurwitz value {num // d}/{den // d} is not an integer"
-        )
-    rhs = num // den
-    if rhs % 2 != 0:
-        raise GenusError(f"2g-2 = {rhs} is odd")
-    g = (rhs + 2) // 2
-    if g < 0:
-        raise GenusError(f"negative genus g = {g}")
-    return g
-
-
 def validate_vector(v: GeneratingVector) -> BranchedCover:
     G = v.group
     n = G.order
@@ -110,8 +90,7 @@ def validate_vector(v: GeneratingVector) -> BranchedCover:
         raise GenerationError(
             f"elements generate a subgroup of order {len(reg.sets[sid])}, not G"
         )
-    g = hurwitz_genus(n, b, v.branch_orders)
-    return BranchedCover(v, g)
+    return BranchedCover(v, _genus(G, b, gammas))
 
 
 @_memo
@@ -184,16 +163,24 @@ def isotypic_dimensions(cover: BranchedCover, table) -> tuple:
 
 
 class CoverStream:
-    """Iterator over ``gen()``; ``truncated`` counts the otherwise valid
-    vectors dropped because their genus exceeded the cap, and is known
-    when the stream is created."""
+    """The listing of ``enumerate_vectors`` over G at base genus b.
+    ``rows()`` yields it as raw (ab, gammas, genus) rows, ab the alphas
+    then the betas; iterating the stream wraps each row into a
+    BranchedCover.  ``truncated`` counts the otherwise valid vectors
+    dropped because their genus exceeded the cap, and is known when the
+    stream is created."""
 
-    def __init__(self, gen, truncated):
-        self._gen = gen
+    def __init__(self, G, b, rows, truncated):
+        self._G, self._b, self._rows = G, b, rows
         self.truncated = truncated
 
+    def rows(self):
+        return self._rows()
+
     def __iter__(self):
-        return self._gen()
+        G, b = self._G, self._b
+        for ab, gammas, genus in self._rows():
+            yield BranchedCover(GeneratingVector(G, b, ab[:b], ab[b:], gammas), genus)
 
 
 def _raw_tuples(G, b, r, allowed_gamma, *, dedup=False):
@@ -329,13 +316,24 @@ def _hurwitz_terms(G: GroupTable, b):
     """Riemann-Hurwitz in integers: (base, weights) with 2g - 2 = base +
     the sum of weights[gamma_i] over the branch elements, base = |G|(2b -
     2) and weights[x] = |G| - |G|/ord(x), an integer as ord(x) divides
-    |G|.  The one genus rule of listing and counting; the weights are
-    memoised per table."""
+    |G|.  The one genus rule of listing, counting and validation
+    (``_genus``); the weights are memoised per table."""
     n = G.order
     weights = G._cache.get("_hurwitz_weights")
     if weights is None:
         weights = G._cache["_hurwitz_weights"] = [n - n // m for m in G.element_order]
     return n * (2 * b - 2), weights
+
+
+def _genus(G: GroupTable, b, gammas):
+    """The Riemann-Hurwitz genus of a vector over a genus-b curve with
+    branch elements ``gammas``, by ``_hurwitz_terms``; raises GenusError
+    unless 2g - 2 is an even integer >= -2."""
+    base, weights = _hurwitz_terms(G, b)
+    twice = base + sum([weights[g] for g in gammas])
+    if twice % 2 or twice < -2:
+        raise GenusError(f"2g-2 = {twice} is not an even integer >= -2")
+    return twice // 2 + 1
 
 
 def _multiset_genus(G: GroupTable, b, key):
@@ -344,12 +342,8 @@ def _multiset_genus(G: GroupTable, b, key):
     multisets of actual generating vectors, whose value is a genus by
     Riemann's existence theorem, so a GenusError here is a fault and is
     raised."""
-    base, weights = _hurwitz_terms(G, b)
     classes = conjugacy_classes(G)
-    twice = base + sum(weights[classes[c].representative] for c in key)
-    if twice % 2 or twice < -2:
-        raise GenusError(f"2g-2 = {twice} is not an even integer >= -2")
-    genus = twice // 2 + 1
+    genus = _genus(G, b, [classes[c].representative for c in key])
     return genus if genus >= 2 else None
 
 
@@ -564,8 +558,9 @@ def enumerate_vectors(
     branch_order_cap: int | None = None,
     exact_branch_orders=None,
 ):
-    """Stream of valid BranchedCover with r <= max_r branch points and
-    2 <= g <= genus_cap.
+    """Stream (a ``CoverStream``) of the valid BranchedCover with r <=
+    max_r branch points and 2 <= g <= genus_cap; its ``rows()`` lists the
+    same vectors, in the same order, as raw (ab, gammas, genus) rows.
 
     The vectors are counted first (``_counted_multisets``): that fixes
     the kept branch-class multisets and ``truncated``, the number of
@@ -598,14 +593,13 @@ def enumerate_vectors(
     lo, hi = 2 - base, 2 * genus_cap - 2 - base
     orders = G.element_order
 
-    def gen():
+    def rows():
         for r in sorted({len(M) for M in kept}):
             for ab, gammas in _raw_tuples(G, b, r, allowed, dedup=dedup):
                 w = sum([weights[g] for g in gammas])
                 if lo <= w <= hi and (
                     exact is None or tuple(sorted([orders[g] for g in gammas])) == exact
                 ):
-                    v = GeneratingVector(G, b, ab[:b], ab[b:], gammas)
-                    yield BranchedCover(v, (base + w) // 2 + 1)
+                    yield ab, gammas, (base + w) // 2 + 1
 
-    return CoverStream(gen, truncated)
+    return CoverStream(G, b, rows, truncated)

@@ -7,8 +7,9 @@ beyond plain data access -- so that agreement is meaningful.
 
 import cmath
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
+from isoprod.errors import GenusError
 from isoprod.groups import _memo
 
 
@@ -20,6 +21,27 @@ def genus_float(order, b, branch_orders):
     g = rhs / 2.0 + 1.0
     assert abs(g - round(g)) < 1e-9
     return int(round(g))
+
+
+def hurwitz_genus(order: int, b: int, branch_orders) -> int:
+    """g from 2g-2 = |G|(2b-2 + sum(1 - 1/m_i)) in exact fractions, from
+    the branch orders alone; raises GenusError if g is not an integer
+    >= 0.  The oracle of the package's integer rule (``covers._genus``)."""
+    num, den = order * (2 * b - 2), 1
+    for m in branch_orders:
+        num, den = num * m + den * order * (m - 1), den * m
+    if num % den:
+        d = gcd(num, den)
+        raise GenusError(
+            f"Riemann-Hurwitz value {num // d}/{den // d} is not an integer"
+        )
+    rhs = num // den
+    if rhs % 2 != 0:
+        raise GenusError(f"2g-2 = {rhs} is odd")
+    g = (rhs + 2) // 2
+    if g < 0:
+        raise GenusError(f"negative genus g = {g}")
+    return g
 
 
 def char_value_complex(exponent, multvec):

@@ -209,6 +209,15 @@ GOLDEN_STDOUT = {
         "0a47669f453912d3814133ef347f0880a8b09268b79d3819bc3d9c790ae1a5da",
     ("covers", "ab:2,2", "--b", "2", "--max-r", "2", "--format", "table"):
         "e652c4f196a5c143801f66592afab80ae930700f513bcd1b53168fa25e3ba76c",
+    ("covers", "dih:4", "--b", "0", "--max-r", "4", "--format", "table"):
+        "8c85818840af0d7f5b3284c274812bca3c655ff60ef059bd5c87bf0753d38e04",
+    ("covers", "dih:5", "--b", "0", "--max-r", "4", "--format", "csv"):
+        "a67acae2c2d6d1754e21d861b4dc0c290ccb56bed1b11b99736c06e2a0ef5984",
+    ("covers", "ab:2,2", "--b", "1", "--max-r", "3", "--no-dedup", "--format", "table"):
+        "4864c856ab978890fc62d093369fbfe8965f0a4c3d6a8ab9afe95f1341140006",
+    # two-digit element indices in the alphas and betas
+    ("covers", "dih:6", "--b", "2", "--max-r", "1"):
+        "f6e08b71944612ec5d120138608d072e335808df8b3c2b0f6821d1a542c8a1c4",
     # rows kept by their Riemann-Hurwitz genus: the cap cuts inside one r
     # (69 rows, truncated), walked order multisets other than --branch
     # are dropped (3 rows), and 720 undeduped rows
@@ -243,6 +252,30 @@ def test_golden_stdout(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_covers_builds_no_records(capsys, monkeypatch):
+    """``covers`` prints every format from the stream's raw rows: with
+    the record types replaced by ones that raise, each format still
+    prints its golden bytes."""
+    import isoprod.covers
+
+    def refuse(*args):
+        raise AssertionError("covers built a record")
+
+    monkeypatch.setattr(isoprod.covers, "GeneratingVector", refuse)
+    monkeypatch.setattr(isoprod.covers, "BranchedCover", refuse)
+    pinned = [argv for argv in GOLDEN_STDOUT if argv[0] == "covers"]
+    assert {"json", "csv", "table"} <= {
+        argv[argv.index("--format") + 1] if "--format" in argv else "json"
+        for argv in pinned
+    }
+    for argv in pinned:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv], argv
+    with pytest.raises(AssertionError):
+        list(enumerate_vectors(build_group("dih:4"), 1, 2))
 
 
 def test_classify_error_records(capsys, monkeypatch):

@@ -15,7 +15,6 @@ from isoprod.covers import (
     _raw_tuples,
     enumerate_vectors,
     h1_multiplicities,
-    hurwitz_genus,
     isotypic_dimensions,
     stabilizer_union,
     validate_vector,
@@ -44,6 +43,7 @@ from oracles import (
     dedup_by_marking,
     gamma_tails_brute,
     genus_float,
+    hurwitz_genus,
     listing_kept_by_multiset,
 )
 
@@ -78,6 +78,21 @@ def test_hurwitz_rejects_nonintegral():
     with pytest.raises(GenusError):
         hurwitz_genus(3, 0, (3,))  # 2g-2 = -4, negative genus
     assert hurwitz_genus(3, 0, (3, 3)) == 0  # the sphere is fine
+
+
+@pytest.mark.parametrize("spec", builtin_groups_upto(8))
+def test_validate_vector_genus_matches_fraction_oracle(spec):
+    """``validate_vector`` takes its genus from the integer rule that
+    listing and counting use, and it equals the exact-fraction oracle's
+    on every vector the walk lists with no genus cap, at b = 0, 1, 2."""
+    G = build_group(spec)
+    allowed = _branch_plan(G, None)
+    for b, max_r in ((0, 4), (1, 3), (2, 1)):
+        for r in range(max_r + 1):
+            for ab, gammas in _raw_tuples(G, b, r, allowed):
+                v = GeneratingVector(G, b, ab[:b], ab[b:], gammas)
+                want = hurwitz_genus(G.order, b, v.branch_orders)
+                assert validate_vector(v).genus == want, (b, ab, gammas)
 
 
 def test_validate_vector():
@@ -496,6 +511,29 @@ def test_weight_filter_matches_multiset_keep_rule(spec):
                 ]
                 want = listing_kept_by_multiset(G, b, max_r, cap, dedup=dedup)
                 assert got == want, (b, cap, dedup)
+
+
+@pytest.mark.parametrize("spec", builtin_groups_upto(8))
+def test_rows_are_the_records_unwrapped(spec):
+    """``rows()`` lists the raw (alphas + betas, gammas, genus) of the
+    records that iterating the stream yields, in the same order, at b =
+    0, 1, 2 with dedup on and off, and with exact branch orders."""
+    G = build_group(spec)
+    cases = [
+        dict(b=b, max_r=max_r, dedup=dedup)
+        for b, max_r in ((0, 4), (1, 3), (2, 1))
+        for dedup in (True, False)
+    ]
+    if spec == "dih:4":
+        cases.append(dict(b=0, max_r=4, dedup=True, exact_branch_orders=(2, 2, 2, 4)))
+    for kw in cases:
+        stream = enumerate_vectors(G, **kw)
+        want = [
+            (c.vector.alphas + c.vector.betas, c.vector.gammas, c.genus)
+            for c in stream
+        ]
+        assert list(stream.rows()) == want, kw
+    assert want
 
 
 def test_weight_filter_checks_exact_branch_orders():
