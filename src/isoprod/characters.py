@@ -508,7 +508,7 @@ class SubgroupChars:
     and the embedding data needed for induction/restriction.  Both tables
     are immutable, so the facts of one character chi of H -- its kernel
     in G, chi^G and the constituents of chi^G -- are computed once and
-    kept here; the last two only against ``parent_table``."""
+    kept here.  The last two are asked with ``parent_table`` only."""
 
     def __init__(self, G: GroupTable, elements, parent_table=None):
         self.parent = G
@@ -530,10 +530,12 @@ class SubgroupChars:
         return ker
 
     def _kept(self, memo, compute, tableG, j):
-        """compute(tableG, self, j), kept in ``memo`` when tableG is the
-        parent table; any other table gets a fresh computation."""
+        """compute(tableG, self, j), kept in ``memo``; tableG must be the
+        parent table."""
         if tableG is not self.parent_table:
-            return compute(tableG, self, j)
+            raise DomainError(
+                f"the table of G must be the subgroup's parent table: {_where(self)}"
+            )
         out = memo.get(j)
         if out is None:
             out = memo[j] = compute(tableG, self, j)

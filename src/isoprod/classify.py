@@ -34,6 +34,11 @@ from .surfaces import UnmixedSurface, build_surface
 
 DEFAULT_BASE_GENERA = ((1, 1),)
 ALL_BASE_GENERA = ((1, 1), (1, 2), (2, 1), (2, 2))
+# the counts of a sweep's summary, each a number of vector pairs but
+# "errors", which counts records
+SUMMARY_KEYS = ("surfaces", "nontrivial_aut0", "conformance_failures", "errors")
+# the fields of UnmixedSurface.to_json() that a classification record keeps
+SURFACE_FIELDS = ("group", "vC", "vD", "genus_C", "genus_D", "q", "pg", "chi", "K2", "b2")
 
 
 @dataclass
@@ -274,12 +279,7 @@ def _representative(G, b, key, branch_order_cap):
 def _classify_group(spec, bounds: SearchBounds, detail="nontrivial"):
     """All classification records for one group.  Returns
     (records, summary_counts); records are JSON-ready dicts."""
-    counts = {
-        "surfaces": 0,
-        "nontrivial_aut0": 0,
-        "conformance_failures": 0,
-        "errors": 0,
-    }
+    counts = dict.fromkeys(SUMMARY_KEYS, 0)
     records = []
     try:
         G = build_group(spec, order_cap=bounds.max_group_order)
@@ -353,18 +353,9 @@ def _record(vC, vD, a_mask, weight):
             "bucketed Aut_0 disagrees with the per-surface computation"
         )
     conforms, reason = check_conformance(S, aut0) if len(aut0) > 1 else (None, "")
-    inv = S.invariants
+    surface = S.to_json()
     return {
-        "group": S.group.spec,
-        "vC": vC.to_json(),
-        "vD": vD.to_json(),
-        "genus_C": S.cover_C.genus,
-        "genus_D": S.cover_D.genus,
-        "q": inv.q,
-        "pg": inv.pg,
-        "chi": inv.chi,
-        "K2": inv.K2,
-        "b2": inv.b2,
+        **{k: surface[k] for k in SURFACE_FIELDS},
         "aut0": sorted(aut0),
         "aut0_labels": [S.group.labels[g] for g in sorted(aut0)],
         "aut0_order": len(aut0),
@@ -391,44 +382,19 @@ def _record_sort_key(r):
     )
 
 
-def _worker(args):
-    spec, bounds, detail = args
-    return spec, _classify_group(spec, bounds, detail)
-
-
-def classify_all(
-    bounds: SearchBounds,
-    groups,
-    workers: int = 1,
-    detail: str = "nontrivial",
-):
+def classify_all(bounds: SearchBounds, groups, detail: str = "nontrivial"):
     """Classify every admissible surface over the given group specs.
 
     Returns (records, summary).  With ``detail="nontrivial"`` (default)
     per-pair records are emitted only for nontrivial Aut_0; every pair is
-    still counted in the summary.  Deterministic for a fixed input.  At
-    most one worker process is started per group.
+    still counted in the summary.  Deterministic for a fixed input.
     """
     bounds.validate()
-    groups = list(groups)
-    summary = {
-        "surfaces": 0,
-        "nontrivial_aut0": 0,
-        "conformance_failures": 0,
-        "errors": 0,
-    }
+    summary = dict.fromkeys(SUMMARY_KEYS, 0)
     all_records = []
-    jobs = [(spec, bounds, detail) for spec in groups]
-    if workers > 1 and len(jobs) > 1:
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-        with ctx.Pool(min(workers, len(jobs))) as pool:
-            results = pool.map(_worker, jobs)
-    else:
-        results = [_worker(j) for j in jobs]
-    for _spec, (records, counts) in results:
+    for spec in groups:
+        records, counts = _classify_group(spec, bounds, detail)
         all_records.extend(records)
-        for k in summary:
+        for k in SUMMARY_KEYS:
             summary[k] += counts[k]
     return all_records, summary

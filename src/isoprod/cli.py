@@ -248,7 +248,6 @@ def cmd_classify(args):
     records, summary = classify_all(
         bounds,
         groups,
-        workers=args.workers,
         detail="full" if args.full else "nontrivial",
     )
     for rec in records:
@@ -338,7 +337,12 @@ def make_parser():
     q.add_argument("--genus-cap", type=int, default=33)
     q.add_argument("--branch-order-cap", type=int, default=8)
     q.add_argument("--base-genera", default="1,1", help='pairs like "1,1;1,2"')
-    q.add_argument("--workers", type=int, default=1)
+    q.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted and ignored (must be >= 1); the sweep runs in one process",
+    )
     q.add_argument(
         "--full",
         action="store_true",

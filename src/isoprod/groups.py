@@ -48,7 +48,7 @@ class GroupTable:
     """A finite group as an explicit multiplication table.
 
     ``mult[g][h]`` is the index of g*h.  Construction validates the table;
-    instances are immutable and safe to share between workers.
+    instances are immutable.
     """
 
     __slots__ = (

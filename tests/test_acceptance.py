@@ -61,7 +61,7 @@ def _main_sweep():
         base_genera=((1, 1),),
         branch_order_cap=8,
     )
-    return classify_all(bounds, builtin_groups_upto(16), workers=4)
+    return classify_all(bounds, builtin_groups_upto(16))
 
 
 def test_criterion_1_example_family_invariants(capsys):
@@ -123,7 +123,7 @@ def test_criterion_4_nonabelian_control(capsys):
             "dih:3", "dih:4", "dih:5", "dih:6", "dih:7", "dih:8",
             "quat:8", "sym:3", "sym:4", "alt:4",
         ]
-        records, summary = classify_all(bounds, groups, workers=4)
+        records, summary = classify_all(bounds, groups)
         assert summary["errors"] == 0
         assert summary["nontrivial_aut0"] == 0
         assert records == []
@@ -277,9 +277,7 @@ def test_criterion_9_base_genus_2_control(capsys):
             base_genera=((1, 2), (2, 1), (2, 2)),
             branch_order_cap=8,
         )
-        records, summary = classify_all(
-            bounds, builtin_groups_upto(8), workers=4
-        )
+        records, summary = classify_all(bounds, builtin_groups_upto(8))
         assert summary["errors"] == 0
         assert summary["surfaces"] > 0
         assert summary["nontrivial_aut0"] == 0

@@ -482,6 +482,23 @@ def test_induced_error_names_group_subgroup_and_character():
     assert f"chi_{sc.table.trivial_index}^G" in msg
 
 
+def test_induced_against_another_table_is_rejected():
+    """The facts kept on a SubgroupChars are those of its parent table; a
+    copy of that table, which may have been edited, is refused."""
+    t, sc = _a3_in_s3()
+    other = copy.copy(t)
+    nontriv = next(i for i in range(3) if i != sc.table.trivial_index)
+    threecycle = next(g for g in sc.elements if g != 0)
+    for ask in (
+        lambda: induced_character(other, sc, nontriv),
+        lambda: find_constituent_avoiding(other, sc, nontriv, [threecycle]),
+    ):
+        with pytest.raises(DomainError) as err:
+            ask()
+        assert characters._where(sc) in str(err.value)
+    assert induced_character(t, sc, nontriv) is induced_character(t, sc, nontriv)
+
+
 def test_lemma_error_names_group_subgroup_and_character(monkeypatch):
     t, sc = _a3_in_s3()
     nontriv = next(i for i in range(3) if i != sc.table.trivial_index)

