@@ -26,12 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import isqrt
-from operator import mul
+from operator import itemgetter, mul
 
 from .cyclotomic import Cyc, reduce_folded
 from .errors import ConsistencyError, DecompositionError, DomainError
 from .groups import (
     GroupTable,
+    _column_getters,
     _extend_map,
     _greedy_generators,
     _memo,
@@ -66,9 +67,12 @@ class CharacterTable:
         self._index = {c.values: i for i, c in enumerate(self.characters)}
         self._kernels = {}  # index -> kernel, filled by ``kernel``
         # sparse[i][r]: the nonzero (exponent, multiplicity) entries of
-        # character i at class r, read by every inner product
+        # character i at class r, read by every inner product; one row
+        # per distinct vector, shared by every entry that has it
+        distinct = {v for c in self.characters for v in c.values}
+        rows = {v: _sparse(v) for v in distinct}
         self.sparse = tuple(
-            tuple(_sparse(v) for v in c.values) for c in self.characters
+            tuple(map(rows.__getitem__, c.values)) for c in self.characters
         )
         if len(self.characters) != len(self.classes):
             raise ConsistencyError(
@@ -126,8 +130,9 @@ class CharacterTable:
         class: at element order d it is non-negative, sums to the degree
         and lives on the d-th roots of unity, the exponents that are
         multiples of e/d (at the identity, class 0, the value is then the
-        degree).  Burnside's identity and the row relation hold, exactly.
-        A degree-1 row whose exponent map is a homomorphism G -> Z_e
+        degree); each distinct (vector, e/d, degree) is tested once.
+        Burnside's identity and the row relation hold, exactly.  A
+        degree-1 row whose exponent map is a homomorphism G -> Z_e
         (``_is_homomorphism``) is a linear character; such rows must be
         pairwise distinct, and a pair of two of them needs no inner
         product: distinct linear characters are orthogonal, and every
@@ -141,23 +146,31 @@ class CharacterTable:
         n = G.order
         e = self.exponent
         steps = [e // G.element_order[c.representative] for c in self.classes]
+        passed = set()
         for i, c in enumerate(self.characters):
             for r, (v, step) in enumerate(zip(c.values, steps)):
+                key = (v, step, c.degree)
+                if key in passed:
+                    continue
                 # non-negative with all of the degree on the multiples of step
                 if min(v) < 0 or sum(v) != c.degree or sum(v[::step]) != c.degree:
                     raise ConsistencyError(
                         f"character {i} at class {r} is not a multiset of "
                         f"{e // step}-th roots of unity of size {c.degree}"
                     )
+                passed.add(key)
         if sum(c.degree * c.degree for c in self.characters) != n:
             raise ConsistencyError("Burnside identity sum chi(1)^2 = |G| fails")
         gens = _greedy_generators(G.mult)
+        gen_columns = _column_getters(tuple(zip(*G.mult)), gens)
+        shifts = _shifts(e)
         linear = {}  # values -> index of the certified rows
         for i, c in enumerate(self.characters):
             if c.degree == 1:
                 # the multiset test left one unit per class
-                k = [c.values[r].index(1) for r in self.class_of]
-                if _is_homomorphism(G.mult, gens, k, e):
+                k_class = [v.index(1) for v in c.values]
+                k = list(map(k_class.__getitem__, self.class_of))
+                if _is_homomorphism(gen_columns, gens, k, shifts):
                     j = linear.setdefault(c.values, i)
                     if j != i:
                         raise ConsistencyError(
@@ -196,13 +209,21 @@ def _sparse(v):
     return tuple((k, m) for k, m in enumerate(v) if m)
 
 
-def _is_homomorphism(mult, gens, k, e):
+def _shifts(e):
+    """The addition table of Z_e: shifts[a][b] = (a + b) mod e."""
+    return [tuple((a + b) % e for b in range(e)) for a in range(e)]
+
+
+def _is_homomorphism(gen_columns, gens, k, shifts):
     """Whether x -> k[x] is a homomorphism to Z_e: k(x g) = k(x) + k(g)
     (mod e) for every x and every g of ``gens``, which generate the
     group.  That suffices, since the g for which it holds for every x
-    are closed under products."""
+    are closed under products.  Per g it is two gathers: k read at the
+    column x -> x g (``gen_columns``, see ``groups._column_getters``)
+    against k mapped through the shift by k[g] (``_shifts``)."""
+    through = itemgetter(*k)
     return all(
-        k[row[g]] == (kx + k[g]) % e for g in gens for row, kx in zip(mult, k)
+        column(k) == through(shifts[k[g]]) for g, column in zip(gens, gen_columns)
     )
 
 
@@ -229,12 +250,13 @@ def _abelian_characters(G: GroupTable):
     classes = conjugacy_classes(G)
     gens = _greedy_generators(G.mult)
     parent, bfs = _word_tree(G.mult, gens)
-    add_e = [[(a + b) % e for b in range(e)] for a in range(e)]
+    gen_columns = _column_getters(tuple(zip(*G.mult)), gens)
+    shifts = _shifts(e)  # its own columns, Z_e being abelian
     choice_sets = [range(0, e, e // G.element_order[g]) for g in gens]
     units = [tuple(int(k == j) for k in range(e)) for j in range(e)]
     chars = []
     for exps in product(*choice_sets):
-        val = _extend_map(G.mult, gens, parent, bfs, exps, add_e)
+        val = _extend_map(gen_columns, parent, bfs, exps, shifts)
         if val is not None:
             values = tuple(units[val[c.representative]] for c in classes)
             chars.append(Character(1, values))

@@ -38,16 +38,27 @@ def cyclotomic_poly(e: int):
     return tuple(num)
 
 
+@lru_cache(maxsize=None)
+def _reduction_terms(e: int):
+    """(phi(e), the (j, d) with d != 0 the coefficient of x^j in the e-th
+    cyclotomic polynomial, j below its degree phi(e))."""
+    poly = cyclotomic_poly(e)
+    deg = len(poly) - 1
+    return deg, tuple((j, d) for j, d in enumerate(poly[:deg]) if d)
+
+
 def reduce_folded(folded, e):
     """Reduce Sum_k folded[k] zeta_e^k (k = 0..e-1, integer coefficients)
     modulo the e-th cyclotomic polynomial, in place; returns the phi(e)
-    coefficients of the power basis."""
-    phi = cyclotomic_poly(e)
-    deg = len(phi) - 1
+    coefficients of the power basis.  The polynomial is monic, so each
+    step clears its leading entry and touches only the nonzero lower
+    coefficients."""
+    deg, terms = _reduction_terms(e)
     for i in range(e - 1 - deg, -1, -1):
         c = folded[i + deg]
         if c:
-            for j, d in enumerate(phi):
+            folded[i + deg] = 0
+            for j, d in terms:
                 folded[i + j] -= c * d
     return folded[:deg]
 

@@ -254,16 +254,6 @@ def center(G: GroupTable):
     )
 
 
-def closure(G: GroupTable, elements):
-    """Subgroup generated by ``elements``.
-
-    In a finite group the products of generators already form a
-    subgroup, so a search over right products by the generators is the
-    whole closure.
-    """
-    return frozenset(_word_tree(G.mult, list(set(elements)))[1])
-
-
 def cyclic_subgroup(G: GroupTable, g):
     if not 0 <= g < G.order:
         raise DomainError(f"element index {g} out of range")
@@ -278,8 +268,8 @@ class SubgroupRegistry:
     extension map; backbone of the enumeration hot loops and of
     ``all_subgroups``.  ``gens[sid]`` are the elements added, one
     extension at a time, on the path that first reached subgroup
-    ``sid``; they generate it, and an extension closes them and one
-    element more."""
+    ``sid``; they generate it, and an extension closes the subgroup
+    and one element more by cosets (``_coset_closure``)."""
 
     def __init__(self, G: GroupTable):
         self.G = G
@@ -297,13 +287,39 @@ class SubgroupRegistry:
                 out = sid
             else:
                 gens = self.gens[sid] + (g,)
-                K = frozenset(_word_tree(self.G.mult, gens)[1])
+                if sid:
+                    K = _coset_closure(self.G.mult, self.sets[sid], gens)
+                else:
+                    K = cyclic_subgroup(self.G, g)
                 out = self.ids.setdefault(K, len(self.sets))
                 if out == len(self.sets):
                     self.sets.append(K)
                     self.gens.append(gens)
             self.ext[key] = out
         return out
+
+
+def _coset_closure(mult, K, gens):
+    """The subgroup generated by ``gens``, given the subgroup K that
+    all but the last of them generate, as a union of left cosets y*K
+    (Dimino's algorithm; G. Butler, *Fundamental Algorithms for
+    Permutation Groups*, LNCS 559, 1991, ch. 6).
+
+    The cosets are permuted by left products, so closing the coset
+    representatives under left products by ``gens`` reaches every coset;
+    each new coset is one gather of row y at the elements of K.  K has
+    at least two elements, so the gather returns a tuple.
+    """
+    elements = set(K)
+    coset = itemgetter(*K)
+    reps = [0]
+    for y in reps:
+        for s in gens:
+            z = mult[s][y]
+            if z not in elements:
+                elements.update(coset(mult[z]))
+                reps.append(z)
+    return frozenset(elements)
 
 
 @_memo
@@ -317,12 +333,22 @@ def all_subgroups(G: GroupTable):
 
     Each subgroup is reached from the trivial one by adding its elements
     one at a time, so extending every interned subgroup by every element
-    until no new id appears interns them all.
+    until no new id appears interns them all.  <K, g> = <K, g'> whenever
+    <g> = <g'>, so only the least generator of each cyclic subgroup is
+    added: the others would find the same subgroup already interned,
+    and the ids come out in the same order.
     """
     reg = subgroup_registry(G)
+    cyclic = set()
+    leaders = []  # the least generator of each cyclic subgroup
+    for g in range(1, G.order):
+        C = cyclic_subgroup(G, g)
+        if C not in cyclic:
+            cyclic.add(C)
+            leaders.append(g)
     sid = 0
     while sid < len(reg.sets):
-        for g in range(1, G.order):
+        for g in leaders:
             reg.extend(sid, g)
         sid += 1
     return tuple(sorted(reg.sets, key=lambda s: (len(s), sorted(s))))
@@ -407,6 +433,8 @@ def automorphism_stabilizer(G: GroupTable, fixed=()):
     m = len(gens)
     add(range(n))
     parent, bfs_order = _word_tree(G.mult, gens)
+    columns = tuple(zip(*G.mult))
+    gen_columns = _column_getters(columns, gens)
     order = G.element_order
     by_order = {}
     for g in range(n):
@@ -426,7 +454,7 @@ def automorphism_stabilizer(G: GroupTable, fixed=()):
         < len(images) (which generate subgroup ``sid``), or None."""
         k = len(images)
         if k == len(gens):
-            phi = _extend_map(G.mult, gens, parent, bfs_order, images, G.mult)
+            phi = _extend_map(gen_columns, parent, bfs_order, images, columns)
             return phi if phi is not None and len(set(phi)) == n else None
         for c, nsid in candidates(k, sid):
             phi = search(images + [c], nsid)
@@ -453,20 +481,29 @@ def automorphism_stabilizer(G: GroupTable, fixed=()):
     return tuple(found)
 
 
-def _extend_map(mult, gens, parent, bfs_order, images, target):
-    """The map that sends gens[i] to images[i] in the group with Cayley
-    table ``target``, extended along the word tree (parent, bfs_order)
-    of ``gens`` in ``mult``, as a tuple; None unless it is multiplicative
-    on every (x, generator) pair, which makes it a homomorphism."""
-    phi = [0] * len(mult)
+def _column_getters(columns, gens):
+    """Per element g of ``gens``, a gather that reads a sequence indexed
+    by the elements at the column x -> x*g, from the table's
+    ``columns`` (``zip(*mult)``)."""
+    return [itemgetter(*columns[g]) for g in gens]
+
+
+def _extend_map(gen_columns, parent, bfs_order, images, target_columns):
+    """The map that sends gens[i] to images[i], extended along the word
+    tree (parent, bfs_order) of gens, as a tuple; None unless it is
+    multiplicative on every (x, generator) pair, which makes it a
+    homomorphism.  ``gen_columns`` are the ``_column_getters`` of gens
+    in the source table, and ``target_columns[c]`` is the column
+    y -> y*c of the target's Cayley table.  Each generator is tested
+    with two gathers: phi(x*g) for every x against phi(x)*phi(g)."""
+    phi = [0] * len(bfs_order)
     for x in bfs_order[1:]:
         px, gi = parent[x]
-        phi[x] = target[phi[px]][images[gi]]
-    for x, row in enumerate(mult):
-        image_row = target[phi[x]]
-        for g, im in zip(gens, images):
-            if phi[row[g]] != image_row[im]:
-                return None
+        phi[x] = target_columns[images[gi]][phi[px]]
+    at_phi = itemgetter(*phi)
+    for column, im in zip(gen_columns, images):
+        if column(phi) != at_phi(target_columns[im]):
+            return None
     return tuple(phi)
 
 

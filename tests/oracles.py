@@ -7,6 +7,7 @@ beyond plain data access -- so that agreement is meaningful.
 
 import cmath
 from fractions import Fraction
+from functools import cache
 from math import gcd, prod
 
 from isoprod.errors import GenusError
@@ -100,6 +101,24 @@ def saturate_closure(G, elements):
                     sub.add(G.mult[a][b])
                     changed = True
     return frozenset(sub)
+
+
+def closure(G, elements):
+    """Subgroup generated by ``elements``, by a word tree: in a finite
+    group the products of generators already form a subgroup, so a
+    breadth-first search over right products by the generators from
+    the identity is the whole closure.  The oracle of the registry's
+    coset closure (``groups._coset_closure``)."""
+    gens = sorted(set(elements))
+    reached = {0}
+    frontier = [0]
+    for x in frontier:
+        for g in gens:
+            y = G.mult[x][g]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return frozenset(reached)
 
 
 def brute_vectors(G, b, r):
@@ -466,6 +485,7 @@ def automorphisms(G):
     products u_0 u_1 ... u_(k-1), each once.
     """
     from isoprod.groups import (
+        _column_getters,
         _extend_map,
         _greedy_generators,
         _word_tree,
@@ -476,6 +496,8 @@ def automorphisms(G):
     gens = _greedy_generators(G.mult)
     reg = subgroup_registry(G)
     parent, bfs_order = _word_tree(G.mult, gens)
+    columns = tuple(zip(*G.mult))
+    gen_columns = _column_getters(columns, gens)
     gen_sids = [0]
     for g in gens:
         gen_sids.append(reg.extend(gen_sids[-1], g))
@@ -491,7 +513,7 @@ def automorphisms(G):
 
     def search(images, sid):
         if len(images) == len(gens):
-            phi = _extend_map(G.mult, gens, parent, bfs_order, images, G.mult)
+            phi = _extend_map(gen_columns, parent, bfs_order, images, columns)
             return phi if phi is not None and len(set(phi)) == n else None
         for c, nsid in candidates(len(images), sid):
             phi = search(images + [c], nsid)
@@ -572,12 +594,39 @@ def registry_by_saturation(G):
     return sets
 
 
+def lattice_by_every_element(G):
+    """The subgroups of G, smallest first, as a fresh registry finds them
+    when every interned subgroup is extended by every element, not only
+    by the least generator of each cyclic subgroup."""
+    from isoprod.groups import SubgroupRegistry
+
+    reg = SubgroupRegistry(G)
+    sid = 0
+    while sid < len(reg.sets):
+        for g in range(1, G.order):
+            reg.extend(sid, g)
+        sid += 1
+    return sorted(reg.sets, key=lambda s: (len(s), sorted(s)))
+
+
+def mobius_by_definition(G, subgroups):
+    """mu(H, G) for every H of ``subgroups`` (all subgroups of G), from
+    the defining recursion summed over every K > H."""
+    mu = {}
+    for H in sorted(subgroups, key=len, reverse=True):
+        mu[H] = 1 if len(H) == G.order else -sum(
+            mu[K] for K in mu if H < K
+        )
+    return mu
+
+
 def automorphisms_by_leaves(G):
     """Every automorphism of G by checking every leaf: each tuple of
     generator images that passes the element-order and generated-subgroup
     size pruning goes through ``groups._extend_map`` and a bijection test,
     with no orbit or transversal; tuples in leaf order."""
     from isoprod.groups import (
+        _column_getters,
         _extend_map,
         _greedy_generators,
         _word_tree,
@@ -588,6 +637,8 @@ def automorphisms_by_leaves(G):
     gens = _greedy_generators(G.mult)
     reg = subgroup_registry(G)
     parent, bfs_order = _word_tree(G.mult, gens)
+    columns = tuple(zip(*G.mult))
+    gen_columns = _column_getters(columns, gens)
     gen_sids = []
     sid = 0
     for g in gens:
@@ -598,7 +649,7 @@ def automorphisms_by_leaves(G):
 
     def assign(k, images, sid):
         if k == len(gens):
-            phi = _extend_map(G.mult, gens, parent, bfs_order, images, G.mult)
+            phi = _extend_map(gen_columns, parent, bfs_order, images, columns)
             if phi is not None and len(set(phi)) == n:
                 auts.append(phi)
             return
@@ -655,6 +706,7 @@ def det_mod(M, p):
     return det % p
 
 
+@cache
 def _cyclotomic(e):
     """Coefficients of the e-th cyclotomic polynomial, constant term
     first: x^e - 1 divided by Phi_d for every proper divisor d of e."""
@@ -662,7 +714,13 @@ def _cyclotomic(e):
     for d in range(1, e):
         if e % d == 0:
             poly = _poly_divmod(poly, _cyclotomic(d))[0]
-    return poly
+    return tuple(poly)
+
+
+def reduce_dense(folded, e):
+    """The phi(e) power-basis coefficients of Sum_k folded[k] zeta_e^k,
+    by long division by every coefficient of Phi_e, zero or not."""
+    return _poly_divmod(folded, _cyclotomic(e))[1]
 
 
 def _poly_divmod(num, monic):
@@ -723,8 +781,6 @@ def invariant_signature(G):
 
 @_memo
 def commutator_subgroup(G):
-    from isoprod.groups import closure
-
     comms = {G.commutator(g, h) for g in range(G.order) for h in range(G.order)}
     return closure(G, comms)
 
@@ -737,7 +793,7 @@ def abelian_invariants(G):
     G/H is the next factor, H grows by that element.
     """
     from isoprod.errors import DomainError
-    from isoprod.groups import closure, cyclic_subgroup
+    from isoprod.groups import cyclic_subgroup
 
     if not G.is_abelian():
         raise DomainError("abelian_invariants requires an abelian group")

@@ -613,11 +613,15 @@ def test_library_keeps_no_file_state():
     """No module of the library imports os, and the one call to open()
     reads a cayley table file (groups._load_cayley): character tables
     and every other derived structure live in memory only.  No module
-    assigns a dict, list or set at module level either, so what is
-    derived from a group is kept on that group (``_memo``), not in a
-    global that outlives it."""
+    assigns a dict, list or set at module level either, and no function
+    that takes a group or a table (a parameter named G, mult, target or
+    table) is wrapped in ``functools.lru_cache`` or ``functools.cache``:
+    what is derived from a group is kept on that group (``_memo``), not
+    in a global that outlives it."""
     root = os.path.dirname(isoprod.__file__)
     opens = []
+    cached = []
+    group_params = {"G", "mult", "target", "table"}
     mutable = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 
     def is_mutable(value):
@@ -629,6 +633,14 @@ def test_library_keeps_no_file_state():
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = getattr(target, "id", None) or getattr(target, "attr", None)
+                if name in ("lru_cache", "cache") and params & group_params:
+                    cached.append(where)
         if isinstance(node, ast.Import):
             assert all(a.name.split(".")[0] != "os" for a in node.names), where
         if isinstance(node, ast.ImportFrom):
@@ -650,3 +662,4 @@ def test_library_keeps_no_file_state():
                 if isinstance(node, (ast.Assign, ast.AnnAssign)):
                     assert not is_mutable(node.value), (name, node.lineno)
     assert opens == ["groups._load_cayley"]
+    assert cached == []

@@ -1,4 +1,5 @@
 import cmath
+import random
 from math import gcd
 
 import pytest
@@ -9,6 +10,8 @@ from isoprod.characters import _fold, _sparse, character_table, decompose
 from isoprod.cyclotomic import Cyc, cyclotomic_poly, reduce_folded
 from isoprod.errors import DecompositionError
 from isoprod.groups import build_group
+
+from oracles import reduce_dense
 
 
 KNOWN_CYCLOTOMICS = {
@@ -114,3 +117,16 @@ def test_render():
     # zeta_3^2 = -1 - zeta_3
     assert Cyc(3, root(2)).render() == "-1-z3"
     assert Cyc(12, [0, 0, 3, -1]).render() == "3*z12^2-z12^3"
+
+
+def test_reduce_folded_matches_dense_oracle():
+    """reduce_folded, which steps over the nonzero lower coefficients of
+    Phi_e only, equals long division by every coefficient of Phi_e for
+    every e <= 128: on each unit vector x^k, k < e, and on a seeded
+    batch of integer vectors."""
+    rng = random.Random(128)
+    for e in range(1, 129):
+        vectors = [[int(j == k) for j in range(e)] for k in range(e)]
+        vectors += [[rng.randint(-9, 9) for _ in range(e)] for _ in range(6)]
+        for v in vectors:
+            assert reduce_folded(list(v), e) == reduce_dense(v, e), (e, v)

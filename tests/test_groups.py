@@ -20,7 +20,6 @@ from isoprod.groups import (
     build_group,
     builtin_groups_upto,
     center,
-    closure,
     conjugacy_classes,
     cyclic_subgroup,
     mobius,
@@ -32,8 +31,11 @@ from oracles import (
     automorphisms,
     automorphisms_brute,
     automorphisms_by_leaves,
+    closure,
     commutator_subgroup,
     invariant_signature,
+    lattice_by_every_element,
+    mobius_by_definition,
     registry_by_saturation,
     saturate_closure,
     table_by_entries,
@@ -388,6 +390,69 @@ def test_registry_matches_saturation_oracle():
         assert subs == tuple(sorted(want, key=lambda s: (len(s), sorted(s))))
         for sid, gens in enumerate(reg.gens):
             assert saturate_closure(G, gens) == reg.sets[sid], (spec, sid)
+
+
+REGISTRY_SPECS = builtin_groups_upto(32) + [
+    "sym:5",
+    "perm:(1 2 3 4);(1 2);(5 6)",
+    "perm:(1 2 3 4);(1 3);(5 6 7)",
+]
+
+
+def test_registry_extensions_match_closure_oracle():
+    """Every (sid, g) -> id that the registry memoizes, by coset
+    closure, is the subgroup the word-tree oracle generates from
+    gens[sid] and g, and every gens[sid] generates its subgroup.  The
+    extensions are those of the lattice (``all_subgroups``), of the
+    vector counts (``_count_vectors``) and of one deduplicated listing:
+    every built-in of order <= 32, sym:5 and two permutation groups."""
+    from isoprod.covers import _count_vectors, enumerate_vectors
+
+    for spec in REGISTRY_SPECS:
+        G = build_group(spec)
+        reg = groups.subgroup_registry(G)
+        all_subgroups(G)
+        _count_vectors(G, 1, 2, range(1, G.order))
+        if G.order <= 32:
+            for _ in enumerate_vectors(G, 0, 3, genus_cap=9).rows():
+                pass
+        for sid, gens in enumerate(reg.gens):
+            assert closure(G, gens) == reg.sets[sid], (spec, sid)
+        for (sid, g), out in reg.ext.items():
+            assert reg.sets[out] == closure(G, reg.gens[sid] + (g,)), (
+                spec, sid, g,
+            )
+
+
+@pytest.mark.parametrize("spec", ["dih:8", "alt:4", "ab:2,4"])
+def test_all_subgroups_extends_by_least_cyclic_generators(monkeypatch, spec):
+    """``all_subgroups`` extends each subgroup only by the least generator
+    of each cyclic subgroup, and by each such element once."""
+    G = build_group(spec)
+    leaders = {min(g for g in range(1, G.order) if cyclic_subgroup(G, g) == C)
+               for C in {cyclic_subgroup(G, g) for g in range(1, G.order)}}
+    calls = []
+    extend = groups.SubgroupRegistry.extend
+
+    def counted(self, sid, g):
+        calls.append((sid, g))
+        return extend(self, sid, g)
+
+    monkeypatch.setattr(groups.SubgroupRegistry, "extend", counted)
+    subs = all_subgroups(G)
+    assert {g for _, g in calls} == leaders, spec
+    assert len(calls) == len(set(calls)) == len(subs) * len(leaders), spec
+
+
+def test_mobius_matches_every_element_lattice():
+    """The lattice from the least cyclic generators has the subgroups
+    and the Moebius function of extending every subgroup by every
+    element, for every built-in group of order <= 32."""
+    for spec in builtin_groups_upto(32):
+        G = build_group(spec)
+        lattice = lattice_by_every_element(G)
+        assert list(all_subgroups(G)) == lattice, spec
+        assert mobius(G) == mobius_by_definition(G, lattice), spec
 
 
 @pytest.mark.parametrize(
