@@ -26,6 +26,10 @@ from .surfaces import (
 )
 
 
+# rows of ``covers`` per stdout write
+_BLOCK_ROWS = 128
+
+
 def _out(line=""):
     sys.stdout.write(line + "\n")
 
@@ -130,29 +134,45 @@ def cmd_covers(args):
     )
     # Rows are written from the raw (ab, gammas, genus) listing: every
     # entry is an element index, printed from one string made per index.
-    # JSON rows are the sorted-key json.dumps of {"vector": v.to_json(),
-    # "genus": g}, whose one string field is the spec.
+    # The listing fixes the alphas and betas outermost, so a row template
+    # holding them is made once per run of rows sharing them; each row
+    # then formats only its gammas and genus.  JSON rows are the
+    # sorted-key json.dumps of {"vector": v.to_json(), "genus": g},
+    # whose one string field is the spec.
     b, idx = args.b, [str(x) for x in range(G.order)]
     if args.format == "json":
         sep, genus_first = ", ", True
-        row = (
-            '{"genus": %d, "vector": {"alphas": [%s], "b": ' + str(b) + ', "betas": '
-            '[%s], "gammas": [%s], "group": ' + json.dumps(G.spec).replace("%", "%%")
-            + "}}\n"
+        pattern = (
+            '{"genus": %%d, "vector": {"alphas": [%s], "b": ' + str(b)
+            + ', "betas": [%s], "gammas": [%%s], "group": '
+            + json.dumps(G.spec).replace("%", "%%%%") + "}}\n"
         )
     elif args.format == "csv":
         _out("b,alphas,betas,gammas,genus")
-        sep, genus_first, row = " ", False, str(b) + ",%s,%s,%s,%d\n"
+        sep, genus_first, pattern = " ", False, str(b) + ",%s,%s,%%s,%%d\n"
     else:
         sep, genus_first = ", ", False
-        row = "b=" + str(b) + " alphas=[%s] betas=[%s] gammas=[%s] genus=%d\n"
-    write, count = sys.stdout.write, 0
-    for ab, gam, g in stream.rows():
-        count += 1
-        alphas = sep.join([idx[x] for x in ab[:b]])
-        betas = sep.join([idx[x] for x in ab[b:]])
-        gammas = sep.join([idx[x] for x in gam])
-        write(row % ((g, alphas, betas, gammas) if genus_first else (alphas, betas, gammas, g)))
+        pattern = "b=" + str(b) + " alphas=[%s] betas=[%s] gammas=[%%s] genus=%%d\n"
+    # rows go out in blocks of at most _BLOCK_ROWS, and the rows listed
+    # before an error still reach stdout
+    write, item, count = sys.stdout.write, idx.__getitem__, 0
+    buf, last_ab, row = [], None, None
+    try:
+        for count, (ab, gam, g) in enumerate(stream.rows(), 1):
+            if ab != last_ab:
+                last_ab = ab
+                row = pattern % (
+                    sep.join(map(item, ab[:b])),
+                    sep.join(map(item, ab[b:])),
+                )
+            gammas = sep.join(map(item, gam))
+            buf.append(row % ((g, gammas) if genus_first else (gammas, g)))
+            if len(buf) == _BLOCK_ROWS:
+                write("".join(buf))
+                buf.clear()
+    finally:
+        if buf:
+            write("".join(buf))
     truncated = stream.truncated > 0
     if args.format == "json":
         _out(json.dumps({"count": count, "truncated": truncated}, sort_keys=True))

@@ -591,12 +591,12 @@ def enumerate_vectors(
     base, weights = _hurwitz_terms(G, b)
     # 2 <= g <= genus_cap, for the weight sum of the gammas
     lo, hi = 2 - base, 2 * genus_cap - 2 - base
-    orders = G.element_order
+    orders, weight = G.element_order, weights.__getitem__
 
     def rows():
         for r in sorted({len(M) for M in kept}):
             for ab, gammas in _raw_tuples(G, b, r, allowed, dedup=dedup):
-                w = sum([weights[g] for g in gammas])
+                w = sum(map(weight, gammas))
                 if lo <= w <= hi and (
                     exact is None or tuple(sorted([orders[g] for g in gammas])) == exact
                 ):

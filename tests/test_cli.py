@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -9,9 +10,10 @@ import sys
 import pytest
 
 import isoprod
+from isoprod import cli
 from isoprod.cli import main, make_parser
 from isoprod.covers import enumerate_vectors
-from isoprod.errors import IsoprodError
+from isoprod.errors import ConsistencyError, IsoprodError
 from isoprod.groups import build_group, builtin_groups_upto
 
 
@@ -149,6 +151,108 @@ def test_covers_json_rows_match_json_dumps(capsys):
             assert code == 0 and out.splitlines()[:-1] == want, (spec, b)
 
 
+def test_covers_csv_and_table_rows_match_records(capsys):
+    """Each csv and table row of ``covers`` is built from the listed
+    record's alphas, betas, gammas and genus, for every built-in group of
+    order <= 16 at the settings of the JSON twin above; the csv output
+    has a header and no summary, the table output a summary."""
+    for spec in builtin_groups_upto(16):
+        G = build_group(spec)
+        for b, max_r, cap in ((0, 4, 65), (1, 2, 65), (2, 1, 9)):
+            argv = ("--b", str(b), "--max-r", str(max_r), "--genus-cap", str(cap))
+            covers = list(enumerate_vectors(G, b, max_r, genus_cap=cap))
+            parts = [
+                (c.vector.alphas, c.vector.betas, c.vector.gammas, c.genus)
+                for c in covers
+            ]
+            code, out, _ = run(capsys, "covers", spec, *argv, "--format", "csv")
+            want = ["b,alphas,betas,gammas,genus"] + [
+                f"{b},{' '.join(map(str, a))},{' '.join(map(str, be))},"
+                f"{' '.join(map(str, ga))},{g}"
+                for a, be, ga, g in parts
+            ]
+            assert code == 0 and out.splitlines() == want, (spec, b, "csv")
+            code, out, _ = run(capsys, "covers", spec, *argv, "--format", "table")
+            want = [
+                f"b={b} alphas={list(a)} betas={list(be)} gammas={list(ga)} genus={g}"
+                for a, be, ga, g in parts
+            ]
+            assert code == 0 and out.splitlines()[:-1] == want, (spec, b, "table")
+            assert out.splitlines()[-1].startswith(f"{len(covers)} covers "), spec
+
+
+class _WriteLog:
+    """A stdout that keeps each ``write`` apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # every row shares the empty (alphas, betas) prefix
+        ("covers", "dih:4", "--b", "0", "--max-r", "4", "--no-dedup"),
+        ("covers", "dih:4", "--b", "1", "--max-r", "3", "--no-dedup"),
+    ],
+)
+def test_covers_writes_rows_in_bounded_blocks(monkeypatch, argv):
+    """``covers`` writes its rows in more than one block, each of whole
+    rows and at most ``_BLOCK_ROWS`` of them, then the summary line; the
+    bytes are the golden ones."""
+    log = _WriteLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    assert main(list(argv)) == 0
+    *blocks, summary = log.writes
+    assert summary.startswith('{"count": ') and summary.count("\n") == 1
+    assert len(blocks) > 1
+    for block in blocks:
+        assert block.endswith("\n") and block.count("\n") <= cli._BLOCK_ROWS, argv
+    out = "".join(log.writes).encode()
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("covers", "ab:2,2", "--b", "1", "--max-r", "3", "--no-dedup", "--format", "table"),
+        ("covers", "dih:4", "--b", "1", "--max-r", "3", "--no-dedup"),
+        ("covers", "quat:8", "--b", "0", "--max-r", "4", "--no-dedup", "--format", "csv"),
+    ],
+)
+def test_covers_prints_rows_listed_before_an_error(capsys, monkeypatch, argv):
+    """When the listing raises ConsistencyError after k rows, stdout holds
+    exactly the first k rows of the golden output (after the csv header),
+    with no summary, stderr names the error and the exit code is 3."""
+    code, full, _ = run(capsys, *argv)
+    assert hashlib.sha256(full.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+    lines = full.splitlines(keepends=True)
+    header = 1 if "csv" in argv else 0
+    listed = enumerate_vectors
+
+    for k in (0, 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, len(lines) - header - 2):
+
+        def failing(*args, **kwargs):
+            stream = listed(*args, **kwargs)
+            rows = stream.rows
+
+            def cut():
+                yield from itertools.islice(rows(), k)
+                raise ConsistencyError("listing cut")
+
+            stream.rows = cut
+            return stream
+
+        monkeypatch.setattr(cli, "enumerate_vectors", failing)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (3, "error: listing cut\n"), (argv, k)
+        assert out == "".join(lines[: header + k]), (argv, k)
+
+
 # sha256 of stdout; a change to any of these bytes must be deliberate
 GOLDEN_STDOUT = {
     ("covers", "dih:4", "--b", "1", "--max-r", "3"):
@@ -203,6 +307,8 @@ GOLDEN_STDOUT = {
         "5591fcac60467bc7f94e01ad9f351106cbb7bd92252e6c55e0f2dcb5fcbdf72e",
     ("covers", "dih:4", "--b", "1", "--max-r", "3", "--no-dedup"):
         "1b319d0179572ee557e575a91bf4632761d879bcdb97d6e579dfcad3aee70610",
+    ("covers", "dih:4", "--b", "0", "--max-r", "4", "--no-dedup"):
+        "a755dd25d6820e1f7cb178bf9bc306bae82028086aff353ddd2873b76b00e836",
     ("covers", "ab:2,2", "--b", "2", "--max-r", "2", "--format", "csv"):
         "4eec313b301f3e306bdc2d50e1d201ee867991c2d1f4dac59eef65db8256b11f",
     ("covers", "quat:8", "--b", "0", "--max-r", "4", "--no-dedup", "--format", "csv"):
