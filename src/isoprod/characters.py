@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import isqrt
-from operator import itemgetter, mul
+from operator import mul
 
 from .cyclotomic import Cyc, reduce_folded
 from .errors import ConsistencyError, DecompositionError, DomainError
@@ -35,6 +35,8 @@ from .groups import (
     _column_getters,
     _extend_map,
     _greedy_generators,
+    _is_multiplicative,
+    _is_prime,
     _memo,
     _powers,
     _word_tree,
@@ -133,8 +135,9 @@ class CharacterTable:
         degree); each distinct (vector, e/d, degree) is tested once.
         Burnside's identity and the row relation hold, exactly.  A
         degree-1 row whose exponent map is a homomorphism G -> Z_e
-        (``_is_homomorphism``) is a linear character; such rows must be
-        pairwise distinct, and a pair of two of them needs no inner
+        (``groups._is_multiplicative`` against the columns of Z_e,
+        ``_shifts``) is a linear character; such rows must be pairwise
+        distinct, and a pair of two of them needs no inner
         product: distinct linear characters are orthogonal, and every
         |lambda(g)|^2 is 1.  Every other pair's inner product is summed
         as integers over exponents mod e and reduced once modulo the e-th
@@ -170,7 +173,8 @@ class CharacterTable:
                 # the multiset test left one unit per class
                 k_class = [v.index(1) for v in c.values]
                 k = list(map(k_class.__getitem__, self.class_of))
-                if _is_homomorphism(gen_columns, gens, k, shifts):
+                images = [k[g] for g in gens]
+                if _is_multiplicative(gen_columns, k, images, shifts):
                     j = linear.setdefault(c.values, i)
                     if j != i:
                         raise ConsistencyError(
@@ -214,19 +218,6 @@ def _shifts(e):
     return [tuple((a + b) % e for b in range(e)) for a in range(e)]
 
 
-def _is_homomorphism(gen_columns, gens, k, shifts):
-    """Whether x -> k[x] is a homomorphism to Z_e: k(x g) = k(x) + k(g)
-    (mod e) for every x and every g of ``gens``, which generate the
-    group.  That suffices, since the g for which it holds for every x
-    are closed under products.  Per g it is two gathers: k read at the
-    column x -> x g (``gen_columns``, see ``groups._column_getters``)
-    against k mapped through the shift by k[g] (``_shifts``)."""
-    through = itemgetter(*k)
-    return all(
-        column(k) == through(shifts[k[g]]) for g, column in zip(gens, gen_columns)
-    )
-
-
 def _fold(e, terms):
     """Sum w * x * conj(y) over (w, x, y) in ``terms`` as its phi(e)
     integer power-basis coefficients; x and y are sparse integer vectors
@@ -264,15 +255,6 @@ def _abelian_characters(G: GroupTable):
 
 
 # -- Dixon's algorithm -------------------------------------------------
-
-
-def _is_prime(m):
-    if m < 2:
-        return False
-    for q in range(2, isqrt(m) + 1):
-        if m % q == 0:
-            return False
-    return True
 
 
 def _dixon_prime(order, exponent):

@@ -21,9 +21,9 @@ from .characters import character_table
 from .covers import (
     GeneratingVector,
     _branch_plan,
-    _class_cyclic_unions,
-    _conj_cyclic,
+    _class_cyclic_masks,
     _counted_multisets,
+    _mask_to_set,
     _multiset_genus,
     _raw_tuples,
     h1_multiplicities,
@@ -95,17 +95,6 @@ def _aut0_mask(G, relevant):
         m >>= 1
         i += 1
     return out
-
-
-def _mask_to_set(mask):
-    out = set()
-    g = 0
-    while mask:
-        if mask & 1:
-            out.add(g)
-        mask >>= 1
-        g += 1
-    return frozenset(out)
 
 
 def acts_trivially(S: UnmixedSurface, sigma: int) -> bool:
@@ -194,10 +183,10 @@ def _class_data(G, b, M):
     exactly when chi is in both factors' maskpos."""
     mults = h1_multiplicities(character_table(G), b, M)
     maskpos = sum(1 << i for i, m in enumerate(mults) if m)
+    masks = _class_cyclic_masks(G)
     sig = 1
     for c in M:
-        for x in _class_cyclic_unions(G)[c]:
-            sig |= 1 << x
+        sig |= masks[c]
     return maskpos, sig
 
 
@@ -245,21 +234,22 @@ def _representative(G, b, key, branch_order_cap):
 
     Only ``_raw_tuples`` at the key's r is walked, over the gammas a
     vector of the bucket can hold: u alone for a uniform bucket, else
-    the allowed elements whose ``_conj_cyclic`` set lies inside the
-    key's stabilizer-union mask.  That walk lists, in listing order, a
-    subsequence of the listing that holds every vector of the bucket.
+    the allowed elements whose class mask (``_class_cyclic_masks``) lies
+    inside the key's stabilizer-union mask.  That walk lists, in listing
+    order, a subsequence of the listing that holds every vector of the
+    bucket.
     """
     r, genus, *data, u = key
+    cls_of = class_index(G)
     if u >= 0:
         allowed = [u]
     else:
-        sig = data[-1]
+        sig, masks = data[-1], _class_cyclic_masks(G)
         allowed = [
             g
             for g in _branch_plan(G, branch_order_cap)
-            if all(sig >> x & 1 for x in _conj_cyclic(G, g))
+            if masks[cls_of[g]] & ~sig == 0
         ]
-    cls_of = class_index(G)
     fits = {}  # sorted branch-class multiset -> has the key's genus, data
     for ab, gammas in _raw_tuples(G, b, r, allowed):
         M = tuple(sorted([cls_of[g] for g in gammas]))

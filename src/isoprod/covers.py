@@ -22,7 +22,9 @@ from .errors import (
 )
 from .groups import (
     GroupTable,
+    _is_prime,
     _memo,
+    _orbit,
     automorphism_stabilizer,
     conjugacy_classes,
     class_index,
@@ -94,26 +96,27 @@ def validate_vector(v: GeneratingVector) -> BranchedCover:
 
 
 @_memo
-def _class_cyclic_unions(G: GroupTable) -> tuple:
-    """Per conjugacy class, the union of <y> over its members y."""
+def _class_cyclic_masks(G: GroupTable) -> tuple:
+    """Per conjugacy class, the union of <y> over its members y, as a
+    bitmask over the elements."""
     return tuple(
-        frozenset().union(*(cyclic_subgroup(G, y) for y in c.members))
+        sum(1 << x for x in set().union(*(cyclic_subgroup(G, y) for y in c.members)))
         for c in conjugacy_classes(G)
     )
 
 
-def _conj_cyclic(G: GroupTable, x) -> frozenset:
-    """Union over g of <g x g^-1>."""
-    return _class_cyclic_unions(G)[class_index(G)[x]]
+def _mask_to_set(mask):
+    return frozenset(g for g in range(mask.bit_length()) if mask >> g & 1)
 
 
 def stabilizer_union(v: GeneratingVector) -> frozenset:
     """All elements lying in a conjugate of some <gamma_i> (the union of
     point stabilizers of the cover); always contains the identity."""
-    acc = {0}
+    masks, cls_of = _class_cyclic_masks(v.group), class_index(v.group)
+    acc = 1
     for g in v.gammas:
-        acc |= _conj_cyclic(v.group, g)
-    return frozenset(acc)
+        acc |= masks[cls_of[g]]
+    return _mask_to_set(acc)
 
 
 def h1_multiplicities(table, b: int, classes) -> tuple:
@@ -290,13 +293,8 @@ def _orbit_minima(G: GroupTable, sid):
             mins = [None] * G.order
             for x in range(G.order):
                 if mins[x] is None:
-                    mins[x] = x
-                    orbit = [x]
-                    for y in orbit:
-                        for phi in stab:
-                            if mins[phi[y]] is None:
-                                mins[phi[y]] = x
-                                orbit.append(phi[y])
+                    for y in _orbit(x, stab):
+                        mins[y] = x
         memo[sid] = mins
     return memo[sid]
 
@@ -387,7 +385,7 @@ def _count_abelian(G: GroupTable, b: int, max_r: int, elements):
     # per prime p of |G|: generators of the p-th powers pG
     primes = []
     for p in range(2, n + 1):
-        if n % p or any(p % q == 0 for q in range(2, p)):
+        if n % p or not _is_prime(p):
             continue
         sid, gens = 0, []
         for y in sorted({G.power(x, p) for x in range(n)}):

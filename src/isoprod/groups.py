@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import partial, wraps
-from math import factorial, lcm, prod
+from math import factorial, isqrt, lcm, prod
 from operator import itemgetter
 
 from .errors import (
@@ -472,13 +472,22 @@ def automorphism_stabilizer(G: GroupTable, fixed=()):
             if phi is None:
                 continue
             found.append(phi)
-            points = list(orbit)
-            for x in points:
-                for s in found:
-                    if s[x] not in orbit:
-                        orbit.add(s[x])
-                        points.append(s[x])
+            orbit = _orbit(gens[i], found)
     return tuple(found)
+
+
+def _orbit(x, perms):
+    """The orbit of x under the group the element permutations ``perms``
+    generate, as a set."""
+    orbit = {x}
+    points = [x]
+    for y in points:
+        for p in perms:
+            z = p[y]
+            if z not in orbit:
+                orbit.add(z)
+                points.append(z)
+    return orbit
 
 
 def _column_getters(columns, gens):
@@ -491,20 +500,31 @@ def _column_getters(columns, gens):
 def _extend_map(gen_columns, parent, bfs_order, images, target_columns):
     """The map that sends gens[i] to images[i], extended along the word
     tree (parent, bfs_order) of gens, as a tuple; None unless it is
-    multiplicative on every (x, generator) pair, which makes it a
-    homomorphism.  ``gen_columns`` are the ``_column_getters`` of gens
-    in the source table, and ``target_columns[c]`` is the column
-    y -> y*c of the target's Cayley table.  Each generator is tested
-    with two gathers: phi(x*g) for every x against phi(x)*phi(g)."""
+    a homomorphism (``_is_multiplicative``).  ``gen_columns`` are the
+    ``_column_getters`` of gens in the source table, and
+    ``target_columns[c]`` is the column y -> y*c of the target's Cayley
+    table."""
     phi = [0] * len(bfs_order)
     for x in bfs_order[1:]:
         px, gi = parent[x]
         phi[x] = target_columns[images[gi]][phi[px]]
+    if _is_multiplicative(gen_columns, phi, images, target_columns):
+        return tuple(phi)
+    return None
+
+
+def _is_multiplicative(gen_columns, phi, images, target_columns):
+    """Whether phi(x*g) = phi(x)*phi(g) for every element x and every
+    generator g, phi(g) being its entry of ``images``; the g for which
+    that holds for every x are closed under products, so phi is then a
+    homomorphism.  Per g it is two gathers: phi read at the column
+    x -> x*g (``gen_columns``, see ``_column_getters``) against the
+    target's column y -> y*phi(g) (``target_columns``) read at phi."""
     at_phi = itemgetter(*phi)
     for column, im in zip(gen_columns, images):
         if column(phi) != at_phi(target_columns[im]):
-            return None
-    return tuple(phi)
+            return False
+    return True
 
 
 # -- built-in families and the spec mini-language ----------------------
@@ -742,6 +762,10 @@ def build_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     if order > order_cap:
         raise SizeError(f"group order {order} exceeds cap {order_cap}")
     return make()
+
+
+def _is_prime(m):
+    return m >= 2 and all(m % q for q in range(2, isqrt(m) + 1))
 
 
 def _invariant_chains(order):

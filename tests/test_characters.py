@@ -26,6 +26,7 @@ from isoprod.covers import h1_multiplicities
 from isoprod.cyclotomic import Cyc
 from isoprod.errors import ConsistencyError, DecompositionError, DomainError
 from isoprod.groups import (
+    _greedy_generators,
     abelian_element,
     all_subgroups,
     build_group,
@@ -354,7 +355,17 @@ def test_non_multiplicative_linear_row_is_rejected_by_the_fold():
     """The trivial row of ab:4 with the value -1 at the element of order
     2 is still a multiset of square roots of unity at every class, but
     not a homomorphism, so it is not certified and the row relation
-    rejects it, as the full fold does."""
+    rejects it, as the full fold does.  So is the row of ab:3,3 with the
+    value zeta_3 at every (a, b), a != 0, in place of the row b of the
+    nine homomorphisms (a, b) -> ia + jb (mod 3), built here: it is
+    multiplicative along the first greedy generator (0, 1) and not along
+    the second, so only a test of every generator refuses it."""
+
+    def refused(G, chars):
+        assert fold_orthogonality_failures(G, chars), G.spec
+        with pytest.raises(ConsistencyError, match="row orthogonality"):
+            CharacterTable(G, chars)
+
     G = build_group("ab:4")
     chars = list(character_table(G).characters)
     two = abelian_element(G, (2,))
@@ -364,9 +375,25 @@ def test_non_multiplicative_linear_row_is_rejected_by_the_fold():
     assert values[r] == (1, 0, 0, 0)
     values[r] = (0, 0, 1, 0)
     chars[i] = Character(1, tuple(values))
-    assert fold_orthogonality_failures(G, chars)
-    with pytest.raises(ConsistencyError, match="row orthogonality"):
-        CharacterTable(G, chars)
+    refused(G, chars)
+
+    G = build_group("ab:3,3")
+    coords = {abelian_element(G, (a, b)): (a, b) for a in range(3) for b in range(3)}
+    assert _greedy_generators(G.mult) == [
+        abelian_element(G, (0, 1)),
+        abelian_element(G, (1, 0)),
+    ]
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+    def row(k):
+        """The degree-1 row with exponent k(a, b) at the class of (a, b)."""
+        reps = [coords[c.representative] for c in conjugacy_classes(G)]
+        return Character(1, tuple(units[k(a, b)] for a, b in reps))
+
+    chars = [row(lambda a, b: (i * a + j * b) % 3) for i in range(3) for j in range(3)]
+    CharacterTable(G, chars)
+    chars[1] = row(lambda a, b: int(a != 0))
+    refused(G, chars)
 
 
 def test_induced_from_a3():

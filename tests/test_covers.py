@@ -161,13 +161,26 @@ def test_stabilizer_union_abelian():
 
 def test_stabilizer_union_conjugates():
     """In S3 the stabilizer union of a transposition-branched cover
-    contains all three transpositions."""
+    contains all three transpositions.  On every built-in of order <= 32
+    the union of a single gamma g is the union of t <g> t^-1 over every
+    t, with <g> from the powers of g and no conjugacy class read."""
     G = build_group("sym:3")
     transpositions = [g for g in range(6) if G.element_order[g] == 2]
     t = transpositions[0]
     threecycle = next(g for g in range(6) if G.element_order[g] == 3)
     v = GeneratingVector(G, 1, (threecycle,), (t,), (t, t))
     assert stabilizer_union(v) == frozenset([0] + transpositions)
+    for spec in builtin_groups_upto(32):
+        G = build_group(spec)
+        mult, inv = G.mult, G.inverse
+        for g in range(G.order):
+            powers, y = [0], g
+            while y:
+                powers.append(y)
+                y = mult[y][g]
+            want = {mult[mult[t][y]][inv[t]] for t in range(G.order) for y in powers}
+            v = GeneratingVector(G, 0, (), (), (g,))
+            assert stabilizer_union(v) == want, (spec, g)
 
 
 def test_raw_count_matches_bruteforce():

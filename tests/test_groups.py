@@ -277,8 +277,9 @@ def test_subgroup_table_reindex():
 
 def test_automorphism_counts():
     """|Aut(G)| for small groups, the abelian ones against Hillar and
-    Rhea's closed form and D_n (n >= 3) against n * phi(n); every map is
-    a bijection fixing the identity that respects products."""
+    Rhea's closed form, D_n (n >= 3) against n * phi(n) and S_4, which
+    is complete, against its order; every map is a bijection fixing the
+    identity that respects products."""
     expected = {
         "ab:1": 1,
         "ab:2": 1,
@@ -299,6 +300,7 @@ def test_automorphism_counts():
         "dih:5": 20,
         "dih:8": 32,
         "dih:16": 128,
+        "sym:4": 24,
     }
     for spec, count in expected.items():
         G = build_group(spec)
@@ -364,7 +366,10 @@ def test_automorphism_stabilizer_matches_oracle(spec):
     """The automorphisms fixing a tuple pointwise are generated by the
     strong generators ``automorphism_stabilizer`` returns, for the empty
     tuple, every single element and every pair of the first ones; the
-    tuple is empty exactly when only the identity fixes the elements."""
+    tuple is empty exactly when only the identity fixes the elements.
+    Each map is found only for an image outside the orbit of the ones
+    before it, so it enlarges the group they generate, and there are at
+    most as many maps as prime factors of that group's order."""
     G = build_group(spec)
     auts = automorphisms(G)
     fixed = [()] + [(x,) for x in range(G.order)]
@@ -374,6 +379,18 @@ def test_automorphism_stabilizer_matches_oracle(spec):
         strong = automorphism_stabilizer(G, f)
         assert _generated(G, strong) == want, (spec, f)
         assert (not strong) == (len(want) == 1), (spec, f)
+        assert len(strong) <= _prime_factor_count(len(want)), (spec, f)
+
+
+def _prime_factor_count(n):
+    """The prime factors of n, counted with multiplicity."""
+    count, p = 0, 2
+    while n > 1:
+        while n % p == 0:
+            n //= p
+            count += 1
+        p += 1
+    return count
 
 
 def test_registry_matches_saturation_oracle():
