@@ -6,9 +6,9 @@ Sum_k m_k zeta_e^k with non-negative integer m_k summing to the degree.
 This makes the two predicates the classification needs -- chi(g) = chi(1)
 and the trivial multiplicity l_sigma(chi) -- plain integer tests.  Each
 table also builds, once, every vector's sparse (exponent, multiplicity)
-row; the orthogonality check, decomposition, restriction and induction
-all sum over those rows.  The check folds no pair of two rows it has
-certified as linear characters (homomorphisms G -> Z_e).
+row; the orthogonality check, restriction and induction all sum over
+those rows.  The check folds no pair of two rows it has certified as
+linear characters (homomorphisms G -> Z_e).
 
 Abelian groups get a direct fast path; everything else goes through
 Dixon's method: simultaneous diagonalization of the class-sum matrices
@@ -29,7 +29,7 @@ from math import isqrt
 from operator import mul
 
 from .cyclotomic import Cyc, reduce_folded
-from .errors import ConsistencyError, DecompositionError, DomainError
+from .errors import ConsistencyError, DomainError
 from .groups import (
     GroupTable,
     _column_getters,
@@ -118,12 +118,6 @@ class CharacterTable:
         new = object.__new__(CharacterTable)
         new.__dict__.update(self.__dict__, _kernels={})
         return new
-
-    def trivial_multiplicity(self, chi, sigma) -> int:
-        """l_sigma(chi): multiplicity of the trivial character in the
-        restriction of chi to <sigma> = count of eigenvalue-1 entries."""
-        chi = self.characters[self.index_of(chi)]
-        return chi.values[self.class_of[sigma]][0]
 
     # -- verification --------------------------------------------------
 
@@ -504,7 +498,7 @@ def character_table(G: GroupTable) -> CharacterTable:
     return CharacterTable(G, chars)
 
 
-# -- subgroups, induction, decomposition ------------------------------
+# -- subgroups, induction, restriction -------------------------------
 
 
 class SubgroupChars:
@@ -582,33 +576,6 @@ def _induce(tableG, sub, j):
             coeffs.append(q)
         out.append(Cyc(eG, coeffs))
     return tuple(out)
-
-
-def decompose(tableG: CharacterTable, values) -> tuple:
-    """Multiplicities <f, chi> for every irreducible chi of the class
-    function f given by per-class Cyc ``values``, each folded as integers
-    over zeta_e.  The irreducibles of a checked table are an orthonormal
-    basis of the class functions, so once every <f, chi> is a
-    non-negative integer, f = Sum <f, chi> chi is a character."""
-    e = tableG.exponent
-    if any(v.e != e for v in values):
-        raise DecompositionError(f"class function values must lie in Q(zeta_{e})")
-    f = [
-        (len(cl.members), _sparse(v.coeffs))
-        for cl, v in zip(tableG.classes, values)
-    ]
-    mults = []
-    for i, rows in enumerate(tableG.sparse):
-        terms = ((w, fv, v) for (w, fv), v in zip(f, rows))
-        coeffs = _fold(e, terms)
-        m, rem = divmod(coeffs[0], tableG.group.order)
-        if any(coeffs[1:]) or rem or m < 0:
-            raise DecompositionError(
-                f"class function is not a character: |G| * <f, chi_{i}> "
-                f"has coefficients {list(coeffs)}"
-            )
-        mults.append(m)
-    return tuple(mults)
 
 
 def restriction_multiplicity(

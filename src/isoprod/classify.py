@@ -97,14 +97,6 @@ def _aut0_mask(G, relevant):
     return out
 
 
-def acts_trivially(S: UnmixedSurface, sigma: int) -> bool:
-    """True iff the central element sigma acts trivially on H^2(S, QQ)
-    (and then on all of H^*), by the kernel criterion."""
-    if sigma not in center(S.group):
-        raise DomainError(f"element {sigma} is not central")
-    return sigma in compute_aut0(S)
-
-
 def compute_aut0(S: UnmixedSurface) -> frozenset:
     """{sigma in Z_G : sigma acts trivially on H^*(S, QQ)}; always a
     subgroup containing the identity.  The chi that matter are those

@@ -42,10 +42,6 @@ class GeneratingVector(NamedTuple):
     betas: tuple
     gammas: tuple
 
-    @property
-    def branch_orders(self):
-        return tuple(self.group.element_order[g] for g in self.gammas)
-
     def to_json(self):
         return {
             "group": self.group.spec,

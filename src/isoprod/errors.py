@@ -69,7 +69,3 @@ class FreenessError(ValidationError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class DecompositionError(ValidationError):
-    """Class function was not a genuine character."""

@@ -373,28 +373,43 @@ def mobius(G: GroupTable):
     return mu
 
 
+@_memo
+def _subgroup_tables(G: GroupTable):
+    """The re-indexed subgroup tables of G built so far, by ``mult``."""
+    return {}
+
+
 def subgroup_table(G: GroupTable, elements):
     """Re-index a subgroup as its own GroupTable.
 
-    Returns (H, embed) with embed[i] the G-index of H's element i.
+    Returns (H, embed) with embed[i] the G-index of H's element i, the
+    identity first and the rest in index order.  G itself maps to
+    itself.  A proper subgroup's H is interned on G by its
+    multiplication table: subgroups that re-index to one table share
+    one H, built and validated once, so H carries default labels, a
+    spec naming G and its order, and no reference to G; ``embed`` is
+    its only link to G.
     """
     elems = frozenset(elements)
     if 0 not in elems:
         raise DomainError("subgroup must contain the identity")
-    embed = [0] + sorted(elems - {0})
+    if elems == frozenset(range(G.order)):
+        return G, tuple(range(G.order))
+    embed = (0, *sorted(elems - {0}))
     pos = {g: i for i, g in enumerate(embed)}
-    mult = []
-    for a in embed:
-        row = []
-        for b in embed:
-            p = G.mult[a][b]
-            if p not in pos:
-                raise DomainError("element set is not closed under products")
-            row.append(pos[p])
-        mult.append(row)
-    labels = tuple(G.labels[g] for g in embed)
-    H = GroupTable(mult, labels=labels, spec=f"{G.spec}|sub{sorted(elems)}")
-    return H, tuple(embed)
+    try:
+        mult = tuple(
+            tuple(pos[p] for p in map(G.mult[a].__getitem__, embed)) for a in embed
+        )
+    except KeyError:
+        raise DomainError("element set is not closed under products") from None
+    tables = _subgroup_tables(G)
+    H = tables.get(mult)
+    if H is None:
+        H = tables[mult] = GroupTable(
+            mult, spec=f"{G.spec}|subgroup of order {len(embed)}"
+        )
+    return H, embed
 
 
 # -- automorphisms -----------------------------------------------------

@@ -217,6 +217,24 @@ def aut0_complex(S):
     return frozenset(out)
 
 
+def acts_trivially(S, sigma):
+    """Whether the central element sigma acts trivially on H^*(S, QQ),
+    by the package's kernel criterion (``classify.compute_aut0``);
+    DomainError when sigma is not central."""
+    from isoprod.classify import compute_aut0
+    from isoprod.errors import DomainError
+    from isoprod.groups import center
+
+    if sigma not in center(S.group):
+        raise DomainError(f"element {sigma} is not central")
+    return sigma in compute_aut0(S)
+
+
+def branch_orders(vector):
+    """The element orders of a generating vector's gammas."""
+    return tuple(vector.group.element_order[g] for g in vector.gammas)
+
+
 def chi_top_euler(gC, gD, order):
     """Euler number of (C x D)/G from multiplicativity."""
     num = (2 - 2 * gC) * (2 - 2 * gD)
@@ -259,6 +277,44 @@ def induced_complex(tableG, sub, chi_index):
                 acc += chi[sub.table.class_of[in_h[x]]]
         out.append(acc / sub.H.order)
     return out
+
+
+def decompose(tableG, values):
+    """Multiplicities <f, chi> = (1/|G|) sum_g f(g) conj(chi(g)) of the
+    class function f given by per-class Cyc ``values``, summed per class
+    in complex arithmetic; ValueError unless the values lie in
+    Q(zeta_e) and every <f, chi> is a non-negative integer, that is,
+    unless f is a character."""
+    e = tableG.exponent
+    if any(v.e != e for v in values):
+        raise ValueError(f"class function values must lie in Q(zeta_{e})")
+    f = [cyc_complex(v) for v in values]
+    mults = []
+    for i, chi in enumerate(complex_table(tableG)):
+        z = sum(
+            len(cl.members) * fv * x.conjugate()
+            for cl, fv, x in zip(tableG.classes, f, chi)
+        ) / tableG.group.order
+        m = round(z.real)
+        if abs(z - m) > 1e-9 or m < 0:
+            raise ValueError(f"class function is not a character: <f, chi_{i}> = {z}")
+        mults.append(m)
+    return tuple(mults)
+
+
+def trivial_multiplicity(table, i, sigma):
+    """l_sigma(chi_i), the multiplicity of the trivial character in the
+    restriction of chi_i to <sigma>: (1/|sigma|) sum_k chi_i(sigma^k),
+    in complex arithmetic."""
+    G = table.group
+    chi = complex_table(table)[i]
+    acc, x = 0j, 0
+    for _ in range(G.element_order[sigma]):
+        acc += chi[table.class_of[x]]
+        x = G.mult[x][sigma]
+    m = acc / G.element_order[sigma]
+    assert abs(m - round(m.real)) < 1e-9
+    return round(m.real)
 
 
 def kernel_by_values(table, i):
@@ -472,6 +528,26 @@ def gamma_tails_brute(G, r, allowed, prefix, first=None):
     return out
 
 
+def _automorphism_from_images(G, tree, images):
+    """The map sending the i-th generator to images[i], extended along
+    the word tree (parent, bfs_order) of the generators by
+    phi(x g) = phi(x) phi(g), as a tuple; None unless it is a bijection
+    with phi(xy) = phi(x) phi(y) for every x and y."""
+    parent, bfs_order = tree
+    mult = G.mult
+    phi = [0] * G.order
+    for x in bfs_order[1:]:
+        px, gi = parent[x]
+        phi[x] = mult[phi[px]][images[gi]]
+    if len(set(phi)) != G.order:
+        return None
+    for x, row in enumerate(mult):
+        image_row = mult[phi[x]]
+        if [phi[xy] for xy in row] != [image_row[py] for py in phi]:
+            return None
+    return tuple(phi)
+
+
 def automorphisms(G):
     """All automorphisms of G as element-permutation tuples, the
     identity first, as products of Sims's transversals.
@@ -484,20 +560,12 @@ def automorphisms(G):
     one map per point (the transversal).  Aut(G) is listed as the
     products u_0 u_1 ... u_(k-1), each once.
     """
-    from isoprod.groups import (
-        _column_getters,
-        _extend_map,
-        _greedy_generators,
-        _word_tree,
-        subgroup_registry,
-    )
+    from isoprod.groups import _greedy_generators, _word_tree, subgroup_registry
 
     n = G.order
     gens = _greedy_generators(G.mult)
     reg = subgroup_registry(G)
-    parent, bfs_order = _word_tree(G.mult, gens)
-    columns = tuple(zip(*G.mult))
-    gen_columns = _column_getters(columns, gens)
+    tree = _word_tree(G.mult, gens)
     gen_sids = [0]
     for g in gens:
         gen_sids.append(reg.extend(gen_sids[-1], g))
@@ -513,8 +581,7 @@ def automorphisms(G):
 
     def search(images, sid):
         if len(images) == len(gens):
-            phi = _extend_map(gen_columns, parent, bfs_order, images, columns)
-            return phi if phi is not None and len(set(phi)) == n else None
+            return _automorphism_from_images(G, tree, images)
         for c, nsid in candidates(len(images), sid):
             phi = search(images + [c], nsid)
             if phi is not None:
@@ -623,22 +690,14 @@ def mobius_by_definition(G, subgroups):
 def automorphisms_by_leaves(G):
     """Every automorphism of G by checking every leaf: each tuple of
     generator images that passes the element-order and generated-subgroup
-    size pruning goes through ``groups._extend_map`` and a bijection test,
-    with no orbit or transversal; tuples in leaf order."""
-    from isoprod.groups import (
-        _column_getters,
-        _extend_map,
-        _greedy_generators,
-        _word_tree,
-        subgroup_registry,
-    )
+    size pruning goes through ``_automorphism_from_images``, with no orbit
+    or transversal; tuples in leaf order."""
+    from isoprod.groups import _greedy_generators, _word_tree, subgroup_registry
 
     n = G.order
     gens = _greedy_generators(G.mult)
     reg = subgroup_registry(G)
-    parent, bfs_order = _word_tree(G.mult, gens)
-    columns = tuple(zip(*G.mult))
-    gen_columns = _column_getters(columns, gens)
+    tree = _word_tree(G.mult, gens)
     gen_sids = []
     sid = 0
     for g in gens:
@@ -649,8 +708,8 @@ def automorphisms_by_leaves(G):
 
     def assign(k, images, sid):
         if k == len(gens):
-            phi = _extend_map(gen_columns, parent, bfs_order, images, columns)
-            if phi is not None and len(set(phi)) == n:
+            phi = _automorphism_from_images(G, tree, images)
+            if phi is not None:
                 auts.append(phi)
             return
         target_size = len(reg.sets[gen_sids[k]])

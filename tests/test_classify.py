@@ -8,7 +8,6 @@ from isoprod.classify import (
     _cover_buckets,
     _mask_to_set,
     _representative,
-    acts_trivially,
     check_conformance,
     classify_all,
     compute_aut0,
@@ -23,7 +22,7 @@ from isoprod.groups import (
 )
 from isoprod.surfaces import build_surface, example46_construct
 
-from oracles import abelian_invariants, aut0_complex, listed_buckets
+from oracles import abelian_invariants, acts_trivially, aut0_complex, listed_buckets
 
 
 def _klein_surface():
