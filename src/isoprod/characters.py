@@ -34,7 +34,6 @@ from .groups import (
     GroupTable,
     _column_getters,
     _extend_map,
-    _greedy_generators,
     _is_multiplicative,
     _is_prime,
     _memo,
@@ -158,7 +157,7 @@ class CharacterTable:
                 passed.add(key)
         if sum(c.degree * c.degree for c in self.characters) != n:
             raise ConsistencyError("Burnside identity sum chi(1)^2 = |G| fails")
-        gens = _greedy_generators(G.mult)
+        gens = G.generators
         gen_columns = _column_getters(tuple(zip(*G.mult)), gens)
         shifts = _shifts(e)
         linear = {}  # values -> index of the certified rows
@@ -229,11 +228,11 @@ def _fold(e, terms):
 
 def _abelian_characters(G: GroupTable):
     """The homomorphisms G -> Z_e (e the exponent), each from the
-    images of the greedy generators, as linear characters;
+    images of ``G.generators``, as linear characters;
     ``CharacterTable`` rejects a missing or repeated one."""
     e = G.exponent
     classes = conjugacy_classes(G)
-    gens = _greedy_generators(G.mult)
+    gens = G.generators
     parent, bfs = _word_tree(G.mult, gens)
     gen_columns = _column_getters(tuple(zip(*G.mult)), gens)
     shifts = _shifts(e)  # its own columns, Z_e being abelian

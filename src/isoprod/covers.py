@@ -312,11 +312,13 @@ def _hurwitz_terms(G: GroupTable, b):
     2) and weights[x] = |G| - |G|/ord(x), an integer as ord(x) divides
     |G|.  The one genus rule of listing, counting and validation
     (``_genus``); the weights are memoised per table."""
-    n = G.order
-    weights = G._cache.get("_hurwitz_weights")
-    if weights is None:
-        weights = G._cache["_hurwitz_weights"] = [n - n // m for m in G.element_order]
-    return n * (2 * b - 2), weights
+    return G.order * (2 * b - 2), _hurwitz_weights(G)
+
+
+@_memo
+def _hurwitz_weights(G: GroupTable):
+    """weights[x] = |G| - |G|/ord(x) for every element x."""
+    return [G.order - G.order // m for m in G.element_order]
 
 
 def _genus(G: GroupTable, b, gammas):
@@ -369,8 +371,8 @@ def _count_abelian(G: GroupTable, b: int, max_r: int, elements):
     The sorted (r - 1)-prefixes are walked level by level with their
     product and subgroup id; the last gamma is forced to be the inverse
     of the product, and kept iff it is allowed and its class is not below
-    the prefix's last one.  The u^r = 1 of u in ``elements`` have
-    |<u>|^2b phi_2b(G/<u>) uniform vectors, the others none.
+    the prefix's last one.  Class u is {u}, so the vectors whose r
+    gammas all equal u are those of the multiset (u,) * r.
     """
     n, d = G.order, 2 * b
     mult, inv = G.mult, G.inverse
@@ -436,9 +438,7 @@ def _count_abelian(G: GroupTable, b: int, max_r: int, elements):
                 for j, x in enumerate(classes[i:], i)
             ]
     ucounts = {
-        (u, r): lifts(extend(0, u)) if G.power(u, r) == 0 else 0
-        for u in elements
-        for r in range(1, max_r + 1)
+        (u, r): counts.get((u,) * r, 0) for u in elements for r in range(1, max_r + 1)
     }
     return counts, ucounts
 

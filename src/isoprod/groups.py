@@ -3,9 +3,9 @@
 Elements are indices 0..order-1 with the identity at index 0.  Groups are
 built from a small spec mini-language (see ``build_group``); every built-in
 family fills its table from its generators' rows (``_table_from_rows``).
-Tables are validated at construction (Latin square, associativity,
-inverses) and immutable afterwards; every derived structure is computed
-once, by ``_memo``.
+Tables are validated at construction (Latin square, identity,
+associativity) and immutable afterwards; every derived structure is
+computed once, by ``_memo``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ class GroupTable:
     """A finite group as an explicit multiplication table.
 
     ``mult[g][h]`` is the index of g*h.  Construction validates the table;
-    instances are immutable.
+    instances are immutable.  ``generators`` are the greedy generators
+    that validation tests associativity on (``_check_associative``).
     """
 
     __slots__ = (
@@ -60,6 +61,7 @@ class GroupTable:
         "element_order",
         "spec",
         "aux",
+        "generators",
         "_cache",
     )
 
@@ -78,12 +80,9 @@ class GroupTable:
         if ident != 0:
             raise TableError("identity element must sit at index 0")
         self.identity = 0
-        _check_associative(mult)
-        # each row of a Latin square holds exactly one identity
+        self.generators = _check_associative(mult)
+        # Latin, with identity, associative: a group, so inverses are two-sided
         self.inverse = tuple(row.index(0) for row in mult)
-        for g, h in enumerate(self.inverse):
-            if mult[h][g] != 0:
-                raise TableError(f"element {g} has no two-sided inverse")
         self.element_order = tuple(len(_powers(mult, g)) for g in range(n))
         if labels is None:
             labels = tuple(f"g{i}" for i in range(n))
@@ -198,13 +197,16 @@ def _check_associative(mult):
 
     The elements s with (x*s)*y == x*(s*y) for all x, y are closed under
     products, so it suffices to test a set of s whose right products
-    from the identity reach every element: O(n^2) per generator.
+    from the identity reach every element: O(n^2) per generator.  Returns
+    the generators tested, ``_greedy_generators`` as a tuple.
     """
-    for s in _greedy_generators(mult):
+    gens = tuple(_greedy_generators(mult))
+    for s in gens:
         times_s_row = itemgetter(*mult[s])  # row x -> (x*(s*y))_y
         for x in range(len(mult)):
             if times_s_row(mult[x]) != mult[mult[x][s]]:
                 raise TableError("multiplication table is not associative")
+    return gens
 
 
 # -- conjugacy classes -------------------------------------------------
@@ -564,20 +566,21 @@ def _abelian_table(factors):
     mult = _table_from_rows(n, rows)
     labels = tuple(str(c) for c in coords)
     spec = "ab:" + ",".join(str(d) for d in factors)
-    return GroupTable(
-        mult, labels=labels, spec=spec, aux={"factors": factors, "coords": coords}
-    )
+    return GroupTable(mult, labels=labels, spec=spec, aux={"factors": factors})
 
 
 def abelian_element(G: GroupTable, coords):
-    """Index of a coordinate tuple in a group built via ``ab:``."""
+    """Index of a coordinate tuple in a group built via ``ab:``: the
+    mixed-radix number of the coordinates, the last one fastest."""
     factors = G.aux.get("factors")
     if factors is None:
         raise DomainError("group was not built from abelian invariant factors")
     if len(coords) != len(factors):
         raise DomainError(f"{len(coords)} coordinates for {len(factors)} factors")
-    coords = tuple(c % d for c, d in zip(coords, factors))
-    return G.aux["coords"].index(coords) if factors else 0
+    index = 0
+    for c, d in zip(coords, factors):
+        index = index * d + c % d
+    return index
 
 
 def _metacyclic_table(k, t, a, b, spec):
@@ -658,7 +661,8 @@ def _cycle_perm(npoints, cycles):
     return tuple(p)
 
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+# a cycle of integer points; any other text fails to parse
+_CYCLE_RE = re.compile(r"\(([0-9,\s]*)\)")
 
 
 def _parse_perm_gens(body):
@@ -671,10 +675,9 @@ def _parse_perm_gens(body):
         cycles = []
         seen = set()
         rest = txt.strip()
-        matched = _CYCLE_RE.findall(rest)
-        if not matched and rest:
+        if _CYCLE_RE.sub("", rest).strip():
             raise GroupSpecError(f"cannot parse permutation {txt!r}")
-        for cyc in matched:
+        for cyc in _CYCLE_RE.findall(rest):
             pts = [int(t) for t in re.split(r"[,\s]+", cyc.strip()) if t]
             if any(p < 1 for p in pts):
                 raise GroupSpecError("cycle notation uses 1-based points")
@@ -784,9 +787,7 @@ def _is_prime(m):
 
 
 def _invariant_chains(order):
-    """All divisibility chains d_1 | ... | d_t, d_i >= 2, product = order."""
-    if order == 1:
-        return [()]
+    """All divisibility chains d_1 | ... | d_t, d_i >= 2, product = order >= 2."""
     out = []
 
     def rec(remaining, max_last, chain):

@@ -91,6 +91,38 @@ def commands():
         ("verify-example", "1", "0", "1", "1", "1"),
         ("verify-example", "z2_z2m_z2mn", "1", "1", "1", "1"),
     ]
+    # the rest of test_cli.GOLDEN_STDOUT
+    out += [
+        ("covers", "quat:8", "--max-r", "3", "--format", "table"),
+        ("classify", "--groups", "ab:2,2,dih:4", "--max-r", "3", "--max-s", "3"),
+        ("chartab", "dih:5", "--format", "csv"),
+        ("covers", "ab:2,2", "--b", "1", "--max-r", "4", "--genus-cap", "3"),
+        ("covers", "dih:4", "--b", "1", "--max-r", "4"),
+        (
+            "classify", "--groups", "ab:2,4,quat:8", "--max-r", "3", "--max-s", "3",
+            "--genus-cap", "9", "--full",
+        ),
+        (
+            "classify", "--groups", "sym:3,ab:2,2", "--max-r", "2", "--max-s", "2",
+            "--base-genera", "1,2;2,2", "--full",
+        ),
+        (
+            "classify", "--groups", "ab:4,8", "--max-group-order", "32",
+            "--max-r", "4", "--max-s", "4",
+        ),
+        ("covers", "dih:8", "--b", "1", "--max-r", "3", "--genus-cap", "65"),
+        ("covers", "ab:2,2,2,2", "--b", "1", "--max-r", "3", "--genus-cap", "65"),
+        ("covers", "sym:3", "--b", "2", "--max-r", "2"),
+        ("covers", "ab:2,2", "--b", "2", "--max-r", "2", "--format", "csv"),
+        ("covers", "quat:8", "--b", "0", "--max-r", "4", "--no-dedup", "--format", "csv"),
+        ("covers", "ab:2,2", "--b", "2", "--max-r", "2", "--format", "table"),
+        ("covers", "dih:4", "--b", "0", "--max-r", "4", "--format", "table"),
+        ("covers", "ab:2,2", "--b", "1", "--max-r", "3", "--no-dedup", "--format", "table"),
+        (
+            "covers", "dih:6", "--b", "0", "--max-r", "4", "--genus-cap", "6",
+            "--no-dedup", "--format", "csv",
+        ),
+    ]
     return out
 
 

@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from isoprod import characters
+from isoprod import characters, groups
 from isoprod.characters import (
     Character,
     CharacterTable,
@@ -269,6 +269,29 @@ def test_table_is_memoised_on_its_group(monkeypatch):
     assert t2 is not t1 and t2.group is G2
     assert t2.characters == t1.characters
     assert calls == [G1, G2]
+
+
+def test_generators_are_derived_once_per_group(monkeypatch):
+    """The greedy generators that validation tests associativity on are
+    kept on the table, and its character table reads them there: one
+    ``_greedy_generators`` call per group, on the abelian path (the
+    linear characters and their check) and on Dixon's (the check)."""
+    greedy = groups._greedy_generators
+    calls = []
+
+    def counted(mult):
+        calls.append(len(mult))
+        return greedy(mult)
+
+    # also in any module that imports the name itself
+    for module in (groups, characters):
+        monkeypatch.setattr(module, "_greedy_generators", counted, raising=False)
+    for spec in ("ab:2,2,2", "sym:4"):
+        calls.clear()
+        G = build_group(spec)
+        character_table(G)
+        assert calls == [G.order], spec
+        assert G.generators == tuple(greedy(G.mult)), spec
 
 
 def test_table_does_not_outlive_its_group():

@@ -4,16 +4,25 @@ import hashlib
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
+import corpus
 import isoprod
 from isoprod import cli
 from isoprod.cli import main, make_parser
 from isoprod.covers import enumerate_vectors
-from isoprod.errors import ConsistencyError, IsoprodError
+from isoprod.covers import validate_vector
+from isoprod.errors import (
+    ConsistencyError,
+    DomainError,
+    GroupSpecError,
+    IsoprodError,
+    SizeError,
+)
 from isoprod.groups import build_group, builtin_groups_upto
 
 
@@ -58,6 +67,8 @@ def test_chartab_missing_cayley(capsys):
     [
         (5, 1, "list of rows"),
         ([[1, 0], [0]], 2, "row 1 has length 1, expected 2"),
+        # x * y = -x - y mod 3: a Latin square without an identity
+        ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], 2, "no identity"),
     ],
 )
 def test_chartab_malformed_cayley(capsys, tmp_path, table, code, message):
@@ -69,6 +80,51 @@ def test_chartab_malformed_cayley(capsys, tmp_path, table, code, message):
     got, out, err = run(capsys, "chartab", f"cayley:{path}")
     assert (got, out) == (code, "")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "spec, error, code",
+    [
+        ("dih:1", GroupSpecError, 1),
+        ("quat:6", GroupSpecError, 1),
+        ("ab:x", GroupSpecError, 1),
+        ("perm:", GroupSpecError, 1),
+        ("perm:abc", GroupSpecError, 1),
+        ("perm:(0 1)", GroupSpecError, 1),
+        ("perm:(1 2)(3 4", GroupSpecError, 1),
+        ("perm:(1 a)", GroupSpecError, 1),
+        # S_6: the closure stops at the default order cap of 128
+        ("perm:(1 2 3 4 5 6);(1 2)", SizeError, 2),
+    ],
+)
+def test_chartab_rejects_bad_specs(capsys, spec, error, code):
+    """A spec that ``build_group`` refuses is an error message and its
+    class's exit code, with nothing on stdout: 1 for a spec that does not
+    parse, 2 for a group above the order cap."""
+    with pytest.raises(error):
+        build_group(spec)
+    got, out, err = run(capsys, "chartab", spec)
+    assert (got, out) == (code, "") and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("{not json", GroupSpecError, "invalid JSON"),
+        ("[[0]]", GroupSpecError, "cayley file must be"),
+        ('{"order": 3, "table": [[0, 1], [1, 0]]}', GroupSpecError, "does not match"),
+    ],
+)
+def test_chartab_rejects_bad_cayley_files(capsys, tmp_path, text, error, message):
+    """A cayley file that is not JSON, not an object or of the wrong
+    order is refused with its error class, and through the CLI with that
+    class's exit code and no stdout."""
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(error, match=message):
+        build_group(f"cayley:{path}")
+    got, out, err = run(capsys, "chartab", f"cayley:{path}")
+    assert (got, out) == (error.exit_code, "") and message in err
 
 
 def test_chartab_csv(capsys):
@@ -213,7 +269,7 @@ def test_covers_writes_rows_in_bounded_blocks(monkeypatch, argv):
     for block in blocks:
         assert block.endswith("\n") and block.count("\n") <= cli._BLOCK_ROWS, argv
     out = "".join(log.writes).encode()
-    assert hashlib.sha256(out).hexdigest() == GOLDEN_STDOUT[argv]
+    assert hashlib.sha256(out).hexdigest() == golden(argv)
 
 
 @pytest.mark.parametrize(
@@ -229,7 +285,7 @@ def test_covers_prints_rows_listed_before_an_error(capsys, monkeypatch, argv):
     exactly the first k rows of the golden output (after the csv header),
     with no summary, stderr names the error and the exit code is 3."""
     code, full, _ = run(capsys, *argv)
-    assert hashlib.sha256(full.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+    assert hashlib.sha256(full.encode()).hexdigest() == golden(argv)
     lines = full.splitlines(keepends=True)
     header = 1 if "csv" in argv else 0
     listed = enumerate_vectors
@@ -253,111 +309,89 @@ def test_covers_prints_rows_listed_before_an_error(capsys, monkeypatch, argv):
         assert out == "".join(lines[: header + k]), (argv, k)
 
 
-# sha256 of stdout; a change to any of these bytes must be deliberate
-GOLDEN_STDOUT = {
-    ("covers", "dih:4", "--b", "1", "--max-r", "3"):
-        "7254e21b1c7cf252ecff8421c2754c08e6e8b202bddcbbdf893fcb8fb2b7fa56",
-    ("covers", "quat:8", "--max-r", "3", "--format", "table"):
-        "4fe1b8e6cfb8cb781ed9290123186aa7af8282b79eb7b66329f34d235957d43e",
-    ("classify", "--groups", "ab:2,2,dih:4", "--max-r", "3", "--max-s", "3"):
-        "5868f973117604769e5c3694eb0d4b0bf95d31e8a2b8add144679c48559a89e3",
-    ("chartab", "sym:4", "--format", "table"):
-        "3e22abdbeea9e730816c4e15f5c87b96d6a2db87153da577fd65c51ac9705a4e",
-    ("chartab", "alt:5", "--format", "table"):
-        "d105a04dd9baf98067672253cec96fd1e7ae083519af607b74d762fc9d222498",
-    ("chartab", "dih:5", "--format", "csv"):
-        "9e66d05132b043442d1dcb9a561a4698f364cb4276f57c0324707f4aec44bf12",
-    ("covers", "ab:2,2", "--b", "1", "--max-r", "4", "--genus-cap", "3"):
-        "6d3b7848a0bc7202cf28f9a97aecb550be89a561dd0f4728ad72a22f7c2907a8",
-    ("covers", "sym:3", "--b", "1", "--branch", "2,2"):
-        "58b1da440e70e77b514cc159aa410f0e8390438fdfdb5262f19d7df762af01e2",
-    ("covers", "dih:4", "--b", "1", "--max-r", "4"):
-        "b0323992bc6aa51db1c2857f9e43de5a6a2f0ae5f958d1984c7e80b0606dc6d4",
+# commands whose stdout sha256 is pinned in tests/corpus.json; a change to
+# any of these bytes must be deliberate
+GOLDEN_STDOUT = (
+    ("covers", "dih:4", "--b", "1", "--max-r", "3"),
+    ("covers", "quat:8", "--max-r", "3", "--format", "table"),
+    ("classify", "--groups", "ab:2,2,dih:4", "--max-r", "3", "--max-s", "3"),
+    ("chartab", "sym:4", "--format", "table"),
+    ("chartab", "alt:5", "--format", "table"),
+    ("chartab", "dih:5", "--format", "csv"),
+    ("covers", "ab:2,2", "--b", "1", "--max-r", "4", "--genus-cap", "3"),
+    ("covers", "sym:3", "--b", "1", "--branch", "2,2"),
+    ("covers", "dih:4", "--b", "1", "--max-r", "4"),
     (
         "classify", "--groups", "ab:2,4,quat:8", "--max-r", "3", "--max-s", "3",
         "--genus-cap", "9", "--full",
-    ): "cdee5aa494a3f8dccfd143b31f17a664ba023b20ad040b48202a0d6096da621c",
+    ),
     (
         "classify", "--groups", "sym:3,ab:2,2", "--max-r", "2", "--max-s", "2",
         "--base-genera", "1,2;2,2", "--full",
-    ): "a52fefa8591bf6ccce0cdf3aa2fb1bc294d3fc1b8233f76fca72cb6de5912c6c",
+    ),
     (
         "classify", "--groups", "ab:4,8", "--max-group-order", "32",
         "--max-r", "4", "--max-s", "4",
-    ): "0ca801432f55a4a4de36bfe824862b7e3814179d5ba433305aa448ea4baae3f4",
-    ("covers", "dih:4", "--b", "1", "--max-r", "3", "--format", "csv"):
-        "f778b14168ea1d123983642747879059f795d6f767f4cb901780a29ed30ad350",
+    ),
+    ("covers", "dih:4", "--b", "1", "--max-r", "3", "--format", "csv"),
     (
         "surfaces", "ab:2,2", "--vc", "1|2|1|2,2", "--vd", "1|2|1|1,1",
         "--format", "table",
-    ): "622142dd4c4c8696e8031c3daebe149989b147487c01a03b27a99b6341c827d2",
-    ("verify-example", "1", "1", "1", "1", "1", "--format", "table"):
-        "dfbcccc5e11dde7e9259e99d80234abb622343382ac6e4796c4c1ffa5f52242f",
-    ("covers", "dih:8", "--b", "1", "--max-r", "3", "--genus-cap", "65"):
-        "1543a90e2957cb64f27378ba04b8d01952ba495d931474d72e061e60f5f82cb1",
-    ("covers", "ab:2,2,2,2", "--b", "1", "--max-r", "3", "--genus-cap", "65"):
-        "42a93e69fb7612a2948a2843961ed6731c267f665788fb30441004906f13eb8c",
+    ),
+    ("verify-example", "1", "1", "1", "1", "1", "--format", "table"),
+    ("covers", "dih:8", "--b", "1", "--max-r", "3", "--genus-cap", "65"),
+    ("covers", "ab:2,2,2,2", "--b", "1", "--max-r", "3", "--genus-cap", "65"),
     # the default sweep: the 33 built-ins of order <= 16 at r, s <= 4
-    ("classify",):
-        "a9c11d9dc841fe7867f16a4400cfe08d692bf8e0d1f4d8828a63128250eaefa7",
+    ("classify",),
     # JSON, csv and table rows at b = 0 and b = 2, deduped and not
-    ("covers", "dih:4", "--b", "0", "--max-r", "4"):
-        "c7817ec0d431ee9118ebd2e30fdd2f2fe31d2d1f7ec689c0adef6d60ad33f463",
-    ("covers", "sym:3", "--b", "2", "--max-r", "2"):
-        "5591fcac60467bc7f94e01ad9f351106cbb7bd92252e6c55e0f2dcb5fcbdf72e",
-    ("covers", "dih:4", "--b", "1", "--max-r", "3", "--no-dedup"):
-        "1b319d0179572ee557e575a91bf4632761d879bcdb97d6e579dfcad3aee70610",
-    ("covers", "dih:4", "--b", "0", "--max-r", "4", "--no-dedup"):
-        "a755dd25d6820e1f7cb178bf9bc306bae82028086aff353ddd2873b76b00e836",
-    ("covers", "ab:2,2", "--b", "2", "--max-r", "2", "--format", "csv"):
-        "4eec313b301f3e306bdc2d50e1d201ee867991c2d1f4dac59eef65db8256b11f",
-    ("covers", "quat:8", "--b", "0", "--max-r", "4", "--no-dedup", "--format", "csv"):
-        "0a47669f453912d3814133ef347f0880a8b09268b79d3819bc3d9c790ae1a5da",
-    ("covers", "ab:2,2", "--b", "2", "--max-r", "2", "--format", "table"):
-        "e652c4f196a5c143801f66592afab80ae930700f513bcd1b53168fa25e3ba76c",
-    ("covers", "dih:4", "--b", "0", "--max-r", "4", "--format", "table"):
-        "8c85818840af0d7f5b3284c274812bca3c655ff60ef059bd5c87bf0753d38e04",
-    ("covers", "dih:5", "--b", "0", "--max-r", "4", "--format", "csv"):
-        "a67acae2c2d6d1754e21d861b4dc0c290ccb56bed1b11b99736c06e2a0ef5984",
-    ("covers", "ab:2,2", "--b", "1", "--max-r", "3", "--no-dedup", "--format", "table"):
-        "4864c856ab978890fc62d093369fbfe8965f0a4c3d6a8ab9afe95f1341140006",
+    ("covers", "dih:4", "--b", "0", "--max-r", "4"),
+    ("covers", "sym:3", "--b", "2", "--max-r", "2"),
+    ("covers", "dih:4", "--b", "1", "--max-r", "3", "--no-dedup"),
+    ("covers", "dih:4", "--b", "0", "--max-r", "4", "--no-dedup"),
+    ("covers", "ab:2,2", "--b", "2", "--max-r", "2", "--format", "csv"),
+    ("covers", "quat:8", "--b", "0", "--max-r", "4", "--no-dedup", "--format", "csv"),
+    ("covers", "ab:2,2", "--b", "2", "--max-r", "2", "--format", "table"),
+    ("covers", "dih:4", "--b", "0", "--max-r", "4", "--format", "table"),
+    ("covers", "dih:5", "--b", "0", "--max-r", "4", "--format", "csv"),
+    ("covers", "ab:2,2", "--b", "1", "--max-r", "3", "--no-dedup", "--format", "table"),
     # two-digit element indices in the alphas and betas
-    ("covers", "dih:6", "--b", "2", "--max-r", "1"):
-        "f6e08b71944612ec5d120138608d072e335808df8b3c2b0f6821d1a542c8a1c4",
+    ("covers", "dih:6", "--b", "2", "--max-r", "1"),
     # rows kept by their Riemann-Hurwitz genus: the cap cuts inside one r
     # (69 rows, truncated), walked order multisets other than --branch
     # are dropped (3 rows), and 720 undeduped rows
-    ("covers", "dih:6", "--b", "1", "--max-r", "3", "--genus-cap", "9"):
-        "2556c4eb4a8f0062e2820df5798cc04e3ee02fb06cbbb3710bcf34ab64b561a0",
-    ("covers", "ab:2,6", "--b", "0", "--branch", "2,6,6", "--format", "table"):
-        "29d3c4e475f700f825e4c16ca7238fb43dd4690311ae4ea3130b8f3e069ca61d",
+    ("covers", "dih:6", "--b", "1", "--max-r", "3", "--genus-cap", "9"),
+    ("covers", "ab:2,6", "--b", "0", "--branch", "2,6,6", "--format", "table"),
     (
         "covers", "dih:6", "--b", "0", "--max-r", "4", "--genus-cap", "6",
         "--no-dedup", "--format", "csv",
-    ): "f10415131881c1586294525725626063134630eb59e1868565719978fed44081",
+    ),
     # character tables of groups built from permutation, metacyclic and
     # abelian generator rows; Dixon at orders 120, 60 and 16
-    ("chartab", "sym:5", "--format", "json"):
-        "5756510c88d1fff5136cae2a6864bf27186c9a08bbec6d51a411232e7ae0deeb",
-    ("chartab", "dih:30", "--format", "json"):
-        "ee2996c3c54cd55fe57496c0c04e87fecb8b6649f09204cecbe81dbd4b7de0b4",
-    ("chartab", "ab:2,2,2,2,2,2", "--format", "json"):
-        "81ce2fdfd53ad5a5c5e76125962b25d590a0209e53a125dbe1f82cdcaf522f70",
-    ("chartab", "quat:16", "--format", "table"):
-        "0985956571bac40767b544951ff73bc3bd1923eee48e6809b2d99a36ac6b2006",
-    ("chartab", "perm:(1 2 3 4);(1 2)", "--format", "table"):
-        "3e22abdbeea9e730816c4e15f5c87b96d6a2db87153da577fd65c51ac9705a4e",
-}
+    ("chartab", "sym:5", "--format", "json"),
+    ("chartab", "dih:30", "--format", "json"),
+    ("chartab", "ab:2,2,2,2,2,2", "--format", "json"),
+    ("chartab", "quat:16", "--format", "table"),
+    ("chartab", "perm:(1 2 3 4);(1 2)", "--format", "table"),
+)
+_MANIFEST = corpus.load(corpus.MANIFEST)
+
+
+def golden(argv):
+    """The stdout sha256 that the manifest pins for ``argv``, a command
+    that exits 0."""
+    code, digest = _MANIFEST[shlex.join(argv)]
+    assert code == 0, argv
+    return digest
 
 
 def test_golden_stdout(capsys):
     """Byte-identical stdout for fixed commands: pins the emission order
     of generating vectors, the bucket representatives and the table
     layout."""
-    for argv, digest in GOLDEN_STDOUT.items():
+    for argv in GOLDEN_STDOUT:
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == golden(argv), argv
 
 
 def test_covers_builds_no_records(capsys, monkeypatch):
@@ -379,7 +413,7 @@ def test_covers_builds_no_records(capsys, monkeypatch):
     for argv in pinned:
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
-        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv], argv
+        assert hashlib.sha256(out.encode()).hexdigest() == golden(argv), argv
     with pytest.raises(AssertionError):
         list(enumerate_vectors(build_group("dih:4"), 1, 2))
 
@@ -467,6 +501,25 @@ def test_surfaces_bad_vector_syntax(capsys):
         capsys, "surfaces", "ab:2,2", "--vc", "1|a|1|2,2", "--vd", "1|2|1|1,1"
     )
     assert code == 1 and "bad integer in vector" in err
+
+
+@pytest.mark.parametrize(
+    "vc, message",
+    [
+        ("-1|||2,2", "base genus must be >= 0"),
+        ("1|2,1|1|2,2", "need exactly 1 alphas and betas"),
+        ("1|4|1|2,2", "element index 4 out of range"),
+    ],
+)
+def test_surfaces_rejects_vectors_out_of_domain(capsys, vc, message):
+    """A vector with a negative base genus, the wrong number of alphas or
+    an element index out of range is a DomainError, and through the CLI
+    a validation error (2) with no stdout."""
+    with pytest.raises(DomainError, match=message):
+        validate_vector(cli._parse_vector(build_group("ab:2,2"), vc))
+    # one token, so that argparse takes "-1|..." for a value
+    code, out, err = run(capsys, "surfaces", "ab:2,2", f"--vc={vc}", "--vd", "1|2|1|1,1")
+    assert (code, out) == (2, "") and message in err
 
 
 def test_classify_small(capsys):
@@ -569,7 +622,7 @@ def test_cache_dir_environment_is_ignored(capsys, tmp_path, monkeypatch):
     argv = ("chartab", "sym:4", "--format", "table")
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+    assert hashlib.sha256(out.encode()).hexdigest() == golden(argv)
     assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == [
         (name, "{not json")
     ]
@@ -610,6 +663,17 @@ def test_verify_example_bad_input_is_usage(capsys, argv, message):
     like a bad bound for covers or classify."""
     code, out, err = run(capsys, "verify-example", *argv)
     assert code == 1 and out == "" and message in err
+
+
+def test_verify_example_exits_3_when_the_family_does_not_conform(
+    capsys, monkeypatch
+):
+    """``verify-example`` tests Aut_0 = {1, gamma * gamma'} through the
+    conformance check: when that check fails, nothing is printed and the
+    exit code is 3, an internal consistency violation."""
+    monkeypatch.setattr(cli, "check_conformance", lambda S, aut0: (False, "broken"))
+    code, out, err = run(capsys, "verify-example", "1", "1", "1", "1", "1")
+    assert (code, out) == (3, "") and "broken" in err
 
 
 def test_bad_subcommand(capsys):

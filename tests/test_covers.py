@@ -1,6 +1,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from isoprod.characters import character_table
 from isoprod.covers import (
@@ -26,12 +28,16 @@ from isoprod.errors import (
     GenerationError,
     GenusError,
     RelationError,
+    SizeError,
 )
 from isoprod.groups import (
+    _cycle_label,
     abelian_element,
+    all_subgroups,
     build_group,
     builtin_groups_upto,
     class_index,
+    mobius,
     subgroup_registry,
 )
 
@@ -45,7 +51,9 @@ from oracles import (
     gamma_tails_brute,
     genus_float,
     hurwitz_genus,
+    lattice_by_every_element,
     listing_kept_by_multiset,
+    mobius_by_definition,
 )
 
 
@@ -238,26 +246,77 @@ def test_count_vectors_match_bruteforce():
     oracle of the closed form at larger orders."""
     for spec in builtin_groups_upto(8):
         G = build_group(spec)
-        cls_of = class_index(G)
-        elements = range(1, G.order)
         counters = [_count_vectors]
         if G.is_abelian():
             counters.append(_count_by_mobius)
         for b, max_r in ((0, 4), (1, 3)):
-            multisets, uniform = Counter(), Counter()
-            for r in range(max_r + 1):
-                for _, gammas in brute_vectors(G, b, r):
-                    multisets[tuple(sorted(cls_of[g] for g in gammas))] += 1
-                    if gammas and gammas.count(gammas[0]) == r:
-                        uniform[gammas[0], r] += 1
-            pairs = {(u, r) for u in elements for r in range(1, max_r + 1)}
             for count in counters:
-                counts, ucounts = count(G, b, max_r, elements)
-                where = (spec, b, count.__name__)
-                assert counts == dict(multisets), where
-                assert 0 not in counts.values()
-                assert set(ucounts) == pairs, where
-                assert ucounts == {k: uniform[k] for k in pairs}, where
+                _assert_counts_match_brute(G, b, max_r, count)
+
+
+def _assert_counts_match_brute(G, b, max_r, count=_count_vectors):
+    """``count``, a ``_count_vectors``, agrees with ``brute_vectors`` on
+    G at base genus b and r <= max_r, every non-identity element
+    allowed."""
+    cls_of = class_index(G)
+    elements = range(1, G.order)
+    multisets, uniform = Counter(), Counter()
+    for r in range(max_r + 1):
+        for _, gammas in brute_vectors(G, b, r):
+            multisets[tuple(sorted(cls_of[g] for g in gammas))] += 1
+            if gammas and gammas.count(gammas[0]) == r:
+                uniform[gammas[0], r] += 1
+    pairs = {(u, r) for u in elements for r in range(1, max_r + 1)}
+    counts, ucounts = count(G, b, max_r, elements)
+    where = (G.spec, b, count.__name__)
+    assert counts == dict(multisets), where
+    assert 0 not in counts.values()
+    assert set(ucounts) == pairs, where
+    assert ucounts == {k: uniform[k] for k in pairs}, where
+
+
+@st.composite
+def perm_specs(draw):
+    """A ``perm:`` spec of one to three random permutations of 3 to 6
+    points."""
+    degree = draw(st.integers(min_value=3, max_value=6))
+    perms = st.permutations(range(degree))
+    gens = draw(st.lists(perms, min_size=1, max_size=3))
+    return "perm:" + ";".join(_cycle_label(p) for p in gens)
+
+
+def test_random_perm_groups_match_oracles():
+    """On random permutation groups of order <= 24, each with its own
+    element numbering, the subgroup lattice and its Moebius function
+    match the oracles that extend by every element and sum the defining
+    recursion, and the vector counts match the brute-force listing at
+    b = 0, r <= 3 and b = 1, r <= 1 (r <= 2 up to order 12).  At most
+    five draws of each order are kept, since many draws reach the
+    largest orders; the draws are derandomised."""
+    drawn = Counter()
+
+    @settings(
+        max_examples=40,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(perm_specs())
+    def check(spec):
+        try:
+            G = build_group(spec, order_cap=24)
+        except SizeError:
+            assume(False)
+        assume(drawn[G.order] < 5)
+        drawn[G.order] += 1
+        lattice = lattice_by_every_element(G)
+        assert list(all_subgroups(G)) == lattice, spec
+        assert mobius(G) == mobius_by_definition(G, lattice), spec
+        _assert_counts_match_brute(G, 0, 3)
+        _assert_counts_match_brute(G, 1, 2 if G.order <= 12 else 1)
+
+    check()
+    assert len(drawn) >= 8
 
 
 def test_abelian_closed_form_matches_mobius():
@@ -325,6 +384,16 @@ def test_genus_cap_sets_truncated():
     assert all(genus <= 3 for _, genus in covers)
     assert [(c.vector, c.genus) for c in stream] == covers
     assert stream.truncated == 420
+
+
+def test_enumerate_vectors_rejects_bounds_out_of_range():
+    """A base genus other than 0, 1 or 2 and a genus cap below 1 are
+    refused when the stream is created."""
+    G = build_group("ab:2,2")
+    with pytest.raises(DomainError, match="base genus must be 0, 1 or 2"):
+        enumerate_vectors(G, 3, 2)
+    with pytest.raises(DomainError, match="caps must be positive"):
+        enumerate_vectors(G, 1, 2, genus_cap=0)
 
 
 @pytest.mark.parametrize("cap", [0, -3])

@@ -1,3 +1,4 @@
+import itertools
 import json
 from operator import itemgetter
 
@@ -100,6 +101,8 @@ def test_non_latin_rejected():
         GroupTable([[0, 1], [1, 1]])
     with pytest.raises(TableError, match="column 0 is not a permutation"):
         GroupTable([[0, 1], [0, 1]])
+    with pytest.raises(TableError, match="empty"):
+        GroupTable([])
 
 
 def test_non_associative_rejected():
@@ -144,9 +147,12 @@ def test_order_cap():
 
 
 def test_bad_specs():
+    """Specs that do not parse are refused, among them permutations with
+    text outside complete cycles and non-integer points."""
     for spec in [
         "", "foo", "xyz:3", "ab:", "ab:0", "dih:x", "sym:9", "alt:2",
         "perm:(1 2)(1 2)", "perm:(1 2)(2 3)",
+        "perm:(1 2)(3 4", "perm:(1 2)x", "perm:(1 2);junk(1 3)", "perm:(1 a)",
     ]:
         with pytest.raises(GroupSpecError):
             build_group(spec)
@@ -239,11 +245,18 @@ def test_abelian_element():
     assert G.element_order[g] == 2
     assert G.mult[abelian_element(G, (1, 0))][abelian_element(G, (0, 2))] == g
     assert abelian_element(build_group("ab:1"), ()) == 0
+    # the index of the label's coordinates, the last coordinate fastest
+    G = build_group("ab:2,3,4")
+    for coords in itertools.product(range(2), range(3), range(4)):
+        assert G.labels[abelian_element(G, coords)] == str(coords)
+    assert abelian_element(G, (-1, 4, 6)) == abelian_element(G, (1, 1, 2))
     # one coordinate per invariant factor, no more and no fewer
     V = build_group("ab:2,2")
     for coords in [(1, 0, 1), (1,)]:
         with pytest.raises(DomainError, match="coordinates for"):
             abelian_element(V, coords)
+    with pytest.raises(DomainError, match="abelian invariant factors"):
+        abelian_element(build_group("sym:3"), (1,))
 
 
 def test_conjugacy_class_order():
@@ -273,6 +286,12 @@ def test_subgroup_table_reindex():
     for i in range(3):
         for j in range(3):
             assert embed[H.mult[i][j]] == G.mult[embed[i]][embed[j]]
+    # a set without the identity, and one not closed under products
+    s, t = [g for g in range(G.order) if G.element_order[g] == 2][:2]
+    with pytest.raises(DomainError, match="identity"):
+        subgroup_table(G, {s})
+    with pytest.raises(DomainError, match="not closed"):
+        subgroup_table(G, {0, s, t})
 
 
 def test_automorphism_counts():

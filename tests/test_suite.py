@@ -36,9 +36,11 @@ def test_time_limit_interrupts_a_long_test():
 
 
 def _names_reached(fn):
-    """Every name ``fn`` reads, imports or looks up as an attribute,
-    following the other functions of ``oracles`` that it calls."""
-    seen, todo, names = set(), [fn.__name__], set()
+    """(names, attributes): every name ``fn`` reads or imports, and every
+    name it looks up as an attribute, following the other functions of
+    ``oracles`` that it calls; the names of those functions are left
+    out."""
+    seen, todo, names, attrs = set(), [fn.__name__], set(), set()
     while todo:
         name = todo.pop()
         if name in seen:
@@ -47,24 +49,147 @@ def _names_reached(fn):
         tree = ast.parse(inspect.getsource(getattr(oracles, name)))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                found = [node.id]
+                found, into = [node.id], names
             elif isinstance(node, ast.Attribute):
-                found = [node.attr]
+                found, into = [node.attr], attrs
             elif isinstance(node, ast.ImportFrom):
-                found = [alias.name for alias in node.names]
+                found, into = [alias.name for alias in node.names], names
             else:
                 continue
-            names.update(found)
-            todo += [n for n in found if inspect.isfunction(getattr(oracles, n, None))]
-    return names
+            into.update(found)
+            todo += [n for n in found if n in ORACLES]
+    return names - seen, attrs
+
+
+# the functions of tests/oracles.py, by name
+ORACLES = {
+    name: fn
+    for name, fn in vars(oracles).items()
+    if inspect.isfunction(fn) and fn.__module__ == oracles.__name__
+}
 
 
 @pytest.mark.parametrize("oracle", ["automorphisms", "automorphisms_by_leaves"])
 def test_automorphism_oracles_do_not_use_the_map_test_they_check(oracle):
     """The automorphism oracles extend and check their maps on their own,
     so a fault in the library's map builder cannot reach them."""
-    names = _names_reached(getattr(oracles, oracle))
-    assert not names & {"_extend_map", "_is_multiplicative"}
+    names, attrs = _names_reached(ORACLES[oracle])
+    assert not (names | attrs) & {"_extend_map", "_is_multiplicative"}
+
+
+def _library_functions():
+    """(functions, methods): the names of src/isoprod's module-level
+    functions and of its classes' methods, without dunders and
+    properties, which read data."""
+    functions, methods = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            into, defs = functions, [node]
+            if isinstance(node, ast.ClassDef):
+                into, defs = methods, node.body
+            for f in defs:
+                if (
+                    isinstance(f, ast.FunctionDef)
+                    and not f.name.startswith("__")
+                    and not any(
+                        isinstance(d, ast.Name) and d.id == "property"
+                        for d in f.decorator_list
+                    )
+                ):
+                    into.add(f.name)
+    return functions, methods
+
+
+_REGISTRY = {
+    "subgroup_registry": "prunes images by generated-subgroup size; "
+    "registry_by_saturation checks the registry",
+    "extend": "the same registry",
+}
+_SIMS_BASE = {
+    "_greedy_generators": "the base of the search, the generators "
+    "validation picks",
+    "_word_tree": "the words along which a map is extended; the map "
+    "itself is extended and checked by _automorphism_from_images",
+    **_REGISTRY,
+}
+_RAW_LISTING = {
+    "_raw_tuples": "the full listing, orbit filter off, which "
+    "test_raw_tuples_match_bruteforce checks; the filter it checks runs "
+    "only with dedup on",
+}
+
+# The library functions each public oracle of tests/oracles.py may
+# reach, each with the reason; an oracle not listed reaches none.
+ORACLE_REACH = {
+    "abelian_invariants": {
+        "_memo": "keeps the invariants on G, as the library keeps what it "
+        "derives",
+        "cyclic_subgroup": "the powers of one element",
+        "is_abelian": "its domain check",
+    },
+    "acts_trivially": {
+        "center": "its domain check: sigma must be central",
+        "compute_aut0": "not an oracle: the package's criterion read per "
+        "element; aut0_complex is the oracle of compute_aut0",
+    },
+    "aut0_complex": {
+        "character_table": "the exact table, which its own check() "
+        "certifies; the criterion it checks, compute_aut0, is not reached",
+    },
+    "automorphisms": _SIMS_BASE,
+    "automorphisms_by_leaves": _SIMS_BASE,
+    "canonical_tuples_by_filtering": _RAW_LISTING,
+    "commutator_subgroup": {
+        "_memo": "keeps the subgroup on G",
+        "commutator": "three table lookups per pair of elements",
+    },
+    "dedup_by_marking": {**_SIMS_BASE, **_RAW_LISTING},
+    "first_constituent_by_scan": {
+        "restriction_multiplicity": "checked against restriction_complex "
+        "on its own; it checks the memo and kernel test of "
+        "find_constituent_avoiding",
+    },
+    "fold_orthogonality_failures": {
+        "conjugacy_classes": "the class sizes that weight the sums",
+    },
+    "invariant_signature": {
+        "conjugacy_classes": "class sizes and element orders",
+    },
+    "lattice_by_every_element": {
+        "extend": "a fresh registry extended by every element: it checks "
+        "all_subgroups' choice of generators, and registry_by_saturation "
+        "checks extend",
+    },
+    "listing_kept_by_multiset": {
+        "_branch_plan": "the allowed gammas",
+        "_counted_multisets": "the multiset keep rule; it checks the "
+        "per-row weight filter of enumerate_vectors",
+        "class_index": "the class of each gamma",
+        **_RAW_LISTING,
+    },
+    "table_by_entries": {
+        "_cycle_label": "labels the permutations as the library does, so "
+        "that labels compare",
+        "_parse_perm_gens": "reads a perm: spec's generators; it checks "
+        "the table filled from them",
+    },
+}
+
+
+@pytest.mark.parametrize("oracle", [n for n in ORACLES if not n.startswith("_")])
+def test_oracles_reach_only_the_library_functions_listed(oracle):
+    """Each oracle reaches exactly the library functions ORACLE_REACH
+    gives it: module-level functions it names or imports, and functions
+    and methods it looks up as attributes."""
+    functions, methods = _library_functions()
+    names, attrs = _names_reached(ORACLES[oracle])
+    reached = names & functions | attrs & (functions | methods)
+    assert reached == set(ORACLE_REACH.get(oracle, {}))
+
+
+def test_oracle_reach_names_only_oracles():
+    """ORACLE_REACH has no entry for an oracle that is gone."""
+    assert set(ORACLE_REACH) <= set(ORACLES)
 
 
 def test_every_library_function_is_referenced_in_the_library():
