@@ -112,26 +112,19 @@ def cmd_covers(args):
                 f"--max-r {args.max_r} is below the {len(exact)} --branch orders"
             )
     max_r = args.max_r if args.max_r is not None else (len(exact) if exact else 4)
-    cap = args.branch_order_cap
-    if (
-        args.b not in (0, 1, 2)
-        or max_r < 0
-        or args.genus_cap < 1
-        or (cap is not None and cap < 1)
-    ):
-        raise UsageError(
-            "need --b 0, 1 or 2, --max-r >= 0, --genus-cap >= 1 "
-            "and --branch-order-cap >= 1"
+    try:
+        stream = enumerate_vectors(
+            G,
+            args.b,
+            max_r,
+            genus_cap=args.genus_cap,
+            dedup=not args.no_dedup,
+            branch_order_cap=args.branch_order_cap,
+            exact_branch_orders=exact,
         )
-    stream = enumerate_vectors(
-        G,
-        args.b,
-        max_r,
-        genus_cap=args.genus_cap,
-        dedup=not args.no_dedup,
-        branch_order_cap=cap,
-        exact_branch_orders=exact,
-    )
+    except DomainError as exc:
+        # a bound out of range is bad user input, like a flag that does not parse
+        raise UsageError(str(exc)) from exc
     # Rows are written from the raw (ab, gammas, genus) listing: every
     # entry is an element index, printed from one string made per index.
     # The listing fixes the alphas and betas outermost, so a row template

@@ -575,8 +575,10 @@ def enumerate_vectors(
     """
     if b not in (0, 1, 2):
         raise DomainError("base genus must be 0, 1 or 2")
-    if max_r < 0 or genus_cap <= 0:
-        raise DomainError("caps must be positive")
+    if max_r < 0:
+        raise DomainError("max_r must be >= 0")
+    if genus_cap < 1:
+        raise DomainError("genus_cap must be >= 1")
     if branch_order_cap is not None and branch_order_cap < 1:
         raise DomainError("branch_order_cap must be >= 1")
     exact = tuple(sorted(exact_branch_orders)) if exact_branch_orders else None

@@ -4,8 +4,8 @@ Elements are indices 0..order-1 with the identity at index 0.  Groups are
 built from a small spec mini-language (see ``build_group``); every built-in
 family fills its table from its generators' rows (``_table_from_rows``).
 Tables are validated at construction (Latin square, identity,
-associativity) and immutable afterwards; every derived structure is
-computed once, by ``_memo``.
+associativity), with the identity moved to index 0, and immutable
+afterwards; every derived structure is computed once, by ``_memo``.
 """
 
 from __future__ import annotations
@@ -47,9 +47,10 @@ def _memo(fn):
 class GroupTable:
     """A finite group as an explicit multiplication table.
 
-    ``mult[g][h]`` is the index of g*h.  Construction validates the table;
-    instances are immutable.  ``generators`` are the greedy generators
-    that validation tests associativity on (``_check_associative``).
+    ``mult[g][h]`` is the index of g*h.  Construction validates the table
+    and moves the identity to index 0, swapping two elements and their
+    ``labels``; instances are immutable.  ``generators`` are the greedy
+    generators that validation tests associativity on (``_check_associative``).
     """
 
     __slots__ = (
@@ -70,15 +71,20 @@ class GroupTable:
         n = len(mult)
         if n == 0:
             raise TableError("empty multiplication table")
+        _check_latin(mult)
+        ident = _find_identity(mult)
+        if ident:
+            # swap elements 0 and ident, a relabelling that is its own inverse
+            s = list(range(n))
+            s[0], s[ident] = ident, 0
+            at = itemgetter(*s)
+            mult = tuple(tuple(map(s.__getitem__, at(row))) for row in at(mult))
+            labels = None if labels is None else at(labels)
         self.order = n
         self.mult = mult
         self.spec = spec
         self.aux = aux or {}
         self._cache = {}
-        _check_latin(mult)
-        ident = _find_identity(mult)
-        if ident != 0:
-            raise TableError("identity element must sit at index 0")
         self.identity = 0
         self.generators = _check_associative(mult)
         # Latin, with identity, associative: a group, so inverses are two-sided
@@ -608,8 +614,10 @@ def _quaternion_table(m):
     return _metacyclic_table(m // 2, m // 4, "i", "j", f"quat:{m}")
 
 
-def _perm_group_table(perms, npoints, spec, order_cap):
-    ident = tuple(range(npoints))
+def _perm_group_table(perms, points, spec, order_cap):
+    """The group ``perms`` generate, each a permutation of the indices of
+    ``points``, which name the points in its elements' labels."""
+    ident = tuple(range(len(points)))
     elems = {ident}
     frontier = [ident]
     gens = [tuple(p) for p in perms]
@@ -629,11 +637,11 @@ def _perm_group_table(perms, npoints, spec, order_cap):
     pos = {p: i for i, p in enumerate(ordered)}
     rows = [[pos[tuple(map(g.__getitem__, y))] for y in ordered] for g in gens]
     mult = _table_from_rows(len(ordered), rows)
-    labels = tuple(_cycle_label(p) for p in ordered)
+    labels = tuple(_cycle_label(p, points) for p in ordered)
     return GroupTable(mult, labels=labels, spec=spec)
 
 
-def _cycle_label(p):
+def _cycle_label(p, points):
     n = len(p)
     seen = [False] * n
     parts = []
@@ -645,19 +653,20 @@ def _cycle_label(p):
         j = i
         while not seen[j]:
             seen[j] = True
-            cyc.append(j + 1)
+            cyc.append(points[j])
             j = p[j]
         parts.append("(" + " ".join(map(str, cyc)) + ")")
     return "".join(parts) if parts else "()"
 
 
-def _cycle_perm(npoints, cycles):
-    """The permutation of 0..npoints-1 that sends each point of the
-    disjoint ``cycles`` to the next point of its cycle."""
-    p = list(range(npoints))
+def _cycle_perm(points, cycles):
+    """The permutation of the indices of ``points`` that sends each point
+    of the disjoint ``cycles`` to the next point of its cycle."""
+    index = {x: i for i, x in enumerate(points)}
+    p = list(range(len(points)))
     for cycle in cycles:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            p[a] = b
+            p[index[a]] = index[b]
     return tuple(p)
 
 
@@ -666,11 +675,13 @@ _CYCLE_RE = re.compile(r"\(([0-9,\s]*)\)")
 
 
 def _parse_perm_gens(body):
+    """(perms, points): the points a ``perm:`` spec body names, in
+    increasing order ([1] when it names none), and its generators as
+    permutations of their indices (``_cycle_perm``)."""
     gens_txt = [t for t in body.split(";") if t.strip()]
     if not gens_txt:
         raise GroupSpecError("perm: needs at least one generator")
-    raw = []
-    npoints = 0
+    raw, named = [], set()
     for txt in gens_txt:
         cycles = []
         seen = set()
@@ -684,11 +695,11 @@ def _parse_perm_gens(body):
             if len(set(pts)) != len(pts) or seen.intersection(pts):
                 raise GroupSpecError(f"repeated point in permutation {txt!r}")
             seen.update(pts)
-            cycles.append([p - 1 for p in pts])
-            npoints = max(npoints, max(pts, default=0))
+            cycles.append(pts)
+        named |= seen
         raw.append(cycles)
-    npoints = max(npoints, 1)
-    return [_cycle_perm(npoints, cycles) for cycles in raw], npoints
+    points = sorted(named) or [1]
+    return [_cycle_perm(points, cycles) for cycles in raw], points
 
 
 def _load_cayley(path):
@@ -713,15 +724,6 @@ def _load_cayley(path):
         )
     if "order" in data and len(table) != data["order"]:
         raise GroupSpecError("cayley file order does not match table size")
-    _check_latin(table)
-    # relabel so the identity lands at index 0
-    ident = _find_identity(table)
-    if ident != 0:
-        n = len(table)
-        perm = list(range(n))
-        perm[0], perm[ident] = ident, 0
-        # perm swaps two points, so it is its own inverse
-        table = [[perm[table[perm[i]][perm[j]]] for j in range(n)] for i in range(n)]
     return table
 
 
@@ -738,8 +740,8 @@ def build_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     kind = kind.strip().lower()
     if kind == "perm":
         # the order is known only once the closure is built
-        perms, npoints = _parse_perm_gens(body)
-        return _perm_group_table(perms, npoints, spec, order_cap)
+        perms, points = _parse_perm_gens(body)
+        return _perm_group_table(perms, points, spec, order_cap)
     if kind == "ab":
         try:
             factors = [int(t) for t in body.split(",") if t.strip()]
@@ -772,9 +774,10 @@ def build_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
             if kind == "alt" and not 3 <= n <= 5:
                 raise GroupSpecError("alt:n supports 3 <= n <= 5")
             order = factorial(n) // (2 if kind == "alt" else 1)
-            moved = (0,) if kind == "sym" else (0, 1)
-            gens = [_cycle_perm(n, [moved + (k,)]) for k in range(len(moved), n)]
-            make = partial(_perm_group_table, gens, n, f"{kind}:{n}", order_cap)
+            points = range(1, n + 1)
+            moved = (1,) if kind == "sym" else (1, 2)
+            gens = [_cycle_perm(points, [moved + (k,)]) for k in points[len(moved) :]]
+            make = partial(_perm_group_table, gens, points, f"{kind}:{n}", order_cap)
     else:
         raise GroupSpecError(f"unknown group family {kind!r} in {spec!r}")
     if order > order_cap:

@@ -60,11 +60,11 @@ class UnmixedSurface:
         }
 
 
-def build_surface(vC, vD) -> UnmixedSurface:
+def build_surface(vC: GeneratingVector, vD: GeneratingVector) -> UnmixedSurface:
     """Validate a pair of generating vectors, verify the diagonal action
     is free and both genera are >= 2, and compute all invariants."""
-    cC = vC if isinstance(vC, BranchedCover) else validate_vector(vC)
-    cD = vD if isinstance(vD, BranchedCover) else validate_vector(vD)
+    cC = validate_vector(vC)
+    cD = validate_vector(vD)
     G = cC.vector.group
     if cD.vector.group is not G:
         raise DomainError("both generating vectors must be over the same group")

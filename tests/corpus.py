@@ -23,6 +23,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shlex
 import sys
 from pathlib import Path
@@ -123,21 +124,38 @@ def commands():
             "--no-dedup", "--format", "csv",
         ),
     ]
+    # perm: specs whose points have gaps, and a cayley: table whose
+    # identity is not at index 0; the fixture path is relative to the
+    # repository root, where run_corpus runs
+    for spec in (
+        "perm:(2 5)(7 9);(5 7)",
+        "perm:(3 6)(4 8 5)",
+        "cayley:tests/fixtures/s3_identity_at_3.json",
+    ):
+        for fmt in ("json", "table"):
+            out.append(("chartab", spec, "--format", fmt))
+        out.append(("covers", spec, "--b", "1", "--max-r", "2"))
     return out
 
 
 def run_corpus(src=None):
     """``{argv: [exit code, stdout sha256]}`` of every command, run on the
-    ``isoprod`` under ``src`` (default: this checkout's)."""
+    ``isoprod`` under ``src`` (default: this checkout's) from the root of
+    this checkout, which relative file paths in the commands start at."""
     sys.path.insert(0, str(src or HERE.parent / "src"))
     from isoprod.cli import main
 
     results = {}
-    for argv in commands():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(list(argv))
-        results[shlex.join(argv)] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+    cwd = os.getcwd()
+    os.chdir(HERE.parent)
+    try:
+        for argv in commands():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(list(argv))
+            results[shlex.join(argv)] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+    finally:
+        os.chdir(cwd)
     return results
 
 

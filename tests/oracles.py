@@ -217,6 +217,56 @@ def aut0_complex(S):
     return frozenset(out)
 
 
+def lefschetz_numbers(G, M, genus):
+    """Per element h of G, the Lefschetz number of h on a curve C of
+    genus ``genus`` with a G-cover C -> C/G branched over the classes of
+    the multiset M (indices into ``conjugacy_classes(G)``): 2 - 2 genus at
+    the identity and, for h != 1, the number of points h fixes,
+    sum_i |C_G(h)| #{0 < k < m_i : gamma_i^k ~ h} / m_i over the branch
+    points, m_i the order of gamma_i (A. M. Macbeath, 1973).  Conjugacy
+    and centralizers come from the table alone; no character is used."""
+    from isoprod.groups import conjugacy_classes
+
+    n, mult, inv = G.order, G.mult, G.inverse
+    conjugates = {}  # element -> the set of its conjugates
+    for x in range(n):
+        if x not in conjugates:
+            cl = frozenset(mult[mult[t][x]][inv[t]] for t in range(n))
+            for y in cl:
+                conjugates[y] = cl
+    L = [0] * n
+    for c in M:
+        gamma = conjugacy_classes(G)[c].representative
+        powers, x = [], gamma  # gamma^1, ..., gamma^(m-1)
+        while x:
+            powers.append(x)
+            x = mult[x][gamma]
+        m = len(powers) + 1
+        for h in range(1, n):
+            fixed = n // len(conjugates[h]) * sum(y in conjugates[h] for y in powers)
+            assert fixed % m == 0, (G.spec, M, h)
+            L[h] += fixed // m
+    L[0] = 2 - 2 * genus
+    return tuple(L)
+
+
+def aut0_lefschetz(G, LC, LD):
+    """Aut_0 of S = (C x D)/G by Lefschetz numbers, from the per-element
+    Lefschetz numbers LC and LD of the two curves (``lefschetz_numbers``):
+    a central sigma acts on S as (sigma, 1), with Lefschetz number
+    (1/|G|) sum_g LC(sigma g) LD(g).  It acts trivially on H^1 and H^3,
+    so it lies in Aut_0 iff that number is the Euler number e(S), its
+    value at sigma = 1."""
+    n, mult = G.order, G.mult
+    euler = sum(LC[g] * LD[g] for g in range(n))
+    return frozenset(
+        s
+        for s in range(n)
+        if all(mult[s][g] == mult[g][s] for g in range(n))
+        and sum(LC[mult[s][g]] * LD[g] for g in range(n)) == euler
+    )
+
+
 def acts_trivially(S, sigma):
     """Whether the central element sigma acts trivially on H^*(S, QQ),
     by the package's kernel criterion (``classify.compute_aut0``);
@@ -431,8 +481,44 @@ def listed_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
     return counts, first, truncated
 
 
+def tuples_by_product(G, b, r, allowed_gamma):
+    """Every generating vector over G at base genus b with r gammas from
+    ``allowed_gamma``, as (alphas+betas, gammas), in the order of
+    ``covers._raw_tuples``: itertools.product over the free entries (the
+    2b alphas and betas over G, then the first r - 1 gammas), the last
+    gamma forced by the long relation (with r = 0, the relation must
+    hold), and the entries tested to generate G by ``saturate_closure``,
+    once per set of entries."""
+    import itertools
+
+    mult, inv = G.mult, G.inverse
+    allowed = set(allowed_gamma)
+    generates = {}  # set of entries -> whether it generates G
+    free = [range(G.order)] * (2 * b) + [allowed_gamma] * max(r - 1, 0)
+    for entries in itertools.product(*free):
+        ab, head = entries[: 2 * b], entries[2 * b :]
+        p = 0
+        for a, c in zip(ab[:b], ab[b:]):  # p *= [a, c] = a c a^-1 c^-1
+            p = mult[p][mult[mult[mult[a][c]][inv[a]]][inv[c]]]
+        for g in head:
+            p = mult[p][g]
+        if r:
+            if inv[p] not in allowed:
+                continue
+            gam = head + (inv[p],)
+        elif p:
+            continue
+        else:
+            gam = ()
+        key = frozenset(ab + gam)
+        if key not in generates:
+            generates[key] = len(saturate_closure(G, key)) == G.order
+        if generates[key]:
+            yield ab, gam
+
+
 def dedup_by_marking(G, b, max_r, genus_cap, min_genus=2, exact=None):
-    """Orbit dedup by listing: walk every tuple of ``covers._raw_tuples``
+    """Orbit dedup by listing: walk every tuple of ``tuples_by_product``
     (every non-identity gamma allowed, or only the orders in ``exact``)
     and keep a vector unless an earlier kept vector of the same r marked
     it, marking all its images under ``automorphisms``.  The
@@ -444,8 +530,6 @@ def dedup_by_marking(G, b, max_r, genus_cap, min_genus=2, exact=None):
     Returns (kept, truncated): the kept vectors as (ab, gammas, genus)
     in listing order, and the number of vectors over genus_cap.
     """
-    from isoprod.covers import _raw_tuples
-
     n = G.order
     auts = automorphisms(G)
     orders = G.element_order
@@ -466,7 +550,7 @@ def dedup_by_marking(G, b, max_r, genus_cap, min_genus=2, exact=None):
         if exact is not None and r != len(exact):
             continue
         marked = set()
-        for ab, gam in _raw_tuples(G, b, r, allowed):
+        for ab, gam in tuples_by_product(G, b, r, allowed):
             if gam not in genus_of:
                 genus_of[gam] = genus(sorted(orders[x] for x in gam))
             g = genus_of[gam]
@@ -611,7 +695,7 @@ def automorphisms(G):
 
 
 def canonical_tuples_by_filtering(G, b, r, allowed_gamma, auts):
-    """The tuples of ``covers._raw_tuples`` that are lex-least in their
+    """The tuples of ``tuples_by_product`` that are lex-least in their
     orbit under the automorphisms ``auts``, by filtering the list: fix
     the free entries one at a time, skip a candidate x that some phi in
     the current stabilizer sends below x, and narrow the stabilizer to
@@ -619,10 +703,8 @@ def canonical_tuples_by_filtering(G, b, r, allowed_gamma, auts):
     completions of the prefix are the tuples of the full listing that
     start with it (the listing is grouped by prefix once per prefix
     length)."""
-    from isoprod.covers import _raw_tuples
-
     free = 2 * b + max(r - 1, 0)
-    listing = list(_raw_tuples(G, b, r, allowed_gamma))
+    listing = list(tuples_by_product(G, b, r, allowed_gamma))
     by_prefix = {}  # prefix length -> {prefix: its tuples in listing order}
 
     def completions(prefix):
@@ -918,10 +1000,12 @@ def table_by_entries(spec):
         ]
         return mult, tuple(f"{a}^{i}{b}" if j else f"{a}^{i}" for i, j in elems)
     if kind == "perm":
-        gens, npoints = _parse_perm_gens(body)
+        gens, points = _parse_perm_gens(body)
+        npoints = len(points)
     else:
         # sym:n from the transpositions (1 k), alt:n from the 3-cycles (1 2 k)
         npoints = int(body)
+        points = range(1, npoints + 1)
         moved = (0,) if kind == "sym" else (0, 1)
         gens = []
         for k in range(len(moved), npoints):
@@ -943,4 +1027,4 @@ def table_by_entries(spec):
     ordered = sorted(elems)
     pos = {p: i for i, p in enumerate(ordered)}
     mult = [[pos[compose(x, y)] for y in ordered] for x in ordered]
-    return mult, tuple(_cycle_label(p) for p in ordered)
+    return mult, tuple(_cycle_label(p, points) for p in ordered)

@@ -4,6 +4,7 @@ from isoprod.characters import character_table
 from isoprod.classify import (
     SearchBounds,
     _aut0_mask,
+    _class_data,
     _classify_group,
     _cover_buckets,
     _mask_to_set,
@@ -12,17 +13,30 @@ from isoprod.classify import (
     classify_all,
     compute_aut0,
 )
-from isoprod.covers import GeneratingVector, enumerate_vectors
+from isoprod.covers import (
+    GeneratingVector,
+    _branch_plan,
+    _counted_multisets,
+    enumerate_vectors,
+)
 from isoprod.errors import ConsistencyError, DomainError
 from isoprod.groups import (
     abelian_element,
     build_group,
     builtin_groups_upto,
+    class_index,
     subgroup_registry,
 )
 from isoprod.surfaces import build_surface, example46_construct
 
-from oracles import abelian_invariants, acts_trivially, aut0_complex, listed_buckets
+from oracles import (
+    abelian_invariants,
+    acts_trivially,
+    aut0_complex,
+    aut0_lefschetz,
+    lefschetz_numbers,
+    listed_buckets,
+)
 
 
 def _klein_surface():
@@ -100,6 +114,75 @@ def test_compute_aut0_matches_complex_oracle():
         assert aut0 == aut0_complex(S), S.to_json()
         nontrivial += len(aut0) > 1
     assert nontrivial > 0
+
+
+@pytest.mark.parametrize(
+    "bC,bD,max_r,max_s", [(1, 1, 4, 4), (0, 2, 4, 2), (2, 0, 2, 4), (1, 2, 4, 2)]
+)
+def test_aut0_matches_lefschetz_on_free_multiset_pairs(bC, bD, max_r, max_s):
+    """Over every pair of kept branch-class multisets of the built-ins of
+    order <= 12 (genus cap 33, branch orders <= 8), the Lefschetz
+    numbers, which use no character, agree with the sweep: a pair is
+    free exactly when no g != 1 fixes points of both curves, the kernel
+    criterion on the pair's H^1 masks gives the Aut_0 of the Lefschetz
+    rule, and the sweep's surface and nontrivial counts are the free
+    pairs weighted by their numbers of vectors.  Each curve's numbers
+    also average to e(C/G) = 2 - 2b over G."""
+    bounds = SearchBounds(
+        max_group_order=12,
+        max_branch_points_r=max_r,
+        max_branch_points_s=max_s,
+        base_genera=((bC, bD),),
+    )
+    nontrivial = 0
+    for spec in builtin_groups_upto(12):
+        G = build_group(spec)
+        allowed = _branch_plan(G, bounds.branch_order_cap)
+        sides = []
+        for b, r in ((bC, max_r), (bD, max_s)):
+            kept = _counted_multisets(G, b, r, bounds.genus_cap, allowed)[0]
+            side = []
+            for M, (genus, count) in kept.items():
+                L = lefschetz_numbers(G, M, genus)
+                assert sum(L) == G.order * (2 - 2 * b), (spec, M)
+                side.append((L, count, *_class_data(G, b, M)))
+            sides.append(side)
+        want = {"surfaces": 0, "nontrivial_aut0": 0}
+        for LC, countC, maskC, sigC in sides[0]:
+            for LD, countD, maskD, sigD in sides[1]:
+                free = sigC & sigD == 1
+                assert free == all(LC[g] * LD[g] == 0 for g in range(1, G.order))
+                if not free:
+                    continue
+                aut0 = aut0_lefschetz(G, LC, LD)
+                assert aut0 == _mask_to_set(_aut0_mask(G, maskC & maskD)), spec
+                want["surfaces"] += countC * countD
+                if len(aut0) > 1:
+                    want["nontrivial_aut0"] += countC * countD
+        counts = _classify_group(spec, bounds)[1]
+        assert {k: counts[k] for k in want} == want, spec
+        nontrivial += want["nontrivial_aut0"]
+    # nontrivial Aut_0 occurs only at base genera (1, 1)
+    assert (nontrivial > 0) == ((bC, bD) == (1, 1))
+
+
+def test_sweep_records_match_lefschetz():
+    """Every record of the order <= 16 sweep at the default bounds names
+    the Aut_0 that the Lefschetz numbers of its two vectors give."""
+    records, summary = classify_all(SearchBounds(), builtin_groups_upto(16))
+    assert records and summary["errors"] == 0
+    for rec in records:
+        G = build_group(rec["group"])
+        numbers = [
+            lefschetz_numbers(
+                G,
+                sorted(class_index(G)[g] for g in rec["v" + side]["gammas"]),
+                rec["genus_" + side],
+            )
+            for side in "CD"
+        ]
+        assert sorted(aut0_lefschetz(G, *numbers)) == rec["aut0"], rec
+        assert rec["aut0_order"] > 1
 
 
 def test_conformance_positive():
@@ -399,7 +482,7 @@ def test_classify_weights_against_bruteforce():
             if sigma[i] & sigma[j] != frozenset([0]):
                 continue
             total += 1
-            if len(aut0_of(build(cC, cD))) > 1:
+            if len(aut0_of(build(cC.vector, cD.vector))) > 1:
                 nontrivial += 1
     bounds = SearchBounds(
         max_group_order=4,

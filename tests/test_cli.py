@@ -157,10 +157,10 @@ def test_covers_bad_branch(capsys):
         (("ab:2,2", "--branch", "0"), "--branch orders must be >= 2"),
         (("ab:2,2", "--branch", "2,-2"), "--branch orders must be >= 2"),
         (("ab:2,2", "--branch", "2,2", "--max-r", "1"), "below the 2 --branch"),
-        (("ab:2", "--max-r", "-1"), "--max-r >= 0"),
-        (("ab:2", "--genus-cap", "0"), "--genus-cap >= 1"),
-        (("ab:2", "--b", "3"), "need --b 0, 1 or 2"),
-        (("ab:2,2", "--branch-order-cap", "0"), "--branch-order-cap >= 1"),
+        (("ab:2", "--max-r", "-1"), "max_r must be >= 0"),
+        (("ab:2", "--genus-cap", "0"), "genus_cap must be >= 1"),
+        (("ab:2", "--b", "3"), "base genus must be 0, 1 or 2"),
+        (("ab:2,2", "--branch-order-cap", "0"), "branch_order_cap must be >= 1"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, "covers", *argv)

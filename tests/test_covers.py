@@ -282,7 +282,7 @@ def perm_specs(draw):
     degree = draw(st.integers(min_value=3, max_value=6))
     perms = st.permutations(range(degree))
     gens = draw(st.lists(perms, min_size=1, max_size=3))
-    return "perm:" + ";".join(_cycle_label(p) for p in gens)
+    return "perm:" + ";".join(_cycle_label(p, range(1, degree + 1)) for p in gens)
 
 
 def test_random_perm_groups_match_oracles():
@@ -387,12 +387,15 @@ def test_genus_cap_sets_truncated():
 
 
 def test_enumerate_vectors_rejects_bounds_out_of_range():
-    """A base genus other than 0, 1 or 2 and a genus cap below 1 are
-    refused when the stream is created."""
+    """A base genus other than 0, 1 or 2, a negative max_r and a genus
+    cap below 1 are refused when the stream is created, each by its own
+    message."""
     G = build_group("ab:2,2")
     with pytest.raises(DomainError, match="base genus must be 0, 1 or 2"):
         enumerate_vectors(G, 3, 2)
-    with pytest.raises(DomainError, match="caps must be positive"):
+    with pytest.raises(DomainError, match="max_r must be >= 0"):
+        enumerate_vectors(G, 1, -1)
+    with pytest.raises(DomainError, match="genus_cap must be >= 1"):
         enumerate_vectors(G, 1, 2, genus_cap=0)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,8 @@ from oracles import (
     saturate_closure,
     table_by_entries,
 )
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def test_cyclic_group_basics():
@@ -86,12 +89,15 @@ def test_alt4():
     assert [len(c.members) for c in conjugacy_classes(G)] == [1, 3, 4, 4]
 
 
-def test_identity_must_be_zero():
-    # a valid Z2 table with the identity at index 1
-    from isoprod.groups import GroupTable
-
-    with pytest.raises(TableError):
-        GroupTable([[1, 0], [0, 1]])
+def test_identity_moves_to_index_zero():
+    """A table whose identity sits at index i != 0 is relabelled by
+    swapping elements 0 and i, labels included."""
+    G = GroupTable([[1, 0], [0, 1]], labels=("a", "e"))
+    assert G.mult == ((0, 1), (1, 0))
+    assert G.labels == ("e", "a")
+    H = GroupTable([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+    assert H.mult == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert H.labels == ("g0", "g1", "g2")
 
 
 def test_non_latin_rejected():
@@ -200,6 +206,45 @@ def test_generator_images_that_do_not_extend(tmp_path):
     assert ta.characters == td.characters
     assert abelian_invariants(G) == (2, 4)
     assert len(automorphisms(G)) == 8
+
+
+def test_cayley_table_is_checked_once(monkeypatch):
+    """A cayley: table goes through the Latin check and the identity
+    search once, in GroupTable; the loader only reads the file."""
+    calls = []
+    for name in ("_check_latin", "_find_identity"):
+
+        def counted(mult, fn=getattr(groups, name), name=name):
+            calls.append(name)
+            return fn(mult)
+
+        monkeypatch.setattr(groups, name, counted)
+    G = build_group(f"cayley:{FIXTURES / 's3_identity_at_3.json'}")
+    assert G.order == 6 and G.mult[0] == tuple(range(6))
+    assert sorted(calls) == ["_check_latin", "_find_identity"]
+
+
+def test_perm_points_are_the_ones_named():
+    """A perm: spec acts on the points it names, relabelled in order, so
+    a large point name costs nothing."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        G = build_group("perm:(1 1000000)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.labels == ("()", "(1 1000000)")
+    assert G.mult == ((0, 1), (1, 0))
+    assert peak < 1_000_000
+    # the points 2, 5, 7, 9 act as 1, 2, 3, 4 do
+    H = build_group("perm:(2 5)(7 9);(5 7)")
+    assert H.mult == build_group("perm:(1 2)(3 4);(2 3)").mult
+    assert H.labels == (
+        "()", "(5 7)", "(2 5)(7 9)", "(2 5 9 7)",
+        "(2 7 9 5)", "(2 7)(5 9)", "(2 9)", "(2 9)(5 7)",
+    )
 
 
 def test_cayley_missing_file():

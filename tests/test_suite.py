@@ -138,12 +138,11 @@ ORACLE_REACH = {
     },
     "automorphisms": _SIMS_BASE,
     "automorphisms_by_leaves": _SIMS_BASE,
-    "canonical_tuples_by_filtering": _RAW_LISTING,
     "commutator_subgroup": {
         "_memo": "keeps the subgroup on G",
         "commutator": "three table lookups per pair of elements",
     },
-    "dedup_by_marking": {**_SIMS_BASE, **_RAW_LISTING},
+    "dedup_by_marking": _SIMS_BASE,
     "first_constituent_by_scan": {
         "restriction_multiplicity": "checked against restriction_complex "
         "on its own; it checks the memo and kernel test of "
@@ -154,6 +153,10 @@ ORACLE_REACH = {
     },
     "invariant_signature": {
         "conjugacy_classes": "class sizes and element orders",
+    },
+    "lefschetz_numbers": {
+        "conjugacy_classes": "reads the representatives of the classes M "
+        "names; conjugacy and centralizers come from the table",
     },
     "lattice_by_every_element": {
         "extend": "a fresh registry extended by every element: it checks "

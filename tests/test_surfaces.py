@@ -140,7 +140,7 @@ def test_h2_summands_pair_each_character_with_its_conjugate():
         for cC in covers:
             for cD in covers:
                 try:
-                    S = build_surface(cC, cD)
+                    S = build_surface(cC.vector, cD.vector)
                 except FreenessError:
                     continue
                 mC, mD = mults[cC.vector], mults[cD.vector]
