@@ -23,10 +23,10 @@ d-dimensional space); a nullspace is solved for only at those roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import isqrt
 from operator import mul
+from typing import NamedTuple
 
 from .cyclotomic import Cyc, reduce_folded
 from .errors import ConsistencyError, DomainError
@@ -47,8 +47,7 @@ from .groups import (
 _DIXON_PRIME_BOUND = 1 << 20
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple):
     """One irreducible character: degree and per-class multiplicity
     vectors (length e each)."""
 
@@ -143,16 +142,16 @@ class CharacterTable:
         e = self.exponent
         steps = [e // G.element_order[c.representative] for c in self.classes]
         passed = set()
-        for i, c in enumerate(self.characters):
-            for r, (v, step) in enumerate(zip(c.values, steps)):
-                key = (v, step, c.degree)
+        for i, (degree, values) in enumerate(self.characters):
+            for r, (v, step) in enumerate(zip(values, steps)):
+                key = (v, step, degree)
                 if key in passed:
                     continue
                 # non-negative with all of the degree on the multiples of step
-                if min(v) < 0 or sum(v) != c.degree or sum(v[::step]) != c.degree:
+                if min(v) < 0 or sum(v) != degree or sum(v[::step]) != degree:
                     raise ConsistencyError(
                         f"character {i} at class {r} is not a multiset of "
-                        f"{e // step}-th roots of unity of size {c.degree}"
+                        f"{e // step}-th roots of unity of size {degree}"
                     )
                 passed.add(key)
         if sum(c.degree * c.degree for c in self.characters) != n:
@@ -231,7 +230,7 @@ def _abelian_characters(G: GroupTable):
     images of ``G.generators``, as linear characters;
     ``CharacterTable`` rejects a missing or repeated one."""
     e = G.exponent
-    classes = conjugacy_classes(G)
+    reps = [c.representative for c in conjugacy_classes(G)]
     gens = G.generators
     parent, bfs = _word_tree(G.mult, gens)
     gen_columns = _column_getters(tuple(zip(*G.mult)), gens)
@@ -242,7 +241,7 @@ def _abelian_characters(G: GroupTable):
     for exps in product(*choice_sets):
         val = _extend_map(gen_columns, parent, bfs, exps, shifts)
         if val is not None:
-            values = tuple(units[val[c.representative]] for c in classes)
+            values = tuple(units[val[r]] for r in reps)
             chars.append(Character(1, values))
     return chars
 
@@ -382,11 +381,11 @@ def _dixon_characters(G: GroupTable):
 
     # class-sum multiplication constants: K_r K_s = sum_t a[r][s][t] K_t
     M = []
-    for r in range(k):
+    for _, members in classes:
         Mr = [[0] * k for _ in range(k)]
         for t in range(k):
             zt = reps[t]
-            for x in classes[r].members:
+            for x in members:
                 Mr[class_of[mult[inv[x]][zt]]][t] += 1
         M.append(Mr)
 
@@ -472,8 +471,6 @@ def _refine_spaces(spaces, M, p):
                 for i in range(d)
             ]
             ns = _nullspace_mod(N, p)
-            if not ns:
-                continue
             rows = [_combine(u, B, p) for u in ns]
             rr, rpiv = _rref_mod(rows, p)
             new.append((rr, rpiv))
@@ -557,10 +554,10 @@ def _induce(tableG, sub, j):
     assert eG % eH == 0
     scale = eG // eH
     acc = [[0] * eG for _ in tableG.classes]
-    for cl, v in zip(sub.table.classes, sub.table.sparse[j]):
-        row = acc[tableG.class_of[sub.embed[cl.representative]]]
+    for (rep, members), v in zip(sub.table.classes, sub.table.sparse[j]):
+        row = acc[tableG.class_of[sub.embed[rep]]]
         for k, m in v:
-            row[k * scale] += len(cl.members) * m
+            row[k * scale] += len(members) * m
     out = []
     for cl, row in zip(tableG.classes, acc):
         den = len(cl.members) * sub.H.order
@@ -587,11 +584,11 @@ def restriction_multiplicity(
     phi_rows = tableG.sparse[i]
     terms = (
         (
-            len(cl.members),
-            phi_rows[tableG.class_of[sub.embed[cl.representative]]],
+            len(members),
+            phi_rows[tableG.class_of[sub.embed[rep]]],
             [(k * scale, m) for k, m in v],
         )
-        for cl, v in zip(sub.table.classes, sub.table.sparse[j])
+        for (rep, members), v in zip(sub.table.classes, sub.table.sparse[j])
     )
     coeffs = _fold(tableG.exponent, terms)
     m, rem = divmod(coeffs[0], sub.H.order)

@@ -15,7 +15,7 @@ vector pairs with identical Aut_0 and conformance outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .characters import character_table
 from .covers import (
@@ -41,8 +41,7 @@ SUMMARY_KEYS = ("surfaces", "nontrivial_aut0", "conformance_failures", "errors")
 SURFACE_FIELDS = ("group", "vC", "vD", "genus_C", "genus_D", "q", "pg", "chi", "K2", "b2")
 
 
-@dataclass
-class SearchBounds:
+class SearchBounds(NamedTuple):
     max_group_order: int = 16
     max_branch_points_r: int = 4
     max_branch_points_s: int = 4

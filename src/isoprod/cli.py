@@ -221,11 +221,6 @@ def cmd_classify(args):
         base_genera=tuple(base_genera),
         branch_order_cap=args.branch_order_cap,
     )
-    try:
-        bounds.validate()
-    except DomainError as exc:
-        # a bad bound is bad user input, like a flag that does not parse
-        raise UsageError(str(exc)) from exc
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
     if args.groups:
@@ -258,11 +253,15 @@ def cmd_classify(args):
             seen[key] = spec
     else:
         groups = builtin_groups_upto(args.max_group_order)
-    records, summary = classify_all(
-        bounds,
-        groups,
-        detail="full" if args.full else "nontrivial",
-    )
+    try:
+        records, summary = classify_all(
+            bounds,
+            groups,
+            detail="full" if args.full else "nontrivial",
+        )
+    except DomainError as exc:
+        # a bad bound is bad user input, like a flag that does not parse
+        raise UsageError(str(exc)) from exc
     for rec in records:
         _out(json.dumps(rec, sort_keys=True))
     _out(json.dumps(summary, sort_keys=True))

@@ -123,12 +123,12 @@ def h1_multiplicities(table, b: int, classes) -> tuple:
     l_gamma(chi) for the others, l_gamma(chi) being the eigenvalue-1
     count of chi at gamma's class."""
     out = []
-    for i, chi in enumerate(table.characters):
+    for i, (degree, values) in enumerate(table.characters):
         if i == table.trivial_index:
             m = 2 * b
         else:
-            m = chi.degree * (2 * b - 2 + len(classes)) - sum(
-                chi.values[k][0] for k in classes
+            m = degree * (2 * b - 2 + len(classes)) - sum(
+                values[k][0] for k in classes
             )
             if m < 0:
                 raise ConsistencyError(

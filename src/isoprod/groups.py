@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
 from functools import partial, wraps
 from math import factorial, isqrt, lcm, prod
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -71,6 +71,8 @@ class GroupTable:
         n = len(mult)
         if n == 0:
             raise TableError("empty multiplication table")
+        if labels is not None and len(labels) != n:
+            raise TableError(f"{len(labels)} labels for {n} elements")
         _check_latin(mult)
         ident = _find_identity(mult)
         if ident:
@@ -218,8 +220,7 @@ def _check_associative(mult):
 # -- conjugacy classes -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(NamedTuple):
     representative: int
     members: tuple
 
@@ -717,7 +718,7 @@ def _load_cayley(path):
         isinstance(table, list)
         and table
         and all(isinstance(row, list) for row in table)
-        and all(isinstance(x, int) for row in table for x in row)
+        and all(type(x) is int for row in table for x in row)
     ):
         raise GroupSpecError(
             "cayley table must be a non-empty list of rows of integers"

@@ -8,7 +8,7 @@ decomposition of H^2 are computed exactly from the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .characters import character_table
 from .covers import (
@@ -22,8 +22,7 @@ from .errors import ConsistencyError, DomainError, FreenessError
 from .groups import GroupTable, abelian_element, build_group
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(NamedTuple):
     q: int
     pg: int
     chi: int
@@ -34,12 +33,11 @@ class SurfaceInvariants:
     h2_summands: tuple  # per character index, dims of the Delta_G summands
 
 
-class UnmixedSurface:
-    def __init__(self, group, cover_C: BranchedCover, cover_D: BranchedCover):
-        self.group = group
-        self.cover_C = cover_C
-        self.cover_D = cover_D
-        self.invariants = _compute_invariants(self)
+class UnmixedSurface(NamedTuple):
+    group: GroupTable
+    cover_C: BranchedCover
+    cover_D: BranchedCover
+    invariants: SurfaceInvariants
 
     def to_json(self):
         inv = self.invariants
@@ -80,14 +78,13 @@ def build_surface(vC: GeneratingVector, vD: GeneratingVector) -> UnmixedSurface:
             "points on both factors",
             witness=witness,
         )
-    return UnmixedSurface(G, cC, cD)
+    return UnmixedSurface(G, cC, cD, _compute_invariants(G, cC, cD))
 
 
-def _compute_invariants(S: UnmixedSurface) -> SurfaceInvariants:
-    G = S.group
+def _compute_invariants(G, cC, cD) -> SurfaceInvariants:
     n = G.order
-    gC, gD = S.cover_C.genus, S.cover_D.genus
-    q = S.cover_C.vector.base_genus + S.cover_D.vector.base_genus
+    gC, gD = cC.genus, cD.genus
+    q = cC.vector.base_genus + cD.vector.base_genus
     num = (gC - 1) * (gD - 1)
     if num % n != 0:
         raise ConsistencyError(
@@ -95,8 +92,8 @@ def _compute_invariants(S: UnmixedSurface) -> SurfaceInvariants:
         )
     chi = num // n
     table = character_table(G)
-    dimsC = isotypic_dimensions(S.cover_C, table)
-    dimsD = isotypic_dimensions(S.cover_D, table)
+    dimsC = isotypic_dimensions(cC, table)
+    dimsD = isotypic_dimensions(cD, table)
     # the summand of chi is m_C(chi) m_D(conj chi) = m_C(chi) m_D(chi):
     # H^1 is defined over Q, so chi and conj(chi) have one multiplicity
     summands = [

@@ -1,0 +1,212 @@
+"""Re-derive the records of ``isoprod classify`` from its stdout alone.
+
+    python tests/check_records.py [STDOUT_FILE]    # default: stdin
+
+This imports nothing from isoprod.  For a record over an ``ab:`` group
+it rebuilds G = Z_d1 + ... + Z_dk itself, with element i the mixed-radix
+number of its coordinates (the last coordinate fastest), and checks:
+
+- the labels in ``aut0_labels`` are those coordinates
+- each vector is over the record's group, its gammas sum to 0 (the
+  commutators of an abelian group vanish) and its entries generate G
+- the genera follow from Riemann-Hurwitz, and the two stabilizer unions
+  (the union of the <gamma_i>) meet in {0}, so G acts freely
+- chi = (g_C - 1)(g_D - 1)/|G|, with q, pg, K2 and b2 derived from it
+- Aut_0 is the set of sigma whose Lefschetz number on S,
+  (1/|G|) sum_g L_C(sigma + g) L_D(g), equals its value at sigma = 0;
+  L(h) is 2 - 2g at h = 0 and otherwise the integer fixed-point count
+  sum_i [h in <gamma_i>] |G|/m_i (G is abelian, so a gamma's class is
+  itself and every centralizer is G)
+- a nontrivial Aut_0 has the classified shape: the gammas of C are all
+  one involution s, those of D one involution t != s, Aut_0 = {0, s + t},
+  and the record says it conforms
+- such a record's ``weight`` is N_bC(s) N_bD(t), N_b(s) being the number
+  of 2b-tuples of G that generate G together with s
+
+The weights of the nontrivial records must sum to the summary's
+``nontrivial_aut0``.  A record over any other group is counted as
+unchecked; a nontrivial one is a failure, since Lemma B rules out a
+nontrivial Aut_0 over a non-abelian group and this checker cannot tell
+whether the group is abelian.  The exit status is 1 on any failure.
+"""
+
+import json
+import sys
+from itertools import product
+from math import gcd, lcm, prod
+
+
+class RecordError(Exception):
+    """A record, or the summary, that its own data contradicts."""
+
+
+def _require(condition, message):
+    if not condition:
+        raise RecordError(message)
+
+
+def abelian_group(spec):
+    """(add, labels, orders) of the group ``ab:d1,...,dk``: the addition
+    table, the coordinate labels and the element orders, element i being
+    the mixed-radix number of its coordinates, the last one fastest."""
+    factors = [int(d) for d in spec[3:].split(",") if int(d) > 1]
+    coords = list(product(*map(range, factors)))
+    index = {c: i for i, c in enumerate(coords)}
+    add = [
+        [index[tuple((a + b) % d for a, b, d in zip(x, y, factors))] for y in coords]
+        for x in coords
+    ]
+    labels = [str(c) for c in coords] if factors else ["1"]
+    orders = [lcm(*(d // gcd(d, c) for c, d in zip(x, factors))) for x in coords]
+    return add, labels, orders
+
+
+def generated(add, gens, start=(0,)):
+    """The subgroup generated by ``start`` (a subgroup) and ``gens``."""
+    seen, todo = set(start), list(start)
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = add[x][g]
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return frozenset(seen)
+
+
+def completions(add, H, k, memo):
+    """The number of k-tuples of G that generate G together with the
+    subgroup H."""
+    if k == 0:
+        return int(len(H) == len(add))
+    if (H, k) not in memo:
+        memo[H, k] = sum(
+            completions(add, generated(add, [g], H), k - 1, memo)
+            for g in range(len(add))
+        )
+    return memo[H, k]
+
+
+def _side(group, rec, side):
+    """(gammas, genus, stabilizer union, Lefschetz numbers) of one
+    factor's vector, after checking the vector and its genus."""
+    add, _labels, orders = group
+    n, v = len(add), rec["v" + side]
+    b, gammas = v["b"], v["gammas"]
+    entries = v["alphas"] + v["betas"] + gammas
+    _require(v["group"] == rec["group"], f"v{side} is over another group")
+    _require(len(v["alphas"]) == len(v["betas"]) == b, f"v{side}: not b alphas, betas")
+    _require(all(0 <= x < n for x in entries), f"v{side}: an entry is out of range")
+    _require(all(gammas), f"v{side}: a gamma is the identity")
+    total = 0
+    for g in gammas:
+        total = add[total][g]
+    _require(total == 0, f"v{side}: the gammas do not sum to 0")
+    _require(len(generated(add, entries)) == n, f"v{side}: the entries miss G")
+    # Riemann-Hurwitz: 2g - 2 = |G| (2b - 2 + sum_i (1 - 1/m_i))
+    twice = n * (2 * b - 2) + sum(n - n // orders[g] for g in gammas)
+    genus = twice // 2 + 1
+    _require(
+        twice % 2 == 0 and genus == rec["genus_" + side],
+        f"genus_{side} is not {twice / 2 + 1}",
+    )
+    cyclic = [generated(add, [g]) for g in gammas]
+    L = [2 - 2 * genus] + [
+        sum(n // orders[g] for g, C in zip(gammas, cyclic) if h in C)
+        for h in range(1, n)
+    ]
+    return gammas, genus, frozenset().union(*cyclic), L
+
+
+def check_record(rec, groups):
+    """Check one record over an ``ab:`` group; RecordError on the first
+    contradiction.  ``groups`` keeps each group's data and a memo of its
+    N_b counts between records, by spec."""
+    spec = rec["group"]
+    if spec not in groups:
+        groups[spec] = abelian_group(spec), {}
+    group, memo = groups[spec]
+    add, labels, orders = group
+    n = len(add)
+    gC, genus_C, stab_C, LC = _side(group, rec, "C")
+    gD, genus_D, stab_D, LD = _side(group, rec, "D")
+    _require((stab_C & stab_D) == {0}, "the stabilizer unions meet outside {0}")
+    num = (genus_C - 1) * (genus_D - 1)
+    chi, q = num // n, rec["vC"]["b"] + rec["vD"]["b"]
+    _require(num % n == 0 and rec["chi"] == chi, f"chi is not {num / n}")
+    expected = {"q": q, "pg": chi + q - 1, "K2": 8 * chi, "b2": 4 * chi - 2 + 4 * q}
+    _require(
+        all(rec[k] == v for k, v in expected.items()), f"invariants are not {expected}"
+    )
+    euler = sum(map(prod, zip(LC, LD)))
+    aut0 = [
+        s for s in range(n) if sum(LC[add[s][g]] * LD[g] for g in range(n)) == euler
+    ]
+    _require(rec["aut0"] == aut0, f"aut0 is not {aut0}")
+    _require(rec["aut0_order"] == len(aut0), f"aut0_order is not {len(aut0)}")
+    _require(
+        rec["aut0_labels"] == [labels[g] for g in aut0], "aut0_labels name others"
+    )
+    if len(aut0) == 1:
+        return
+    s, t = gC[0], gD[0]
+    _require(
+        set(gC) == {s} and set(gD) == {t} and orders[s] == orders[t] == 2 and s != t,
+        "the gammas are not one involution per side, two distinct ones",
+    )
+    _require(aut0 == sorted({0, add[s][t]}), "Aut_0 is not {0, s + t}")
+    _require(rec["conforms"] is True, "the record does not conform")
+    weight = completions(add, generated(add, [s]), 2 * rec["vC"]["b"], memo)
+    weight *= completions(add, generated(add, [t]), 2 * rec["vD"]["b"], memo)
+    _require(rec["weight"] == weight, f"weight is not N(s) N(t) = {weight}")
+
+
+def check_lines(lines):
+    """Check the stdout of ``isoprod classify``, one JSON object a line,
+    the summary last.  Returns (checked, unchecked, failures), failures a
+    list of (line number, message)."""
+    rows = [json.loads(line) for line in lines if line.strip()]
+    if not rows:
+        return 0, 0, [(0, "no output")]
+    *records, summary = rows
+    checked, unchecked, failures = 0, 0, []
+    groups, weights = {}, 0
+    for number, rec in enumerate(records, 1):
+        try:
+            _require("error" not in rec, f"an error record: {rec.get('error')}")
+            if rec["aut0_order"] > 1:
+                weights += rec["weight"]
+            if rec["group"].startswith("ab:"):
+                check_record(rec, groups)
+                checked += 1
+            else:
+                unchecked += 1
+                _require(
+                    rec["aut0_order"] == 1,
+                    f"nontrivial Aut_0 over {rec['group']}, which Lemma B "
+                    "rules out if the group is not abelian",
+                )
+        except (RecordError, LookupError, TypeError, ValueError) as exc:
+            failures.append((number, f"{type(exc).__name__}: {exc}"))
+    if weights != summary.get("nontrivial_aut0"):
+        message = f"the nontrivial weights sum to {weights}, not to the summary's"
+        failures.append((len(rows), f"{message} {summary.get('nontrivial_aut0')}"))
+    return checked, unchecked, failures
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if argv:
+        with open(argv[0]) as fh:
+            lines = fh.readlines()
+    else:
+        lines = sys.stdin.readlines()
+    checked, unchecked, failures = check_lines(lines)
+    for number, message in failures:
+        print(f"line {number}: {message}")
+    print(f"{checked} checked, {unchecked} unchecked, {len(failures)} failed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -69,6 +69,8 @@ def test_chartab_missing_cayley(capsys):
         ([[1, 0], [0]], 2, "row 1 has length 1, expected 2"),
         # x * y = -x - y mod 3: a Latin square without an identity
         ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], 2, "no identity"),
+        # JSON booleans are not integers, though isinstance(True, int) holds
+        ([[True, False], [False, True]], 1, "list of rows of integers"),
     ],
 )
 def test_chartab_malformed_cayley(capsys, tmp_path, table, code, message):
@@ -582,6 +584,8 @@ SPEC_CASES = [
     (",", 1, "--groups is empty"),
     ("ab:2,2,2,2,2,2,2,2", 0, None),
     ("sym:5", 0, None),
+    ("ab:2,sym:5", 0, None),
+    ("sym:5,sym:5", 1, "--groups lists 'sym:5' twice"),
 ]
 
 

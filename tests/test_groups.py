@@ -100,6 +100,15 @@ def test_identity_moves_to_index_zero():
     assert H.labels == ("g0", "g1", "g2")
 
 
+def test_labels_must_name_every_element():
+    """A label list of the wrong length is refused, also when the
+    identity swap would have indexed it."""
+    with pytest.raises(TableError, match="1 labels for 2 elements"):
+        GroupTable([[0, 1], [1, 0]], labels=("a",))
+    with pytest.raises(TableError, match="1 labels for 2 elements"):
+        GroupTable([[1, 0], [0, 1]], labels=("a",))
+
+
 def test_non_latin_rejected():
     from isoprod.groups import GroupTable
 

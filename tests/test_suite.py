@@ -3,7 +3,10 @@ the oracles, and that the library keeps only code it calls."""
 
 import ast
 import inspect
+import os
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -217,3 +220,23 @@ def test_every_library_function_is_referenced_in_the_library():
     }
     assert unreferenced == {}
     assert set(UNREFERENCED_ALLOWED) <= set(defined)
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter that imports the CLI and the character layer
+    has loaded neither ``dataclasses`` nor the ``inspect`` it pulls in:
+    every record is a NamedTuple.  ``-S`` keeps site-packages hooks from
+    loading them first."""
+    probe = (
+        "import sys, isoprod.cli, isoprod.characters; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
