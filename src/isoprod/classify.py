@@ -29,7 +29,14 @@ from .covers import (
     h1_multiplicities,
 )
 from .errors import ConsistencyError, DomainError, IsoprodError, SizeError
-from .groups import _memo, build_group, center, class_index, conjugacy_classes
+from .groups import (
+    _memo,
+    build_group,
+    builtin_groups_upto,
+    center,
+    class_index,
+    conjugacy_classes,
+)
 from .surfaces import UnmixedSurface, build_surface
 
 DEFAULT_BASE_GENERA = ((1, 1),)
@@ -257,16 +264,11 @@ def _representative(G, b, key, branch_order_cap):
     )
 
 
-def _classify_group(spec, bounds: SearchBounds, detail="nontrivial"):
-    """All classification records for one group.  Returns
+def _classify_group(G, bounds: SearchBounds, full=False):
+    """All classification records for the built group G.  Returns
     (records, summary_counts); records are JSON-ready dicts."""
     counts = dict.fromkeys(SUMMARY_KEYS, 0)
-    records = []
-    try:
-        G = build_group(spec, order_cap=bounds.max_group_order)
-    except SizeError:
-        return records, counts
-    buckets, reps = {}, {}
+    records, buckets, reps = [], {}, {}
     caps = (bounds.genus_cap, bounds.branch_order_cap)
 
     def side(b, max_r):
@@ -298,7 +300,7 @@ def _classify_group(spec, bounds: SearchBounds, detail="nontrivial"):
                 if relevant not in aut0_of:
                     aut0_of[relevant] = _aut0_mask(G, relevant)
                 a_mask = aut0_of[relevant]
-                if a_mask == 1 and detail != "full":
+                if a_mask == 1 and not full:
                     continue
                 vC, vD = rep(bC, keyC), rep(bD, keyD)
                 try:
@@ -363,18 +365,35 @@ def _record_sort_key(r):
     )
 
 
-def classify_all(bounds: SearchBounds, groups, detail: str = "nontrivial"):
-    """Classify every admissible surface over the given group specs.
-
-    Returns (records, summary).  With ``detail="nontrivial"`` (default)
-    per-pair records are emitted only for nontrivial Aut_0; every pair is
-    still counted in the summary.  Deterministic for a fixed input.
+def classify_all(bounds: SearchBounds, groups=None, full: bool = False):
+    """Classify every admissible surface over the group specs ``groups``,
+    by default the built-in groups of order <= ``bounds.max_group_order``,
+    made only once the bounds pass ``validate``.  Each spec is built once;
+    a group above the order cap is skipped, and one listed twice, also
+    under two spellings (its ``G.spec``, or above the cap its text), is a
+    DomainError.  Returns (records, summary); without ``full`` records
+    are kept only for nontrivial Aut_0, while every pair is counted in
+    the summary.  Deterministic for a fixed input.
     """
     bounds.validate()
+    if groups is None:
+        groups = builtin_groups_upto(bounds.max_group_order)
     summary = dict.fromkeys(SUMMARY_KEYS, 0)
-    all_records = []
+    all_records, seen = [], {}
     for spec in groups:
-        records, counts = _classify_group(spec, bounds, detail)
+        try:
+            G = build_group(spec, order_cap=bounds.max_group_order)
+        except SizeError:
+            G = None
+        key = spec if G is None else G.spec
+        if key in seen:
+            raise DomainError(
+                f"{key!r} is listed twice: as {seen[key]!r} and {spec!r}"
+            )
+        seen[key] = spec
+        if G is None:
+            continue
+        records, counts = _classify_group(G, bounds, full)
         all_records.extend(records)
         for k in SUMMARY_KEYS:
             summary[k] += counts[k]

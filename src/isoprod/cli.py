@@ -16,8 +16,8 @@ from . import __version__
 from .characters import character_table
 from .classify import SearchBounds, check_conformance, classify_all, compute_aut0
 from .covers import GeneratingVector, enumerate_vectors
-from .errors import ConsistencyError, DomainError, IsoprodError, SizeError, UsageError
-from .groups import build_group, builtin_groups_upto
+from .errors import ConsistencyError, DomainError, IsoprodError, UsageError
+from .groups import build_group
 from .surfaces import (
     EXAMPLE_FAMILIES,
     build_surface,
@@ -105,12 +105,6 @@ def cmd_covers(args):
             raise UsageError(f"bad --branch value {args.branch!r}") from exc
         if not exact:
             raise UsageError("--branch is empty")
-        if min(exact) < 2:
-            raise UsageError("--branch orders must be >= 2")
-        if args.max_r is not None and args.max_r < len(exact):
-            raise UsageError(
-                f"--max-r {args.max_r} is below the {len(exact)} --branch orders"
-            )
     max_r = args.max_r if args.max_r is not None else (len(exact) if exact else 4)
     try:
         stream = enumerate_vectors(
@@ -223,6 +217,7 @@ def cmd_classify(args):
     )
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
+    groups = None
     if args.groups:
         # comma-separated specs; commas inside "ab:d1,d2" belong to the
         # preceding spec (tokens without ':' are continuations)
@@ -237,30 +232,11 @@ def cmd_classify(args):
                 groups.append(tok)
         if not groups:
             raise UsageError("--groups is empty")
-        # one group under two spellings is one group: past one spec,
-        # compare the built groups' normalised specs (the text, above the
-        # order cap)
-        seen = {}
-        for spec in groups if len(groups) > 1 else ():
-            try:
-                key = build_group(spec, order_cap=args.max_group_order).spec
-            except SizeError:
-                key = spec
-            if key in seen:
-                raise UsageError(
-                    f"--groups lists {key!r} twice: as {seen[key]!r} and {spec!r}"
-                )
-            seen[key] = spec
-    else:
-        groups = builtin_groups_upto(args.max_group_order)
     try:
-        records, summary = classify_all(
-            bounds,
-            groups,
-            detail="full" if args.full else "nontrivial",
-        )
+        records, summary = classify_all(bounds, groups, full=args.full)
     except DomainError as exc:
-        # a bad bound is bad user input, like a flag that does not parse
+        # a bad bound or a group listed twice is bad user input, like a
+        # flag that does not parse
         raise UsageError(str(exc)) from exc
     for rec in records:
         _out(json.dumps(rec, sort_keys=True))

@@ -582,6 +582,10 @@ def enumerate_vectors(
     if branch_order_cap is not None and branch_order_cap < 1:
         raise DomainError("branch_order_cap must be >= 1")
     exact = tuple(sorted(exact_branch_orders)) if exact_branch_orders else None
+    if exact and exact[0] < 2:
+        raise DomainError("exact branch orders must be >= 2")
+    if exact and max_r < len(exact):
+        raise DomainError(f"max_r {max_r} is below the {len(exact)} branch orders")
     allowed = _branch_plan(G, branch_order_cap, exact)
     kept, _, truncated = _counted_multisets(G, b, max_r, genus_cap, allowed, exact)
     base, weights = _hurwitz_terms(G, b)

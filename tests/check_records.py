@@ -1,6 +1,7 @@
 """Re-derive the records of ``isoprod classify`` from its stdout alone.
 
     python tests/check_records.py [STDOUT_FILE]    # default: stdin
+    python tests/check_records.py --max-group-order 8 [STDOUT_FILE]
 
 This imports nothing from isoprod.  For a record over an ``ab:`` group
 it rebuilds G = Z_d1 + ... + Z_dk itself, with element i the mixed-radix
@@ -27,17 +28,46 @@ The weights of the nontrivial records must sum to the summary's
 ``nontrivial_aut0``.  A record over any other group is counted as
 unchecked; a nontrivial one is a failure, since Lemma B rules out a
 nontrivial Aut_0 over a non-abelian group and this checker cannot tell
-whether the group is abelian.  The exit status is 1 on any failure.
+whether the group is abelian.
+
+Given any of classify's bound flags (the rest default as in classify),
+the stdout must be that of a sweep over the built-in catalogue
+(``classify`` without ``--groups``) at those bounds, and the summary's
+``nontrivial_aut0`` must equal a closed form, so that no nontrivial
+pair is missing from the records.  Over every abelian G of
+order <= the order cap, listed from its own invariant-factor chains, it
+sums (sum_s U_C(s)) (sum_t U_D(t)) - sum_s U_C(s) U_D(s), s and t
+running over the involutions of G, with
+
+    U(s) = #{even r <= max_r : |G| r / 4 + 1 <= genus cap} N_1(s),
+
+max_r being --max-r for C and --max-s for D.  The total is 0 unless the
+base genera hold (1, 1) and the branch-order cap is >= 2.  Until Lemma
+B's shape is proved, this tests a conjecture.  The exit status is 1 on
+any failure.
 """
 
+import argparse
 import json
 import sys
 from itertools import product
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 
 class RecordError(Exception):
     """A record, or the summary, that its own data contradicts."""
+
+
+class Bounds(NamedTuple):
+    """The bounds of a ``classify`` sweep, with classify's defaults."""
+
+    max_group_order: int = 16
+    max_r: int = 4
+    max_s: int = 4
+    genus_cap: int = 33
+    branch_order_cap: int | None = 8
+    base_genera: tuple = ((1, 1),)
 
 
 def _require(condition, message):
@@ -85,6 +115,53 @@ def completions(add, H, k, memo):
             for g in range(len(add))
         )
     return memo[H, k]
+
+
+def invariant_chains(n, least=1):
+    """The chains d_1 | ... | d_k of integers >= 2 with product n and d_1
+    a multiple of ``least``; at least = 1, one per abelian group of
+    order n."""
+    if n == 1:
+        return [()]
+    return [
+        (d, *rest)
+        for d in range(2, n + 1)
+        if n % d == 0 and d % least == 0
+        for rest in invariant_chains(n // d, d)
+    ]
+
+
+def closed_form_total(bounds, groups=None):
+    """The ``nontrivial_aut0`` of a catalogue sweep at ``bounds`` if every
+    nontrivial pair has the classified shape: over each abelian G, the
+    pairs of uniform vectors at base genus 1 (an even number of branch
+    points, all gammas one involution) whose involutions s of C and t of
+    D differ, N_1(s) N_1(t) for each admissible number of branch points
+    on each side.  ``groups`` is a cache as in ``check_record``."""
+    cap = bounds.branch_order_cap
+    if (1, 1) not in bounds.base_genera or (cap is not None and cap < 2):
+        return 0
+    groups = {} if groups is None else groups
+    total = 0
+    # a group of odd order has no involution
+    for n in range(2, bounds.max_group_order + 1, 2):
+        # genus |G| r / 4 + 1 for r branch points of order 2 at base genus 1
+        rC, rD = (
+            sum(n * r // 4 + 1 <= bounds.genus_cap for r in range(2, max_r + 1, 2))
+            for max_r in (bounds.max_r, bounds.max_s)
+        )
+        for chain in invariant_chains(n):
+            spec = "ab:" + ",".join(map(str, chain))
+            if spec not in groups:
+                groups[spec] = abelian_group(spec), {}
+            (add, _labels, orders), memo = groups[spec]
+            N = [
+                completions(add, generated(add, [s]), 2, memo)
+                for s in range(n)
+                if orders[s] == 2
+            ]
+            total += rC * rD * (sum(N) ** 2 - sum(x * x for x in N))
+    return total
 
 
 def _side(group, rec, side):
@@ -161,10 +238,12 @@ def check_record(rec, groups):
     _require(rec["weight"] == weight, f"weight is not N(s) N(t) = {weight}")
 
 
-def check_lines(lines):
+def check_lines(lines, bounds=None):
     """Check the stdout of ``isoprod classify``, one JSON object a line,
-    the summary last.  Returns (checked, unchecked, failures), failures a
-    list of (line number, message)."""
+    the summary last; with ``bounds`` (a ``Bounds``), that of a catalogue
+    sweep, whose ``nontrivial_aut0`` must be ``closed_form_total``.
+    Returns (checked, unchecked, failures), failures a list of (line
+    number, message)."""
     rows = [json.loads(line) for line in lines if line.strip()]
     if not rows:
         return 0, 0, [(0, "no output")]
@@ -188,20 +267,39 @@ def check_lines(lines):
                 )
         except (RecordError, LookupError, TypeError, ValueError) as exc:
             failures.append((number, f"{type(exc).__name__}: {exc}"))
-    if weights != summary.get("nontrivial_aut0"):
+    total = summary.get("nontrivial_aut0")
+    if weights != total:
         message = f"the nontrivial weights sum to {weights}, not to the summary's"
-        failures.append((len(rows), f"{message} {summary.get('nontrivial_aut0')}"))
+        failures.append((len(rows), f"{message} {total}"))
+    if bounds is not None and total != (want := closed_form_total(bounds, groups)):
+        message = f"the summary's nontrivial_aut0 {total} is not the closed form's"
+        failures.append((len(rows), f"{message} {want}"))
     return checked, unchecked, failures
 
 
+def _base_genera(text):
+    return tuple(tuple(int(x) for x in pair.split(",")) for pair in text.split(";"))
+
+
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    if argv:
-        with open(argv[0]) as fh:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("stdout", nargs="?", help="a saved classify stdout (default: stdin)")
+    # classify's bound flags; giving any of them checks the closed form
+    p.add_argument("--max-group-order", type=int)
+    p.add_argument("--max-r", type=int)
+    p.add_argument("--max-s", type=int)
+    p.add_argument("--genus-cap", type=int)
+    p.add_argument("--branch-order-cap", type=int)
+    p.add_argument("--base-genera", type=_base_genera)
+    args = p.parse_args(argv)
+    given = {f: v for f in Bounds._fields if (v := getattr(args, f)) is not None}
+    bounds = Bounds(**given) if given else None
+    if args.stdout:
+        with open(args.stdout) as fh:
             lines = fh.readlines()
     else:
         lines = sys.stdin.readlines()
-    checked, unchecked, failures = check_lines(lines)
+    checked, unchecked, failures = check_lines(lines, bounds)
     for number, message in failures:
         print(f"line {number}: {message}")
     print(f"{checked} checked, {unchecked} unchecked, {len(failures)} failed")

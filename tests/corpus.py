@@ -135,6 +135,16 @@ def commands():
         for fmt in ("json", "table"):
             out.append(("chartab", spec, "--format", fmt))
         out.append(("covers", spec, "--b", "1", "--max-r", "2"))
+    # inputs that classify_all and enumerate_vectors refuse or skip
+    out += [
+        ("classify", "--groups", "ab:1,2,2,ab:2,2"),
+        ("classify", "--groups", "ab:2,foo:3"),
+        ("classify", "--groups", "ab:2,sym:5"),
+        ("classify", "--groups", "sym:5,sym:5"),
+        ("classify", "--max-group-order", "0"),
+        ("classify", "--genus-cap", "1"),
+        ("covers", "sym:3", "--branch", "0"),
+    ]
     return out
 
 

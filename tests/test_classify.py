@@ -159,7 +159,7 @@ def test_aut0_matches_lefschetz_on_free_multiset_pairs(bC, bD, max_r, max_s):
                 want["surfaces"] += countC * countD
                 if len(aut0) > 1:
                     want["nontrivial_aut0"] += countC * countD
-        counts = _classify_group(spec, bounds)[1]
+        counts = _classify_group(G, bounds)[1]
         assert {k: counts[k] for k in want} == want, spec
         nontrivial += want["nontrivial_aut0"]
     # nontrivial Aut_0 occurs only at base genera (1, 1)
@@ -437,7 +437,7 @@ def test_group_that_keeps_no_multiset_builds_no_table(monkeypatch):
 
     monkeypatch.setattr(classify, "character_table", refuse)
     assert _cover_buckets(build_group("ab:2,2"), 1, 4, 2, 8) == ({}, 456)
-    records, counts = _classify_group("ab:2,2", SearchBounds(genus_cap=2))
+    records, counts = _classify_group(build_group("ab:2,2"), SearchBounds(genus_cap=2))
     assert records == []
     assert counts == {
         "surfaces": 0,
@@ -517,7 +517,7 @@ def test_classify_full_detail():
         max_branch_points_s=3,
         genus_cap=33,
     )
-    records, summary = classify_all(bounds, ["sym:3"], detail="full")
+    records, summary = classify_all(bounds, ["sym:3"], full=True)
     assert records and all(r["aut0_order"] == 1 for r in records)
     assert sum(r["weight"] for r in records) == summary["surfaces"]
 

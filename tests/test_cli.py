@@ -156,9 +156,9 @@ def test_covers_bad_branch(capsys):
     cases = [
         (("ab:2", "--branch", "x"), "bad --branch value"),
         (("ab:2,2", "--branch", ","), "--branch is empty"),
-        (("ab:2,2", "--branch", "0"), "--branch orders must be >= 2"),
-        (("ab:2,2", "--branch", "2,-2"), "--branch orders must be >= 2"),
-        (("ab:2,2", "--branch", "2,2", "--max-r", "1"), "below the 2 --branch"),
+        (("ab:2,2", "--branch", "0"), "exact branch orders must be >= 2"),
+        (("ab:2,2", "--branch", "2,-2"), "exact branch orders must be >= 2"),
+        (("ab:2,2", "--branch", "2,2", "--max-r", "1"), "below the 2 branch orders"),
         (("ab:2", "--max-r", "-1"), "max_r must be >= 0"),
         (("ab:2", "--genus-cap", "0"), "genus_cap must be >= 1"),
         (("ab:2", "--b", "3"), "base genus must be 0, 1 or 2"),
@@ -579,13 +579,13 @@ def test_classify_bad_bounds_are_usage_errors(capsys, flags):
 
 SPEC_CASES = [
     ("ab:2,foo:3", 1, "unknown group family 'foo'"),
-    ("ab:2,2,dih:4,ab:2,2", 1, "--groups lists 'ab:2,2' twice"),
-    ("ab:1,2,2,ab:2,2", 1, "--groups lists 'ab:2,2' twice: as 'ab:1,2,2' and"),
+    ("ab:2,2,dih:4,ab:2,2", 1, "'ab:2,2' is listed twice"),
+    ("ab:1,2,2,ab:2,2", 1, "'ab:2,2' is listed twice: as 'ab:1,2,2' and"),
     (",", 1, "--groups is empty"),
     ("ab:2,2,2,2,2,2,2,2", 0, None),
     ("sym:5", 0, None),
     ("ab:2,sym:5", 0, None),
-    ("sym:5,sym:5", 1, "--groups lists 'sym:5' twice"),
+    ("sym:5,sym:5", 1, "'sym:5' is listed twice"),
 ]
 
 
@@ -606,6 +606,39 @@ def test_classify_bad_and_oversized_specs(capsys, groups, code, message):
         assert out == "" and message in err
     else:
         assert json.loads(out)["errors"] == 0 and err == ""
+
+
+def test_classify_checks_bounds_before_making_the_catalogue(capsys, monkeypatch):
+    """A bad bound is refused before any group list is made: the
+    catalogue of order <= 20,000 alone would take seconds."""
+
+    def refuse(max_order):
+        raise AssertionError(f"builtin_groups_upto({max_order}) was called")
+
+    for module in (cli, isoprod.classify):
+        monkeypatch.setattr(module, "builtin_groups_upto", refuse, raising=False)
+    code, out, err = run(
+        capsys, "classify", "--max-group-order", "20000", "--genus-cap", "1"
+    )
+    assert code == 1 and out == "" and "genus_cap must be >= 2" in err
+
+
+def test_classify_builds_each_spec_once(capsys, monkeypatch):
+    """``classify --groups`` with k distinct specs builds k groups: the
+    duplicate check reads the groups the sweep builds."""
+    built = []
+
+    def counting(spec, *args, **kwargs):
+        built.append(spec)
+        return build_group(spec, *args, **kwargs)
+
+    for module in (cli, isoprod.classify):
+        monkeypatch.setattr(module, "build_group", counting, raising=False)
+    specs = builtin_groups_upto(16)
+    code, _, _ = run(
+        capsys, "classify", "--groups", ",".join(specs), "--max-r", "1", "--max-s", "1"
+    )
+    assert code == 0 and built == specs
 
 
 def test_classify_deterministic_output(capsys):

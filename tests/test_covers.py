@@ -399,6 +399,16 @@ def test_enumerate_vectors_rejects_bounds_out_of_range():
         enumerate_vectors(G, 1, 2, genus_cap=0)
 
 
+def test_enumerate_vectors_rejects_exact_orders_it_cannot_meet():
+    """Exact branch orders below 2, or more of them than max_r allows,
+    are refused when the stream is created, not listed as no vector."""
+    G = build_group("ab:2,2")
+    with pytest.raises(DomainError, match="max_r 1 is below the 2 branch orders"):
+        enumerate_vectors(G, 1, 1, exact_branch_orders=[2, 2])
+    with pytest.raises(DomainError, match="exact branch orders must be >= 2"):
+        enumerate_vectors(G, 1, 2, exact_branch_orders=[1, 2])
+
+
 @pytest.mark.parametrize("cap", [0, -3])
 def test_branch_order_cap_below_one_raises(cap):
     """A cap below 1 is refused when the stream is created instead of
