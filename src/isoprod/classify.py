@@ -7,10 +7,12 @@ one multiplicity).  Candidates for Aut_0 live in the center of G,
 identified with automorphisms of S via sigma -> (sigma, 1) mod the
 diagonal.
 
-The sweep driver buckets generating vectors by the data the criterion
-actually consumes (branch-class multiset, stabilizer union, uniform
-branch element), so each emitted record stands for ``weight`` many
-vector pairs with identical Aut_0 and conformance outcome.
+The sweep decides Aut_0 by the criterion's corollary for base genera
+>= 1, the central-involution rule proved in the README: {1, st} when
+b_C = b_D = 1 and the gammas of C all equal one central involution s and
+those of D one central involution t, else {1}.  So it buckets vectors by
+(r, genus, stabilizer union, uniform gamma), reads no character table,
+and rechecks each record it emits by the criterion.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .covers import (
     _mask_to_set,
     _multiset_genus,
     _raw_tuples,
-    h1_multiplicities,
 )
 from .errors import ConsistencyError, DomainError, IsoprodError, SizeError
 from .groups import (
@@ -107,7 +108,9 @@ def compute_aut0(S: UnmixedSurface) -> frozenset:
     """{sigma in Z_G : sigma acts trivially on H^*(S, QQ)}; always a
     subgroup containing the identity.  The chi that matter are those
     with a nonzero H^2 summand, i.e. H^1(C)^chi and H^1(D)^chi both
-    nonzero: H^1 is defined over Q, so conj(chi) has chi's multiplicity."""
+    nonzero: H^1 is defined over Q, so conj(chi) has chi's multiplicity.
+    The sweep decides by its corollary, the central-involution rule, and
+    rechecks every record here."""
     relevant = sum(
         1 << i for i, a in enumerate(S.invariants.h2_summands) if a
     )
@@ -133,20 +136,11 @@ def check_conformance(S: UnmixedSurface, aut0: frozenset):
     even branch-point counts; Aut_0 = {1, sigma_1 tau_1}.
     Returns (bool, reason).
 
-    Three parts of the shape hold for every surface ``build_surface``
-    accepts that passes the clauses tested, so they are not tested:
-    equal branch involutions on the two factors would fix points of
-    C x D, and the action is free; in an abelian group the long relation
-    at base genus 1 reads s^r = 1 for a uniform branch element s, so an
-    involution forces r even; and the invariant factors have the shape.
-    For the last, let s != t be the uniform involutions of the two
-    vectors.  G = <alpha, beta, s> has rank <= 3, and the two distinct
-    involutions make its Sylow 2-subgroup non-cyclic, so at rank 2 the
-    first factor is even.  At rank 3, G/<s> is 2-generated, so the odd
-    p-parts have rank <= 2 and the 2-part has rank 3; and some 2-part
-    factor is Z_2, since otherwise every involution, s among them, lies
-    in 2G and G/<s> would need 3 generators.  So the factors are
-    (2m, 2mn) or (2, 2m, 2mn).
+    The rest of the shape (distinct involutions, even r, the invariant
+    factors) holds for every surface ``build_surface`` accepts that
+    passes these clauses.  The README proves this, and, inside the
+    model, the whole shape at the base genera the central-involution
+    rule covers, so on sweep records this check rechecks the rule.
     """
     if len(aut0) <= 1:
         raise DomainError("conformance check applies to nontrivial Aut_0 only")
@@ -171,36 +165,31 @@ def check_conformance(S: UnmixedSurface, aut0: frozenset):
 # -- sweep driver ------------------------------------------------------
 
 
-def _class_data(G, b, M):
-    """The bucket data (maskpos, sig) of the branch-class multiset M:
-    the H^1 positivity mask over the irreducibles and the stabilizer-union
-    mask.
-
-    H^1(C, C) is the complexification of H^1(C, Q), so chi and conj(chi)
-    have the same multiplicity, and the H^2 summand of chi is nonzero
-    exactly when chi is in both factors' maskpos."""
-    mults = h1_multiplicities(character_table(G), b, M)
-    maskpos = sum(1 << i for i, m in enumerate(mults) if m)
+def _class_data(G, M):
+    """The stabilizer-union mask of the branch-class multiset M: the
+    elements of the cyclic subgroups generated by the conjugates of its
+    gammas."""
     masks = _class_cyclic_masks(G)
     sig = 1
     for c in M:
         sig |= masks[c]
-    return maskpos, sig
+    return sig
 
 
 def _cover_buckets(G, b, max_r, genus_cap, branch_order_cap):
     """Count the valid generating vectors in each bucket of the
-    classification signature.  Key: (r, genus, dims-positivity mask,
-    stabilizer-union mask, uniform gamma or -1).
+    classification signature.  Key: (r, genus, stabilizer-union mask,
+    uniform gamma or -1), all the central-involution rule and the
+    freeness test read; at b >= 1 it fixes the H^1 positivity masks
+    (Lemma A in the README).
     Returns (buckets, number of vectors dropped because their genus
     exceeds genus_cap), with buckets[key] the number of vectors in it.
 
     ``_counted_multisets`` makes the genus and cap decision once per
     branch-class multiset M with vectors, as for ``enumerate_vectors``;
-    the bucket data, and so the character table, is read only for the
-    kept M.  The vectors whose gammas all equal one u are counted apart,
-    and the rest of M's vectors go to the u = -1 bucket.  Nothing is
-    listed.
+    the stabilizer union is read only for the kept M.  The vectors whose
+    gammas all equal one u are counted apart, and the rest of M's
+    vectors go to the u = -1 bucket.  Nothing is listed.
     """
     allowed = _branch_plan(G, branch_order_cap)
     kept, ucounts, truncated = _counted_multisets(G, b, max_r, genus_cap, allowed)
@@ -212,17 +201,17 @@ def _cover_buckets(G, b, max_r, genus_cap, branch_order_cap):
 
     for M, (genus, count) in kept.items():
         r = len(M)
-        data = _class_data(G, b, M)
+        sig = _class_data(G, M)
         if M and M.count(M[0]) == r:
             for u in conjugacy_classes(G)[M[0]].members:
-                add(_bucket_key(r, genus, data, u), ucounts[u, r])
+                add(_bucket_key(r, genus, sig, u), ucounts[u, r])
                 count -= ucounts[u, r]
-        add(_bucket_key(r, genus, data, None), count)
+        add(_bucket_key(r, genus, sig, None), count)
     return buckets, truncated
 
 
-def _bucket_key(r, genus, data, u):
-    return (r, genus, *data, -1 if u is None else u)
+def _bucket_key(r, genus, sig, u):
+    return (r, genus, sig, -1 if u is None else u)
 
 
 def _representative(G, b, key, branch_order_cap):
@@ -237,27 +226,26 @@ def _representative(G, b, key, branch_order_cap):
     order, a subsequence of the listing that holds every vector of the
     bucket.
     """
-    r, genus, *data, u = key
+    r, genus, sig, u = key
     cls_of = class_index(G)
     if u >= 0:
         allowed = [u]
     else:
-        sig, masks = data[-1], _class_cyclic_masks(G)
+        masks = _class_cyclic_masks(G)
         allowed = [
             g
             for g in _branch_plan(G, branch_order_cap)
             if masks[cls_of[g]] & ~sig == 0
         ]
-    fits = {}  # sorted branch-class multiset -> has the key's genus, data
+    fits = {}  # sorted branch-class multiset -> has the key's genus, sig
     for ab, gammas in _raw_tuples(G, b, r, allowed):
         M = tuple(sorted([cls_of[g] for g in gammas]))
         if M not in fits:
             fits[M] = (
-                _multiset_genus(G, b, M) == genus
-                and list(_class_data(G, b, M)) == data
+                _multiset_genus(G, b, M) == genus and _class_data(G, M) == sig
             )
         uniform = _uniform_gamma(gammas)
-        if fits[M] and _bucket_key(r, genus, data, uniform) == key:
+        if fits[M] and _bucket_key(r, genus, sig, uniform) == key:
             return ab, gammas
     raise ConsistencyError(
         f"no listed vector of {G.spec} at b = {b} lies in counted bucket {key}"
@@ -266,7 +254,10 @@ def _representative(G, b, key, branch_order_cap):
 
 def _classify_group(G, bounds: SearchBounds, full=False):
     """All classification records for the built group G.  Returns
-    (records, summary_counts); records are JSON-ready dicts."""
+    (records, summary_counts); records are JSON-ready dicts.  A free
+    bucket pair's Aut_0 is {1, uC uD} when bC = bD = 1 and both buckets
+    are uniform in a central involution, else {1} (the central-involution
+    rule); ``_record`` rechecks it by the kernel criterion."""
     counts = dict.fromkeys(SUMMARY_KEYS, 0)
     records, buckets, reps = [], {}, {}
     caps = (bounds.genus_cap, bounds.branch_order_cap)
@@ -284,22 +275,22 @@ def _classify_group(G, bounds: SearchBounds, full=False):
             reps[b, key] = GeneratingVector(G, b, ab[:b], ab[b:], gammas)
         return reps[b, key]
 
-    aut0_of = {}  # maskC & maskD -> _aut0_mask
+    involutions = {z for z in center(G) if G.element_order[z] == 2}
     for bC, bD in bounds.base_genera:
         items_C = sorted(side(bC, bounds.max_branch_points_r).items())
         items_D = sorted(side(bD, bounds.max_branch_points_s).items())
         for keyC, cntC in items_C:
-            _r, _g, maskC, sigC, _u = keyC
+            _r, _g, sigC, uC = keyC
             for keyD, cntD in items_D:
-                _r, _g, maskD, sigD, _u = keyD
+                _r, _g, sigD, uD = keyD
                 if sigC & sigD != 1:
                     continue
                 weight = cntC * cntD
                 counts["surfaces"] += weight
-                relevant = maskC & maskD
-                if relevant not in aut0_of:
-                    aut0_of[relevant] = _aut0_mask(G, relevant)
-                a_mask = aut0_of[relevant]
+                if bC == bD == 1 and uC in involutions and uD in involutions:
+                    a_mask = 1 | 1 << G.mult[uC][uD]
+                else:
+                    a_mask = 1
                 if a_mask == 1 and not full:
                     continue
                 vC, vD = rep(bC, keyC), rep(bD, keyD)
@@ -327,8 +318,8 @@ def _classify_group(G, bounds: SearchBounds, full=False):
 
 def _record(vC, vD, a_mask, weight):
     """The JSON-ready record of the surface of (vC, vD), standing for
-    ``weight`` vector pairs; its Aut_0 is rechecked against the bucketed
-    mask ``a_mask``."""
+    ``weight`` vector pairs; its Aut_0 is rechecked against ``a_mask``,
+    the bucket pair's Aut_0 by the central-involution rule."""
     S = build_surface(vC, vD)
     aut0 = compute_aut0(S)
     if aut0 != _mask_to_set(a_mask):

@@ -145,6 +145,18 @@ def commands():
         ("classify", "--genus-cap", "1"),
         ("covers", "sym:3", "--branch", "0"),
     ]
+    # sweeps whose Aut_0 the central-involution rule decides: every free
+    # bucket pair a record, the other base genera, involutions only, and
+    # abelian groups next to a non-abelian one
+    out += [
+        ("classify", "--full", "--max-r", "3", "--max-s", "3"),
+        ("classify", "--base-genera", "1,2;2,1;2,2"),
+        ("classify", "--branch-order-cap", "2"),
+        (
+            "classify", "--groups", "ab:2,2,2,ab:2,4,dih:4", "--full",
+            "--max-r", "2", "--max-s", "4",
+        ),
+    ]
     return out
 
 

@@ -400,10 +400,12 @@ def first_constituent_by_scan(tableG, sub, chi_index, avoid, extra=None):
 def listed_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
     """The classification sweep's buckets by listing: every vector of
     ``brute_vectors`` with r <= max_r and no branch order over
-    branch_order_cap, keyed one vector at a time by (r, genus, H^1
-    positivity mask over the irreducibles, stabilizer-union mask,
-    uniform gamma or -1).  The same mask at the conjugate characters is
-    computed too and must equal the plain one.
+    branch_order_cap, keyed one vector at a time by (r, genus,
+    stabilizer-union mask, uniform gamma or -1).  The H^1 positivity
+    mask over the irreducibles is computed too: the same mask at the
+    conjugate characters must equal it, and at b >= 1 it must be one per
+    key, so that adding it to the key would split no bucket (at b = 0
+    one key may hold several masks).
 
     Returns (counts, first, truncated): the number of vectors per key,
     the first vector listed per key as (ab, gammas), and the number of
@@ -448,6 +450,7 @@ def listed_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
         return fixed[g], stab[g]
 
     counts, first, truncated = {}, {}, 0
+    maskpos_of = {}  # key -> the H^1 positivity mask of its vectors
     for r in range(max_r + 1):
         for ab, gam in brute_vectors(G, b, r):
             orders = [G.element_order[g] for g in gam]
@@ -475,7 +478,9 @@ def listed_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
             maskconj = sum(1 << i for i in range(nchars) if dims[conj[i]] > 0)
             assert maskconj == maskpos, (G.spec, b, gam)
             u = gam[0] if gam and all(g == gam[0] for g in gam) else -1
-            key = (r, genus, maskpos, sig, u)
+            key = (r, genus, sig, u)
+            if b >= 1:
+                assert maskpos_of.setdefault(key, maskpos) == maskpos, (G.spec, gam)
             counts[key] = counts.get(key, 0) + 1
             first.setdefault(key, (tuple(ab), tuple(gam)))
     return counts, first, truncated

@@ -2,6 +2,7 @@ import pytest
 
 from isoprod.characters import character_table
 from isoprod.classify import (
+    ALL_BASE_GENERA,
     SearchBounds,
     _aut0_mask,
     _class_data,
@@ -18,13 +19,16 @@ from isoprod.covers import (
     _branch_plan,
     _counted_multisets,
     enumerate_vectors,
+    h1_multiplicities,
 )
 from isoprod.errors import ConsistencyError, DomainError
 from isoprod.groups import (
     abelian_element,
     build_group,
     builtin_groups_upto,
+    center,
     class_index,
+    conjugacy_classes,
     subgroup_registry,
 )
 from isoprod.surfaces import build_surface, example46_construct
@@ -83,11 +87,35 @@ def test_compute_aut0_trivial_for_s3():
     assert compute_aut0(S) == frozenset([0])
 
 
+def rule_aut0(G, bC, uC, bD, uD):
+    """Aut_0 of a free pair by the central-involution rule, as the sweep
+    applies it: {1, uC uD} when both base genera are 1 and the uniform
+    branch elements uC and uD (-1 for none) are central involutions,
+    else {1}."""
+    central = center(G)
+    if bC == bD == 1 and all(
+        u in central and G.element_order[u] == 2 for u in (uC, uD)
+    ):
+        return frozenset([0, G.mult[uC][uD]])
+    return frozenset([0])
+
+
+def uniform_element(G, M):
+    """The element every gamma of every vector of the branch-class
+    multiset M equals, when there is one (M is one singleton class
+    repeated), else -1."""
+    if M and M.count(M[0]) == len(M):
+        members = conjugacy_classes(G)[M[0]].members
+        if len(members) == 1:
+            return members[0]
+    return -1
+
+
 def test_compute_aut0_matches_complex_oracle():
-    """compute_aut0 and the bucket masks agree with Aut_0 by the paper's
-    definition in complex arithmetic: on every freely paired couple of
-    bucket representatives of four groups at b = 1, r <= 3, on both
-    example families and on a sym:3 surface."""
+    """compute_aut0 and the central-involution rule agree with Aut_0 by
+    the paper's definition in complex arithmetic: on every freely paired
+    couple of bucket representatives of four groups at b = 1, r <= 3, on
+    both example families and on a sym:3 surface."""
     surfaces = []
     for spec in ["ab:2,2", "ab:2,4", "dih:4", "quat:8"]:
         G = build_group(spec)
@@ -98,11 +126,11 @@ def test_compute_aut0_matches_complex_oracle():
             vectors[key] = GeneratingVector(G, 1, ab[:1], ab[1:], gammas)
         for keyC, vC in sorted(vectors.items()):
             for keyD, vD in sorted(vectors.items()):
-                if keyC[3] & keyD[3] != 1:
+                if keyC[2] & keyD[2] != 1:
                     continue
                 S = build_surface(vC, vD)
-                bucketed = _mask_to_set(_aut0_mask(G, keyC[2] & keyD[2]))
-                assert compute_aut0(S) == bucketed, (spec, keyC, keyD)
+                ruled = rule_aut0(G, 1, keyC[3], 1, keyD[3])
+                assert compute_aut0(S) == ruled, (spec, keyC, keyD)
                 surfaces.append(S)
     for family in ("z2m_z2mn", "z2_z2m_z2mn"):
         for m, n, k, l in [(1, 1, 1, 1), (1, 2, 2, 1)]:
@@ -123,10 +151,10 @@ def test_aut0_matches_lefschetz_on_free_multiset_pairs(bC, bD, max_r, max_s):
     """Over every pair of kept branch-class multisets of the built-ins of
     order <= 12 (genus cap 33, branch orders <= 8), the Lefschetz
     numbers, which use no character, agree with the sweep: a pair is
-    free exactly when no g != 1 fixes points of both curves, the kernel
-    criterion on the pair's H^1 masks gives the Aut_0 of the Lefschetz
-    rule, and the sweep's surface and nontrivial counts are the free
-    pairs weighted by their numbers of vectors.  Each curve's numbers
+    free exactly when no g != 1 fixes points of both curves, the
+    central-involution rule gives the Aut_0 of the Lefschetz rule, and
+    the sweep's surface and nontrivial counts are the free pairs
+    weighted by their numbers of vectors.  Each curve's numbers
     also average to e(C/G) = 2 - 2b over G."""
     bounds = SearchBounds(
         max_group_order=12,
@@ -145,17 +173,17 @@ def test_aut0_matches_lefschetz_on_free_multiset_pairs(bC, bD, max_r, max_s):
             for M, (genus, count) in kept.items():
                 L = lefschetz_numbers(G, M, genus)
                 assert sum(L) == G.order * (2 - 2 * b), (spec, M)
-                side.append((L, count, *_class_data(G, b, M)))
+                side.append((L, count, _class_data(G, M), uniform_element(G, M)))
             sides.append(side)
         want = {"surfaces": 0, "nontrivial_aut0": 0}
-        for LC, countC, maskC, sigC in sides[0]:
-            for LD, countD, maskD, sigD in sides[1]:
+        for LC, countC, sigC, uC in sides[0]:
+            for LD, countD, sigD, uD in sides[1]:
                 free = sigC & sigD == 1
                 assert free == all(LC[g] * LD[g] == 0 for g in range(1, G.order))
                 if not free:
                     continue
                 aut0 = aut0_lefschetz(G, LC, LD)
-                assert aut0 == _mask_to_set(_aut0_mask(G, maskC & maskD)), spec
+                assert aut0 == rule_aut0(G, bC, uC, bD, uD), spec
                 want["surfaces"] += countC * countD
                 if len(aut0) > 1:
                     want["nontrivial_aut0"] += countC * countD
@@ -164,6 +192,45 @@ def test_aut0_matches_lefschetz_on_free_multiset_pairs(bC, bD, max_r, max_s):
         nontrivial += want["nontrivial_aut0"]
     # nontrivial Aut_0 occurs only at base genera (1, 1)
     assert (nontrivial > 0) == ((bC, bD) == (1, 1))
+
+
+def test_rule_matches_kernel_criterion_on_every_free_bucket_pair():
+    """The central-involution rule that decides the sweep's Aut_0 gives
+    the kernel criterion's Aut_0 on the H^1 positivity masks of
+    Broughton's multiplicities, read off the character table per
+    branch-class multiset: on every free bucket pair of every built-in
+    of order <= 16 under the four base-genus pairs at r, s <= 3.  With
+    ``full`` the sweep makes a record of each free pair, carrying the
+    rule's Aut_0, and ``_record`` turns a disagreement with
+    ``compute_aut0`` into an error."""
+    nontrivial = 0
+    for spec in builtin_groups_upto(16):
+        G = build_group(spec)
+        table, cls_of = character_table(G), class_index(G)
+        maskpos = {}  # (b, branch-class multiset) -> H^1 positivity mask
+
+        def mask(v):
+            M = tuple(sorted(cls_of[g] for g in v["gammas"]))
+            if (v["b"], M) not in maskpos:
+                mults = h1_multiplicities(table, v["b"], M)
+                maskpos[v["b"], M] = sum(1 << i for i, m in enumerate(mults) if m)
+            return maskpos[v["b"], M]
+
+        for bC, bD in ALL_BASE_GENERA:
+            bounds = SearchBounds(
+                max_branch_points_r=3, max_branch_points_s=3, base_genera=((bC, bD),)
+            )
+            records, counts = _classify_group(G, bounds, full=True)
+            assert counts["errors"] == 0, (spec, bC, bD)
+            keysC = _cover_buckets(G, bC, 3, 33, 8)[0]
+            keysD = _cover_buckets(G, bD, 3, 33, 8)[0]
+            free = sum(1 for kC in keysC for kD in keysD if kC[2] & kD[2] == 1)
+            assert len(records) == free, (spec, bC, bD)
+            for rec in records:
+                criterion = _aut0_mask(G, mask(rec["vC"]) & mask(rec["vD"]))
+                assert rec["aut0"] == sorted(_mask_to_set(criterion)), (spec, rec)
+                nontrivial += rec["aut0_order"] > 1
+    assert nontrivial > 0
 
 
 def test_sweep_records_match_lefschetz():
@@ -447,11 +514,43 @@ def test_group_that_keeps_no_multiset_builds_no_table(monkeypatch):
     }
 
 
+def test_sweep_reads_character_tables_only_for_records(monkeypatch):
+    """The sweep reads no character table to bucket or to pair vectors:
+    dih:4, ab:3,3 and quat:8, which have no record at the default
+    bounds, look up none, and ab:2,2 looks one up only inside
+    ``_record``, whose recheck by ``compute_aut0`` reads the kernels."""
+    import isoprod.classify as classify
+    import isoprod.covers as covers
+
+    calls, inside = [], []
+    real_table, real_record = classify.character_table, classify._record
+
+    def table(G):
+        calls.append((G.spec, bool(inside)))
+        return real_table(G)
+
+    def record(*args):
+        inside.append(True)
+        try:
+            return real_record(*args)
+        finally:
+            inside.pop()
+
+    for module in (classify, covers):
+        monkeypatch.setattr(module, "character_table", table, raising=False)
+    monkeypatch.setattr(classify, "_record", record)
+    records, _ = classify_all(SearchBounds(), ["dih:4", "ab:3,3", "quat:8"])
+    assert records == [] and calls == []
+    records, _ = classify_all(SearchBounds(), ["ab:2,2"])
+    assert records and calls
+    assert all(in_record for _, in_record in calls), calls
+
+
 def test_representative_of_an_empty_bucket_raises():
     """A key that no vector has is a consistency error naming the group
     spec, the base genus and the key."""
     G = build_group("ab:2,2")
-    key = (2, 99, 1, 1, -1)
+    key = (2, 99, 1, -1)
     with pytest.raises(ConsistencyError) as err:
         _representative(G, 1, key, 8)
     message = str(err.value)
