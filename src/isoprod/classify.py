@@ -10,8 +10,10 @@ diagonal.
 The sweep decides Aut_0 by the criterion's corollary for base genera
 >= 1, the central-involution rule proved in the README: {1, st} when
 b_C = b_D = 1 and the gammas of C all equal one central involution s and
-those of D one central involution t, else {1}.  So it buckets vectors by
-(r, genus, stabilizer union, uniform gamma), reads no character table,
+those of D one central involution t, else {1}.  A central element is a
+class of its own, so the branch-class multiset M says whether every
+gamma is one central u.  The sweep buckets vectors by (r, genus,
+stabilizer union, u or -1), all read from M, reads no character table,
 and rechecks each record it emits by the criterion.
 """
 
@@ -28,6 +30,7 @@ from .covers import (
     _mask_to_set,
     _multiset_genus,
     _raw_tuples,
+    _stabilizer_mask,
 )
 from .errors import ConsistencyError, DomainError, IsoprodError, SizeError
 from .groups import (
@@ -165,53 +168,38 @@ def check_conformance(S: UnmixedSurface, aut0: frozenset):
 # -- sweep driver ------------------------------------------------------
 
 
-def _class_data(G, M):
-    """The stabilizer-union mask of the branch-class multiset M: the
-    elements of the cyclic subgroups generated by the conjugates of its
-    gammas."""
-    masks = _class_cyclic_masks(G)
-    sig = 1
-    for c in M:
-        sig |= masks[c]
-    return sig
-
-
 def _cover_buckets(G, b, max_r, genus_cap, branch_order_cap):
     """Count the valid generating vectors in each bucket of the
-    classification signature.  Key: (r, genus, stabilizer-union mask,
-    uniform gamma or -1), all the central-involution rule and the
-    freeness test read; at b >= 1 it fixes the H^1 positivity masks
-    (Lemma A in the README).
+    classification signature, keyed by ``_bucket_key``: all the
+    central-involution rule and the freeness test read; at b >= 1 it
+    fixes the H^1 positivity masks (Lemma A in the README).
     Returns (buckets, number of vectors dropped because their genus
     exceeds genus_cap), with buckets[key] the number of vectors in it.
 
     ``_counted_multisets`` makes the genus and cap decision once per
     branch-class multiset M with vectors, as for ``enumerate_vectors``;
-    the stabilizer union is read only for the kept M.  The vectors whose
-    gammas all equal one u are counted apart, and the rest of M's
-    vectors go to the u = -1 bucket.  Nothing is listed.
+    the key is read only for the kept M, and each kept M's count is
+    added under it.  Nothing is listed.
     """
     allowed = _branch_plan(G, branch_order_cap)
-    kept, ucounts, truncated = _counted_multisets(G, b, max_r, genus_cap, allowed)
+    kept, truncated = _counted_multisets(G, b, max_r, genus_cap, allowed)
     buckets = {}
-
-    def add(key, count):
-        if count:
-            buckets[key] = buckets.get(key, 0) + count
-
     for M, (genus, count) in kept.items():
-        r = len(M)
-        sig = _class_data(G, M)
-        if M and M.count(M[0]) == r:
-            for u in conjugacy_classes(G)[M[0]].members:
-                add(_bucket_key(r, genus, sig, u), ucounts[u, r])
-                count -= ucounts[u, r]
-        add(_bucket_key(r, genus, sig, None), count)
+        key = _bucket_key(G, M, genus)
+        buckets[key] = buckets.get(key, 0) + count
     return buckets, truncated
 
 
-def _bucket_key(r, genus, sig, u):
-    return (r, genus, sig, -1 if u is None else u)
+def _bucket_key(G, M, genus):
+    """(r, genus, stabilizer-union mask, u) for the vectors of genus
+    ``genus`` whose sorted branch-class multiset is M: u is the element
+    every gamma equals when M repeats one class of size 1, else -1."""
+    u = -1
+    if M and M.count(M[0]) == len(M):
+        members = conjugacy_classes(G)[M[0]].members
+        if len(members) == 1:
+            u = members[0]
+    return (len(M), genus, _stabilizer_mask(G, M), u)
 
 
 def _representative(G, b, key, branch_order_cap):
@@ -220,13 +208,14 @@ def _representative(G, b, key, branch_order_cap):
     carries the genus.
 
     Only ``_raw_tuples`` at the key's r is walked, over the gammas a
-    vector of the bucket can hold: u alone for a uniform bucket, else
+    vector of the bucket can hold: u alone when it is not -1, else
     the allowed elements whose class mask (``_class_cyclic_masks``) lies
     inside the key's stabilizer-union mask.  That walk lists, in listing
     order, a subsequence of the listing that holds every vector of the
-    bucket.
+    bucket, and a vector is in the bucket iff its branch-class multiset
+    keys to it.
     """
-    r, genus, sig, u = key
+    r, _, sig, u = key
     cls_of = class_index(G)
     if u >= 0:
         allowed = [u]
@@ -237,15 +226,12 @@ def _representative(G, b, key, branch_order_cap):
             for g in _branch_plan(G, branch_order_cap)
             if masks[cls_of[g]] & ~sig == 0
         ]
-    fits = {}  # sorted branch-class multiset -> has the key's genus, sig
+    fits = {}  # sorted branch-class multiset -> keys to ``key``
     for ab, gammas in _raw_tuples(G, b, r, allowed):
         M = tuple(sorted([cls_of[g] for g in gammas]))
         if M not in fits:
-            fits[M] = (
-                _multiset_genus(G, b, M) == genus and _class_data(G, M) == sig
-            )
-        uniform = _uniform_gamma(gammas)
-        if fits[M] and _bucket_key(r, genus, sig, uniform) == key:
+            fits[M] = _bucket_key(G, M, _multiset_genus(G, b, M)) == key
+        if fits[M]:
             return ab, gammas
     raise ConsistencyError(
         f"no listed vector of {G.spec} at b = {b} lies in counted bucket {key}"
@@ -361,10 +347,10 @@ def classify_all(bounds: SearchBounds, groups=None, full: bool = False):
     by default the built-in groups of order <= ``bounds.max_group_order``,
     made only once the bounds pass ``validate``.  Each spec is built once;
     a group above the order cap is skipped, and one listed twice, also
-    under two spellings (its ``G.spec``, or above the cap its text), is a
-    DomainError.  Returns (records, summary); without ``full`` records
-    are kept only for nontrivial Aut_0, while every pair is counted in
-    the summary.  Deterministic for a fixed input.
+    under two spellings (its Cayley table ``G.mult``, or above the cap
+    its text), is a DomainError.  Returns (records, summary); without
+    ``full`` records are kept only for nontrivial Aut_0, while every
+    pair is counted in the summary.  Deterministic for a fixed input.
     """
     bounds.validate()
     if groups is None:
@@ -376,12 +362,11 @@ def classify_all(bounds: SearchBounds, groups=None, full: bool = False):
             G = build_group(spec, order_cap=bounds.max_group_order)
         except SizeError:
             G = None
-        key = spec if G is None else G.spec
+        key = spec if G is None else G.mult
         if key in seen:
-            raise DomainError(
-                f"{key!r} is listed twice: as {seen[key]!r} and {spec!r}"
-            )
-        seen[key] = spec
+            name, first = seen[key]
+            raise DomainError(f"{name!r} is listed twice: as {first!r} and {spec!r}")
+        seen[key] = (spec if G is None else G.spec, spec)
         if G is None:
             continue
         records, counts = _classify_group(G, bounds, full)

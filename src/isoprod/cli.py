@@ -333,7 +333,8 @@ def make_parser():
     q.add_argument(
         "--full",
         action="store_true",
-        help="emit a record for every surface class, not only nontrivial Aut_0",
+        help="emit a record for every free bucket pair, standing for its "
+        "`weight` vector pairs, not only for nontrivial Aut_0",
     )
     q.set_defaults(fn=cmd_classify)
 

@@ -105,14 +105,21 @@ def _mask_to_set(mask):
     return frozenset(g for g in range(mask.bit_length()) if mask >> g & 1)
 
 
+def _stabilizer_mask(G: GroupTable, classes) -> int:
+    """The stabilizer-union mask of a branch-class multiset: the OR of
+    the ``_class_cyclic_masks`` of ``classes`` and the identity."""
+    masks = _class_cyclic_masks(G)
+    acc = 1
+    for c in classes:
+        acc |= masks[c]
+    return acc
+
+
 def stabilizer_union(v: GeneratingVector) -> frozenset:
     """All elements lying in a conjugate of some <gamma_i> (the union of
     point stabilizers of the cover); always contains the identity."""
-    masks, cls_of = _class_cyclic_masks(v.group), class_index(v.group)
-    acc = 1
-    for g in v.gammas:
-        acc |= masks[cls_of[g]]
-    return _mask_to_set(acc)
+    cls_of = class_index(v.group)
+    return _mask_to_set(_stabilizer_mask(v.group, [cls_of[g] for g in v.gammas]))
 
 
 def h1_multiplicities(table, b: int, classes) -> tuple:
@@ -346,13 +353,12 @@ def _multiset_genus(G: GroupTable, b, key):
 def _count_vectors(G: GroupTable, b: int, max_r: int, elements):
     """Exact numbers of generating vectors, counted without listing them.
 
-    Returns ({M: vectors whose sorted branch-class multiset is M}, {(u, r):
-    vectors whose r gammas all equal u}).  M runs over every multiset of
-    at most max_r of the classes making up ``elements`` whose count is
-    nonzero, so the multisets with no vector are never reported; (u, r)
-    over the u in ``elements`` and 1 <= r <= max_r.  Abelian groups are
-    counted in closed form (``_count_abelian``), the others by Moebius
-    inversion over the subgroup lattice (``_count_by_mobius``).
+    Returns {M: vectors whose sorted branch-class multiset is M}, M
+    running over every multiset of at most max_r of the classes making
+    up ``elements`` whose count is nonzero, so the multisets with no
+    vector are never reported.  Abelian groups are counted in closed
+    form (``_count_abelian``), the others by Moebius inversion over the
+    subgroup lattice (``_count_by_mobius``).
     """
     if G.is_abelian():
         return _count_abelian(G, b, max_r, elements)
@@ -371,8 +377,7 @@ def _count_abelian(G: GroupTable, b: int, max_r: int, elements):
     The sorted (r - 1)-prefixes are walked level by level with their
     product and subgroup id; the last gamma is forced to be the inverse
     of the product, and kept iff it is allowed and its class is not below
-    the prefix's last one.  Class u is {u}, so the vectors whose r
-    gammas all equal u are those of the multiset (u,) * r.
+    the prefix's last one.
     """
     n, d = G.order, 2 * b
     mult, inv = G.mult, G.inverse
@@ -437,10 +442,7 @@ def _count_abelian(G: GroupTable, b: int, max_r: int, elements):
                 for P, prod, sid, i in level
                 for j, x in enumerate(classes[i:], i)
             ]
-    ucounts = {
-        (u, r): counts.get((u,) * r, 0) for u in elements for r in range(1, max_r + 1)
-    }
-    return counts, ucounts
+    return counts
 
 
 def _count_by_mobius(G: GroupTable, b: int, max_r: int, elements):
@@ -464,7 +466,6 @@ def _count_by_mobius(G: GroupTable, b: int, max_r: int, elements):
     members = [c.members for c in conjugacy_classes(G)]
     classes = sorted({class_index(G)[g] for g in elements})
     counts = {}
-    ucounts = {(u, r): 0 for u in elements for r in range(1, max_r + 1)}
     for H, mu in mobius(G).items():
         if not mu:
             continue
@@ -478,9 +479,6 @@ def _count_by_mobius(G: GroupTable, b: int, max_r: int, elements):
         f0[0] = 1
         for _ in range(b):
             f0 = _convolve(mult, elems, f0, comm)
-        for u, r in ucounts:
-            if u in H:
-                ucounts[u, r] += mu * f0[inv[G.power(u, r)]]
         # per class, its elements in H as (element, weight 1) terms
         parts = {c: [(x, 1) for x in members[c] if x in H] for c in classes}
         hit = [c for c in classes if parts[c]]
@@ -496,7 +494,7 @@ def _count_by_mobius(G: GroupTable, b: int, max_r: int, elements):
                 else:
                     total = sum(head[inv[c]] for c, _ in part)
                 counts[M] = counts.get(M, 0) + mu * total
-    return {M: k * _orderings(M) for M, k in counts.items() if k}, ucounts
+    return {M: k * _orderings(M) for M, k in counts.items() if k}
 
 
 def _convolve(mult, elems, f, terms):
@@ -524,10 +522,10 @@ def _counted_multisets(G: GroupTable, b, max_r, genus_cap, allowed, exact=None):
     """Genus and cap, decided once per sorted branch-class multiset M that
     ``_count_vectors`` reports for gammas in ``allowed`` (a union of
     classes); with ``exact``, sorted branch orders, only M of those
-    orders count.  Returns (kept, ucounts, truncated): kept[M] = (genus,
-    count) for the M of genus <= genus_cap, the uniform counts, and the
-    number of vectors over the cap.  Listing and sweep share it."""
-    counts, ucounts = _count_vectors(G, b, max_r, allowed)
+    orders count.  Returns (kept, truncated): kept[M] = (genus, count)
+    for the M of genus <= genus_cap, and the number of vectors over the
+    cap.  Listing and sweep share it."""
+    counts = _count_vectors(G, b, max_r, allowed)
     order_of = [G.element_order[c.representative] for c in conjugacy_classes(G)]
     kept, truncated = {}, 0
     for M, count in counts.items():
@@ -540,7 +538,7 @@ def _counted_multisets(G: GroupTable, b, max_r, genus_cap, allowed, exact=None):
             truncated += count
         else:
             kept[M] = genus, count
-    return kept, ucounts, truncated
+    return kept, truncated
 
 
 def enumerate_vectors(
@@ -587,7 +585,7 @@ def enumerate_vectors(
     if exact and max_r < len(exact):
         raise DomainError(f"max_r {max_r} is below the {len(exact)} branch orders")
     allowed = _branch_plan(G, branch_order_cap, exact)
-    kept, _, truncated = _counted_multisets(G, b, max_r, genus_cap, allowed, exact)
+    kept, truncated = _counted_multisets(G, b, max_r, genus_cap, allowed, exact)
     base, weights = _hurwitz_terms(G, b)
     # 2 <= g <= genus_cap, for the weight sum of the gammas
     lo, hi = 2 - base, 2 * genus_cap - 2 - base

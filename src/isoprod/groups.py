@@ -278,10 +278,12 @@ class SubgroupRegistry:
     ``all_subgroups``.  ``gens[sid]`` are the elements added, one
     extension at a time, on the path that first reached subgroup
     ``sid``; they generate it, and an extension closes the subgroup
-    and one element more by cosets (``_coset_closure``)."""
+    and one element more by cosets (``_coset_closure``).  It keeps G's
+    Cayley table, not G, so a memoised registry holds no reference back
+    to its group."""
 
     def __init__(self, G: GroupTable):
-        self.G = G
+        self.mult = G.mult
         self.sets = [frozenset([0])]
         self.gens = [()]
         self.ids = {self.sets[0]: 0}
@@ -297,9 +299,9 @@ class SubgroupRegistry:
             else:
                 gens = self.gens[sid] + (g,)
                 if sid:
-                    K = _coset_closure(self.G.mult, self.sets[sid], gens)
+                    K = _coset_closure(self.mult, self.sets[sid], gens)
                 else:
-                    K = cyclic_subgroup(self.G, g)
+                    K = frozenset(_powers(self.mult, g))
                 out = self.ids.setdefault(K, len(self.sets))
                 if out == len(self.sets):
                     self.sets.append(K)

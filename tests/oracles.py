@@ -401,11 +401,13 @@ def listed_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
     """The classification sweep's buckets by listing: every vector of
     ``brute_vectors`` with r <= max_r and no branch order over
     branch_order_cap, keyed one vector at a time by (r, genus,
-    stabilizer-union mask, uniform gamma or -1).  The H^1 positivity
-    mask over the irreducibles is computed too: the same mask at the
-    conjugate characters must equal it, and at b >= 1 it must be one per
-    key, so that adding it to the key would split no bucket (at b = 0
-    one key may hold several masks).
+    stabilizer-union mask, u), u the gamma when every gamma equals one
+    central element, else -1.  Each sorted branch-class multiset must
+    get one key, so that the key is a function of the multiset.  The
+    H^1 positivity mask over the irreducibles is computed too: the same
+    mask at the conjugate characters must equal it, and at b >= 1 it
+    must be one per key, so that adding it to the key would split no
+    bucket (at b = 0 one key may hold several masks).
 
     Returns (counts, first, truncated): the number of vectors per key,
     the first vector listed per key as (ab, gammas), and the number of
@@ -449,8 +451,12 @@ def listed_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
             stab[g] = mask
         return fixed[g], stab[g]
 
+    central = {
+        g for g in range(n) if all(G.mult[g][t] == G.mult[t][g] for t in range(n))
+    }
     counts, first, truncated = {}, {}, 0
     maskpos_of = {}  # key -> the H^1 positivity mask of its vectors
+    key_of = {}  # sorted branch-class multiset -> the key of its vectors
     for r in range(max_r + 1):
         for ab, gam in brute_vectors(G, b, r):
             orders = [G.element_order[g] for g in gam]
@@ -477,8 +483,11 @@ def listed_buckets(G, table, b, max_r, genus_cap, branch_order_cap):
             maskpos = sum(1 << i for i in range(nchars) if dims[i] > 0)
             maskconj = sum(1 << i for i in range(nchars) if dims[conj[i]] > 0)
             assert maskconj == maskpos, (G.spec, b, gam)
-            u = gam[0] if gam and all(g == gam[0] for g in gam) else -1
+            uniform = gam and all(g == gam[0] for g in gam)
+            u = gam[0] if uniform and gam[0] in central else -1
             key = (r, genus, sig, u)
+            M = tuple(sorted(table.class_of[g] for g in gam))
+            assert key_of.setdefault(M, key) == key, (G.spec, b, gam)
             if b >= 1:
                 assert maskpos_of.setdefault(key, maskpos) == maskpos, (G.spec, gam)
             counts[key] = counts.get(key, 0) + 1

@@ -41,7 +41,7 @@ SWEEP_BOUNDS = {(): Bounds(), FULL_ORDER_8: Bounds(max_group_order=8)}
         ((), 408, 0),
         # a record for every bucket pair, so a record wrongly left out
         # shows as a wrong Aut_0
-        (FULL_ORDER_8, 1384, 756),
+        (FULL_ORDER_8, 1384, 124),
     ],
 )
 def test_checker_accepts_the_sweep(capsys, argv, checked, unchecked):

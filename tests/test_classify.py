@@ -5,7 +5,6 @@ from isoprod.classify import (
     ALL_BASE_GENERA,
     SearchBounds,
     _aut0_mask,
-    _class_data,
     _classify_group,
     _cover_buckets,
     _mask_to_set,
@@ -18,6 +17,7 @@ from isoprod.covers import (
     GeneratingVector,
     _branch_plan,
     _counted_multisets,
+    _stabilizer_mask,
     enumerate_vectors,
     h1_multiplicities,
 )
@@ -173,7 +173,8 @@ def test_aut0_matches_lefschetz_on_free_multiset_pairs(bC, bD, max_r, max_s):
             for M, (genus, count) in kept.items():
                 L = lefschetz_numbers(G, M, genus)
                 assert sum(L) == G.order * (2 - 2 * b), (spec, M)
-                side.append((L, count, _class_data(G, M), uniform_element(G, M)))
+                sig = _stabilizer_mask(G, M)
+                side.append((L, count, sig, uniform_element(G, M)))
             sides.append(side)
         want = {"surfaces": 0, "nontrivial_aut0": 0}
         for LC, countC, sigC, uC in sides[0]:
@@ -544,6 +545,31 @@ def test_sweep_reads_character_tables_only_for_records(monkeypatch):
     records, _ = classify_all(SearchBounds(), ["ab:2,2"])
     assert records and calls
     assert all(in_record for _, in_record in calls), calls
+
+
+def test_swept_group_without_records_is_freed():
+    """A group that emits no record builds no character table, and its
+    memoised subgroup registry keeps the Cayley table, not the group, so
+    no reference cycle holds the group: with the cyclic collector off,
+    sweeping dih:4 at the default bounds leaves no new GroupTable."""
+    import gc
+
+    from isoprod.groups import GroupTable
+
+    def tables():
+        return [o for o in gc.get_objects() if isinstance(o, GroupTable)]
+
+    gc.collect()
+    before = tables()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        records, _ = classify_all(SearchBounds(), ["dih:4"])
+        left = [G for G in tables() if not any(G is old for old in before)]
+    finally:
+        if enabled:
+            gc.enable()
+    assert records == [] and left == []
 
 
 def test_representative_of_an_empty_bucket_raises():

@@ -581,6 +581,12 @@ SPEC_CASES = [
     ("ab:2,foo:3", 1, "unknown group family 'foo'"),
     ("ab:2,2,dih:4,ab:2,2", 1, "'ab:2,2' is listed twice"),
     ("ab:1,2,2,ab:2,2", 1, "'ab:2,2' is listed twice: as 'ab:1,2,2' and"),
+    # one Cayley table under two perm: spellings
+    (
+        "perm:(1 2);(3 4),perm:(3 4);(1 2)",
+        1,
+        "is listed twice: as 'perm:(1 2);(3 4)' and 'perm:(3 4);(1 2)'",
+    ),
     (",", 1, "--groups is empty"),
     ("ab:2,2,2,2,2,2,2,2", 0, None),
     ("sym:5", 0, None),
