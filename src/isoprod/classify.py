@@ -208,24 +208,18 @@ def _representative(G, b, key, branch_order_cap):
     carries the genus.
 
     Only ``_raw_tuples`` at the key's r is walked, over the gammas a
-    vector of the bucket can hold: u alone when it is not -1, else
-    the allowed elements whose class mask (``_class_cyclic_masks``) lies
-    inside the key's stabilizer-union mask.  That walk lists, in listing
-    order, a subsequence of the listing that holds every vector of the
-    bucket, and a vector is in the bucket iff its branch-class multiset
-    keys to it.
+    vector of the bucket can hold: the allowed elements whose class mask
+    (``_class_cyclic_masks``) lies inside the key's stabilizer-union
+    mask, which for a bucket uniform in a central involution u is u
+    alone.  That walk lists, in listing order, a subsequence of the
+    listing that holds every vector of the bucket, and a vector is in
+    the bucket iff its branch-class multiset keys to it.
     """
-    r, _, sig, u = key
-    cls_of = class_index(G)
-    if u >= 0:
-        allowed = [u]
-    else:
-        masks = _class_cyclic_masks(G)
-        allowed = [
-            g
-            for g in _branch_plan(G, branch_order_cap)
-            if masks[cls_of[g]] & ~sig == 0
-        ]
+    r, _, sig, _ = key
+    cls_of, masks = class_index(G), _class_cyclic_masks(G)
+    allowed = [
+        g for g in _branch_plan(G, branch_order_cap) if masks[cls_of[g]] & ~sig == 0
+    ]
     fits = {}  # sorted branch-class multiset -> keys to ``key``
     for ab, gammas in _raw_tuples(G, b, r, allowed):
         M = tuple(sorted([cls_of[g] for g in gammas]))

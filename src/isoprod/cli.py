@@ -145,7 +145,7 @@ def cmd_covers(args):
     write, item, count = sys.stdout.write, idx.__getitem__, 0
     buf, last_ab, row = [], None, None
     try:
-        for count, (ab, gam, g) in enumerate(stream.rows(), 1):
+        for count, (ab, gam, g) in enumerate(stream, 1):
             if ab != last_ab:
                 last_ab = ab
                 row = pattern % (

@@ -169,24 +169,18 @@ def isotypic_dimensions(cover: BranchedCover, table) -> tuple:
 
 
 class CoverStream:
-    """The listing of ``enumerate_vectors`` over G at base genus b.
-    ``rows()`` yields it as raw (ab, gammas, genus) rows, ab the alphas
-    then the betas; iterating the stream wraps each row into a
-    BranchedCover.  ``truncated`` counts the otherwise valid vectors
-    dropped because their genus exceeded the cap, and is known when the
-    stream is created."""
+    """The listing of ``enumerate_vectors``: iterating the stream yields
+    raw (ab, gammas, genus) rows, ab the alphas then the betas.
+    ``truncated`` counts the otherwise valid vectors dropped because
+    their genus exceeded the cap, and is known when the stream is
+    created."""
 
-    def __init__(self, G, b, rows, truncated):
-        self._G, self._b, self._rows = G, b, rows
+    def __init__(self, rows, truncated):
+        self._rows = rows
         self.truncated = truncated
 
-    def rows(self):
-        return self._rows()
-
     def __iter__(self):
-        G, b = self._G, self._b
-        for ab, gammas, genus in self._rows():
-            yield BranchedCover(GeneratingVector(G, b, ab[:b], ab[b:], gammas), genus)
+        return self._rows()
 
 
 def _raw_tuples(G, b, r, allowed_gamma, *, dedup=False):
@@ -550,9 +544,9 @@ def enumerate_vectors(
     branch_order_cap: int | None = None,
     exact_branch_orders=None,
 ):
-    """Stream (a ``CoverStream``) of the valid BranchedCover with r <=
-    max_r branch points and 2 <= g <= genus_cap; its ``rows()`` lists the
-    same vectors, in the same order, as raw (ab, gammas, genus) rows.
+    """Stream (a ``CoverStream``) of the valid generating vectors with r
+    <= max_r branch points and 2 <= g <= genus_cap, as raw (ab, gammas,
+    genus) rows; ``validate_vector`` makes a BranchedCover of one.
 
     The vectors are counted first (``_counted_multisets``): that fixes
     the kept branch-class multisets and ``truncated``, the number of
@@ -600,4 +594,4 @@ def enumerate_vectors(
                 ):
                     yield ab, gammas, (base + w) // 2 + 1
 
-    return CoverStream(G, b, rows, truncated)
+    return CoverStream(rows, truncated)

@@ -42,9 +42,10 @@ running over the involutions of G, with
     U(s) = #{even r <= max_r : |G| r / 4 + 1 <= genus cap} N_1(s),
 
 max_r being --max-r for C and --max-s for D.  The total is 0 unless the
-base genera hold (1, 1) and the branch-order cap is >= 2.  Until Lemma
-B's shape is proved, this tests a conjecture.  The exit status is 1 on
-any failure.
+base genera hold (1, 1) and the branch-order cap is >= 2.  The closed
+form rests on Lemma B's shape, which the central-involution rule proves
+inside the calculator's model (README); tier-1 tests the proof's steps
+one by one.  The exit status is 1 on any failure.
 """
 
 import argparse

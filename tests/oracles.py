@@ -280,6 +280,19 @@ def acts_trivially(S, sigma):
     return sigma in compute_aut0(S)
 
 
+def cover_of_row(G, b, row):
+    """The BranchedCover of one (ab, gammas, genus) row of an
+    ``enumerate_vectors`` listing over G at base genus b, made by
+    ``validate_vector``, the one maker of a cover; the row's genus must
+    be the validated one."""
+    from isoprod.covers import GeneratingVector, validate_vector
+
+    ab, gammas, genus = row
+    cover = validate_vector(GeneratingVector(G, b, ab[:b], ab[b:], gammas))
+    assert cover.genus == genus, (row, cover.genus)
+    return cover
+
+
 def branch_orders(vector):
     """The element orders of a generating vector's gammas."""
     return tuple(vector.group.element_order[g] for g in vector.gammas)

@@ -38,6 +38,9 @@ from oracles import (
     acts_trivially,
     aut0_complex,
     aut0_lefschetz,
+    closure,
+    cover_of_row,
+    kernel_by_values,
     lefschetz_numbers,
     listed_buckets,
 )
@@ -234,6 +237,107 @@ def test_rule_matches_kernel_criterion_on_every_free_bucket_pair():
     assert nontrivial > 0
 
 
+def _kept_closures(G, b, max_r):
+    """{M: N} over the kept branch-class multisets M of G at base genus b,
+    r <= max_r and the sweep's default caps: N is the normal closure of
+    the gammas, the subgroup the members of M's classes generate
+    (``oracles.closure``), at b = 1, and G itself at b = 2."""
+    kept = _counted_multisets(G, b, max_r, 33, _branch_plan(G, 8))[0]
+    classes = conjugacy_classes(G)
+    if b == 2:
+        return dict.fromkeys(kept, frozenset(range(G.order)))
+    return {M: closure(G, [g for c in M for g in classes[c].members]) for M in kept}
+
+
+def _kernels(G):
+    """Ker chi for each chi of ``character_table(G)``, read from the
+    values (``oracles.kernel_by_values``)."""
+    table = character_table(G)
+    return table, [kernel_by_values(table, i) for i in range(len(table.characters))]
+
+
+# (multiset, chi != 1) pairs per base genus, and free multiset pairs per
+# base-genus pair, over the built-ins of order <= 16 at r, s <= 3
+CHECKED_LEMMA_A = {1: 4858, 2: 4452}
+FREE_PAIRS = {(1, 1): 2544, (1, 2): 3387, (2, 1): 3387, (2, 2): 4387}
+
+
+def test_lemma_a_positivity_is_the_normal_closure_test():
+    """Lemma A of the central-involution rule (README): at b = 1 and
+    chi != 1, Broughton's multiplicity m_C(chi) is positive iff N_C, the
+    normal closure of the gammas, is not inside Ker chi; at b = 2 every
+    m_C(chi) with chi != 1 is positive (N_C = G).  Over every kept
+    branch-class multiset of the built-ins of order <= 16 at r <= 3."""
+    checked = {1: 0, 2: 0}
+    for spec in builtin_groups_upto(16):
+        G = build_group(spec)
+        table, kernels = _kernels(G)
+        for b in (1, 2):
+            for M, N in _kept_closures(G, b, 3).items():
+                mults = h1_multiplicities(table, b, M)
+                for i, ker in enumerate(kernels):
+                    if i != table.trivial_index:
+                        assert (mults[i] > 0) == (not N <= ker), (spec, b, M, i)
+                        checked[b] += 1
+    assert checked == CHECKED_LEMMA_A
+
+
+@pytest.mark.parametrize("bC,bD", ALL_BASE_GENERA)
+def test_regular_character_identity_is_the_kernel_criterion(bC, bD):
+    """The regular-character identity of the central-involution rule
+    (README): on a free pair, Aut_0 is {1} and the central sigma != 1 at
+    which |G| - i_C(1 - e_C) - i_D(1 - e_D) + i_CD(1 - e_CD) = 0, with
+    i_X = |G : N_X|, N_CD = N_C N_D and e_X = 1 iff sigma lies in N_X.
+    That is the kernel criterion on the pair's H^1 positivity masks:
+    the central elements in Ker chi for every chi positive on both
+    sides.  Over every free pair of kept branch-class multisets of the
+    built-ins of order <= 16 at r, s <= 3, with N = G on a b = 2 side;
+    Aut_0 is nontrivial on some pair exactly at base genera (1, 1)."""
+    pairs = nontrivial = 0
+    for spec in builtin_groups_upto(16):
+        G = build_group(spec)
+        n, mult = G.order, G.mult
+        central = [
+            s for s in range(1, n) if all(mult[s][g] == mult[g][s] for g in range(n))
+        ]
+        table, kernels = _kernels(G)
+
+        def side(b):
+            """(stabilizer-union mask, N, H^1 positivity) per kept multiset."""
+            return [
+                (
+                    _stabilizer_mask(G, M),
+                    N,
+                    {i for i, m in enumerate(h1_multiplicities(table, b, M)) if m},
+                )
+                for M, N in _kept_closures(G, b, 3).items()
+            ]
+
+        products, sideD = {}, side(bD)
+        for sigC, NC, posC in side(bC):
+            for sigD, ND, posD in sideD:
+                if sigC & sigD != 1:
+                    continue
+                if (NC, ND) not in products:
+                    products[NC, ND] = closure(G, NC | ND)
+                NCD = products[NC, ND]
+                iC, iD, iCD = n // len(NC), n // len(ND), n // len(NCD)
+                identity = [
+                    s
+                    for s in central
+                    if n - iC * (s not in NC) - iD * (s not in ND) + iCD * (s not in NCD)
+                    == 0
+                ]
+                criterion = [
+                    s for s in central if all(s in kernels[i] for i in posC & posD)
+                ]
+                assert identity == criterion, (spec, sigC, sigD)
+                pairs += 1
+                nontrivial += bool(identity)
+    assert pairs == FREE_PAIRS[bC, bD]
+    assert (nontrivial > 0) == ((bC, bD) == (1, 1))
+
+
 def test_sweep_records_match_lefschetz():
     """Every record of the order <= 16 sweep at the default bounds names
     the Aut_0 that the Lefschetz numbers of its two vectors give."""
@@ -423,7 +527,7 @@ def test_cover_buckets_and_covers_share_one_stream():
         uncapped = enumerate_vectors(
             G, 1, 3, genus_cap=10**6, dedup=False, branch_order_cap=8
         )
-        over = sum(1 for c in uncapped if c.genus > 9)
+        over = sum(1 for _, _, genus in uncapped if genus > 9)
         assert truncated == stream.truncated == over, spec
         over_total += over
     assert over_total > 0
@@ -591,8 +695,8 @@ def test_classify_weights_against_bruteforce():
 
     G = build_group("ab:2,2")
     covers = [
-        c
-        for c in enumerate_vectors(
+        cover_of_row(G, 1, row)
+        for row in enumerate_vectors(
             G, 1, 4, genus_cap=33, dedup=False, branch_order_cap=8
         )
     ]

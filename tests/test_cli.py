@@ -14,8 +14,12 @@ import corpus
 import isoprod
 from isoprod import cli
 from isoprod.cli import main, make_parser
-from isoprod.covers import enumerate_vectors
-from isoprod.covers import validate_vector
+from isoprod.covers import (
+    CoverStream,
+    GeneratingVector,
+    enumerate_vectors,
+    validate_vector,
+)
 from isoprod.errors import (
     ConsistencyError,
     DomainError,
@@ -202,16 +206,20 @@ def test_covers_json_rows_match_json_dumps(capsys):
             code, out, _ = run(capsys, "covers", spec, *argv)
             want = [
                 json.dumps(
-                    {"vector": c.vector.to_json(), "genus": c.genus}, sort_keys=True
+                    {
+                        "vector": GeneratingVector(G, b, ab[:b], ab[b:], gam).to_json(),
+                        "genus": g,
+                    },
+                    sort_keys=True,
                 )
-                for c in enumerate_vectors(G, b, max_r, genus_cap=cap)
+                for ab, gam, g in enumerate_vectors(G, b, max_r, genus_cap=cap)
             ]
             assert code == 0 and out.splitlines()[:-1] == want, (spec, b)
 
 
 def test_covers_csv_and_table_rows_match_records(capsys):
     """Each csv and table row of ``covers`` is built from the listed
-    record's alphas, betas, gammas and genus, for every built-in group of
+    row's alphas, betas, gammas and genus, for every built-in group of
     order <= 16 at the settings of the JSON twin above; the csv output
     has a header and no summary, the table output a summary."""
     for spec in builtin_groups_upto(16):
@@ -219,10 +227,7 @@ def test_covers_csv_and_table_rows_match_records(capsys):
         for b, max_r, cap in ((0, 4, 65), (1, 2, 65), (2, 1, 9)):
             argv = ("--b", str(b), "--max-r", str(max_r), "--genus-cap", str(cap))
             covers = list(enumerate_vectors(G, b, max_r, genus_cap=cap))
-            parts = [
-                (c.vector.alphas, c.vector.betas, c.vector.gammas, c.genus)
-                for c in covers
-            ]
+            parts = [(ab[:b], ab[b:], gam, g) for ab, gam, g in covers]
             code, out, _ = run(capsys, "covers", spec, *argv, "--format", "csv")
             want = ["b,alphas,betas,gammas,genus"] + [
                 f"{b},{' '.join(map(str, a))},{' '.join(map(str, be))},"
@@ -296,14 +301,12 @@ def test_covers_prints_rows_listed_before_an_error(capsys, monkeypatch, argv):
 
         def failing(*args, **kwargs):
             stream = listed(*args, **kwargs)
-            rows = stream.rows
 
             def cut():
-                yield from itertools.islice(rows(), k)
+                yield from itertools.islice(stream, k)
                 raise ConsistencyError("listing cut")
 
-            stream.rows = cut
-            return stream
+            return CoverStream(cut, stream.truncated)
 
         monkeypatch.setattr(cli, "enumerate_vectors", failing)
         code, out, err = run(capsys, *argv)
@@ -397,9 +400,10 @@ def test_golden_stdout(capsys):
 
 
 def test_covers_builds_no_records(capsys, monkeypatch):
-    """``covers`` prints every format from the stream's raw rows: with
-    the record types replaced by ones that raise, each format still
-    prints its golden bytes."""
+    """``covers`` prints every format from the stream's raw rows, and a
+    listing makes no record: with the record types replaced by ones that
+    raise, each format still prints its golden bytes and a stream still
+    iterates."""
     import isoprod.covers
 
     def refuse(*args):
@@ -416,8 +420,48 @@ def test_covers_builds_no_records(capsys, monkeypatch):
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == golden(argv), argv
-    with pytest.raises(AssertionError):
-        list(enumerate_vectors(build_group("dih:4"), 1, 2))
+    assert list(enumerate_vectors(build_group("dih:4"), 1, 2))
+
+
+class _IterOnlyStream:
+    """A stream with nothing but iteration and ``truncated``, the shape
+    of a hook that times a listing's iteration; it counts the rows taken."""
+
+    def __init__(self, stream):
+        self._stream, self.truncated, self.taken = stream, stream.truncated, 0
+
+    def __iter__(self):
+        for row in self._stream:
+            self.taken += 1
+            yield row
+
+
+def test_covers_reads_its_stream_only_by_iterating_it(capsys, monkeypatch):
+    """``covers`` needs of its stream only iteration and ``truncated``:
+    given a stream with nothing else, each format prints its golden
+    bytes, and the printed count is the number of rows iterated."""
+    streams = []
+
+    def iter_only(*args, **kwargs):
+        streams.append(_IterOnlyStream(enumerate_vectors(*args, **kwargs)))
+        return streams[-1]
+
+    monkeypatch.setattr(cli, "enumerate_vectors", iter_only)
+    for argv in [argv for argv in GOLDEN_STDOUT if argv[0] == "covers"]:
+        streams.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == golden(argv), argv
+        lines = out.splitlines()
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+        if fmt == "json":
+            count = json.loads(lines[-1])["count"]
+        elif fmt == "table":
+            count = int(lines[-1].split()[0])
+        else:
+            count = len(lines) - 1  # the csv header, and no summary
+        (stream,) = streams
+        assert count == stream.taken > 0, argv
 
 
 def test_classify_error_records(capsys, monkeypatch):

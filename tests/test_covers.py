@@ -47,6 +47,7 @@ from oracles import (
     broughton_complex,
     brute_vectors,
     canonical_tuples_by_filtering,
+    cover_of_row,
     dedup_by_marking,
     gamma_tails_brute,
     genus_float,
@@ -204,11 +205,7 @@ def test_raw_count_matches_bruteforce():
                 if genus_float(G.order, 1, [G.element_order[g] for g in gam]) >= 2
             ]
             stream = enumerate_vectors(G, 1, r, genus_cap=1000, dedup=False)
-            got = [
-                (c.vector.alphas + c.vector.betas, c.vector.gammas)
-                for c in stream
-                if len(c.vector.gammas) == r
-            ]
+            got = [(ab, gam) for ab, gam, _ in stream if len(gam) == r]
             assert sorted(got) == sorted(brute), (spec, r)
 
 
@@ -218,7 +215,7 @@ def test_raw_count_z2():
     G = build_group("ab:2")
     assert len(brute_vectors(G, 1, 2)) == 4
     stream = enumerate_vectors(G, 1, 2, dedup=False)
-    assert sum(1 for c in stream if c.vector.gammas) == 4
+    assert sum(1 for _, gam, _ in stream if gam) == 4
 
 
 @pytest.mark.parametrize(
@@ -344,10 +341,7 @@ def test_abelian_count_builds_no_lattice(monkeypatch):
     def results():
         G = build_group("ab:2,2,2,2")
         buckets = _cover_buckets(G, 1, 4, 33, 8)
-        vectors = [
-            (c.vector.to_json(), c.genus)
-            for c in enumerate_vectors(build_group("ab:2,2,2"), 1, 3)
-        ]
+        vectors = list(enumerate_vectors(build_group("ab:2,2,2"), 1, 3))
         return buckets, vectors
 
     with monkeypatch.context() as m:
@@ -370,10 +364,10 @@ def test_genus_cap_sets_truncated():
     G = build_group("ab:2,2")
     stream = enumerate_vectors(G, 1, 4, genus_cap=3, dedup=False)
     before = stream.truncated
-    covers = [(c.vector, c.genus) for c in stream]
+    covers = list(stream)
     assert before == stream.truncated == 420  # r=4 vectors have genus 5
-    assert all(genus <= 3 for _, genus in covers)
-    assert [(c.vector, c.genus) for c in stream] == covers
+    assert all(genus <= 3 for _, _, genus in covers)
+    assert list(stream) == covers
     assert stream.truncated == 420
 
 
@@ -411,7 +405,7 @@ def test_branch_order_cap_below_one_raises(cap):
         enumerate_vectors(G, 1, 4, branch_order_cap=cap)
     covers = list(enumerate_vectors(G, 2, 1, branch_order_cap=1))
     assert covers
-    assert all(not c.vector.gammas and c.genus == 5 for c in covers)
+    assert all(not gam and genus == 5 for _, gam, genus in covers)
 
 
 @pytest.mark.parametrize("spec,max_r", [("ab:2,2", 2), ("dih:4", 4), ("quat:8", 4)])
@@ -420,22 +414,13 @@ def test_dedup_orbits(spec, max_r):
     dih:4 at r <= 4 has vectors of different r with equal codes, so it
     fails if the dedup set is shared across r."""
     G = build_group(spec)
-    full = {
-        (c.vector.alphas + c.vector.betas, c.vector.gammas)
-        for c in enumerate_vectors(G, 1, max_r, dedup=False)
-    }
+    full = {(ab, gam) for ab, gam, _ in enumerate_vectors(G, 1, max_r, dedup=False)}
     reps = list(enumerate_vectors(G, 1, max_r, dedup=True))
     auts = automorphisms(G)
     covered = set()
-    for c in reps:
-        ab = c.vector.alphas + c.vector.betas
+    for ab, gam, _ in reps:
         for phi in auts:
-            covered.add(
-                (
-                    tuple(phi[x] for x in ab),
-                    tuple(phi[x] for x in c.vector.gammas),
-                )
-            )
+            covered.add((tuple(phi[x] for x in ab), tuple(phi[x] for x in gam)))
     assert covered == full
     # Aut(G) acts freely on generating vectors, so every orbit has
     # |Aut(G)| members and no two representatives share one
@@ -447,10 +432,7 @@ def test_dedup_dih17_matches_marking():
     keeps the vectors that marking every Aut(G) image keeps."""
     G = build_group("dih:17")
     stream = enumerate_vectors(G, 1, 2)
-    got = [
-        (c.vector.alphas + c.vector.betas, c.vector.gammas, c.genus)
-        for c in stream
-    ]
+    got = list(stream)
     assert (got, stream.truncated) == dedup_by_marking(G, 1, 2, 65)
     assert len(got) * 272 == 33456
 
@@ -476,9 +458,10 @@ def test_dedup_builds_no_automorphisms_without_vectors(monkeypatch):
 
 def test_exact_branch_orders():
     G = build_group("ab:2,2")
-    covers = list(
-        enumerate_vectors(G, 1, 4, dedup=False, exact_branch_orders=[2, 2])
-    )
+    covers = [
+        cover_of_row(G, 1, row)
+        for row in enumerate_vectors(G, 1, 4, dedup=False, exact_branch_orders=[2, 2])
+    ]
     assert covers and all(branch_orders(c.vector) == (2, 2) for c in covers)
     assert all(c.genus == 3 for c in covers)
 
@@ -502,7 +485,7 @@ def test_consistency_errors_name_their_context():
     t = character_table(G)
     with pytest.raises(ConsistencyError, match=r"sym:3 at b = 0, classes \[\]"):
         h1_multiplicities(t, 0, ())
-    cover = next(iter(enumerate_vectors(G, 1, 2)))
+    cover = cover_of_row(G, 1, next(iter(enumerate_vectors(G, 1, 2))))
     wrong = BranchedCover(cover.vector, cover.genus + 1)
     with pytest.raises(ConsistencyError) as err:
         isotypic_dimensions(wrong, t)
@@ -514,7 +497,8 @@ def test_broughton_against_complex_oracle():
         G = build_group(spec)
         t = character_table(G)
         count = 0
-        for cover in enumerate_vectors(G, 1, 3, genus_cap=20, dedup=True):
+        for row in enumerate_vectors(G, 1, 3, genus_cap=20, dedup=True):
+            cover = cover_of_row(G, 1, row)
             classes = [t.class_of[g] for g in cover.vector.gammas]
             mults = h1_multiplicities(t, 1, classes)
             dims = isotypic_dimensions(cover, t)
@@ -574,10 +558,7 @@ def test_dedup_matches_marking_oracle(spec, b, max_r, cap, exact):
     stream = enumerate_vectors(
         G, b, max_r, genus_cap=cap, exact_branch_orders=exact
     )
-    got = [
-        (c.vector.alphas + c.vector.betas, c.vector.gammas, c.genus)
-        for c in stream
-    ]
+    got = list(stream)
     assert (got, stream.truncated) == dedup_by_marking(G, b, max_r, cap, exact=exact)
 
 
@@ -591,36 +572,9 @@ def test_weight_filter_matches_multiset_keep_rule(spec):
     for b, max_r in ((0, 4), (1, 3), (2, 1)):
         for cap in (5, 65):
             for dedup in (True, False):
-                stream = enumerate_vectors(G, b, max_r, genus_cap=cap, dedup=dedup)
-                got = [
-                    (c.vector.alphas + c.vector.betas, c.vector.gammas, c.genus)
-                    for c in stream
-                ]
+                got = list(enumerate_vectors(G, b, max_r, genus_cap=cap, dedup=dedup))
                 want = listing_kept_by_multiset(G, b, max_r, cap, dedup=dedup)
                 assert got == want, (b, cap, dedup)
-
-
-@pytest.mark.parametrize("spec", builtin_groups_upto(8))
-def test_rows_are_the_records_unwrapped(spec):
-    """``rows()`` lists the raw (alphas + betas, gammas, genus) of the
-    records that iterating the stream yields, in the same order, at b =
-    0, 1, 2 with dedup on and off, and with exact branch orders."""
-    G = build_group(spec)
-    cases = [
-        dict(b=b, max_r=max_r, dedup=dedup)
-        for b, max_r in ((0, 4), (1, 3), (2, 1))
-        for dedup in (True, False)
-    ]
-    if spec == "dih:4":
-        cases.append(dict(b=0, max_r=4, dedup=True, exact_branch_orders=(2, 2, 2, 4)))
-    for kw in cases:
-        stream = enumerate_vectors(G, **kw)
-        want = [
-            (c.vector.alphas + c.vector.betas, c.vector.gammas, c.genus)
-            for c in stream
-        ]
-        assert list(stream.rows()) == want, kw
-    assert want
 
 
 def test_weight_filter_checks_exact_branch_orders():
@@ -637,14 +591,9 @@ def test_weight_filter_checks_exact_branch_orders():
     assert exact in listed
     assert any(M != exact and hurwitz_genus(G.order, 0, M) >= 2 for M in listed)
     for dedup in (True, False):
-        covers = list(
-            enumerate_vectors(G, 0, 4, dedup=dedup, exact_branch_orders=exact)
-        )
+        got = list(enumerate_vectors(G, 0, 4, dedup=dedup, exact_branch_orders=exact))
+        covers = [cover_of_row(G, 0, row) for row in got]
         assert {tuple(sorted(branch_orders(c.vector))) for c in covers} == {exact}
-        got = [
-            (c.vector.alphas + c.vector.betas, c.vector.gammas, c.genus)
-            for c in covers
-        ]
         assert got == listing_kept_by_multiset(G, 0, 4, 65, dedup=dedup, exact=exact)
 
 

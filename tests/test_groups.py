@@ -504,7 +504,7 @@ def test_registry_extensions_match_closure_oracle():
         all_subgroups(G)
         _count_vectors(G, 1, 2, range(1, G.order))
         if G.order <= 32:
-            for _ in enumerate_vectors(G, 0, 3, genus_cap=9).rows():
+            for _ in enumerate_vectors(G, 0, 3, genus_cap=9):
                 pass
         for sid, gens in enumerate(reg.gens):
             assert closure(G, gens) == reg.sets[sid], (spec, sid)

@@ -145,6 +145,10 @@ ORACLE_REACH = {
         "_memo": "keeps the subgroup on G",
         "commutator": "three table lookups per pair of elements",
     },
+    "cover_of_row": {
+        "validate_vector": "not an oracle: makes the cover a test reads "
+        "from a listed row, the one way the library makes one",
+    },
     "dedup_by_marking": _SIMS_BASE,
     "first_constituent_by_scan": {
         "restriction_multiplicity": "checked against restriction_complex "
@@ -220,6 +224,36 @@ def test_every_library_function_is_referenced_in_the_library():
     }
     assert unreferenced == {}
     assert set(UNREFERENCED_ALLOWED) <= set(defined)
+
+
+def _makes_a_cover(node):
+    """Whether ``node`` calls ``BranchedCover``, ``module.BranchedCover``
+    or one of its methods, such as ``BranchedCover._make``."""
+    if not isinstance(node, ast.Call):
+        return False
+    f, names = node.func, []
+    while isinstance(f, ast.Attribute):
+        names.append(f.attr)
+        f = f.value
+    if isinstance(f, ast.Name):
+        names.append(f.id)
+    return "BranchedCover" in names
+
+
+def test_only_validate_vector_makes_a_branched_cover():
+    """Every call that makes a ``BranchedCover`` in src/isoprod lies
+    inside ``validate_vector``, so every cover the library hands out
+    has been validated."""
+    calls, inside = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "validate_vector":
+                inside |= {
+                    (path.name, n.lineno) for n in ast.walk(node) if _makes_a_cover(n)
+                }
+            if _makes_a_cover(node):
+                calls.add((path.name, node.lineno))
+    assert inside and calls == inside
 
 
 def test_start_up_loads_neither_dataclasses_nor_inspect():

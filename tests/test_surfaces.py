@@ -10,7 +10,7 @@ from isoprod.surfaces import (
     example46_construct,
 )
 
-from oracles import broughton_complex, chi_top_euler, conjugate_index
+from oracles import broughton_complex, chi_top_euler, conjugate_index, cover_of_row
 
 
 def _klein_vectors():
@@ -132,7 +132,7 @@ def test_h2_summands_pair_each_character_with_its_conjugate():
         G = build_group(spec)
         t = character_table(G)
         conj = conjugate_index(t)
-        covers = list(enumerate_vectors(G, 1, 2))
+        covers = [cover_of_row(G, 1, row) for row in enumerate_vectors(G, 1, 2)]
         mults = {
             c.vector: [broughton_complex(G, t, c, i) for i in range(len(conj))]
             for c in covers
