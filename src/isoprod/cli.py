@@ -26,10 +26,6 @@ from .surfaces import (
 )
 
 
-# rows of ``covers`` per stdout write
-_BLOCK_ROWS = 128
-
-
 def _out(line=""):
     sys.stdout.write(line + "\n")
 
@@ -140,26 +136,18 @@ def cmd_covers(args):
     else:
         sep, genus_first = ", ", False
         pattern = "b=" + str(b) + " alphas=[%s] betas=[%s] gammas=[%%s] genus=%%d\n"
-    # rows go out in blocks of at most _BLOCK_ROWS, and the rows listed
-    # before an error still reach stdout
+    # one write per row, so the rows listed before an error reach stdout
     write, item, count = sys.stdout.write, idx.__getitem__, 0
-    buf, last_ab, row = [], None, None
-    try:
-        for count, (ab, gam, g) in enumerate(stream, 1):
-            if ab != last_ab:
-                last_ab = ab
-                row = pattern % (
-                    sep.join(map(item, ab[:b])),
-                    sep.join(map(item, ab[b:])),
-                )
-            gammas = sep.join(map(item, gam))
-            buf.append(row % ((g, gammas) if genus_first else (gammas, g)))
-            if len(buf) == _BLOCK_ROWS:
-                write("".join(buf))
-                buf.clear()
-    finally:
-        if buf:
-            write("".join(buf))
+    last_ab, row = None, None
+    for count, (ab, gam, g) in enumerate(stream, 1):
+        if ab != last_ab:
+            last_ab = ab
+            row = pattern % (
+                sep.join(map(item, ab[:b])),
+                sep.join(map(item, ab[b:])),
+            )
+        gammas = sep.join(map(item, gam))
+        write(row % ((g, gammas) if genus_first else (gammas, g)))
     truncated = stream.truncated > 0
     if args.format == "json":
         _out(json.dumps({"count": count, "truncated": truncated}, sort_keys=True))

@@ -9,7 +9,7 @@ a genus-b curve whose covering genus comes from Riemann-Hurwitz.
 from __future__ import annotations
 
 import itertools
-from math import factorial
+from math import factorial, prod
 from typing import NamedTuple
 
 from .errors import (
@@ -368,8 +368,12 @@ def _count_abelian(G: GroupTable, b: int, max_r: int, elements):
     to a generating vector iff their images generate G/S, S = <M>, so M
     has _orderings(M) |S|^2b phi_2b(G/S) vectors, phi_d(A) the number of
     d-tuples generating A (P. Hall's Eulerian function, 1936; ``lifts``).
-    The sorted (r - 1)-prefixes are walked level by level with their
-    product and subgroup id; the last gamma is forced to be the inverse
+    A tuple generates G modulo S iff it does modulo T = Phi(G)S, as the
+    Frattini subgroup Phi(G) = {x^rad}, rad the product of the primes of
+    |G|, is the set of non-generators; so the count is |T|^2b
+    phi_2b(G/T), and G/T is elementary abelian at each prime.  The sorted
+    (r - 1)-prefixes are walked level by level with their product and
+    the id of Phi(G)<prefix>; the last gamma is forced to be the inverse
     of the product, and kept iff it is allowed and its class is not below
     the prefix's last one.
     """
@@ -379,52 +383,38 @@ def _count_abelian(G: GroupTable, b: int, max_r: int, elements):
     extend, sets = reg.extend, reg.sets
     allowed = frozenset(elements)
     classes = sorted(allowed)
-    # per prime p of |G|: generators of the p-th powers pG
-    primes = []
-    for p in range(2, n + 1):
-        if n % p or not _is_prime(p):
-            continue
-        sid, gens = 0, []
-        for y in sorted({G.power(x, p) for x in range(n)}):
-            if y not in sets[sid]:
-                sid = extend(sid, y)
-                gens.append(y)
-        primes.append((p, gens))
+    primes = [p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)]
+    frattini, rad = 0, prod(primes)
+    for y in sorted({G.power(x, rad) for x in range(n)}):
+        frattini = extend(frattini, y)
     memo = {}
 
     def lifts(sid):
-        """|S|^d phi_d(G/S), S the subgroup ``sid``: per prime p with
-        p^k = |G : pG S| and A_p the Sylow p-subgroup of A = G/S,
-        phi_d(A) = prod_p (|A_p| / p^k)^d prod_(i<k) (p^d - p^i)."""
+        """|T|^d phi_d(G/T), T the subgroup ``sid`` containing Phi(G):
+        with p^k the p-part of |G : T|, G/T is the sum of the F_p^k and
+        phi_d(G/T) = prod_p prod_(i<k) (p^d - p^i)."""
         out = memo.get(sid)
         if out is None:
             out = len(sets[sid]) ** d
             index = n // len(sets[sid])
-            for p, gens in primes:
-                t = sid
-                for g in gens:
-                    t = extend(t, g)
-                pk, ap = n // len(sets[t]), 1
+            for p in primes:
+                pi = 1
                 while index % p == 0:
                     index //= p
-                    ap *= p
-                out *= (ap // pk) ** d
-                pi = 1
-                while pi < pk:
                     out *= p**d - pi
                     pi *= p
             memo[sid] = out
         return out
 
     counts = {}
-    if lifts(0):
-        counts[()] = lifts(0)
-    # (sorted prefix, its product, its subgroup id, position of its
-    # last element in ``classes``)
-    level = [((), 0, 0, 0)]
+    if lifts(frattini):
+        counts[()] = lifts(frattini)
+    # (sorted prefix, its product, the id of Phi(G)<prefix>, position of
+    # its last element in ``classes``)
+    level = [((), 0, frattini, 0)]
     for r in range(1, max_r + 1):
-        for P, prod, sid, _ in level:
-            last = inv[prod]
+        for P, product, sid, _ in level:
+            last = inv[product]
             if last in allowed and (not P or last >= P[-1]):
                 M = P + (last,)
                 k = lifts(extend(sid, last))
@@ -432,8 +422,8 @@ def _count_abelian(G: GroupTable, b: int, max_r: int, elements):
                     counts[M] = _orderings(M) * k
         if r < max_r:
             level = [
-                (P + (x,), mult[prod][x], extend(sid, x), j)
-                for P, prod, sid, i in level
+                (P + (x,), mult[product][x], extend(sid, x), j)
+                for P, product, sid, i in level
                 for j, x in enumerate(classes[i:], i)
             ]
     return counts

@@ -5,6 +5,7 @@ from isoprod.classify import (
     ALL_BASE_GENERA,
     SearchBounds,
     _aut0_mask,
+    _bucket_key,
     _classify_group,
     _cover_buckets,
     _mask_to_set,
@@ -17,6 +18,7 @@ from isoprod.covers import (
     GeneratingVector,
     _branch_plan,
     _counted_multisets,
+    _multiset_genus,
     _stabilizer_mask,
     enumerate_vectors,
     h1_multiplicities,
@@ -256,6 +258,28 @@ def _kernels(G):
     return table, [kernel_by_values(table, i) for i in range(len(table.characters))]
 
 
+def _central(G):
+    """The central elements other than 1, read from the Cayley table."""
+    n, mult = G.order, G.mult
+    return [s for s in range(1, n) if all(mult[s][g] == mult[g][s] for g in range(n))]
+
+
+def _identity_aut0(G, central, NC, ND, products):
+    """The regular-character identity's Aut_0 less 1: the ``central``
+    sigma at which |G| - i_C(1 - e_C) - i_D(1 - e_D) + i_CD(1 - e_CD)
+    = 0, with i_X = |G : N_X|, N_CD = N_C N_D (``oracles.closure``, kept
+    in ``products``) and e_X = 1 iff sigma lies in N_X."""
+    if (NC, ND) not in products:
+        products[NC, ND] = closure(G, NC | ND)
+    n, NCD = G.order, products[NC, ND]
+    iC, iD, iCD = n // len(NC), n // len(ND), n // len(NCD)
+    return [
+        s
+        for s in central
+        if n - iC * (s not in NC) - iD * (s not in ND) + iCD * (s not in NCD) == 0
+    ]
+
+
 # (multiset, chi != 1) pairs per base genus, and free multiset pairs per
 # base-genus pair, over the built-ins of order <= 16 at r, s <= 3
 CHECKED_LEMMA_A = {1: 4858, 2: 4452}
@@ -296,10 +320,7 @@ def test_regular_character_identity_is_the_kernel_criterion(bC, bD):
     pairs = nontrivial = 0
     for spec in builtin_groups_upto(16):
         G = build_group(spec)
-        n, mult = G.order, G.mult
-        central = [
-            s for s in range(1, n) if all(mult[s][g] == mult[g][s] for g in range(n))
-        ]
+        central = _central(G)
         table, kernels = _kernels(G)
 
         def side(b):
@@ -318,16 +339,7 @@ def test_regular_character_identity_is_the_kernel_criterion(bC, bD):
             for sigD, ND, posD in sideD:
                 if sigC & sigD != 1:
                     continue
-                if (NC, ND) not in products:
-                    products[NC, ND] = closure(G, NC | ND)
-                NCD = products[NC, ND]
-                iC, iD, iCD = n // len(NC), n // len(ND), n // len(NCD)
-                identity = [
-                    s
-                    for s in central
-                    if n - iC * (s not in NC) - iD * (s not in ND) + iCD * (s not in NCD)
-                    == 0
-                ]
+                identity = _identity_aut0(G, central, NC, ND, products)
                 criterion = [
                     s for s in central if all(s in kernels[i] for i in posC & posD)
                 ]
@@ -336,6 +348,50 @@ def test_regular_character_identity_is_the_kernel_criterion(bC, bD):
                 nontrivial += bool(identity)
     assert pairs == FREE_PAIRS[bC, bD]
     assert (nontrivial > 0) == ((bC, bD) == (1, 1))
+
+
+# free multiset pairs at base genera (1, 1) over the built-ins of order
+# <= 16 at r, s <= 3 whose Aut_0 is nontrivial
+SHAPED_PAIRS = 102
+
+
+def test_nontrivial_aut0_has_the_central_involution_shape():
+    """The shape step of the central-involution rule (README): on a free
+    pair at base genera (1, 1), the regular-character identity's Aut_0 is
+    nontrivial exactly when N_C = {1, s} and N_D = {1, t} with s != t.
+    Then every class of M_C is {s} and every class of M_D is {t}, Aut_0
+    is {1, st} and every commutator of G is 1; and that is exactly when
+    both multisets key (``_bucket_key``) to a central involution u.  Over
+    every free pair of kept branch-class multisets of the built-ins of
+    order <= 16 at r, s <= 3."""
+    pairs = shaped = 0
+    for spec in builtin_groups_upto(16):
+        G = build_group(spec)
+        mult, order, central = G.mult, G.element_order, _central(G)
+        commutative = len(central) == G.order - 1
+        classes = conjugacy_classes(G)
+        kept = []  # (M, stabilizer-union mask, N, the key's uniform u)
+        for M, N in _kept_closures(G, 1, 3).items():
+            u = _bucket_key(G, M, _multiset_genus(G, 1, M))[3]
+            kept.append((M, _stabilizer_mask(G, M), N, u))
+        products = {}
+        for MC, sigC, NC, uC in kept:
+            for MD, sigD, ND, uD in kept:
+                if sigC & sigD != 1:
+                    continue
+                aut0 = _identity_aut0(G, central, NC, ND, products)
+                shape = len(NC) == len(ND) == 2 and NC != ND
+                assert bool(aut0) == shape, (spec, MC, MD)
+                keyed = all(u >= 0 and order[u] == 2 for u in (uC, uD))
+                assert keyed == shape, (spec, MC, MD)
+                pairs += 1
+                if shape:
+                    (s,), (t,) = NC - {0}, ND - {0}
+                    assert all(classes[c].members == (s,) for c in MC), (spec, MC)
+                    assert all(classes[c].members == (t,) for c in MD), (spec, MD)
+                    assert aut0 == [mult[s][t]] and commutative, (spec, MC, MD)
+                    shaped += 1
+    assert (pairs, shaped) == (FREE_PAIRS[1, 1], SHAPED_PAIRS)
 
 
 def test_sweep_records_match_lefschetz():

@@ -244,41 +244,6 @@ def test_covers_csv_and_table_rows_match_records(capsys):
             assert out.splitlines()[-1].startswith(f"{len(covers)} covers "), spec
 
 
-class _WriteLog:
-    """A stdout that keeps each ``write`` apart."""
-
-    def __init__(self):
-        self.writes = []
-
-    def write(self, text):
-        self.writes.append(text)
-        return len(text)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # every row shares the empty (alphas, betas) prefix
-        ("covers", "dih:4", "--b", "0", "--max-r", "4", "--no-dedup"),
-        ("covers", "dih:4", "--b", "1", "--max-r", "3", "--no-dedup"),
-    ],
-)
-def test_covers_writes_rows_in_bounded_blocks(monkeypatch, argv):
-    """``covers`` writes its rows in more than one block, each of whole
-    rows and at most ``_BLOCK_ROWS`` of them, then the summary line; the
-    bytes are the golden ones."""
-    log = _WriteLog()
-    monkeypatch.setattr(sys, "stdout", log)
-    assert main(list(argv)) == 0
-    *blocks, summary = log.writes
-    assert summary.startswith('{"count": ') and summary.count("\n") == 1
-    assert len(blocks) > 1
-    for block in blocks:
-        assert block.endswith("\n") and block.count("\n") <= cli._BLOCK_ROWS, argv
-    out = "".join(log.writes).encode()
-    assert hashlib.sha256(out).hexdigest() == golden(argv)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -297,7 +262,7 @@ def test_covers_prints_rows_listed_before_an_error(capsys, monkeypatch, argv):
     header = 1 if "csv" in argv else 0
     listed = enumerate_vectors
 
-    for k in (0, 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, len(lines) - header - 2):
+    for k in (0, 1, 128, 129, len(lines) - header - 2):
 
         def failing(*args, **kwargs):
             stream = listed(*args, **kwargs)

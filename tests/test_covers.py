@@ -329,6 +329,20 @@ def test_abelian_closed_form_matches_mobius():
     assert cases == 3 * (54 + 24)
 
 
+def test_abelian_closed_form_matches_mobius_across_primes():
+    """The closed form equals the Moebius DP, key order included, where
+    G/Phi(G) has more than one prime: Z_6^2 has rank 2 at both 2 and 3,
+    the case where ``lifts`` multiplies two nontrivial prime factors,
+    and Z_42 and Z_2 x Z_30 have three primes.  Branch-order cap 8."""
+    for spec in ("ab:6,6", "ab:42", "ab:2,30"):
+        G = build_group(spec)
+        elements = _branch_plan(G, 8)
+        for b, max_r in ((0, 3), (1, 4), (2, 2)):
+            args = (G, b, max_r, elements)
+            got, want = _count_abelian(*args), _count_by_mobius(*args)
+            assert list(got.items()) == list(want.items()), (spec, b)
+
+
 def test_abelian_count_builds_no_lattice(monkeypatch):
     """Abelian groups are counted without the Moebius function or the
     subgroup lattice, with the Moebius DP's results: the buckets of
